@@ -21,20 +21,18 @@ from . import __version__, ds, qmc, reactor
 from .contour import grid_eval, marching_squares, slice_contours_3d
 from .emit import DEFAULT_PALETTE, emit_contours_csv, emit_field_csv, emit_svg
 from .errors import (
-    DimensionUnsupported,
     InsufficientPoints,
     IntegratorFailure,
-    OutOfBox,
     RankDeficient,
-    SampleCountTooLarge,
+    RfuncdsError,
     ToleranceNotMet,
-    UnknownTestCase,
 )
-from .expr import compose, eval_expr
+from .expr import check_alpha, compose, eval_expr
 from .exprtext import serialize
 from .geometry import TESTCASE_NAMES, testcase
 
-_USAGE_ERRORS = (UnknownTestCase, OutOfBox, DimensionUnsupported, SampleCountTooLarge)
+# failures of a run on valid input exit 1; every other package error is a
+# usage error or malformed input and exits 2
 _RUNTIME_ERRORS = (IntegratorFailure, ToleranceNotMet, RankDeficient,
                    InsufficientPoints, OSError)
 
@@ -93,12 +91,12 @@ def main(argv=None) -> int:
     provenance = f"rfuncds {__version__} | rfuncds {' '.join(argv)}"
     try:
         return args.func(args, provenance)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RfuncdsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 # ----------------------------------------------------------------------
@@ -119,8 +117,8 @@ def cmd_demo(args, provenance: str) -> int:
     if args.slices < 1:
         print("error: --slices must be >= 1", file=sys.stderr)
         return 2
-    out = _outdir(args)
     regions = [(label, compose(tree, alpha)) for label, tree in case.trees]
+    out = _outdir(args)
     is3d = len(case.bounds) == 3
 
     lines = [f"# {provenance}", f"# case {case.name}, alpha={alpha!r}", ""]
@@ -174,6 +172,7 @@ def cmd_identify(args, provenance: str) -> int:
         print(f"error: --n must be >= {len(reactor.CQA_BASIS)} (basis size), got {args.n}",
               file=sys.stderr)
         return 2
+    check_alpha(args.alpha)
     params, box, rtol, atol = reactor.DEFAULT_PARAMS, reactor.DEFAULT_BOX, \
         args.tol_rel, args.tol_abs
     if args.config is not None:
@@ -234,7 +233,7 @@ def cmd_identify(args, provenance: str) -> int:
 def cmd_check(args, provenance: str) -> int:
     try:
         report = ds.load_report(args.report)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (RfuncdsError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: cannot read report {args.report!r}: {exc}", file=sys.stderr)
         return 2
     names = [a.name for a in report.box]

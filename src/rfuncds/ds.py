@@ -19,7 +19,9 @@ import numpy as np
 from . import exprtext
 from .contour import ContourSet, grid_eval, marching_squares
 from .errors import DTooSmall, EmptyConstraintList, OutOfBox
-from .expr import And, Const, Leaf, Region, Sub, compose, eval_arrays, sign_class
+from .expr import (
+    And, Const, Leaf, Region, Sub, check_alpha, compose, eval_arrays, sign_class,
+)
 from .polyfit import BasisSpec, FitResult, fit_least_squares, r_squared, to_expr
 from .qmc import scale, sobol
 
@@ -107,6 +109,7 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     constraints = list(constraints)
     if not constraints:
         raise EmptyConstraintList("need at least one constraint")
+    check_alpha(alpha)
     box = tuple(box)
     names = tuple(axis.name for axis in box)
     units = tuple(axis.unit for axis in box)

@@ -64,7 +64,8 @@ class SampleCountTooLarge(RfuncdsError):
 
 
 class BoundsMismatch(RfuncdsError):
-    """Scaling bounds do not match the sample dimension or have lo >= hi."""
+    """Bounds do not match the sample dimension, have lo >= hi, or leave the
+    model's domain."""
 
 
 class RankDeficient(RfuncdsError):

@@ -137,7 +137,7 @@ class Max(Expr):
     b: Expr
 
 
-def _check_alpha(alpha: float) -> float:
+def check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not -1.0 < alpha <= 1.0:
         raise AlphaOutOfRange(alpha)
@@ -151,7 +151,7 @@ class RAnd(Expr):
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +161,7 @@ class ROr(Expr):
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
 
 
 def r_and(a, b, alpha: float = 1.0) -> Expr:
@@ -431,7 +431,7 @@ def compose(tree: BoolTree, alpha: float = 1.0) -> Region:
     sign flip.  The membership of the result equals the set-theoretic
     combination of the leaf memberships.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     regions = list(_leaf_regions(tree))
     if not regions:
         raise ValueError("tree has no leaves")

@@ -30,7 +30,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import IntegratorFailure, NonpositiveTemperature, ToleranceNotMet
+from .errors import (
+    BoundsMismatch, IntegratorFailure, NonpositiveTemperature, ToleranceNotMet,
+)
 from .polyfit import BasisSpec
 
 PURITY_MIN = 0.80      # fraction
@@ -76,6 +78,15 @@ class OperatingPoint(NamedTuple):
 class Box:
     T: tuple[float, float] = (250.0, 300.0)
     t: tuple[float, float] = (250.0, 300.0)
+
+    def __post_init__(self):
+        for name, (lo, hi) in (("T", self.T), ("t", self.t)):
+            if not lo < hi:
+                raise BoundsMismatch(f"{name} bounds need lo < hi, got ({lo}, {hi})")
+        if not self.T[0] > 0:
+            raise NonpositiveTemperature(self.T[0])
+        if not self.t[0] > 0:
+            raise BoundsMismatch(f"processing time must be positive, got t_lo = {self.t[0]!r}")
 
     def contains(self, u: OperatingPoint) -> bool:
         return self.T[0] <= u.T <= self.T[1] and self.t[0] <= u.t <= self.t[1]

@@ -4,13 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfuncds import cli, ds
+from rfuncds import cli, ds, reactor
+from rfuncds.errors import IntegratorFailure
 from rfuncds.exprtext import parse_infix
 from rfuncds.expr import eval_arrays
 from rfuncds.reactor import CQA_BASIS
 
 REPO = Path(__file__).resolve().parents[1]
 KELVIN_CFG = REPO / "presets" / "kelvin-activation.cfg"
+REPORT_FIXTURE = REPO / "perfbench" / "fixtures" / "kelvin-alpha1.json"
 
 
 def run(argv):
@@ -141,3 +143,71 @@ def test_identify_default_run_reports_high_r2(tmp_path, capsys):
     for c in report["constraints"]:
         assert c["r_squared"] >= 0.99
         assert c["validation_r_squared"] >= 0.99
+
+
+# ----------------------------------------------------------------------
+# malformed input: exit 2 with one error line, before any model run
+
+def assert_usage_error(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.fixture
+def no_model_runs(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a model run started before input validation")
+    monkeypatch.setattr(reactor, "cqa_vector", fail)
+
+
+@pytest.mark.parametrize("config", [
+    "T_lo = 310\n",
+    "T_lo = -5\n",
+    "t_lo = 300\nt_hi = 260\n",
+    "t_lo = 0\n",
+], ids=["T_lo>T_hi", "T_lo<0", "t_lo>t_hi", "t_lo=0"])
+def test_identify_rejects_bad_box(config, tmp_path, capsys, no_model_runs):
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert_usage_error(run(["identify", "--config", str(cfg), "--out", str(out)]), capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["2", "-1", "nan"])
+def test_identify_rejects_alpha(alpha, tmp_path, capsys, no_model_runs):
+    out = tmp_path / "o"
+    line = assert_usage_error(run(["identify", "--alpha", alpha, "--out", str(out)]), capsys)
+    assert "alpha" in line
+    assert not out.exists()
+
+
+def test_demo_rejects_alpha(tmp_path, capsys):
+    out = tmp_path / "o"
+    line = assert_usage_error(
+        run(["demo", "circles-4.1", "--alpha", "-1", "--out", str(out)]), capsys)
+    assert "alpha" in line
+    assert not out.exists()
+
+
+def test_check_rejects_corrupt_joint_tree(tmp_path, capsys):
+    assert run(["check", str(REPORT_FIXTURE), "290,275"]) == 0
+    report = json.loads(REPORT_FIXTURE.read_text())
+    report["joint"]["tree"] = {"op": "bogus"}
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(report))
+    line = assert_usage_error(run(["check", str(path), "290,275"]), capsys)
+    assert "cannot read report" in line
+
+
+def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise IntegratorFailure("step size underflow")
+    monkeypatch.setattr(reactor, "cqa_vector", fail)
+    assert run(["identify", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: step size underflow\n"

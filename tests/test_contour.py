@@ -1,16 +1,22 @@
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rfuncds import contour
 from rfuncds.contour import (
-    ScalarField, grid_eval, inside_fraction, marching_squares, slice_contours_3d,
+    ContourSet, Polyline, ScalarField, grid_eval, inside_fraction, marching_squares,
+    slice_contours_3d,
 )
+from rfuncds.ds import load_report
 from rfuncds.emit import emit_contours_csv, emit_field_csv, emit_svg
 from rfuncds.errors import DimensionMismatch
 from rfuncds.expr import Const, Region, Var
-from rfuncds.geometry import Circle, primitive, testcase as load_case
+from rfuncds.geometry import TESTCASE_NAMES, Circle, primitive, testcase as load_case
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 UNIT_CIRCLE = primitive(Circle(0.0, 0.0, 1.0))
 SQUARE_BOUNDS = ((-2.0, 2.0), (-2.0, 2.0))
@@ -103,6 +109,174 @@ def test_inside_fraction_converges():
     est256 = inside_fraction(grid_eval(f_and, case.bounds, 256)) * area
     est512 = inside_fraction(grid_eval(f_and, case.bounds, 512)) * area
     assert abs(est256 - est512) / est512 < 0.005
+
+
+# ----------------------------------------------------------------------
+# equivalence with the per-cell reference implementation
+#
+# The reference below is the original cell-by-cell marching squares, kept
+# here as an oracle only.  The table-driven implementation must reproduce
+# its polylines exactly: same order, same closed flags, same bytes.
+
+def _reference_edge_key(n0, n1):
+    return (n0, n1) if n0 <= n1 else (n1, n0)
+
+
+def reference_marching_squares(field):
+    vals = field.values
+    nx, ny = field.resolution
+    xs, ys = field.axis(0), field.axis(1)
+    inside = vals >= 0.0
+    crossings = {}
+
+    def crossing(n0, n1):
+        key = _reference_edge_key(n0, n1)
+        pt = crossings.get(key)
+        if pt is None:
+            v0 = vals[n0]
+            v1 = vals[n1]
+            t = v0 / (v0 - v1)
+            x = xs[n0[0]] + t * (xs[n1[0]] - xs[n0[0]])
+            y = ys[n0[1]] + t * (ys[n1[1]] - ys[n0[1]])
+            pt = (float(x), float(y))
+            crossings[key] = pt
+        return key
+
+    segments = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            n00, n10, n01, n11 = (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)
+            cell_edges = ((n00, n10), (n10, n11), (n01, n11), (n00, n01))
+            crossed = [(a, b) for (a, b) in cell_edges if inside[a] != inside[b]]
+            if not crossed:
+                continue
+            if len(crossed) == 2:
+                segments.append((crossing(*crossed[0]), crossing(*crossed[1])))
+            else:
+                center_in = (vals[n00] + vals[n10] + vals[n01] + vals[n11]) / 4.0 >= 0.0
+                targets = [c for c in (n00, n10, n01, n11) if inside[c] != center_in]
+                for c in targets:
+                    adjacent = [(a, b) for (a, b) in crossed if c in (a, b)]
+                    segments.append((crossing(*adjacent[0]), crossing(*adjacent[1])))
+
+    incident = {}
+    for idx, (e0, e1) in enumerate(segments):
+        incident.setdefault(e0, []).append(idx)
+        incident.setdefault(e1, []).append(idx)
+    used = [False] * len(segments)
+    polylines = []
+
+    def walk(start_edge, first_idx):
+        used[first_idx] = True
+        e0, e1 = segments[first_idx]
+        keys = [start_edge, e1 if e0 == start_edge else e0]
+        while True:
+            tail = keys[-1]
+            nxt = next((s for s in incident[tail] if not used[s]), None)
+            if nxt is None:
+                break
+            used[nxt] = True
+            a, b = segments[nxt]
+            keys.append(b if a == tail else a)
+        closed = len(keys) > 2 and keys[0] == keys[-1]
+        if closed:
+            keys = keys[:-1]
+        return Polyline(points=np.array([crossings[k] for k in keys], dtype=float),
+                        closed=closed)
+
+    for endpoint in sorted(k for k, ids in incident.items() if len(ids) == 1):
+        idx = next((s for s in incident[endpoint] if not used[s]), None)
+        if idx is not None:
+            polylines.append(walk(endpoint, idx))
+    for idx, seg in enumerate(segments):
+        if not used[idx]:
+            polylines.append(walk(seg[0], idx))
+    return ContourSet(polylines=tuple(polylines))
+
+
+def assert_same_contours(got, want):
+    assert got.iso == want.iso
+    assert len(got.polylines) == len(want.polylines)
+    for g, w in zip(got.polylines, want.polylines):
+        assert g.closed == w.closed
+        assert g.points.shape == w.points.shape
+        assert g.points.dtype == w.points.dtype
+        assert g.points.tobytes() == w.points.tobytes()
+
+
+def assert_matches_reference(field):
+    assert_same_contours(marching_squares(field), reference_marching_squares(field))
+
+
+def _field(values, bounds=((0.0, 1.0), (-1.0, 2.0))):
+    values = np.asarray(values, dtype=float)
+    return ScalarField(bounds=bounds, resolution=values.shape, values=values,
+                       vars=("x", "y"))
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (9, 31), (31, 9), (2, 17), (17, 2), (2, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_matches_reference_random_with_zeros(shape, seed):
+    # small integers make exact zeros and saddles common; the scaled
+    # normal draws give non-trivial interpolation weights
+    rng = np.random.default_rng(seed)
+    assert_matches_reference(_field(rng.integers(-2, 3, size=shape)))
+    values = rng.normal(size=shape)
+    values[rng.random(size=shape) < 0.15] = 0.0
+    values[rng.random(size=shape) < 0.05] = -0.0
+    assert_matches_reference(_field(values))
+
+
+@pytest.mark.parametrize("values", [
+    [[1.0, -1.0], [-1.0, 1.0]],     # centre mean exactly 0, n00 and n11 inside
+    [[-1.0, 1.0], [1.0, -1.0]],     # centre mean exactly 0, n10 and n01 inside
+    [[2.0, -1.0], [-1.0, 1.0]],     # centre inside
+    [[1.0, -2.0], [-1.0, 1.0]],     # centre outside
+    [[-1.0, 2.0], [1.0, -1.0]],
+    [[-2.0, 1.0], [1.0, -1.0]],
+    [[0.0, -1.0], [-1.0, 0.0]],     # zero corners count as inside
+])
+def test_matches_reference_saddle_cells(values):
+    field = _field(values)
+    assert_matches_reference(field)
+    assert len(marching_squares(field).polylines) == 2
+
+
+def test_matches_reference_checkerboard_tiles():
+    board = np.indices((7, 12)).sum(axis=0) % 2 * 2.0 - 1.0
+    assert_matches_reference(_field(board))
+    assert_matches_reference(_field(-board))
+
+
+@pytest.mark.parametrize("value", [0.0, 3.5, -0.25])
+def test_matches_reference_uniform_fields(value):
+    field = _field(np.full((5, 8), value))
+    assert marching_squares(field).polylines == ()
+    assert_matches_reference(field)
+
+
+@pytest.mark.parametrize("name", TESTCASE_NAMES)
+def test_matches_reference_demo_cases(name, monkeypatch):
+    f_and, f_or, case = load_case(name)
+    for region in (f_and, f_or):
+        if len(case.bounds) == 2:
+            assert_matches_reference(grid_eval(region, case.bounds, case.default_resolution))
+        else:
+            got = slice_contours_3d(region, case.bounds, case.default_resolution, 9)
+            monkeypatch.setattr(contour, "marching_squares", reference_marching_squares)
+            want = slice_contours_3d(region, case.bounds, case.default_resolution, 9)
+            monkeypatch.undo()
+            assert [z for z, _ in got] == [z for z, _ in want]
+            for (_, g), (_, w) in zip(got, want):
+                assert_same_contours(g, w)
+
+
+@pytest.mark.parametrize("fixture", ["kelvin-alpha0.json", "kelvin-alpha1.json"])
+def test_matches_reference_report_fields(fixture):
+    report = load_report(FIXTURES / fixture)
+    bounds = [(a.lo, a.hi) for a in report.box]
+    for region in [c.phi for c in report.constraints] + [report.joint]:
+        assert_matches_reference(grid_eval(region, bounds, 256))
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from rfuncds.ds import (
     plot_count,
     save_report,
 )
-from rfuncds.errors import DTooSmall, EmptyConstraintList, OutOfBox
+from rfuncds.errors import AlphaOutOfRange, DTooSmall, EmptyConstraintList, OutOfBox
 from rfuncds.expr import eval_arrays, eval_expr
 from rfuncds.exprtext import parse_infix
 from rfuncds.polyfit import BasisSpec
@@ -151,6 +151,14 @@ def test_identify_validation_errors():
     bad_basis = BasisSpec(vars=("a", "b"), monomials=((0, 0),))
     with pytest.raises(ValueError):
         identify([SUM_SPEC], BOX, 16, bad_basis)
+
+
+@pytest.mark.parametrize("alpha", [2.0, -1.0, float("nan")])
+def test_identify_checks_alpha_before_model_runs(alpha):
+    def model(p):
+        raise AssertionError("model ran before alpha was checked")
+    with pytest.raises(AlphaOutOfRange):
+        identify([SUM_SPEC], BOX, 16, CQA_BASIS, alpha=alpha, model=model)
 
 
 def test_contours_present_in_2d():
