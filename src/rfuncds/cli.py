@@ -172,6 +172,12 @@ def cmd_identify(args, provenance: str) -> int:
         print(f"error: --n must be >= {len(reactor.CQA_BASIS)} (basis size), got {args.n}",
               file=sys.stderr)
         return 2
+    if args.grid < 2:
+        print("error: --grid must be >= 2", file=sys.stderr)
+        return 2
+    if args.skip < 0:
+        print("error: --skip must be >= 0", file=sys.stderr)
+        return 2
     check_alpha(args.alpha)
     params, box, rtol, atol = reactor.DEFAULT_PARAMS, reactor.DEFAULT_BOX, \
         args.tol_rel, args.tol_abs
@@ -243,7 +249,12 @@ def cmd_check(args, provenance: str) -> int:
             point = {}
             for tok in tokens:
                 key, _, value = tok.partition("=")
-                point[key.strip()] = float(value)
+                key = key.strip()
+                if key in point:
+                    print(f"error: coordinate {key!r} given twice in {args.point!r}",
+                          file=sys.stderr)
+                    return 2
+                point[key] = float(value)
         else:
             point = dict(zip(names, (float(tok) for tok in tokens), strict=True))
     except ValueError:
@@ -256,6 +267,12 @@ def cmd_check(args, provenance: str) -> int:
 
 
 def cmd_sobol(args, provenance: str) -> int:
+    if args.n < 1:
+        print("error: n must be >= 1", file=sys.stderr)
+        return 2
+    if args.skip < 0:
+        print("error: --skip must be >= 0", file=sys.stderr)
+        return 2
     samples = qmc.sobol(args.d, args.n, skip=args.skip)
     for row in samples.points:
         print(",".join(repr(float(v)) for v in row))

@@ -181,10 +181,15 @@ def membership(report: DSReport, u, tol: float = 1e-9) -> str:
     """Classify a point against the identified joint expression.
 
     Never calls the underlying model.  Raises OutOfBox for points outside
-    the report's parameter box.
+    the report's parameter box, and for a mapping that misses a box
+    coordinate or names one the box does not have.
     """
     names = [axis.name for axis in report.box]
     if isinstance(u, Mapping):
+        unknown = [k for k in u if k not in names]
+        if unknown:
+            raise OutOfBox(f"point has coordinate {unknown[0]!r}, which the box "
+                           f"({', '.join(names)}) does not have")
         try:
             values = [float(u[n]) for n in names]
         except KeyError as exc:

@@ -4,10 +4,16 @@ Output is byte-deterministic for identical inputs: no timestamps, fixed
 float formatting (SVG coordinates at 1/100 px, CSV values at full repr()
 precision).  Every file starts with a provenance comment supplied by the
 caller (tool version + invocation).
+
+Each writer builds its whole file from arrays and writes it at once: pixel
+coordinates are computed with numpy in the same operation order as the
+scalar mapping, and only the final float formatting and the joins run in
+Python.  The format is unchanged; see docs/formats.md.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +50,7 @@ def emit_svg(path, layers, bounds, field: ScalarField | None = None,
     (xlo, xhi), (ylo, yhi) = bounds
     span = st.size - 2 * st.margin
 
-    def to_px(x, y):
+    def to_px(x, y):  # scalars or arrays, same arithmetic for both
         px = st.margin + (x - xlo) / (xhi - xlo) * span
         py = st.size - st.margin - (y - ylo) / (yhi - ylo) * span
         return px, py
@@ -79,10 +85,10 @@ def emit_svg(path, layers, bounds, field: ScalarField | None = None,
 
     for contours, color in layers:
         for line in contours.polylines:
-            cmds = []
-            for k, (x, y) in enumerate(line.points):
-                px, py = to_px(x, y)
-                cmds.append(f"{'M' if k == 0 else 'L'} {_fmt(px)} {_fmt(py)}")
+            px, py = to_px(*np.asarray(line.points).reshape(-1, 2).T)
+            cmds = list(map("L {:.2f} {:.2f}".format, px.tolist(), py.tolist()))
+            if cmds:
+                cmds[0] = "M" + cmds[0][1:]
             if line.closed:
                 cmds.append("Z")
             parts.append(
@@ -108,38 +114,37 @@ def _shading(field: ScalarField, to_px, st: SvgStyle) -> str:
     sub = field.values[np.ix_(ix, iy)] >= 0.0
     xs = field.axis(0)[ix]
     ys = field.axis(1)[iy]
-    rects = [f'<g fill="{st.shade_fill}" stroke="none">']
     full = sub[:-1, :-1] & sub[1:, :-1] & sub[:-1, 1:] & sub[1:, 1:]
-    for i, j in zip(*np.nonzero(full)):
-        px0, py0 = to_px(xs[i], ys[j + 1])
-        px1, py1 = to_px(xs[i + 1], ys[j])
-        rects.append(
-            f'<rect x="{_fmt(px0)}" y="{_fmt(py0)}" '
-            f'width="{_fmt(px1 - px0)}" height="{_fmt(py1 - py0)}"/>'
-        )
-    rects.append("</g>")
-    return "\n".join(rects)
+    i, j = np.nonzero(full)
+    px0, py0 = to_px(xs[i], ys[j + 1])
+    px1, py1 = to_px(xs[i + 1], ys[j])
+    rects = map('<rect x="{:.2f}" y="{:.2f}" width="{:.2f}" height="{:.2f}"/>'.format,
+                px0.tolist(), py0.tolist(), (px1 - px0).tolist(), (py1 - py0).tolist())
+    return "\n".join([f'<g fill="{st.shade_fill}" stroke="none">', *rects, "</g>"])
 
 
 def emit_field_csv(path, field: ScalarField, provenance: str = "") -> None:
     """One row per grid node, row-major over the axes, full float precision."""
+    # product() yields the coordinate tuples in C order, matching ravel()
+    axes = [list(map(repr, field.axis(k).tolist())) for k in range(len(field.resolution))]
+    values = np.asarray(field.values, dtype=float).ravel().tolist()
+    rows = map("{},{!r}\n".format, map(",".join, itertools.product(*axes)), values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if provenance:
             fh.write(f"# {provenance}\n")
         fh.write(",".join(field.vars) + ",value\n")
-        axes = [field.axis(k) for k in range(len(field.resolution))]
-        for idx in np.ndindex(*field.resolution):
-            coords = ",".join(repr(float(axes[k][i])) for k, i in enumerate(idx))
-            fh.write(f"{coords},{repr(float(field.values[idx]))}\n")
+        fh.write("".join(rows))
 
 
 def emit_contours_csv(path, contours: ContourSet, provenance: str = "") -> None:
     """Polyline points keyed by polyline id, with a closed flag per row."""
+    rows = []
+    for pid, line in enumerate(contours.polylines):
+        xs, ys = np.asarray(line.points, dtype=float).reshape(-1, 2).T.tolist()
+        flag = "1" if line.closed else "0"
+        rows.extend(map(f"{pid},{{}},{{!r}},{{!r}},{flag}\n".format, itertools.count(), xs, ys))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if provenance:
             fh.write(f"# {provenance}\n")
         fh.write("polyline,point,x,y,closed\n")
-        for pid, line in enumerate(contours.polylines):
-            flag = "1" if line.closed else "0"
-            for k, (x, y) in enumerate(line.points):
-                fh.write(f"{pid},{k},{repr(float(x))},{repr(float(y))},{flag}\n")
+        fh.write("".join(rows))

@@ -211,3 +211,28 @@ def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert run(["identify", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "error: step size underflow\n"
+
+
+@pytest.mark.parametrize("argv", [["--grid", "1", "--n", "8"], ["--skip", "-5"]],
+                         ids=["grid=1", "skip=-5"])
+def test_identify_rejects_bad_grid_and_skip(argv, tmp_path, capsys, no_model_runs):
+    out = tmp_path / "o"
+    line = assert_usage_error(run(["identify", *argv, "--out", str(out)]), capsys)
+    assert argv[0] in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["2", "-1"], ["2", "3", "--skip", "-1"]],
+                         ids=["n=-1", "skip=-1"])
+def test_sobol_rejects_bad_counts(argv, capsys):
+    assert_usage_error(run(["sobol", *argv]), capsys)
+
+
+@pytest.mark.parametrize("point, needle", [
+    ("T=290,t=275,z=1", "'z'"),
+    ("T=290,T=275,t=275", "given twice"),
+    ("T=290", "missing coordinate 't'"),
+], ids=["unknown", "repeated", "missing"])
+def test_check_rejects_bad_coordinate_names(point, needle, capsys):
+    line = assert_usage_error(run(["check", str(REPORT_FIXTURE), point]), capsys)
+    assert needle in line

@@ -95,6 +95,8 @@ def test_membership_out_of_box():
         membership(report, (275.0,))
     with pytest.raises(OutOfBox):
         membership(report, {"T": 275.0})
+    with pytest.raises(OutOfBox, match="'z'"):
+        membership(report, {"T": 275.0, "t": 275.0, "z": 1.0})
 
 
 def test_membership_never_calls_model():
