@@ -87,7 +87,8 @@ from .reactor import (
     OperatingPoint,
     ReactorOutcome,
     batch_cqa,
-    cqa_vector,
+    cqa_closed,
+    cqa_ode,
     rate_constants,
     simulate,
 )

@@ -7,8 +7,9 @@ design space), ``check`` (membership query against a saved report) and
 1 runtime failure (integration, fitting, IO).
 
 Outputs are byte-deterministic: headers carry the tool version and the
-invocation, never timestamps.  A key=value config file (see docs/formats.md)
-overrides flags, which override built-in defaults.
+invocation (for ``identify`` also the model that produced the numbers),
+never timestamps.  A key=value config file (see docs/formats.md) overrides
+the built-in kinetics and box.
 """
 
 from __future__ import annotations
@@ -64,9 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--skip", type=int, default=1, help="Sobol skip (default 1)")
     p_id.add_argument("--out", default="out", help="output directory")
     p_id.add_argument("--config", default=None,
-                      help="key=value file overriding kinetics, box and tolerances")
-    p_id.add_argument("--tol-rel", type=float, default=1e-8, dest="tol_rel")
-    p_id.add_argument("--tol-abs", type=float, default=1e-10, dest="tol_abs")
+                      help="key=value file overriding kinetics and box")
     p_id.set_defaults(func=cmd_identify)
 
     p_chk = sub.add_parser("check", help="membership query against a saved report")
@@ -179,21 +178,18 @@ def cmd_identify(args, provenance: str) -> int:
         print("error: --skip must be >= 0", file=sys.stderr)
         return 2
     check_alpha(args.alpha)
-    params, box, rtol, atol = reactor.DEFAULT_PARAMS, reactor.DEFAULT_BOX, \
-        args.tol_rel, args.tol_abs
+    params, box = reactor.DEFAULT_PARAMS, reactor.DEFAULT_BOX
     if args.config is not None:
         try:
-            overrides = _load_config(args.config)
-            params, box, rtol, atol = reactor.apply_config(
-                overrides, params, box, rtol=rtol, atol=atol)
+            params, box = reactor.apply_config(_load_config(args.config), params, box)
         except (ValueError, KeyError, FileNotFoundError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     out = _outdir(args)
+    provenance = f"{provenance} | model reactor.cqa_closed"
 
-    def model(p):
-        return reactor.cqa_vector(reactor.OperatingPoint(p[0], p[1]), params,
-                                  rtol=rtol, atol=atol)
+    def model(points):
+        return reactor.cqa_closed(points, params)
 
     constraints = [
         ds.ConstraintSpec("purity", reactor.PURITY_MIN),

@@ -11,7 +11,10 @@ into polylines runs in Python, over boundary segments alone.
 Conventions: a node value of exactly 0 counts as inside when building cell
 codes; ambiguous saddle cells are resolved by the sign of the cell-center
 average (a center value of exactly 0 is inside); a crossing is interpolated
-from the lower-index node of its edge, ``t = v0 / (v0 - v1)``.  Polylines
+from the lower-index node of its edge, ``t = v0 / (v0 - v1)``.  Where that
+``t`` is not finite, the crossing takes its limiting position: ``t = 1``
+when only ``v0`` is infinite, and the edge midpoint when both ends are
+infinite or either end is nan (nan counts as outside).  Polylines
 come out in a fixed order: open chains by their lower end edge first,
 then closed loops in the C order of their first cell.
 """
@@ -154,7 +157,11 @@ def _crossings(vals, edge_ids, xs, ys) -> np.ndarray:
     i0, j0 = np.divmod(node, vals.shape[1])
     i1, j1 = i0 + towards_x, j0 + (1 - towards_x)
     v0, v1 = vals[i0, j0], vals[i1, j1]
-    t = v0 / (v0 - v1)
+    with np.errstate(invalid="ignore"):
+        t = v0 / (v0 - v1)
+    odd = ~np.isfinite(t)
+    if odd.any():
+        t[odd] = np.where(np.isinf(v0[odd]) & np.isfinite(v1[odd]), 1.0, 0.5)
     return np.column_stack((xs[i0] + t * (xs[i1] - xs[i0]),
                             ys[j0] + t * (ys[j1] - ys[j0])))
 

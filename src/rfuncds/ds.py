@@ -18,7 +18,7 @@ import numpy as np
 
 from . import exprtext
 from .contour import ContourSet, grid_eval, marching_squares
-from .errors import DTooSmall, EmptyConstraintList, OutOfBox
+from .errors import DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox
 from .expr import (
     And, Const, Leaf, Region, Sub, check_alpha, compose, eval_arrays, sign_class,
 )
@@ -40,14 +40,12 @@ class BoxAxis:
 class ConstraintSpec:
     """A quality attribute with its acceptance threshold (direction fixed >=).
 
-    The evaluator maps a parameter vector (ordered like the box axes) to the
-    attribute value.  Express a <= constraint by negating both the evaluator
-    and the threshold.
+    The model passed to ``identify`` computes the attribute values.  Express
+    a <= constraint by negating both the model's column and the threshold.
     """
 
     name: str
     threshold: float
-    evaluator: Callable[[np.ndarray], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -94,17 +92,20 @@ def plot_count(d: int) -> int:
 
 def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
              n_samples: int, basis: BasisSpec, alpha: float = 1.0, *,
-             model: Callable[[np.ndarray], Sequence[float]] | None = None,
+             model: Callable[[np.ndarray], np.ndarray],
              n_validation: int = 256, skip: int = 1,
              contour_resolution: int | None = 256) -> DSReport:
     """Identify the joint design space as one analytical expression.
 
-    ``model`` maps a parameter vector to the tuple of all constraint values
-    (one run serves every constraint); when omitted, the per-constraint
-    evaluators are called instead.  Validation uses a Sobol block disjoint
-    from training (skip range starts right after the training points) and
-    records per-constraint R^2 plus the rate at which the sign of the joint
-    expression agrees with direct thresholding of the model output.
+    ``model`` maps an ``(n, d)`` array of parameter rows (columns ordered
+    like the box axes) to an ``(n, k)`` array holding every constraint's
+    value at each row, columns ordered like ``constraints``; any other
+    shape raises ModelOutputShape.  It is called exactly twice: once on the
+    training block and once on the validation block.  Validation uses a
+    Sobol block disjoint from training (skip range starts right after the
+    training points) and records per-constraint R^2 plus the rate at which
+    the sign of the joint expression agrees with direct thresholding of the
+    model output.
     """
     constraints = list(constraints)
     if not constraints:
@@ -115,15 +116,18 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     units = tuple(axis.unit for axis in box)
     if basis.vars != names:
         raise ValueError(f"basis variables {basis.vars} != box axes {names}")
-    if model is None:
-        if any(c.evaluator is None for c in constraints):
-            raise ValueError("either pass model= or give every constraint an evaluator")
-        evals = [c.evaluator for c in constraints]
-        model = lambda p: [f(p) for f in evals]  # noqa: E731
+
+    def run_model(points):
+        values = np.asarray(model(points), dtype=float)
+        expected = (points.shape[0], len(constraints))
+        if values.shape != expected:
+            raise ModelOutputShape(f"model returned shape {values.shape} for "
+                                   f"{expected[0]} points, expected {expected}")
+        return values
 
     bounds = [(axis.lo, axis.hi) for axis in box]
     train = scale(sobol(len(box), n_samples, skip), bounds).points
-    y_train = np.array([model(p) for p in train], dtype=float)
+    y_train = run_model(train)
 
     reports = []
     leaves = []
@@ -141,7 +145,7 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
 
     validation_skip = skip + n_samples
     val = scale(sobol(len(box), n_validation, validation_skip), bounds).points
-    y_val = np.array([model(p) for p in val], dtype=float)
+    y_val = run_model(val)
     env = {name: val[:, i] for i, name in enumerate(names)}
     predicted_in = eval_arrays(joint.expr, env) >= 0.0
     actual_in = np.all(

@@ -97,6 +97,10 @@ class EmptyConstraintList(RfuncdsError):
     """identify() needs at least one constraint."""
 
 
+class ModelOutputShape(RfuncdsError):
+    """A model returned an array whose shape is not (points, constraints)."""
+
+
 class OutOfBox(RfuncdsError):
     """Queried point lies outside the report's parameter box."""
 

@@ -14,10 +14,16 @@ C_A + 2 (C_B + C_C) exactly, which serves as an a-posteriori accuracy check.
 
 The C_B equation is stiff (decay rate t*k2 can exceed 1e5 per unit tau), so
 the generic path uses an adaptive implicit integrator.  ``batch_cqa`` is a
-vectorized fast path for large point sets: C_A has the closed-form Riccati
+vectorized closed form for point sets: C_A has the closed-form Riccati
 solution, C_B follows from an exact integrating factor with piecewise-cubic
 quadrature of the source term, and C_C from conservation.  It is verified
 against the generic path in the test suite.
+
+Two model backends share the design-space identifier's contract, an
+``(n, 2)`` array of (T, t) rows in and an ``(n, 2)`` array of (purity,
+profit) rows out: ``cqa_closed`` (``batch_cqa``, with its refinement check)
+and ``cqa_ode`` (one ``simulate`` per row, with its conservation check).
+scipy is imported only when the integrator first runs.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     BoundsMismatch, IntegratorFailure, NonpositiveTemperature, ToleranceNotMet,
@@ -94,16 +99,15 @@ class Box:
 
 DEFAULT_BOX = Box()
 
-# config file schema: KineticParams fields plus box bounds and tolerances
+# config file schema: KineticParams fields plus box bounds
 _PARAM_KEYS = {f.name for f in dataclasses.fields(KineticParams)}
 _BOX_KEYS = {"T_lo", "T_hi", "t_lo", "t_hi"}
-_TOL_KEYS = {"rtol", "atol"}
-CONFIG_KEYS = _PARAM_KEYS | _BOX_KEYS | _TOL_KEYS
+CONFIG_KEYS = _PARAM_KEYS | _BOX_KEYS
 
 
 def apply_config(overrides: dict, params: KineticParams = DEFAULT_PARAMS,
-                 box: Box = DEFAULT_BOX, rtol: float = 1e-8, atol: float = 1e-10):
-    """Apply a key->float override mapping; returns (params, box, rtol, atol)."""
+                 box: Box = DEFAULT_BOX) -> tuple[KineticParams, Box]:
+    """Apply a key->float override mapping; returns (params, box)."""
     unknown = set(overrides) - CONFIG_KEYS
     if unknown:
         raise KeyError(f"unknown config keys: {sorted(unknown)}; known: {sorted(CONFIG_KEYS)}")
@@ -114,7 +118,7 @@ def apply_config(overrides: dict, params: KineticParams = DEFAULT_PARAMS,
         T=(float(overrides.get("T_lo", box.T[0])), float(overrides.get("T_hi", box.T[1]))),
         t=(float(overrides.get("t_lo", box.t[0])), float(overrides.get("t_hi", box.t[1]))),
     )
-    return params, box, float(overrides.get("rtol", rtol)), float(overrides.get("atol", atol))
+    return params, box
 
 
 def rate_constants(T: float, params: KineticParams = DEFAULT_PARAMS) -> tuple[float, float]:
@@ -159,6 +163,8 @@ def integrate(u: OperatingPoint, params: KineticParams = DEFAULT_PARAMS,
         raise ValueError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
     if not u.t > 0:
         raise ValueError(f"processing time must be positive, got {u.t!r}")
+    from scipy.integrate import solve_ivp
+
     k1, k2 = rate_constants(u.T, params)
     t = float(u.t)
 
@@ -212,14 +218,6 @@ def simulate(u: OperatingPoint, params: KineticParams = DEFAULT_PARAMS,
                     tr.steps, tr.nfev, tr.conservation_defect)
 
 
-def cqa_vector(u: OperatingPoint, params: KineticParams = DEFAULT_PARAMS,
-               rtol: float = 1e-8, atol: float = 1e-10, method: str = "lsoda"
-               ) -> tuple[float, float]:
-    """(purity, profit) at an operating point; one model run serves both."""
-    out = simulate(u, params, rtol=rtol, atol=atol, method=method)
-    return out.purity, out.profit
-
-
 # ----------------------------------------------------------------------
 # vectorized fast path
 
@@ -227,26 +225,33 @@ def _mu_weights(z: np.ndarray) -> tuple[np.ndarray, ...]:
     """mu_m(z) = integral_0^1 xi^m exp(-z (1 - xi)) dxi for m = 0..3.
 
     Downward recurrence is stable for z >= 0.5; a short exponential series
-    covers z < 0.5 where the recurrence would cancel.
+    covers z < 0.5 where the recurrence would cancel.  Each branch runs only
+    on its own entries.
     """
     small = z < 0.5
-    zr = np.where(small, 1.0, z)   # dummy where the series branch wins
-    er = np.exp(-zr)
-    mu0r = (1.0 - er) / zr
+    mu = np.empty((4,) + z.shape)
+
+    large = ~small
+    zr = z[large]
+    mu0r = (1.0 - np.exp(-zr)) / zr
     mu1r = (1.0 - mu0r) / zr
     mu2r = (1.0 - 2.0 * mu1r) / zr
     mu3r = (1.0 - 3.0 * mu2r) / zr
+    mu[:, large] = (mu0r, mu1r, mu2r, mu3r)
 
-    es = np.exp(-np.where(small, z, 0.0))
-    term = np.ones_like(z)
-    s = [np.zeros_like(z) for _ in range(4)]
-    zs = np.where(small, z, 0.0)
+    zs = z[small]
+    term = np.ones_like(zs)
+    part = np.empty_like(zs)
+    s = np.zeros((4,) + zs.shape)
     for k in range(17):
         if k > 0:
-            term = term * zs / k
+            term *= zs
+            term /= k
         for m in range(4):
-            s[m] += term / (k + m + 1)
-    return tuple(np.where(small, es * s[m], (mu0r, mu1r, mu2r, mu3r)[m]) for m in range(4))
+            s[m] += np.divide(term, k + m + 1, out=part)
+    s *= np.exp(-zs)
+    mu[:, small] = s
+    return tuple(mu)
 
 
 def _batch_b_final(T, t, params: KineticParams, n_intervals: int) -> np.ndarray:
@@ -328,3 +333,28 @@ def batch_cqa(T, t, params: KineticParams = DEFAULT_PARAMS,
         raise ToleranceNotMet(
             f"fast-path refinement estimate {worst:.3e} exceeds {check_tol:.0e}")
     return purity, profit, worst
+
+
+# ----------------------------------------------------------------------
+# model backends: (n, 2) rows of (T, t) in, (n, 2) rows of (purity, profit) out
+
+def cqa_ode(points, params: KineticParams = DEFAULT_PARAMS, rtol: float = 1e-8,
+            atol: float = 1e-10) -> np.ndarray:
+    """(purity, profit) rows for (T, t) rows, one LSODA ``simulate`` run per row.
+
+    Rows run in order; each run's conservation check applies.
+    """
+    rows = [simulate(OperatingPoint(T, t), params, rtol=rtol, atol=atol)
+            for T, t in np.asarray(points, dtype=float)]
+    return np.array([(out.purity, out.profit) for out in rows], dtype=float).reshape(-1, 2)
+
+
+def cqa_closed(points, params: KineticParams = DEFAULT_PARAMS) -> np.ndarray:
+    """(purity, profit) rows for (T, t) rows from one ``batch_cqa`` call.
+
+    Its refinement check raises ToleranceNotMet when the estimate exceeds
+    the default ``check_tol``.
+    """
+    points = np.asarray(points, dtype=float)
+    purity, profit, _ = batch_cqa(points[:, 0], points[:, 1], params)
+    return np.column_stack((purity, profit))

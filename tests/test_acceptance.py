@@ -30,7 +30,8 @@ from rfuncds.reactor import (
     PROFIT_MIN,
     PURITY_MIN,
     batch_cqa,
-    cqa_vector,
+    cqa_closed,
+    cqa_ode,
     integrate,
     rate_constants,
 )
@@ -53,14 +54,25 @@ def ab_sample():
 
 @pytest.fixture(scope="module")
 def default_pipeline():
-    """Shared N=64 identification run against the default reactor."""
-    model = lambda p: cqa_vector(OperatingPoint(p[0], p[1]))  # noqa: E731
+    """Shared N=64 identification run against the default reactor, with the
+    adaptive-ODE backend as the model."""
+    model = cqa_ode
     specs = [ds.ConstraintSpec("purity", PURITY_MIN),
              ds.ConstraintSpec("profit", PROFIT_MIN)]
     t0 = time.perf_counter()
     report = ds.identify(specs, BOX, 64, CQA_BASIS, alpha=1.0, model=model,
                          contour_resolution=None)
     return report, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def kelvin_pipeline():
+    """The same run under the kelvin-units preset, also with the ODE model."""
+    params = KineticParams(r_gas=1.0)
+    model = lambda points: cqa_ode(points, params)  # noqa: E731
+    specs = [ds.ConstraintSpec("purity", PURITY_MIN),
+             ds.ConstraintSpec("profit", PROFIT_MIN)]
+    return ds.identify(specs, BOX, 64, CQA_BASIS, model=model, contour_resolution=None)
 
 
 def _sign(values, band=1e-12):
@@ -171,7 +183,7 @@ def test_criterion_07_metamodel_quality(default_pipeline):
           f"pipeline {elapsed:.1f}s < 60s)")
 
 
-def test_criterion_08_ds_self_consistency(default_pipeline):
+def test_criterion_08_ds_self_consistency(default_pipeline, kelvin_pipeline):
     report, _ = default_pipeline
     g = np.meshgrid(np.linspace(250, 300, 100), np.linspace(250, 300, 100), indexing="ij")
     T, t = g[0].ravel(), g[1].ravel()
@@ -193,12 +205,8 @@ def test_criterion_08_ds_self_consistency(default_pipeline):
 
     # informational: the kelvin-units preset gives a non-empty design space;
     # its fuzzier metamodel boundary stays inside the residual bands too
-    params = KineticParams(r_gas=1.0)
-    model = lambda p: cqa_vector(OperatingPoint(p[0], p[1]), params)  # noqa: E731
-    specs = [ds.ConstraintSpec("purity", PURITY_MIN),
-             ds.ConstraintSpec("profit", PROFIT_MIN)]
-    krep = ds.identify(specs, BOX, 64, CQA_BASIS, model=model, contour_resolution=None)
-    kpur, kprof, _ = batch_cqa(T, t, params)
+    krep = kelvin_pipeline
+    kpur, kprof, _ = batch_cqa(T, t, KineticParams(r_gas=1.0))
     k_oracle = (kpur >= PURITY_MIN) & (kprof >= PROFIT_MIN)
     k_pred = eval_arrays(krep.joint.expr, {"T": T, "t": t}) >= 0
     k_agree = k_pred == k_oracle
@@ -209,6 +217,33 @@ def test_criterion_08_ds_self_consistency(default_pipeline):
     assert k_in_band.all()
     print(f"  (info: kelvin preset agreement {k_agree.mean():.4f}, inside fraction "
           f"{k_oracle.mean():.3f}, all {int((~k_agree).sum())} disagreements in-band)")
+
+
+@pytest.mark.parametrize("preset", ["si", "kelvin"])
+def test_closed_model_matches_ode_pipeline(preset, default_pipeline, kelvin_pipeline):
+    # identify's model (the closed form, one batch_cqa call per block) against
+    # the ODE runs of criteria 7 and 8.  The ODE's absolute tolerance (atol
+    # 1e-10) bounds its accuracy on the smallest concentration an attribute
+    # uses: in SI, C_B is about 2e-7, so purity carries about 5e-4 relative
+    # error from the ODE alone (the closed form's refinement estimate is
+    # 3e-11), and its fit may move by twice that.  Every other attribute is
+    # limited by rtol 1e-8, which the fit amplifies to at most about 6e-7;
+    # 1e-5 leaves a wide margin and still catches a wrong model.
+    if preset == "si":
+        params, ode = DEFAULT_PARAMS, default_pipeline[0]
+    else:
+        params, ode = KineticParams(r_gas=1.0), kelvin_pipeline
+    model = lambda points: cqa_closed(points, params)  # noqa: E731
+    specs = [ds.ConstraintSpec("purity", PURITY_MIN),
+             ds.ConstraintSpec("profit", PROFIT_MIN)]
+    closed = ds.identify(specs, BOX, 64, CQA_BASIS, model=model, contour_resolution=None)
+    for c_ode, c_closed in zip(ode.constraints, closed.constraints, strict=True):
+        rtol = 1e-3 if (preset, c_ode.name) == ("si", "purity") else 1e-5
+        np.testing.assert_allclose(c_closed.fit.coefficients, c_ode.fit.coefficients,
+                                   rtol=rtol, atol=0.0)
+        assert c_closed.fit.r_squared >= 0.99 and c_closed.validation_r_squared >= 0.99
+    assert closed.validation == ode.validation
+    assert closed.sampling == ode.sampling
 
 
 def test_criterion_09_plot_count():

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rfuncds
 from rfuncds import cli, ds, reactor
 from rfuncds.errors import IntegratorFailure
 from rfuncds.exprtext import parse_infix
@@ -90,8 +94,9 @@ def test_identify_and_check_flow(tmp_path, capsys):
 def test_check_boundary_exit_code(tmp_path):
     # single synthetic constraint whose boundary T + t = 550 is exact
     box = (ds.BoxAxis("T", 250.0, 300.0), ds.BoxAxis("t", 250.0, 300.0))
-    spec = ds.ConstraintSpec("sum", 550.0, evaluator=lambda p: p[0] + p[1])
-    report = ds.identify([spec], box, 16, CQA_BASIS, contour_resolution=None)
+    spec = ds.ConstraintSpec("sum", 550.0)
+    report = ds.identify([spec], box, 16, CQA_BASIS, contour_resolution=None,
+                         model=lambda points: points[:, :1] + points[:, 1:])
     path = tmp_path / "synthetic.json"
     ds.save_report(report, path)
     assert run(["check", str(path), "275,275"]) == 4
@@ -159,9 +164,15 @@ def assert_usage_error(code, capsys):
 
 @pytest.fixture
 def no_model_runs(monkeypatch):
+    # identify's model is reactor.cqa_closed, whose first step is batch_cqa
     def fail(*args, **kwargs):
         raise AssertionError("a model run started before input validation")
-    monkeypatch.setattr(reactor, "cqa_vector", fail)
+    monkeypatch.setattr(reactor, "batch_cqa", fail)
+
+
+def test_no_model_runs_guard_trips(tmp_path, no_model_runs):
+    with pytest.raises(AssertionError, match="a model run started"):
+        run(["identify", "--n", "8", "--grid", "8", "--out", str(tmp_path / "o")])
 
 
 @pytest.mark.parametrize("config", [
@@ -207,10 +218,22 @@ def test_check_rejects_corrupt_joint_tree(tmp_path, capsys):
 def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise IntegratorFailure("step size underflow")
-    monkeypatch.setattr(reactor, "cqa_vector", fail)
+    monkeypatch.setattr(reactor, "batch_cqa", fail)
     assert run(["identify", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "error: step size underflow\n"
+
+
+def test_closed_refinement_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # C_B that halves with the interval count fails batch_cqa's own check
+    monkeypatch.setattr(reactor, "_batch_b_final",
+                        lambda T, t, params, n: np.full(T.shape, float(n)))
+    assert run(["identify", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: fast-path refinement estimate 5.000e-01 exceeds")
 
 
 @pytest.mark.parametrize("argv", [["--grid", "1", "--n", "8"], ["--skip", "-5"]],
@@ -236,3 +259,37 @@ def test_sobol_rejects_bad_counts(argv, capsys):
 def test_check_rejects_bad_coordinate_names(point, needle, capsys):
     line = assert_usage_error(run(["check", str(REPORT_FIXTURE), point]), capsys)
     assert needle in line
+
+
+def test_identify_provenance_names_model(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["identify", "--n", "16", "--grid", "16", "--out", str(out)]) == 0
+    capsys.readouterr()
+    expected = (f"rfuncds {rfuncds.__version__} | rfuncds identify --n 16 --grid 16 "
+                f"--out {out} | model reactor.cqa_closed")
+    assert json.loads((out / "ds_report.json").read_text())["provenance"] == expected
+    assert (out / "joint.csv").read_text().splitlines()[0] == f"# {expected}"
+
+
+def test_default_paths_never_import_scipy(tmp_path):
+    # a child interpreter, so no other test's imports count
+    code = (
+        "import sys\n"
+        "import rfuncds\n"
+        "from rfuncds import cli\n"
+        "assert cli.main(['identify', '--n', '16', '--grid', '16',\n"
+        "                 '--config', sys.argv[1], '--out', 'ds']) == 0\n"
+        "assert cli.main(['check', 'ds/ds_report.json', '290,275']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(rfuncds.__file__)\n"
+    )
+    env = dict(os.environ)
+    extra = env.get("PYTHONPATH")
+    pkg_root = Path(rfuncds.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = str(pkg_root) + (os.pathsep + extra if extra else "")
+    proc = subprocess.run([sys.executable, "-c", code, str(KELVIN_CFG)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules, pkg_file = proc.stdout.splitlines()[-2:]
+    assert Path(pkg_file).resolve() == Path(rfuncds.__file__).resolve()
+    assert modules == "[]"

@@ -255,6 +255,29 @@ def test_matches_reference_uniform_fields(value):
     assert_matches_reference(field)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("v0, v1, t", [
+    (INF, -1.0, 1.0),       # only v0 infinite: the limit of v0 / (v0 - v1)
+    (-1.0, INF, 0.0),       # only v1 infinite
+    (INF, -INF, 0.5),       # both infinite: midpoint
+    (-INF, INF, 0.5),
+    (NAN, 1.0, 0.5),        # a nan end (outside): midpoint
+    (2.0, NAN, 0.5),
+    (INF, NAN, 0.5),
+    (2.0, -6.0, 0.25),      # finite ends keep t = v0 / (v0 - v1)
+])
+def test_nonfinite_crossings_take_limiting_positions(v0, v1, t):
+    # one edge along y between nodes (0, 0) and (0, 1); the x neighbours
+    # repeat the values, so the crossing lies on both vertical edges
+    field = _field([[v0, v1], [v0, v1]], bounds=((0.0, 1.0), (0.0, 4.0)))
+    with np.errstate(invalid="raise"):
+        contours = marching_squares(field)
+    (line,) = contours.polylines
+    assert sorted(map(tuple, line.points.tolist())) == [(0.0, 4.0 * t), (1.0, 4.0 * t)]
+
+
 @pytest.mark.parametrize("name", TESTCASE_NAMES)
 def test_matches_reference_demo_cases(name, monkeypatch):
     f_and, f_or, case = load_case(name)

@@ -11,20 +11,32 @@ from rfuncds.ds import (
     plot_count,
     save_report,
 )
-from rfuncds.errors import AlphaOutOfRange, DTooSmall, EmptyConstraintList, OutOfBox
+from rfuncds.errors import (
+    AlphaOutOfRange, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, RfuncdsError,
+)
 from rfuncds.expr import eval_arrays, eval_expr
 from rfuncds.exprtext import parse_infix
 from rfuncds.polyfit import BasisSpec
+from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
 
 BOX = (BoxAxis("T", 250.0, 300.0, unit="K"), BoxAxis("t", 250.0, 300.0, unit="min"))
 
-SUM_SPEC = ConstraintSpec("sum", 550.0, evaluator=lambda p: p[0] + p[1])
-PROD_SPEC = ConstraintSpec("product", 75625.0, evaluator=lambda p: p[0] * p[1])
+SUM_SPEC = ConstraintSpec("sum", 550.0)
+PROD_SPEC = ConstraintSpec("product", 75625.0)
+
+
+def sum_model(points):
+    return points[:, :1] + points[:, 1:]
+
+
+def sum_prod_model(points):
+    return np.column_stack((points[:, 0] + points[:, 1], points[:, 0] * points[:, 1]))
 
 
 def synthetic_report(**kw):
-    return identify([SUM_SPEC, PROD_SPEC], BOX, 32, CQA_BASIS, alpha=1.0, **kw)
+    return identify([SUM_SPEC, PROD_SPEC], BOX, 32, CQA_BASIS, alpha=1.0,
+                    model=sum_prod_model, **kw)
 
 
 def grid_points(n=101):
@@ -67,7 +79,7 @@ def test_validation_statistics():
 
 
 def test_single_constraint_joint_is_identity():
-    report = identify([SUM_SPEC], BOX, 16, CQA_BASIS)
+    report = identify([SUM_SPEC], BOX, 16, CQA_BASIS, model=sum_model)
     phi = report.constraints[0].phi
     T, t = grid_points(21)
     joint_vals = eval_arrays(report.joint.expr, {"T": T, "t": t})
@@ -83,7 +95,7 @@ def test_membership_examples():
 
 
 def test_membership_boundary_single_constraint():
-    report = identify([SUM_SPEC], BOX, 16, CQA_BASIS)
+    report = identify([SUM_SPEC], BOX, 16, CQA_BASIS, model=sum_model)
     assert membership(report, (275.0, 275.0)) == "boundary"    # T + t = 550 exactly
 
 
@@ -100,24 +112,23 @@ def test_membership_out_of_box():
 
 
 def test_membership_never_calls_model():
-    calls = {"n": 0}
+    calls = []
 
-    def counting_sum(p):
-        calls["n"] += 1
-        return p[0] + p[1]
+    def counting_sum(points):
+        calls.append(points.shape)
+        return sum_model(points)
 
-    report = identify([ConstraintSpec("sum", 550.0, evaluator=counting_sum)],
-                      BOX, 16, CQA_BASIS)
-    after_identify = calls["n"]
-    assert after_identify == 16 + 256
+    report = identify([SUM_SPEC], BOX, 16, CQA_BASIS, model=counting_sum)
+    assert calls == [(16, 2), (256, 2)]
     for u in [(260.0, 280.0), (290.0, 290.0), (275.0, 275.0)]:
         membership(report, u)
-    assert calls["n"] == after_identify
+    assert calls == [(16, 2), (256, 2)]
 
 
 def test_order_invariance_of_sign():
     fwd = synthetic_report()
-    rev = identify([PROD_SPEC, SUM_SPEC], BOX, 32, CQA_BASIS, alpha=1.0)
+    rev = identify([PROD_SPEC, SUM_SPEC], BOX, 32, CQA_BASIS, alpha=1.0,
+                   model=lambda points: sum_prod_model(points)[:, ::-1])
     T, t = grid_points(41)
     env = {"T": T, "t": t}
     assert np.array_equal(eval_arrays(fwd.joint.expr, env) >= 0,
@@ -133,26 +144,53 @@ def test_decomposition_equality_alpha1():
     assert np.array_equal(np.sign(joint), np.sign(phis))
 
 
+def report_points(report, block):
+    """The Sobol points of a report's training or validation block."""
+    s = report.sampling
+    n, skip = (s.n_train, s.skip) if block == "train" else (s.n_validation, s.validation_skip)
+    return scale(sobol(2, n, skip), [(a.lo, a.hi) for a in report.box]).points
+
+
 def test_model_shares_runs_across_constraints():
-    runs = {"n": 0}
+    blocks = []
 
-    def model(p):
-        runs["n"] += 1
-        return (p[0] + p[1], p[0] * p[1])
+    def model(points):
+        blocks.append(points.copy())
+        return sum_prod_model(points)
 
-    specs = [ConstraintSpec("sum", 550.0), ConstraintSpec("product", 75625.0)]
-    identify(specs, BOX, 16, CQA_BASIS, model=model)
-    assert runs["n"] == 16 + 256
+    report = identify([SUM_SPEC, PROD_SPEC], BOX, 16, CQA_BASIS, model=model)
+    # one call per block, each serving both constraints
+    assert [b.shape for b in blocks] == [(16, 2), (256, 2)]
+    assert np.array_equal(blocks[0], report_points(report, "train"))
+    assert np.array_equal(blocks[1], report_points(report, "validation"))
+    assert [c.fit.n_points for c in report.constraints] == [16, 16]
+
+
+@pytest.mark.parametrize("shape", [lambda n: (n,), lambda n: (n, 1), lambda n: (n, 3),
+                                   lambda n: (n + 1, 2), lambda n: (2, n)],
+                         ids=["flat", "too-few-columns", "too-many-columns",
+                              "extra-row", "transposed"])
+def test_identify_rejects_wrong_model_shape(shape):
+    calls = []
+
+    def model(points):
+        calls.append(points.shape)
+        return np.zeros(shape(points.shape[0]))
+
+    with pytest.raises(ModelOutputShape, match=r"expected \(16, 2\)") as info:
+        identify([SUM_SPEC, PROD_SPEC], BOX, 16, CQA_BASIS, model=model)
+    assert isinstance(info.value, RfuncdsError)
+    assert calls == [(16, 2)]   # caught on the training block, before any fit
 
 
 def test_identify_validation_errors():
     with pytest.raises(EmptyConstraintList):
-        identify([], BOX, 16, CQA_BASIS)
-    with pytest.raises(ValueError):
-        identify([ConstraintSpec("sum", 550.0)], BOX, 16, CQA_BASIS)  # no evaluator/model
+        identify([], BOX, 16, CQA_BASIS, model=sum_model)
+    with pytest.raises(TypeError):
+        identify([SUM_SPEC], BOX, 16, CQA_BASIS)  # model= is required
     bad_basis = BasisSpec(vars=("a", "b"), monomials=((0, 0),))
     with pytest.raises(ValueError):
-        identify([SUM_SPEC], BOX, 16, bad_basis)
+        identify([SUM_SPEC], BOX, 16, bad_basis, model=sum_model)
 
 
 @pytest.mark.parametrize("alpha", [2.0, -1.0, float("nan")])
@@ -170,7 +208,7 @@ def test_contours_present_in_2d():
 
 
 def test_joint_expression_single_constraint():
-    report = identify([SUM_SPEC], BOX, 16, CQA_BASIS)
+    report = identify([SUM_SPEC], BOX, 16, CQA_BASIS, model=sum_model)
     text = joint_expression(report, "infix")
     back = parse_infix(text)
     for T, t in [(250.0, 250.0), (275.0, 280.0), (300.0, 265.0)]:
