@@ -38,8 +38,16 @@ _RUNTIME_ERRORS = (IntegratorFailure, ToleranceNotMet, RankDeficient,
                    InsufficientPoints, OSError)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as one ``error:`` line (exit 2), like every
+    other error; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rfuncds",
         description="Implicit-function algebra and analytical design-space identification.",
     )

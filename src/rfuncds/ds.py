@@ -11,6 +11,7 @@ touch the underlying model.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -18,7 +19,9 @@ import numpy as np
 
 from . import exprtext
 from .contour import ContourSet, grid_eval, marching_squares
-from .errors import DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox
+from .errors import (
+    AlphaOutOfRange, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, ParseError,
+)
 from .expr import (
     And, Const, Leaf, Region, Sub, check_alpha, compose, eval_arrays, sign_class,
 )
@@ -271,14 +274,33 @@ def save_report(report: DSReport, path, artifacts: Mapping[str, str] | None = No
         fh.write("\n")
 
 
+def _load_box_axis(a) -> BoxAxis:
+    lo, hi = float(a["lo"]), float(a["hi"])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ParseError(None, f"box axis {a['name']!r} needs finite bounds with "
+                               f"lo < hi, got [{lo!r}, {hi!r}]")
+    return BoxAxis(a["name"], lo, hi, a.get("unit"))
+
+
 def load_report(path) -> DSReport:
-    """Reload a saved report (metamodels and expressions; no contours)."""
+    """Reload a saved report (metamodels and expressions; no contours).
+
+    Expression trees may nest at most ``exprtext.MAX_DEPTH`` levels; the
+    file is checked for that before it is decoded.  An alpha outside
+    (-1, 1], a box axis without finite ``lo < hi`` and a too-deep tree
+    raise ParseError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format") != REPORT_FORMAT:
+        text = fh.read()
+    # a phi_tree sits three levels down (report, constraints, constraint)
+    obj = exprtext.load_json(text, 2 * exprtext.MAX_DEPTH + 2)
+    if not isinstance(obj, dict) or obj.get("format") != REPORT_FORMAT:
         raise ValueError(f"not a {REPORT_FORMAT} file: {path}")
-    box = tuple(BoxAxis(a["name"], float(a["lo"]), float(a["hi"]), a.get("unit"))
-                for a in obj["box"])
+    try:
+        alpha = check_alpha(obj["alpha"])
+    except AlphaOutOfRange as exc:
+        raise ParseError(None, str(exc)) from None
+    box = tuple(_load_box_axis(a) for a in obj["box"])
     names = tuple(a.name for a in box)
     units = tuple(a.unit for a in box)
     constraints = []
@@ -310,6 +332,6 @@ def load_report(path) -> DSReport:
         validation = ValidationStats(agreement_rate=float(v["agreement_rate"]),
                                      n_points=int(v["n_points"]),
                                      n_disagreements=int(v["n_disagreements"]))
-    return DSReport(box=box, alpha=float(obj["alpha"]),
+    return DSReport(box=box, alpha=alpha,
                     constraints=tuple(constraints), joint=joint,
                     sampling=sampling, validation=validation, contours=None)

@@ -246,19 +246,35 @@ def eval_arrays(expr: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
     return np.asarray(_eval(expr, env), dtype=float)
 
 
+def children(node: Expr) -> tuple[Expr, ...]:
+    """The direct operands of a node, left to right."""
+    if isinstance(node, (Neg, Sqrt, Abs)):
+        return (node.a,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, (Add, Sub, Mul, Min, Max, RAnd, ROr)):
+        return (node.a, node.b)
+    return ()
+
+
 def walk(expr: Expr) -> Iterator[Expr]:
     """Yield every node of the tree, parents before children."""
     stack = [expr]
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (Neg, Sqrt, Abs)):
-            stack.append(node.a)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, (Add, Sub, Mul, Min, Max, RAnd, ROr)):
-            stack.append(node.b)
-            stack.append(node.a)
+        stack.extend(reversed(children(node)))
+
+
+def depth(expr: Expr) -> int:
+    """Number of levels of the tree (a leaf has depth 1), without recursion."""
+    deepest = 0
+    stack = [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in children(node))
+    return deepest
 
 
 def variables(expr: Expr) -> set[str]:

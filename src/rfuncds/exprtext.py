@@ -13,6 +13,11 @@ There is no division.  R-nodes have no infix spelling; they are expanded to
 arithmetic on output (alpha=1 optionally in abs form) and never produced by
 the parser.  The tree format keeps R-nodes intact, so structural round trips
 go through it.
+
+Both parsers refuse expressions deeper than ``MAX_DEPTH`` levels with a
+ParseError, checked before anything recurses that deep, so deep input never
+ends in a RecursionError.  Infix text may also nest parentheses and calls
+at most ``MAX_DEPTH`` deep.
 """
 
 from __future__ import annotations
@@ -23,10 +28,13 @@ import re
 from .errors import ParseError
 from .expr import (
     Abs, Add, Const, Expr, Max, Min, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var,
-    canonicalize_alpha1, desugar_r_nodes,
+    canonicalize_alpha1, depth, desugar_r_nodes,
 )
 
 FORMATS = ("infix", "tree")
+
+# deepest expression the parsers accept; a leaf has depth 1
+MAX_DEPTH = 128
 
 
 def serialize(expr: Expr, format: str = "infix", alpha1_style: str = "sqrt") -> str:
@@ -130,6 +138,7 @@ class _Tokens:
             self.items.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         self.i = 0
+        self.depth = 0   # open parentheses and calls
 
     def peek(self):
         return self.items[self.i] if self.i < len(self.items) else (None, None, len(self.text))
@@ -151,6 +160,8 @@ def parse_infix(text: str) -> Expr:
     kind, value, pos = toks.peek()
     if kind is not None:
         raise ParseError(pos, f"unexpected trailing {value!r}")
+    if depth(expr) > MAX_DEPTH:
+        raise ParseError(None, f"expression is deeper than {MAX_DEPTH} levels")
     return expr
 
 
@@ -178,11 +189,14 @@ def _parse_term(toks: _Tokens) -> Expr:
 
 
 def _parse_factor(toks: _Tokens) -> Expr:
-    kind, value, _ = toks.peek()
-    if kind == "op" and value == "-":
+    negations = 0
+    while toks.peek()[:2] == ("op", "-"):
         toks.next()
-        return Neg(_parse_factor(toks))
-    return _parse_power(toks)
+        negations += 1
+    node = _parse_power(toks)
+    for _ in range(negations):
+        node = Neg(node)
+    return node
 
 
 def _parse_power(toks: _Tokens) -> Expr:
@@ -207,14 +221,14 @@ def _parse_atom(toks: _Tokens) -> Expr:
             if value not in _FUNCTIONS:
                 raise ParseError(pos, f"unknown function {value!r}")
             toks.next()
-            args = [_parse_sum(toks)]
+            args = [_parse_nested(toks, pos)]
             while True:
                 k, v, p = toks.next()
                 if k == "op" and v == ")":
                     break
                 if not (k == "op" and v == ","):
                     raise ParseError(p, f"expected ',' or ')', got {v!r}")
-                args.append(_parse_sum(toks))
+                args.append(_parse_nested(toks, pos))
             ctor, arity = _FUNCTIONS[value]
             if arity == 1:
                 if len(args) != 1:
@@ -228,10 +242,20 @@ def _parse_atom(toks: _Tokens) -> Expr:
             return out
         return Var(value)
     if kind == "op" and value == "(":
-        node = _parse_sum(toks)
+        node = _parse_nested(toks, pos)
         toks.expect_op(")")
         return node
     raise ParseError(pos, f"expected a number, name or '(', got {value!r}")
+
+
+def _parse_nested(toks: _Tokens, pos: int) -> Expr:
+    # the only recursion: one level per open parenthesis or call
+    toks.depth += 1
+    if toks.depth > MAX_DEPTH:
+        raise ParseError(pos, f"parentheses nest deeper than {MAX_DEPTH} levels")
+    node = _parse_sum(toks)
+    toks.depth -= 1
+    return node
 
 
 # ----------------------------------------------------------------------
@@ -308,9 +332,32 @@ def _from_obj(obj) -> Expr:
     raise ParseError(None, f"unknown node kind {kind!r}")
 
 
-def parse_tree_text(text: str) -> Expr:
+_JSON_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+_JSON_NON_BRACKET_RE = re.compile(r"[^\[\]{}]+")
+
+
+def load_json(text: str, max_nesting: int):
+    """``json.loads`` for input nested at most ``max_nesting`` arrays/objects deep.
+
+    The nesting is counted without recursion before decoding, since the
+    decoder recurses once per level; deeper input and invalid JSON raise
+    ParseError.  A tree of ``MAX_DEPTH`` levels nests ``2 * MAX_DEPTH - 1``
+    deep (an object plus an ``args`` array per inner node).
+    """
+    level = 0
+    for bracket in _JSON_NON_BRACKET_RE.sub("", _JSON_STRING_RE.sub("", text)):
+        if bracket in "[{":
+            level += 1
+            if level > max_nesting:
+                raise ParseError(None, f"JSON nests deeper than {max_nesting} levels "
+                                       f"(expression trees may be at most {MAX_DEPTH} deep)")
+        else:
+            level -= 1
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.pos, f"invalid JSON: {exc.msg}") from None
-    return _from_obj(obj)
+
+
+def parse_tree_text(text: str) -> Expr:
+    return _from_obj(load_json(text, 2 * MAX_DEPTH - 1))

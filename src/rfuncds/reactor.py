@@ -15,13 +15,17 @@ C_A + 2 (C_B + C_C) exactly, which serves as an a-posteriori accuracy check.
 The C_B equation is stiff (decay rate t*k2 can exceed 1e5 per unit tau), so
 the generic path uses an adaptive implicit integrator.  ``batch_cqa`` is a
 vectorized closed form for point sets: C_A has the closed-form Riccati
-solution, C_B follows from an exact integrating factor with piecewise-cubic
-quadrature of the source term, and C_C from conservation.  It is verified
-against the generic path in the test suite.
+solution, C_B follows exactly from an integrating factor in terms of the
+exponential integral Ei, and C_C from conservation.  Ei is evaluated in
+numpy alone, by an all-positive power series up to 40 and by the
+asymptotic sum above, with no quadrature.  An a-posteriori estimate (the
+truncation bound of the sum that ran plus a rounding bound that shows
+cancellation) guards every point.  The closed form is verified against the
+generic path and against high-precision reference values in the test suite.
 
 Two model backends share the design-space identifier's contract, an
 ``(n, 2)`` array of (T, t) rows in and an ``(n, 2)`` array of (purity,
-profit) rows out: ``cqa_closed`` (``batch_cqa``, with its refinement check)
+profit) rows out: ``cqa_closed`` (``batch_cqa``, with its error estimate check)
 and ``cqa_ode`` (one ``simulate`` per row, with its conservation check).
 scipy is imported only when the integrator first runs.
 """
@@ -219,119 +223,142 @@ def simulate(u: OperatingPoint, params: KineticParams = DEFAULT_PARAMS,
 
 
 # ----------------------------------------------------------------------
-# vectorized fast path
+# vectorized closed form
 
-def _mu_weights(z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """mu_m(z) = integral_0^1 xi^m exp(-z (1 - xi)) dxi for m = 0..3.
+_EULER_M1 = 0.5772156649015329 - 1.0    # Euler's constant minus one
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_SERIES_CUT = 40.0       # power series for y <= 40, asymptotic sum above
+_ROUNDING_UNITS = 4.0    # rounding errors per bracket term, in units of eps
 
-    Downward recurrence is stable for z >= 0.5; a short exponential series
-    covers z < 0.5 where the recurrence would cancel.  Each branch runs only
-    on its own entries.
+
+def _ei_series(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{k>=1} y^k / (k (k+1) k!) to double precision, plus a tail bound.
+
+    All terms are positive; the tail bound is the first omitted term over
+    one minus the ratio bound y/(k+2) of later terms.
     """
-    small = z < 0.5
-    mu = np.empty((4,) + z.shape)
-
-    large = ~small
-    zr = z[large]
-    mu0r = (1.0 - np.exp(-zr)) / zr
-    mu1r = (1.0 - mu0r) / zr
-    mu2r = (1.0 - 2.0 * mu1r) / zr
-    mu3r = (1.0 - 3.0 * mu2r) / zr
-    mu[:, large] = (mu0r, mu1r, mu2r, mu3r)
-
-    zs = z[small]
-    term = np.ones_like(zs)
-    part = np.empty_like(zs)
-    s = np.zeros((4,) + zs.shape)
-    for k in range(17):
-        if k > 0:
-            term *= zs
-            term /= k
-        for m in range(4):
-            s[m] += np.divide(term, k + m + 1, out=part)
-    s *= np.exp(-zs)
-    mu[:, small] = s
-    return tuple(mu)
+    term = y.copy()          # y^k / k!
+    total = y / 2.0
+    k = 1
+    while True:
+        k += 1
+        term *= y / k
+        nxt = term / (k * (k + 1))
+        if not np.any(nxt > _EPS * total):
+            return total, nxt / (1.0 - y / (k + 2))
+        total += nxt
 
 
-def _batch_b_final(T, t, params: KineticParams, n_intervals: int) -> np.ndarray:
-    """C_B at tau=1 by exact integrating factor + piecewise-cubic source."""
+def _ei_asymptotic(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{k>=1} k! / y^k up to its smallest term, plus the first omitted term."""
+    term = 1.0 / y
+    total = term.copy()
+    omitted = np.zeros_like(y)
+    live = np.ones(y.shape, dtype=bool)
+    k = 1
+    while live.any():
+        k += 1
+        nxt = term * (k / y)
+        stop = live & ~((nxt < term) & (nxt > _EPS * total))
+        omitted[stop] = nxt[stop]
+        live &= ~stop
+        term[live] = nxt[live]
+        total[live] += nxt[live]
+    return total, omitted
+
+
+def _d_term(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D(y) = y F(y) - 1 with F(y) = exp(-y) Ei(y), for y >= 0.
+
+    Returns the value, the sum of the magnitudes of the parts it was added
+    from (for the rounding bound) and the truncation bound.  For y <= 40,
+    D(y) = exp(-y) (y (gamma_E - 1 + ln y + S(y)) - 1) with the positive
+    series S of ``_ei_series``: gamma_E - 1 + ln y - 1/y + S(y) is
+    Ei(y) - e^y/y, so the leading 1 of y F(y) never has to cancel.  Above
+    40, D(y) is the asymptotic sum.
+    """
+    value = np.empty_like(y)
+    size = np.empty_like(y)
+    trunc = np.empty_like(y)
+    low = y <= _SERIES_CUT
+    ys = y[low]
+    s, tail = _ei_series(ys)
+    log_y = np.log(np.where(ys > 0.0, ys, 1.0))     # y ln y -> 0 at y = 0
+    decay = np.exp(-ys)
+    value[low] = decay * (ys * (_EULER_M1 + log_y + s) - 1.0)
+    size[low] = decay * (ys * (-_EULER_M1 + np.abs(log_y) + s) + 1.0)
+    trunc[low] = decay * ys * tail
+    high = ~low
+    a, omitted = _ei_asymptotic(y[high])
+    value[high] = size[high] = a
+    trunc[high] = omitted
+    return value, size, trunc
+
+
+def _b_final(T, t, params: KineticParams) -> tuple[np.ndarray, np.ndarray]:
+    """C_B at tau=1 in closed form, with its relative error estimate.
+
+    With gamma = 2 t k1 C_A0, lam = t k2, beta = lam/gamma, x = lam + beta
+    and amp/gamma = C_A0/2, the integrating factor gives
+
+        C_B(1) = (C_A0/2) [D(x)/(1+gamma) - exp(-lam) D(beta)],
+
+    which is (amp/gamma) [beta F(x) - 1/(1+gamma) + exp(-lam) -
+    beta exp(-lam-beta) Ei(beta)] regrouped with beta/x = 1/(1+gamma).
+    The estimate adds the truncation bounds of the sums that ran and
+    ``_ROUNDING_UNITS`` eps times the magnitudes of the parts, relative to
+    the bracket, so cancellation shows in it.  Where the reactions nearly
+    freeze (beta <= 40 and gamma tiny, so lam = beta gamma is tiny too) the
+    two O(1) terms cancel to O(gamma): the estimate grows like 1e-15/gamma
+    and fails the default check below gamma of about 2e-8.
+    """
     k1 = params.k1_0 * np.exp(-params.e1 / (params.r_gas * T))
     k2 = params.k2_0 * np.exp(-params.e2 / (params.r_gas * T))
     gamma = 2.0 * t * k1 * params.c_a0       # Riccati rate of the A equation
     lam = t * k2                             # stiff decay rate of B
-    amp = t * k1 * params.c_a0 ** 2          # source strength at tau = 0
-
-    xi = np.linspace(0.0, 1.0, n_intervals + 1)
-    # nodes geometric in (1 + gamma s): resolves the initial source layer
-    tiny = gamma < 1e-12
-    L = np.log1p(np.where(tiny, 0.0, gamma))
-    grid = np.expm1(np.outer(L, xi))
-    s = np.where(tiny[:, None], xi[None, :], grid / np.where(tiny, 1.0, gamma)[:, None])
-
-    a = s[:, :-1]
-    h = np.diff(s, axis=1)
-    b_node = s[:, 1:]
-
-    def source(ss):
-        return amp[:, None] / (1.0 + gamma[:, None] * ss) ** 2
-
-    q0 = source(a)
-    q1 = source(a + h / 3.0)
-    q2 = source(a + 2.0 * h / 3.0)
-    q3 = source(a + h)
-    d1 = q1 - q0
-    d2 = q2 - 2.0 * q1 + q0
-    d3 = q3 - 3.0 * q2 + 3.0 * q1 - q0
-    c0 = q0
-    c1 = 3.0 * d1 - 1.5 * d2 + d3
-    c2 = 4.5 * (d2 - d3)
-    c3 = 4.5 * d3
-
-    z = lam[:, None] * h
-    mu0, mu1, mu2, mu3 = _mu_weights(z)
-    piece = h * (c0 * mu0 + c1 * mu1 + c2 * mu2 + c3 * mu3)
-    decay = np.exp(-lam[:, None] * (1.0 - b_node))
-    return (piece * decay).sum(axis=1)
+    # gamma = 0 (k1 underflowed) means no A reacts: beta = inf gives C_B = 0
+    beta = np.divide(lam, gamma, out=np.full_like(lam, np.inf), where=gamma > 0.0)
+    d_x, size_x, trunc_x = _d_term(lam + beta)
+    d_b, size_b, trunc_b = _d_term(beta)
+    inv = 1.0 / (1.0 + gamma)
+    decay = np.exp(-lam)
+    bracket = inv * d_x - decay * d_b
+    error = (inv * trunc_x + decay * trunc_b
+             + _ROUNDING_UNITS * _EPS * (inv * size_x + decay * size_b))
+    return 0.5 * params.c_a0 * bracket, error / np.maximum(np.abs(bracket), _TINY)
 
 
 def batch_cqa(T, t, params: KineticParams = DEFAULT_PARAMS,
-              n_intervals: int = 1024, check_tol: float = 1e-7,
-              chunk: int = 256) -> tuple[np.ndarray, np.ndarray, float]:
+              check_tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray, float]:
     """Purity and profit for arrays of operating points, plus an error estimate.
 
-    The estimate is the max relative change of C_B when halving the interval
-    count; exceeding ``check_tol`` raises ToleranceNotMet.
+    The estimate is the largest relative error estimate of C_B over the
+    points (see ``_b_final``); exceeding ``check_tol`` raises
+    ToleranceNotMet.
     """
     T = np.asarray(T, dtype=float).ravel()
     t = np.asarray(t, dtype=float).ravel()
     if T.shape != t.shape:
         raise ValueError("T and t must have the same shape")
+    if not (np.isfinite(T).all() and np.isfinite(t).all()):
+        raise ValueError("operating points must be finite")
     if np.any(T <= 0):
         raise NonpositiveTemperature(float(T.min()))
     if np.any(t <= 0):
         raise ValueError("processing times must be positive")
 
-    purity = np.empty_like(T)
-    profit = np.empty_like(T)
-    worst = 0.0
-    for start in range(0, T.size, chunk):
-        sl = slice(start, min(start + chunk, T.size))
-        Tc, tc = T[sl], t[sl]
-        b_full = _batch_b_final(Tc, tc, params, n_intervals)
-        b_half = _batch_b_final(Tc, tc, params, n_intervals // 2)
-        rel = np.abs(b_full - b_half) / np.maximum(np.abs(b_full), params.c_a0 * 1e-16)
-        worst = max(worst, float(rel.max(initial=0.0)))
-
-        k1 = params.k1_0 * np.exp(-params.e1 / (params.r_gas * Tc))
-        a_final = params.c_a0 / (1.0 + 2.0 * tc * k1 * params.c_a0)
-        c_final = (params.c_a0 - a_final) / 2.0 - b_full
-        purity[sl] = b_full / (a_final + b_full + c_final)
-        profit[sl] = (100.0 * b_full - 20.0 * a_final) * params.volume / (tc + 30.0)
-
-    if worst > check_tol:
+    b_final, rel = _b_final(T, t, params)
+    worst = float(rel.max(initial=0.0))
+    if not worst <= check_tol:
         raise ToleranceNotMet(
-            f"fast-path refinement estimate {worst:.3e} exceeds {check_tol:.0e}")
+            f"closed-form C_B error estimate {worst:.3e} exceeds {check_tol:.0e}")
+
+    k1 = params.k1_0 * np.exp(-params.e1 / (params.r_gas * T))
+    a_final = params.c_a0 / (1.0 + 2.0 * t * k1 * params.c_a0)
+    c_final = (params.c_a0 - a_final) / 2.0 - b_final
+    purity = b_final / (a_final + b_final + c_final)
+    profit = (100.0 * b_final - 20.0 * a_final) * params.volume / (t + 30.0)
     return purity, profit, worst
 
 
@@ -352,8 +379,8 @@ def cqa_ode(points, params: KineticParams = DEFAULT_PARAMS, rtol: float = 1e-8,
 def cqa_closed(points, params: KineticParams = DEFAULT_PARAMS) -> np.ndarray:
     """(purity, profit) rows for (T, t) rows from one ``batch_cqa`` call.
 
-    Its refinement check raises ToleranceNotMet when the estimate exceeds
-    the default ``check_tol``.
+    Its error estimate check raises ToleranceNotMet when the estimate
+    exceeds the default ``check_tol``.
     """
     points = np.asarray(points, dtype=float)
     purity, profit, _ = batch_cqa(points[:, 0], points[:, 1], params)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 import rfuncds
 from rfuncds import cli, ds, reactor
 from rfuncds.errors import IntegratorFailure
-from rfuncds.exprtext import parse_infix
+from rfuncds.exprtext import MAX_DEPTH, parse_infix
 from rfuncds.expr import eval_arrays
 from rfuncds.reactor import CQA_BASIS
 
@@ -215,6 +216,57 @@ def test_check_rejects_corrupt_joint_tree(tmp_path, capsys):
     assert "cannot read report" in line
 
 
+@pytest.mark.parametrize("argv", [["identify", "--n", "abc"], ["demo", "circles-9.9"], []],
+                         ids=["bad-int", "unknown-demo", "no-subcommand"])
+def test_argparse_errors_are_one_line(argv, capsys):
+    # argparse's own format is a usage block, then "rfuncds ...: error: ..."
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert "usage:" not in assert_usage_error(info.value.code, capsys)
+
+
+def _edited_report(tmp_path, edit):
+    report = json.loads(REPORT_FIXTURE.read_text())
+    edit(report)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(report))
+    return path
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda r: r.update(alpha=5), "alpha must satisfy"),
+    (lambda r: r["box"][0].update(lo=300.0, hi=250.0), "lo < hi, got [300.0, 250.0]"),
+    (lambda r: r["box"][0].update(lo=float("nan")), "lo < hi, got [nan, 300.0]"),
+], ids=["alpha=5", "lo>hi", "nan-lo"])
+def test_check_rejects_invalid_report_fields(edit, needle, tmp_path, capsys):
+    path = _edited_report(tmp_path, edit)
+    line = assert_usage_error(run(["check", str(path), "290,275"]), capsys)
+    assert "cannot read report" in line and needle in line
+
+
+def test_check_rejects_too_deep_report(tmp_path, capsys):
+    # the deep tree is spliced in as text, since json.dumps itself recurses
+    path = _edited_report(tmp_path, lambda r: r["joint"].update(tree="DEEP"))
+    deep = '{"kind":"neg","args":[' * 900 + '{"kind":"var","name":"T"}' + "]}" * 900
+    path.write_text(path.read_text().replace('"DEEP"', deep))
+    line = assert_usage_error(run(["check", str(path), "290,275"]), capsys)
+    assert "cannot read report" in line and "deeper than" in line
+
+
+def test_check_reads_trees_at_the_depth_limit(tmp_path, capsys):
+    # -(-(...-T)): MAX_DEPTH levels in both the joint tree and a phi_tree
+    chain = ('{"kind":"neg","args":[' * (MAX_DEPTH - 1) + '{"kind":"var","name":"T"}'
+             + "]}" * (MAX_DEPTH - 1))
+
+    def edit(report):
+        report["joint"]["tree"] = "DEEP"
+        report["constraints"][0]["phi_tree"] = "DEEP"
+    path = _edited_report(tmp_path, edit)
+    path.write_text(path.read_text().replace('"DEEP"', chain))
+    assert run(["check", str(path), "290,275"]) == 3
+    assert capsys.readouterr().out.startswith("outside (joint expression = -290.0)")
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise IntegratorFailure("step size underflow")
@@ -224,16 +276,18 @@ def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert err == "error: step size underflow\n"
 
 
-def test_closed_refinement_failure_exits_1(tmp_path, capsys, monkeypatch):
-    # C_B that halves with the interval count fails batch_cqa's own check
-    monkeypatch.setattr(reactor, "_batch_b_final",
-                        lambda T, t, params, n: np.full(T.shape, float(n)))
-    assert run(["identify", "--out", str(tmp_path / "o")]) == 1
+def test_closed_refinement_failure_exits_1(tmp_path, capsys):
+    # gamma about 1e-10 and beta about 20: the closed form's bracket cancels
+    # to O(gamma), and its error estimate fails batch_cqa's own check
+    cfg = tmp_path / "frozen.cfg"
+    cfg.write_text("e1 = 0\ne2 = 0\nk1_0 = 1e-13\nk2_0 = 4e-12\nc_a0 = 1\n")
+    assert run(["identify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: fast-path refinement estimate 5.000e-01 exceeds")
+    assert re.fullmatch(r"error: closed-form C_B error estimate \d\.\d{3}e-0[56] exceeds 1e-07",
+                        lines[0])
 
 
 @pytest.mark.parametrize("argv", [["--grid", "1", "--n", "8"], ["--skip", "-5"]],

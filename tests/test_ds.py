@@ -12,7 +12,8 @@ from rfuncds.ds import (
     save_report,
 )
 from rfuncds.errors import (
-    AlphaOutOfRange, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, RfuncdsError,
+    AlphaOutOfRange, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, ParseError,
+    RfuncdsError,
 )
 from rfuncds.expr import eval_arrays, eval_expr
 from rfuncds.exprtext import parse_infix
@@ -274,4 +275,25 @@ def test_load_rejects_other_files(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
+        load_report(path)
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"alpha": 1.0', '"alpha": 5'),
+    ('"alpha": 1.0', '"alpha": NaN'),
+    ('"lo": 250.0, "hi": 300.0', '"lo": 300.0, "hi": 250.0'),
+    ('"lo": 250.0, "hi": 300.0', '"lo": 250.0, "hi": 250.0'),
+    ('"lo": 250.0, "hi": 300.0', '"lo": NaN, "hi": 300.0'),
+    ('"lo": 250.0, "hi": 300.0', '"lo": 250.0, "hi": Infinity'),
+    ('"joint": {', '"joint": {"deep": ' + "[" * 300 + "]" * 300 + ", "),
+], ids=["alpha=5", "alpha=nan", "lo>hi", "lo=hi", "lo=nan", "hi=inf", "deep"])
+def test_load_rejects_invalid_alpha_box_and_nesting(old, new, tmp_path):
+    path = tmp_path / "report.json"
+    save_report(synthetic_report(), path)
+    text = " ".join(path.read_text().split())
+    assert old in text
+    path.write_text(text)
+    load_report(path)
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ParseError):
         load_report(path)

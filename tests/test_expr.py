@@ -11,8 +11,9 @@ from rfuncds.errors import (
     UnboundVariable,
 )
 from rfuncds.expr import (
-    Abs, And, Const, Leaf, Min, Mul, Not, Pow, RAnd, Region, Sqrt, Sub, Var,
-    canonicalize_alpha1, compose, eval_arrays, eval_expr, r_and, r_not, r_or, sign_class,
+    Abs, And, Const, Leaf, Min, Mul, Neg, Not, Pow, RAnd, Region, Sqrt, Sub, Var,
+    canonicalize_alpha1, compose, depth, eval_arrays, eval_expr, r_and, r_not, r_or,
+    sign_class, walk,
 )
 from rfuncds.geometry import Circle, primitive, testcase as load_case
 
@@ -138,6 +139,25 @@ def test_alpha1_equals_min_max(rng):
     env = {"a": a, "b": b}
     assert np.abs(eval_arrays(r_and(A, B, 1.0), env) - np.minimum(a, b)).max() <= 1e-12
     assert np.abs(eval_arrays(r_or(A, B, 1.0), env) - np.maximum(a, b)).max() <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# traversal
+
+def test_walk_order_and_depth():
+    expr = Sub(Mul(A, Pow(B, 2)), RAnd(Sqrt(A), Const(1.0), 0.5))
+    assert [type(n).__name__ for n in walk(expr)] == [
+        "Sub", "Mul", "Var", "Pow", "Var", "RAnd", "Sqrt", "Var", "Const"]
+    assert depth(expr) == 4
+    assert depth(A) == 1
+
+
+def test_depth_needs_no_recursion():
+    expr = A
+    for _ in range(20_000):
+        expr = Neg(expr)
+    assert depth(expr) == 20_001
+    assert sum(1 for _ in walk(expr)) == 20_001
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, strategies as st
 from rfuncds.errors import ParseError
 from rfuncds.expr import (
     Abs, Add, Const, Max, Min, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var,
-    canonicalize_alpha1, desugar_r_nodes, eval_expr,
+    canonicalize_alpha1, depth, desugar_r_nodes, eval_expr,
 )
 from rfuncds.exprtext import (
-    parse, parse_infix, parse_tree_text, serialize, to_infix, to_tree_text,
+    MAX_DEPTH, parse, parse_infix, parse_tree_text, serialize, to_infix, to_tree_text,
 )
 from rfuncds.geometry import testcase as load_case
 
@@ -134,6 +135,58 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as info:
         parse_infix("x + $")
     assert info.value.position == 4
+
+
+# ----------------------------------------------------------------------
+# depth limit
+
+def _neg_chain(n):
+    expr = X
+    for _ in range(n):
+        expr = Neg(expr)
+    return expr
+
+
+def _neg_tree_text(n):
+    return '{"kind":"neg","args":[' * n + '{"kind":"var","name":"x"}' + "]}" * n
+
+
+def test_trees_at_the_depth_limit_round_trip():
+    expr = _neg_chain(MAX_DEPTH - 1)
+    assert depth(expr) == MAX_DEPTH
+    for fmt in ("infix", "tree"):
+        back = parse(serialize(expr, fmt), fmt)
+        assert back == expr
+        assert eval_expr(back, {"x": 2.0}) == -2.0
+    assert depth(parse_infix("+".join(["x"] * MAX_DEPTH))) == MAX_DEPTH
+    assert parse_infix("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == X
+    calls = MAX_DEPTH - 1
+    assert depth(parse_infix("abs(" * calls + "x" + ")" * calls)) == MAX_DEPTH
+
+
+@pytest.mark.parametrize("text", [
+    "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+    "sqrt(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+    "-" * MAX_DEPTH + "x",
+    "+".join(["x"] * (MAX_DEPTH + 1)),
+    "min(x," * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+    "-(" * 5000 + "x" + ")" * 5000,
+    "x" + "*x" * 5000,
+], ids=["parens", "calls", "negations", "sum-chain", "min-chain", "deep-parens",
+        "product-chain"])
+def test_infix_deeper_than_the_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):
+        parse_infix(text)
+
+
+def test_tree_text_deeper_than_the_limit_is_a_parse_error():
+    assert depth(parse_tree_text(_neg_tree_text(MAX_DEPTH - 1))) == MAX_DEPTH
+    for n in (MAX_DEPTH, 5000):
+        with pytest.raises(ParseError, match="deeper than"):
+            parse_tree_text(_neg_tree_text(n))
+    # brackets inside strings do not nest
+    name = "[{" * 5000
+    assert parse_tree_text(json.dumps({"kind": "var", "name": name})) == Var(name)
 
 
 # random safe expressions (no sqrt: keeps domains valid for any point)

@@ -1,3 +1,7 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,7 @@ from rfuncds.reactor import (
     Box,
     KineticParams,
     OperatingPoint,
-    _mu_weights,
+    _b_final,
     apply_config,
     batch_cqa,
     cqa_closed,
@@ -174,6 +178,9 @@ def test_fast_path_validation():
         batch_cqa([250.0], [0.0])
     with pytest.raises(ValueError):
         batch_cqa([250.0, 260.0], [250.0])
+    for T, t in ((np.nan, 250.0), (np.inf, 250.0), (250.0, np.nan), (250.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            batch_cqa([T], [t])
 
 
 def test_apply_config():
@@ -224,16 +231,177 @@ def test_ode_backend_runs_simulate_in_row_order(monkeypatch):
     assert seen == [tuple(p) for p in pts.tolist()]
 
 
-def test_closed_backend_keeps_refinement_check(monkeypatch):
-    # halving the interval count changes C_B by a half: far above check_tol
-    monkeypatch.setattr(reactor, "_batch_b_final",
-                        lambda T, t, params, n: np.full(T.shape, float(n)))
-    with pytest.raises(ToleranceNotMet, match="refinement estimate"):
-        cqa_closed(sobol_points(4))
+def test_closed_backend_keeps_refinement_check():
+    # gamma = 1e-10 with beta = 10: the bracket's O(1) terms cancel to
+    # O(gamma), which the error estimate shows and the check refuses
+    params = KineticParams(e1=0.0, e2=0.0, k1_0=5e-11, k2_0=1e-9, c_a0=1.0)
+    with pytest.raises(ToleranceNotMet, match="error estimate"):
+        cqa_closed([(300.0, 1.0)], params)
+
+
+def test_closed_form_stays_finite_where_reactions_freeze_or_race():
+    # T -> 0 underflows k2 and then k1; gamma = 0 means no A reacts, C_B = 0
+    purity, profit, est = batch_cqa([1e-3, 1e300], [275.0, 275.0])
+    assert purity[0] == 0.0 and profit[0] == -20.0 * DEFAULT_PARAMS.c_a0 / 305.0
+    assert np.isfinite(purity).all() and np.isfinite(profit).all() and est <= 1e-15
+    # rate constants so large that gamma and lam overflow: B decays at once
+    purity, profit, est = batch_cqa([275.0], [275.0], KineticParams(k1_0=1e300, k2_0=1e300))
+    assert purity[0] == 0.0 and np.isfinite(profit).all() and est == 0.0
+    # gamma tiny but not zero with lam = 0: the bracket cancels completely
+    with pytest.raises(ToleranceNotMet, match="error estimate"):
+        batch_cqa([0.5], [275.0])
 
 
 # ----------------------------------------------------------------------
-# _mu_weights against the version that evaluated both branches everywhere
+# closed form against 60-digit mpmath values (tests/make_cb_reference.py)
+
+REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "cb_reference.json").read_text(encoding="utf-8"))
+
+
+def _reference_case(row):
+    params = dataclasses.replace(DEFAULT_PARAMS, **row["params"])
+    return np.array([row["T"]]), np.array([row["t"]]), params
+
+
+@pytest.mark.parametrize("row", REFERENCE["points"], ids=lambda row: row["label"])
+def test_closed_form_matches_mpmath_reference(row):
+    T, t, params = _reference_case(row)
+    if row["expect"] == "ToleranceNotMet":
+        with pytest.raises(ToleranceNotMet, match="error estimate"):
+            batch_cqa(T, t, params)
+        return
+    (purity,), (profit,), est = batch_cqa(T, t, params)
+    (c_b,), _ = _b_final(T, t, params)
+    assert est <= 1e-7
+    assert abs(c_b - row["c_b"]) <= 1e-14 * abs(row["c_b"])
+    assert abs(purity - row["purity"]) <= 1e-14 * abs(row["purity"])
+    profit_scale = (100.0 * abs(row["c_b"]) + 20.0 * row["c_a"]) / (row["t"] + 30.0)
+    assert abs(profit - row["profit"]) <= 1e-14 * profit_scale
+
+
+@pytest.mark.parametrize("row", REFERENCE["points"], ids=lambda row: row["label"])
+def test_error_estimate_covers_actual_error(row):
+    (c_b,), (est,) = _b_final(*_reference_case(row))
+    assert abs(c_b - row["c_b"]) <= max(est, 1e-14) * abs(row["c_b"])
+    assert (est > 1e-7) == (row["expect"] == "ToleranceNotMet")
+
+
+# ----------------------------------------------------------------------
+# the piecewise-cubic quadrature that the closed form replaced, kept as an
+# oracle of stated accuracy (1e-9 relative in C_B)
+
+def quadrature_mu_weights(z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """mu_m(z) = integral_0^1 xi^m exp(-z (1 - xi)) dxi for m = 0..3.
+
+    Downward recurrence is stable for z >= 0.5; a short exponential series
+    covers z < 0.5 where the recurrence would cancel.  Each branch runs only
+    on its own entries.
+    """
+    small = z < 0.5
+    mu = np.empty((4,) + z.shape)
+
+    large = ~small
+    zr = z[large]
+    mu0r = (1.0 - np.exp(-zr)) / zr
+    mu1r = (1.0 - mu0r) / zr
+    mu2r = (1.0 - 2.0 * mu1r) / zr
+    mu3r = (1.0 - 3.0 * mu2r) / zr
+    mu[:, large] = (mu0r, mu1r, mu2r, mu3r)
+
+    zs = z[small]
+    term = np.ones_like(zs)
+    part = np.empty_like(zs)
+    s = np.zeros((4,) + zs.shape)
+    for k in range(17):
+        if k > 0:
+            term *= zs
+            term /= k
+        for m in range(4):
+            s[m] += np.divide(term, k + m + 1, out=part)
+    s *= np.exp(-zs)
+    mu[:, small] = s
+    return tuple(mu)
+
+
+def quadrature_b_final(T, t, params, n_intervals, mu_weights=quadrature_mu_weights):
+    """C_B at tau=1 by exact integrating factor + piecewise-cubic source."""
+    k1 = params.k1_0 * np.exp(-params.e1 / (params.r_gas * T))
+    k2 = params.k2_0 * np.exp(-params.e2 / (params.r_gas * T))
+    gamma = 2.0 * t * k1 * params.c_a0       # Riccati rate of the A equation
+    lam = t * k2                             # stiff decay rate of B
+    amp = t * k1 * params.c_a0 ** 2          # source strength at tau = 0
+
+    xi = np.linspace(0.0, 1.0, n_intervals + 1)
+    # nodes geometric in (1 + gamma s): resolves the initial source layer
+    tiny = gamma < 1e-12
+    L = np.log1p(np.where(tiny, 0.0, gamma))
+    grid = np.expm1(np.outer(L, xi))
+    s = np.where(tiny[:, None], xi[None, :], grid / np.where(tiny, 1.0, gamma)[:, None])
+
+    a = s[:, :-1]
+    h = np.diff(s, axis=1)
+    b_node = s[:, 1:]
+
+    def source(ss):
+        return amp[:, None] / (1.0 + gamma[:, None] * ss) ** 2
+
+    q0 = source(a)
+    q1 = source(a + h / 3.0)
+    q2 = source(a + 2.0 * h / 3.0)
+    q3 = source(a + h)
+    d1 = q1 - q0
+    d2 = q2 - 2.0 * q1 + q0
+    d3 = q3 - 3.0 * q2 + 3.0 * q1 - q0
+    c0 = q0
+    c1 = 3.0 * d1 - 1.5 * d2 + d3
+    c2 = 4.5 * (d2 - d3)
+    c3 = 4.5 * d3
+
+    z = lam[:, None] * h
+    mu0, mu1, mu2, mu3 = mu_weights(z)
+    piece = h * (c0 * mu0 + c1 * mu1 + c2 * mu2 + c3 * mu3)
+    decay = np.exp(-lam[:, None] * (1.0 - b_node))
+    return (piece * decay).sum(axis=1)
+
+
+def quadrature_cqa(T, t, params, mu_weights=quadrature_mu_weights):
+    """C_B, purity, profit and refinement estimate, as batch_cqa computed them.
+
+    The estimate is the max relative change of C_B when the interval count
+    is halved from 1024.
+    """
+    b_full = quadrature_b_final(T, t, params, 1024, mu_weights)
+    b_half = quadrature_b_final(T, t, params, 512, mu_weights)
+    rel = np.abs(b_full - b_half) / np.maximum(np.abs(b_full), params.c_a0 * 1e-16)
+    k1 = params.k1_0 * np.exp(-params.e1 / (params.r_gas * T))
+    a_final = params.c_a0 / (1.0 + 2.0 * t * k1 * params.c_a0)
+    c_final = (params.c_a0 - a_final) / 2.0 - b_full
+    purity = b_full / (a_final + b_full + c_final)
+    profit = (100.0 * b_full - 20.0 * a_final) * params.volume / (t + 30.0)
+    return b_full, purity, profit, float(rel.max(initial=0.0))
+
+
+def identify_points():
+    # the 64 training and 256 validation points of a default identify run
+    return scale(sobol(2, 320, 1), [(250, 300), (250, 300)]).points
+
+
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, KELVIN_PARAMS], ids=["si", "kelvin"])
+def test_quadrature_oracle_agrees_with_closed_form(params):
+    T, t = identify_points().T
+    b_quad, purity_quad, profit_quad, est = quadrature_cqa(T, t, params)
+    assert est <= 1e-7
+    b_closed, _ = _b_final(T, t, params)
+    purity, profit, _ = batch_cqa(T, t, params)
+    assert (np.abs(b_quad - b_closed) <= 1e-9 * b_closed).all()
+    assert (np.abs(purity_quad - purity) <= 1e-9 * purity).all()
+    assert (np.abs(profit_quad - profit) <= 1e-9 * np.abs(profit)).all()
+
+
+# ----------------------------------------------------------------------
+# quadrature_mu_weights against the version that evaluated both branches
+# everywhere
 
 def reference_mu_weights(z):
     small = z < 0.5
@@ -270,7 +438,7 @@ def _z_arrays():
 @pytest.mark.parametrize("name", ["all-small", "all-large", "mixed", "edges", "empty"])
 def test_mu_weights_bitwise_equal_to_both_branch_version(name):
     z = _z_arrays()[name]
-    got = _mu_weights(z)
+    got = quadrature_mu_weights(z)
     want = reference_mu_weights(z)
     assert len(got) == 4
     for g, w in zip(got, want):
@@ -279,11 +447,12 @@ def test_mu_weights_bitwise_equal_to_both_branch_version(name):
 
 
 @pytest.mark.parametrize("params", [DEFAULT_PARAMS, KELVIN_PARAMS], ids=["si", "kelvin"])
-def test_batch_cqa_bitwise_unchanged_by_branch_split(params, monkeypatch):
-    pts = scale(sobol(2, 320, 1), [(250, 300), (250, 300)]).points
-    got = batch_cqa(pts[:, 0], pts[:, 1], params)
-    monkeypatch.setattr(reactor, "_mu_weights", reference_mu_weights)
-    want = batch_cqa(pts[:, 0], pts[:, 1], params)
-    for g, w in zip(got[:2], want[:2]):
+def test_batch_cqa_bitwise_unchanged_by_branch_split(params):
+    # the quadrature oracle (batch_cqa before the closed form) gives the
+    # same bits with either weight function
+    T, t = identify_points().T
+    got = quadrature_cqa(T, t, params)
+    want = quadrature_cqa(T, t, params, mu_weights=reference_mu_weights)
+    for g, w in zip(got[:3], want[:3]):
         assert g.tobytes() == w.tobytes()
-    assert got[2] == want[2]
+    assert got[3] == want[3]
