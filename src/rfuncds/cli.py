@@ -193,7 +193,6 @@ def cmd_identify(args, provenance: str) -> int:
         except (ValueError, KeyError, FileNotFoundError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    out = _outdir(args)
     provenance = f"{provenance} | model reactor.cqa_closed"
 
     def model(points):
@@ -206,26 +205,30 @@ def cmd_identify(args, provenance: str) -> int:
     box_axes = [ds.BoxAxis("T", box.T[0], box.T[1], unit="K"),
                 ds.BoxAxis("t", box.t[0], box.t[1], unit="min")]
     report = ds.identify(constraints, box_axes, args.n, reactor.CQA_BASIS,
-                         alpha=args.alpha, model=model, skip=args.skip,
-                         contour_resolution=args.grid)
+                         alpha=args.alpha, model=model, skip=args.skip)
+    out = _outdir(args)
 
+    # each field is evaluated once, for its contours and (joint) the shading
     bounds = [(a.lo, a.hi) for a in box_axes]
-    artifacts = {}
     joint_field = grid_eval(report.joint, bounds, args.grid)
-    emit_svg(out / "joint_ds.svg", [(report.contours["joint"], DEFAULT_PALETTE[0])],
+    joint_contours = marching_squares(joint_field)
+    contours = {c.name: marching_squares(grid_eval(c.phi, bounds, args.grid))
+                for c in report.constraints}
+    artifacts = {}
+    emit_svg(out / "joint_ds.svg", [(joint_contours, DEFAULT_PALETTE[0])],
              bounds, field=joint_field, provenance=provenance,
              title="joint design space (shaded: inside)")
     artifacts["joint_svg"] = "joint_ds.svg"
-    layers = [(report.contours[c.name], DEFAULT_PALETTE[k + 1])
+    layers = [(contours[c.name], DEFAULT_PALETTE[k + 1])
               for k, c in enumerate(report.constraints)]
     emit_svg(out / "constraint_boundaries.svg", layers, bounds,
              provenance=provenance, title="per-constraint boundaries")
     artifacts["constraints_svg"] = "constraint_boundaries.svg"
     for c in report.constraints:
         name = f"phi_{c.name}.csv"
-        emit_contours_csv(out / name, report.contours[c.name], provenance=provenance)
+        emit_contours_csv(out / name, contours[c.name], provenance=provenance)
         artifacts[f"contour_{c.name}"] = name
-    emit_contours_csv(out / "joint.csv", report.contours["joint"], provenance=provenance)
+    emit_contours_csv(out / "joint.csv", joint_contours, provenance=provenance)
     artifacts["contour_joint"] = "joint.csv"
     ds.save_report(report, out / "ds_report.json", artifacts=artifacts,
                    provenance=provenance)

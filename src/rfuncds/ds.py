@@ -18,7 +18,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import exprtext
-from .contour import ContourSet, grid_eval, marching_squares
 from .errors import (
     AlphaOutOfRange, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, ParseError,
 )
@@ -83,7 +82,6 @@ class DSReport:
     joint: Region
     sampling: SamplingMeta | None = None
     validation: ValidationStats | None = None
-    contours: Mapping[str, ContourSet] | None = None
 
 
 def plot_count(d: int) -> int:
@@ -96,8 +94,7 @@ def plot_count(d: int) -> int:
 def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
              n_samples: int, basis: BasisSpec, alpha: float = 1.0, *,
              model: Callable[[np.ndarray], np.ndarray],
-             n_validation: int = 256, skip: int = 1,
-             contour_resolution: int | None = 256) -> DSReport:
+             n_validation: int = 256, skip: int = 1) -> DSReport:
     """Identify the joint design space as one analytical expression.
 
     ``model`` maps an ``(n, d)`` array of parameter rows (columns ordered
@@ -168,19 +165,11 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
         for k, (spec, fit, phi) in enumerate(reports)
     )
 
-    contours = None
-    if contour_resolution is not None and len(box) == 2:
-        contours = {}
-        for rep in constraint_reports:
-            fld = grid_eval(rep.phi, bounds, contour_resolution)
-            contours[rep.name] = marching_squares(fld)
-        contours["joint"] = marching_squares(grid_eval(joint, bounds, contour_resolution))
-
     return DSReport(
         box=box, alpha=float(alpha), constraints=constraint_reports, joint=joint,
         sampling=SamplingMeta(n_train=n_samples, skip=skip,
                               n_validation=n_validation, validation_skip=validation_skip),
-        validation=stats, contours=contours,
+        validation=stats,
     )
 
 
@@ -283,7 +272,7 @@ def _load_box_axis(a) -> BoxAxis:
 
 
 def load_report(path) -> DSReport:
-    """Reload a saved report (metamodels and expressions; no contours).
+    """Reload a saved report (metamodels and expressions).
 
     Expression trees may nest at most ``exprtext.MAX_DEPTH`` levels; the
     file is checked for that before it is decoded.  An alpha outside
@@ -334,4 +323,4 @@ def load_report(path) -> DSReport:
                                      n_disagreements=int(v["n_disagreements"]))
     return DSReport(box=box, alpha=alpha,
                     constraints=tuple(constraints), joint=joint,
-                    sampling=sampling, validation=validation, contours=None)
+                    sampling=sampling, validation=validation)

@@ -15,8 +15,9 @@ alpha = 1 the pair degenerates to min/max.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -180,61 +181,111 @@ def r_not(a) -> Expr:
 
 
 # ----------------------------------------------------------------------
-# evaluation
+# the node table
+
+def _children_getter(operands: tuple[str, ...]) -> Callable[[Expr], tuple[Expr, ...]]:
+    if len(operands) == 1:
+        get = operator.attrgetter(operands[0])
+        return lambda e: (get(e),)
+    if not operands:
+        return lambda e: ()
+    return operator.attrgetter(*operands)
+
+
+class Node:
+    """What the rest of the package needs to know about one node class."""
+
+    __slots__ = ("tag", "operands", "params", "evaluate", "children")
+
+    def __init__(self, tag: str, operands: tuple[str, ...], params: tuple[str, ...],
+                 evaluate: Callable):
+        self.tag = tag              # ``kind`` in the tree format
+        self.operands = operands    # child fields, left to right
+        self.params = params        # other fields; constructors take operands first
+        self.evaluate = evaluate    # (node, env) -> value
+        # a node's operands as a tuple; attrgetter is the fastest generic accessor
+        self.children = _children_getter(operands)
+
+
+# Each evaluator looks its operands' evaluators up in _EVAL itself rather than
+# going through _eval, so a tree level costs one Python frame, not two.
 
 def _eval(e: Expr, env: Mapping[str, object]):
     # env values are floats or numpy arrays; numpy ufuncs cover both.
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundVariable(e.name) from None
-    if isinstance(e, Neg):
-        return -_eval(e.a, env)
-    if isinstance(e, Add):
-        return _eval(e.a, env) + _eval(e.b, env)
-    if isinstance(e, Sub):
-        return _eval(e.a, env) - _eval(e.b, env)
-    if isinstance(e, Mul):
-        return _eval(e.a, env) * _eval(e.b, env)
-    if isinstance(e, Pow):
-        base = _eval(e.base, env)
-        if e.exponent == 0:
-            return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
-        return base ** e.exponent
-    if isinstance(e, Sqrt):
-        arg = _eval(e.a, env)
-        low = np.min(arg)
-        if low < -SQRT_CLAMP_TOL:
-            raise NegativeSqrtArgument(float(low))
-        if low < 0.0:
-            arg = np.maximum(arg, 0.0)
-        return np.sqrt(arg)
-    if isinstance(e, Abs):
-        return np.abs(_eval(e.a, env))
-    if isinstance(e, Min):
-        return np.minimum(_eval(e.a, env), _eval(e.b, env))
-    if isinstance(e, Max):
-        return np.maximum(_eval(e.a, env), _eval(e.b, env))
-    if isinstance(e, RAnd):
-        va, vb = _eval(e.a, env), _eval(e.b, env)
-        if e.alpha == 1.0:
-            return np.minimum(va, vb)  # exact value of (a+b-|a-b|)/2
-        rad = va * va + vb * vb - 2.0 * e.alpha * (va * vb)
-        # mathematically >= (1-|alpha|)(a^2+b^2); clamp float-error negatives
-        rad = np.maximum(rad, 0.0)
-        return (va + vb - np.sqrt(rad)) / (1.0 + e.alpha)
-    if isinstance(e, ROr):
-        va, vb = _eval(e.a, env), _eval(e.b, env)
-        if e.alpha == 1.0:
-            return np.maximum(va, vb)
-        rad = va * va + vb * vb - 2.0 * e.alpha * (va * vb)
-        rad = np.maximum(rad, 0.0)
-        return (va + vb + np.sqrt(rad)) / (1.0 + e.alpha)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    return _EVAL[type(e)](e, env)
 
+
+def _eval_var(e: Var, env):
+    try:
+        return env[e.name]
+    except KeyError:
+        raise UnboundVariable(e.name) from None
+
+
+def _eval_pow(e: Pow, env):
+    base = _EVAL[type(e.base)](e.base, env)
+    if e.exponent == 0:
+        return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
+    return base ** e.exponent
+
+
+def _eval_sqrt(e: Sqrt, env):
+    arg = _EVAL[type(e.a)](e.a, env)
+    low = np.min(arg)
+    if low < -SQRT_CLAMP_TOL:
+        raise NegativeSqrtArgument(float(low))
+    if low < 0.0:
+        arg = np.maximum(arg, 0.0)
+    return np.sqrt(arg)
+
+
+def _r_root(va, vb, alpha: float):
+    rad = va * va + vb * vb - 2.0 * alpha * (va * vb)
+    # mathematically >= (1-|alpha|)(a^2+b^2); clamp float-error negatives
+    return np.sqrt(np.maximum(rad, 0.0))
+
+
+def _eval_r_and(e: RAnd, env):
+    va, vb = _EVAL[type(e.a)](e.a, env), _EVAL[type(e.b)](e.b, env)
+    if e.alpha == 1.0:
+        return np.minimum(va, vb)  # exact value of (a+b-|a-b|)/2
+    return (va + vb - _r_root(va, vb, e.alpha)) / (1.0 + e.alpha)
+
+
+def _eval_r_or(e: ROr, env):
+    va, vb = _EVAL[type(e.a)](e.a, env), _EVAL[type(e.b)](e.b, env)
+    if e.alpha == 1.0:
+        return np.maximum(va, vb)
+    return (va + vb + _r_root(va, vb, e.alpha)) / (1.0 + e.alpha)
+
+
+# every concrete Expr class, declared once; constructors are type(e)(*operands, *params)
+NODES: dict[type, Node] = {
+    Const: Node("const", (), ("value",), lambda e, env: e.value),
+    Var: Node("var", (), ("name",), _eval_var),
+    Neg: Node("neg", ("a",), (), lambda e, env: -_EVAL[type(e.a)](e.a, env)),
+    Add: Node("add", ("a", "b"), (),
+              lambda e, env: _EVAL[type(e.a)](e.a, env) + _EVAL[type(e.b)](e.b, env)),
+    Sub: Node("sub", ("a", "b"), (),
+              lambda e, env: _EVAL[type(e.a)](e.a, env) - _EVAL[type(e.b)](e.b, env)),
+    Mul: Node("mul", ("a", "b"), (),
+              lambda e, env: _EVAL[type(e.a)](e.a, env) * _EVAL[type(e.b)](e.b, env)),
+    Pow: Node("pow", ("base",), ("exponent",), _eval_pow),
+    Sqrt: Node("sqrt", ("a",), (), _eval_sqrt),
+    Abs: Node("abs", ("a",), (), lambda e, env: np.abs(_EVAL[type(e.a)](e.a, env))),
+    Min: Node("min", ("a", "b"), (),
+              lambda e, env: np.minimum(_EVAL[type(e.a)](e.a, env), _EVAL[type(e.b)](e.b, env))),
+    Max: Node("max", ("a", "b"), (),
+              lambda e, env: np.maximum(_EVAL[type(e.a)](e.a, env), _EVAL[type(e.b)](e.b, env))),
+    RAnd: Node("rand", ("a", "b"), ("alpha",), _eval_r_and),
+    ROr: Node("ror", ("a", "b"), ("alpha",), _eval_r_or),
+}
+
+_EVAL = {cls: node.evaluate for cls, node in NODES.items()}
+
+
+# ----------------------------------------------------------------------
+# evaluation and traversal
 
 def eval_expr(expr: Expr, point: Mapping[str, float]) -> float:
     """Evaluate at a single point given as a name -> value mapping."""
@@ -248,13 +299,7 @@ def eval_arrays(expr: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
 
 def children(node: Expr) -> tuple[Expr, ...]:
     """The direct operands of a node, left to right."""
-    if isinstance(node, (Neg, Sqrt, Abs)):
-        return (node.a,)
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, (Add, Sub, Mul, Min, Max, RAnd, ROr)):
-        return (node.a, node.b)
-    return ()
+    return NODES[type(node)].children(node)
 
 
 def walk(expr: Expr) -> Iterator[Expr]:
@@ -278,11 +323,15 @@ def depth(expr: Expr) -> int:
 
 
 def variables(expr: Expr) -> set[str]:
-    return {node.name for node in walk(expr) if isinstance(node, Var)}
+    return {node.name for node in walk(expr) if type(node) is Var}
 
 
 # ----------------------------------------------------------------------
 # rewrites
+
+# how an R-node joins a+b with its radical term: AND subtracts, OR adds
+_R_JOIN = {RAnd: Sub, ROr: Add}
+
 
 def canonicalize_alpha1(expr: Expr) -> Expr:
     """Rewrite every alpha=1 R-node into its abs form.
@@ -291,11 +340,10 @@ def canonicalize_alpha1(expr: Expr) -> Expr:
     preserved (within 1e-12); all other nodes are left untouched.
     """
     def rec(e: Expr) -> Expr:
-        if isinstance(e, (RAnd, ROr)) and e.alpha == 1.0:
+        join = _R_JOIN.get(type(e))
+        if join is not None and e.alpha == 1.0:
             a, b = rec(e.a), rec(e.b)
-            gap = Abs(Sub(a, b))
-            body = Sub(Add(a, b), gap) if isinstance(e, RAnd) else Add(Add(a, b), gap)
-            return Mul(Const(0.5), body)
+            return Mul(Const(0.5), join(Add(a, b), Abs(Sub(a, b))))
         return _rebuild(e, rec)
     return rec(expr)
 
@@ -306,33 +354,25 @@ def desugar_r_nodes(expr: Expr) -> Expr:
     Used when emitting expressions in a form free of R-specific node kinds.
     """
     def rec(e: Expr) -> Expr:
-        if isinstance(e, (RAnd, ROr)):
+        join = _R_JOIN.get(type(e))
+        if join is not None:
             a, b = rec(e.a), rec(e.b)
             rad = Sub(Add(Pow(a, 2), Pow(b, 2)), Mul(Const(2.0 * e.alpha), Mul(a, b)))
-            root = Sqrt(rad)
-            body = Sub(Add(a, b), root) if isinstance(e, RAnd) else Add(Add(a, b), root)
-            return Mul(Const(1.0 / (1.0 + e.alpha)), body)
+            return Mul(Const(1.0 / (1.0 + e.alpha)), join(Add(a, b), Sqrt(rad)))
         return _rebuild(e, rec)
     return rec(expr)
 
 
 def _rebuild(e: Expr, rec) -> Expr:
     """Apply rec to children; reuse the node when nothing changed."""
-    if isinstance(e, (Const, Var)):
+    node = NODES[type(e)]
+    if not node.operands:
         return e
-    if isinstance(e, (Neg, Sqrt, Abs)):
-        a = rec(e.a)
-        return e if a is e.a else type(e)(a)
-    if isinstance(e, Pow):
-        base = rec(e.base)
-        return e if base is e.base else Pow(base, e.exponent)
-    if isinstance(e, (Add, Sub, Mul, Min, Max)):
-        a, b = rec(e.a), rec(e.b)
-        return e if (a is e.a and b is e.b) else type(e)(a, b)
-    if isinstance(e, (RAnd, ROr)):
-        a, b = rec(e.a), rec(e.b)
-        return e if (a is e.a and b is e.b) else type(e)(a, b, e.alpha)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    old = node.children(e)
+    new = tuple(map(rec, old))
+    if all(map(operator.is_, new, old)):
+        return e
+    return type(e)(*new, *[getattr(e, p) for p in node.params])
 
 
 # ----------------------------------------------------------------------

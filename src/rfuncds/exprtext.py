@@ -27,8 +27,8 @@ import re
 
 from .errors import ParseError
 from .expr import (
-    Abs, Add, Const, Expr, Max, Min, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var,
-    canonicalize_alpha1, depth, desugar_r_nodes,
+    NODES, Abs, Add, Const, Expr, Max, Min, Mul, Neg, Pow, Sqrt, Sub, Var,
+    canonicalize_alpha1, children, depth, desugar_r_nodes,
 )
 
 FORMATS = ("infix", "tree")
@@ -72,41 +72,46 @@ def to_infix(expr: Expr, alpha1_style: str = "sqrt") -> str:
 
 
 def _infix(e: Expr) -> str:
-    # binary children are always parenthesized; atoms and calls never are
-    def child(c: Expr) -> str:
-        s = _infix(c)
-        if isinstance(c, (Add, Sub, Mul, Neg)):
-            return f"({s})"
-        return s
+    try:
+        printer = _PRINTERS[type(e)]
+    except KeyError:
+        raise TypeError(f"node {type(e).__name__} has no infix form") from None
+    return printer(e)
 
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"-{child(e.a)}"
-    if isinstance(e, Add):
-        return f"{child(e.a)}+{child(e.b)}"
-    if isinstance(e, Sub):
-        return f"{child(e.a)}-{child(e.b)}"
-    if isinstance(e, Mul):
-        return f"{child(e.a)}*{child(e.b)}"
-    if isinstance(e, Pow):
-        base = _infix(e.base)
-        if not isinstance(e.base, (Const, Var)) or (
-            isinstance(e.base, Const) and e.base.value < 0
-        ):
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, Sqrt):
-        return f"sqrt({_infix(e.a)})"
-    if isinstance(e, Abs):
-        return f"abs({_infix(e.a)})"
-    if isinstance(e, Min):
-        return f"min({_infix(e.a)},{_infix(e.b)})"
-    if isinstance(e, Max):
-        return f"max({_infix(e.a)},{_infix(e.b)})"
-    raise TypeError(f"node {type(e).__name__} has no infix form")
+
+def _operand(e: Expr) -> str:
+    # operands of operators and of negation are parenthesized unless they
+    # are atoms or calls; the direct lookup keeps a tree level to two frames
+    s = _PRINTERS[type(e)](e)
+    return f"({s})" if type(e) in _PARENTHESIZED else s
+
+
+def _power(e: Pow) -> str:
+    base, text = e.base, _infix(e.base)
+    # atoms print bare, except negative constants
+    if not (type(base) is Var or (type(base) is Const and not base.value < 0)):
+        text = f"({text})"
+    return f"{text}^{e.exponent}"
+
+
+def _call_printer(name: str):
+    return lambda e: f"{name}({','.join(map(_infix, children(e)))})"
+
+
+# Function spellings, shared by the printer and the parser.  min and max
+# print with two arguments and parse with two or more, folded left.
+FUNCTIONS = {"sqrt": Sqrt, "abs": Abs, "min": Min, "max": Max}
+_PARENTHESIZED = {Add, Sub, Mul, Neg}
+_PRINTERS = {
+    Const: lambda e: repr(e.value),
+    Var: lambda e: e.name,
+    Neg: lambda e: f"-{_operand(e.a)}",
+    Add: lambda e: f"{_operand(e.a)}+{_operand(e.b)}",
+    Sub: lambda e: f"{_operand(e.a)}-{_operand(e.b)}",
+    Mul: lambda e: f"{_operand(e.a)}*{_operand(e.b)}",
+    Pow: _power,
+    **{cls: _call_printer(name) for name, cls in FUNCTIONS.items()},
+}
 
 
 # ----------------------------------------------------------------------
@@ -117,8 +122,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*^(),]))"
 )
-
-_FUNCTIONS = {"sqrt": (Sqrt, 1), "abs": (Abs, 1), "min": (Min, 2), "max": (Max, 2)}
 
 
 class _Tokens:
@@ -169,7 +172,7 @@ def _parse_sum(toks: _Tokens) -> Expr:
     node = _parse_term(toks)
     while True:
         kind, value, _ = toks.peek()
-        if kind == "op" and value in "+-":
+        if kind == "op" and value in ("+", "-"):
             toks.next()
             rhs = _parse_term(toks)
             node = Add(node, rhs) if value == "+" else Sub(node, rhs)
@@ -218,7 +221,7 @@ def _parse_atom(toks: _Tokens) -> Expr:
     if kind == "name":
         nkind, nvalue, _ = toks.peek()
         if nkind == "op" and nvalue == "(":
-            if value not in _FUNCTIONS:
+            if value not in FUNCTIONS:
                 raise ParseError(pos, f"unknown function {value!r}")
             toks.next()
             args = [_parse_nested(toks, pos)]
@@ -229,8 +232,8 @@ def _parse_atom(toks: _Tokens) -> Expr:
                 if not (k == "op" and v == ","):
                     raise ParseError(p, f"expected ',' or ')', got {v!r}")
                 args.append(_parse_nested(toks, pos))
-            ctor, arity = _FUNCTIONS[value]
-            if arity == 1:
+            ctor = FUNCTIONS[value]
+            if len(NODES[ctor].operands) == 1:
                 if len(args) != 1:
                     raise ParseError(pos, f"{value} takes exactly one argument")
                 return ctor(args[0])
@@ -262,74 +265,57 @@ def _parse_nested(toks: _Tokens, pos: int) -> Expr:
 # tree format (JSON)
 
 def _to_obj(e: Expr):
-    if isinstance(e, Const):
-        return {"kind": "const", "value": e.value}
-    if isinstance(e, Var):
-        return {"kind": "var", "name": e.name}
-    if isinstance(e, Neg):
-        return {"kind": "neg", "args": [_to_obj(e.a)]}
-    if isinstance(e, Sqrt):
-        return {"kind": "sqrt", "args": [_to_obj(e.a)]}
-    if isinstance(e, Abs):
-        return {"kind": "abs", "args": [_to_obj(e.a)]}
-    if isinstance(e, Pow):
-        return {"kind": "pow", "exponent": e.exponent, "args": [_to_obj(e.base)]}
-    if isinstance(e, (RAnd, ROr)):
-        kind = "rand" if isinstance(e, RAnd) else "ror"
-        return {"kind": kind, "alpha": e.alpha, "args": [_to_obj(e.a), _to_obj(e.b)]}
-    for cls, kind in ((Add, "add"), (Sub, "sub"), (Mul, "mul"), (Min, "min"), (Max, "max")):
-        if isinstance(e, cls):
-            return {"kind": kind, "args": [_to_obj(e.a), _to_obj(e.b)]}
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    node = NODES[type(e)]
+    obj = {"kind": node.tag}
+    for field in node.params:
+        obj[field] = getattr(e, field)
+    if node.operands:
+        obj["args"] = list(map(_to_obj, node.children(e)))
+    return obj
 
 
 def to_tree_text(expr: Expr) -> str:
     return json.dumps(_to_obj(expr), separators=(",", ":"))
 
 
-_UNARY_KINDS = {"neg": Neg, "sqrt": Sqrt, "abs": Abs}
-_BINARY_KINDS = {"add": Add, "sub": Sub, "mul": Mul, "min": Min, "max": Max}
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# what the tree format accepts for each parameter field, and how to read it
+_PARAMS = {
+    "value": (_is_number, float, "a number"),
+    "alpha": (_is_number, float, "a number"),
+    "name": (lambda v: isinstance(v, str) and v != "", str, "a non-empty string"),
+    "exponent": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0, int,
+                 "a non-negative integer"),
+}
+_BY_TAG = {node.tag: cls for cls, node in NODES.items()}
+_CHILD_COUNTS = {1: "one child", 2: "two children"}
 
 
 def _from_obj(obj) -> Expr:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(None, f"tree node must be an object with 'kind', got {obj!r}")
-    kind = obj["kind"]
-    if kind == "const":
-        v = obj.get("value")
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ParseError(None, f"const value must be a number, got {v!r}")
-        return Const(float(v))
-    if kind == "var":
-        name = obj.get("name")
-        if not isinstance(name, str) or not name:
-            raise ParseError(None, f"var name must be a non-empty string, got {name!r}")
-        return Var(name)
+    tag = obj["kind"]
+    try:
+        cls = _BY_TAG[tag]
+    except (KeyError, TypeError):   # TypeError: a list or object as kind
+        raise ParseError(None, f"unknown node kind {tag!r}") from None
+    node = NODES[cls]
+    params = []
+    for field in node.params:
+        accepts, convert, what = _PARAMS[field]
+        value = obj.get(field)
+        if not accepts(value):
+            raise ParseError(None, f"{tag} {field} must be {what}, got {value!r}")
+        params.append(convert(value))
+    if not node.operands:
+        return cls(*params)
     args = obj.get("args")
-    if kind in _UNARY_KINDS:
-        if not isinstance(args, list) or len(args) != 1:
-            raise ParseError(None, f"{kind} takes one child")
-        return _UNARY_KINDS[kind](_from_obj(args[0]))
-    if kind == "pow":
-        exponent = obj.get("exponent")
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            raise ParseError(None, f"pow exponent must be a non-negative integer, got {exponent!r}")
-        if not isinstance(args, list) or len(args) != 1:
-            raise ParseError(None, "pow takes one child")
-        return Pow(_from_obj(args[0]), exponent)
-    if kind in _BINARY_KINDS:
-        if not isinstance(args, list) or len(args) != 2:
-            raise ParseError(None, f"{kind} takes two children")
-        return _BINARY_KINDS[kind](_from_obj(args[0]), _from_obj(args[1]))
-    if kind in ("rand", "ror"):
-        alpha = obj.get("alpha")
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-            raise ParseError(None, f"{kind} needs a numeric alpha, got {alpha!r}")
-        if not isinstance(args, list) or len(args) != 2:
-            raise ParseError(None, f"{kind} takes two children")
-        ctor = RAnd if kind == "rand" else ROr
-        return ctor(_from_obj(args[0]), _from_obj(args[1]), float(alpha))
-    raise ParseError(None, f"unknown node kind {kind!r}")
+    if not isinstance(args, list) or len(args) != len(node.operands):
+        raise ParseError(None, f"{tag} takes {_CHILD_COUNTS[len(node.operands)]}")
+    return cls(*map(_from_obj, args), *params)
 
 
 _JSON_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')

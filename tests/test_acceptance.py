@@ -60,8 +60,7 @@ def default_pipeline():
     specs = [ds.ConstraintSpec("purity", PURITY_MIN),
              ds.ConstraintSpec("profit", PROFIT_MIN)]
     t0 = time.perf_counter()
-    report = ds.identify(specs, BOX, 64, CQA_BASIS, alpha=1.0, model=model,
-                         contour_resolution=None)
+    report = ds.identify(specs, BOX, 64, CQA_BASIS, alpha=1.0, model=model)
     return report, time.perf_counter() - t0
 
 
@@ -72,7 +71,7 @@ def kelvin_pipeline():
     model = lambda points: cqa_ode(points, params)  # noqa: E731
     specs = [ds.ConstraintSpec("purity", PURITY_MIN),
              ds.ConstraintSpec("profit", PROFIT_MIN)]
-    return ds.identify(specs, BOX, 64, CQA_BASIS, model=model, contour_resolution=None)
+    return ds.identify(specs, BOX, 64, CQA_BASIS, model=model)
 
 
 def _sign(values, band=1e-12):
@@ -236,7 +235,7 @@ def test_closed_model_matches_ode_pipeline(preset, default_pipeline, kelvin_pipe
     model = lambda points: cqa_closed(points, params)  # noqa: E731
     specs = [ds.ConstraintSpec("purity", PURITY_MIN),
              ds.ConstraintSpec("profit", PROFIT_MIN)]
-    closed = ds.identify(specs, BOX, 64, CQA_BASIS, model=model, contour_resolution=None)
+    closed = ds.identify(specs, BOX, 64, CQA_BASIS, model=model)
     for c_ode, c_closed in zip(ode.constraints, closed.constraints, strict=True):
         rtol = 1e-3 if (preset, c_ode.name) == ("si", "purity") else 1e-5
         np.testing.assert_allclose(c_closed.fit.coefficients, c_ode.fit.coefficients,

@@ -96,7 +96,7 @@ def test_check_boundary_exit_code(tmp_path):
     # single synthetic constraint whose boundary T + t = 550 is exact
     box = (ds.BoxAxis("T", 250.0, 300.0), ds.BoxAxis("t", 250.0, 300.0))
     spec = ds.ConstraintSpec("sum", 550.0)
-    report = ds.identify([spec], box, 16, CQA_BASIS, contour_resolution=None,
+    report = ds.identify([spec], box, 16, CQA_BASIS,
                          model=lambda points: points[:, :1] + points[:, 1:])
     path = tmp_path / "synthetic.json"
     ds.save_report(report, path)
@@ -282,6 +282,7 @@ def test_closed_refinement_failure_exits_1(tmp_path, capsys):
     cfg = tmp_path / "frozen.cfg"
     cfg.write_text("e1 = 0\ne2 = 0\nk1_0 = 1e-13\nk2_0 = 4e-12\nc_a0 = 1\n")
     assert run(["identify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()

@@ -1,6 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from rfuncds import cli
+from rfuncds.contour import grid_eval, marching_squares
 from rfuncds.ds import (
     BoxAxis,
     ConstraintSpec,
@@ -11,6 +16,7 @@ from rfuncds.ds import (
     plot_count,
     save_report,
 )
+from rfuncds.emit import emit_contours_csv
 from rfuncds.errors import (
     AlphaOutOfRange, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, ParseError,
     RfuncdsError,
@@ -20,6 +26,10 @@ from rfuncds.exprtext import parse_infix
 from rfuncds.polyfit import BasisSpec
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
+
+REPO = Path(__file__).resolve().parents[1]
+KELVIN_CFG = REPO / "presets" / "kelvin-activation.cfg"
+REPORT_FIXTURES = [REPO / "perfbench" / "fixtures" / f"kelvin-alpha{a}.json" for a in (0, 1)]
 
 BOX = (BoxAxis("T", 250.0, 300.0, unit="K"), BoxAxis("t", 250.0, 300.0, unit="min"))
 
@@ -202,10 +212,23 @@ def test_identify_checks_alpha_before_model_runs(alpha):
         identify([SUM_SPEC], BOX, 16, CQA_BASIS, alpha=alpha, model=model)
 
 
-def test_contours_present_in_2d():
-    report = synthetic_report(contour_resolution=64)
-    assert set(report.contours) == {"sum", "product", "joint"}
-    assert all(len(cs.polylines) >= 1 for cs in report.contours.values())
+def test_contours_present_in_2d(tmp_path):
+    # identify leaves the contours to the CLI: one CSV per constraint plus
+    # the joint, each the marching-squares boundary of the saved expression
+    out = tmp_path / "ds"
+    assert cli.main(["identify", "--n", "32", "--grid", "64", "--out", str(out),
+                     "--config", str(KELVIN_CFG)]) == 0
+    report = load_report(out / "ds_report.json")
+    bounds = [(a.lo, a.hi) for a in report.box]
+    regions = {c.name: c.phi for c in report.constraints} | {"joint": report.joint}
+    for name, region in regions.items():
+        emit_contours_csv(tmp_path / "expected.csv",
+                          marching_squares(grid_eval(region, bounds, 64)))
+        rows = (out / ("joint.csv" if name == "joint" else f"phi_{name}.csv")).read_text()
+        assert rows.splitlines()[1:] == (tmp_path / "expected.csv").read_text().splitlines()
+        # the purity boundary, and with it the joint one, crosses the kelvin box
+        if name != "profit":
+            assert len(rows.splitlines()) > 2
 
 
 def test_joint_expression_single_constraint():
@@ -269,6 +292,16 @@ def test_report_save_load_round_trip(tmp_path):
         assert c_new.threshold == c_old.threshold
     for u in [(300.0, 300.0), (250.0, 250.0), (275.0, 275.0), (265.0, 290.0)]:
         assert membership(loaded, u) == membership(report, u)
+
+
+@pytest.mark.parametrize("fixture", REPORT_FIXTURES, ids=lambda p: p.stem)
+def test_saved_report_round_trips_byte_for_byte(fixture, tmp_path):
+    # pins the tree reader, the tree writer and the infix printer on real trees
+    saved = json.loads(fixture.read_text())
+    path = tmp_path / "again.json"
+    save_report(load_report(fixture), path, artifacts=saved["files"],
+                provenance=saved["provenance"])
+    assert path.read_bytes() == fixture.read_bytes()
 
 
 def test_load_rejects_other_files(tmp_path):

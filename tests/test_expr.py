@@ -1,8 +1,9 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from rfuncds.errors import (
     AlphaOutOfRange,
@@ -11,9 +12,9 @@ from rfuncds.errors import (
     UnboundVariable,
 )
 from rfuncds.expr import (
-    Abs, And, Const, Leaf, Min, Mul, Neg, Not, Pow, RAnd, Region, Sqrt, Sub, Var,
-    canonicalize_alpha1, compose, depth, eval_arrays, eval_expr, r_and, r_not, r_or,
-    sign_class, walk,
+    NODES, Abs, Add, And, Const, Expr, Leaf, Max, Min, Mul, Neg, Not, Pow, RAnd, ROr, Region,
+    Sqrt, Sub, Var, canonicalize_alpha1, children, compose, depth, desugar_r_nodes, eval_arrays,
+    eval_expr, r_and, r_not, r_or, sign_class, walk,
 )
 from rfuncds.geometry import Circle, primitive, testcase as load_case
 
@@ -160,6 +161,16 @@ def test_depth_needs_no_recursion():
     assert sum(1 for _ in walk(expr)) == 20_001
 
 
+def test_eval_takes_one_frame_per_level():
+    # trees built in memory have no depth cap; at two frames per level an
+    # 800-level tree would exceed Python's default recursion limit
+    expr = A
+    for _ in range(400):
+        expr = RAnd(Add(expr, Const(1.0)), B, 1.0)
+    assert eval_expr(expr, {"a": 0.0, "b": 1000.0}) == 400.0
+    assert eval_arrays(expr, {"a": np.zeros(2), "b": np.full(2, 5.0)}).tolist() == [5.0, 5.0]
+
+
 # ----------------------------------------------------------------------
 # canonicalization
 
@@ -185,6 +196,111 @@ def test_canonicalize_fixpoint_without_r_nodes():
 def test_canonicalize_keeps_other_alpha():
     expr = RAnd(Var("x"), Var("y"), 0.5)
     assert canonicalize_alpha1(expr) is expr
+
+
+# random trees over every node kind but Sqrt (whose domain a random tree
+# would leave); R-nodes take alpha = 1 or a well-conditioned alpha
+_X, _Y = Var("x"), Var("y")
+
+
+def _random_trees(alphas):
+    def branches(inner):
+        pairs = st.tuples(inner, inner)
+        return st.one_of(
+            *(pairs.map(lambda ab, c=c: c(*ab)) for c in (Add, Sub, Mul, Min, Max)),
+            inner.map(Neg), inner.map(Abs), inner.map(lambda e: Pow(e, 2)),
+            *(st.tuples(inner, inner, alphas).map(lambda t, c=c: c(*t)) for c in (RAnd, ROr)),
+        )
+    leaves = st.one_of(st.floats(-5, 5).map(Const), st.sampled_from([_X, _Y]))
+    return st.recursive(leaves, branches, max_leaves=12)
+
+
+_any_alpha = st.one_of(st.just(1.0), st.floats(-0.99, 0.99))
+_points = {"x": st.floats(-3, 3), "y": st.floats(-3, 3)}
+
+
+
+def _sum(e, a, b):
+    return a + b
+
+
+# the expression evaluated on operand magnitudes; each node's entry bounds
+# both its value and how much it scales rounding errors in its operands
+# (an R-node's partial derivatives are at most 2 / (1 + alpha))
+_MAGNITUDE = {
+    Add: _sum, Sub: _sum, Min: _sum, Max: _sum,
+    Mul: lambda e, a, b: a * b,
+    Neg: lambda e, a: a, Abs: lambda e, a: a,
+    Pow: lambda e, a: a ** e.exponent,
+    RAnd: lambda e, a, b: 2 * (a + b) / (1 + e.alpha),
+    ROr: lambda e, a, b: 2 * (a + b) / (1 + e.alpha),
+}
+
+
+def _magnitude(e, env) -> float:
+    operands = children(e)
+    if not operands:
+        return abs(eval_expr(e, env))
+    return _MAGNITUDE[type(e)](e, *(_magnitude(c, env) for c in operands))
+
+
+def _assert_same_value(rewritten, expr, env):
+    # The rewrites round differently from the nodes they replace, and that
+    # difference grows with the operands, not with the result: the abs form
+    # 0.5*((a+b) - |a-b|) of min(a, b) is off by about eps*|a| when b << a,
+    # and later products scale it further.  So the bound is relative to the
+    # magnitude evaluation, which bounds every operand and every such factor.
+    magnitude = _magnitude(expr, env)
+    assume(magnitude < 1e150)  # the radical form squares operands
+    v = eval_expr(expr, env)
+    assert abs(eval_expr(rewritten, env) - v) <= 1e-12 * (1 + magnitude)
+
+
+_C625 = Pow(Pow(Const(5.0), 2), 2)
+
+
+# min(390625, 0.1) in abs form is off by about 1e-11: within 1e-12 of the
+# operands, but not of the result
+@example(expr=RAnd(Pow(_C625, 2), _X, 1.0), x=0.1, y=0.0)
+# the same error, scaled by later factors far beyond any operand of the R-node
+@example(expr=Mul(Mul(RAnd(_C625, _X, 1.0), _C625), _C625), x=0.001, y=0.0)
+@given(expr=_random_trees(_any_alpha), **_points)
+def test_canonicalize_and_desugar_preserve_values(expr, x, y):
+    env = {"x": x, "y": y}
+    _assert_same_value(canonicalize_alpha1(expr), expr, env)
+    _assert_same_value(desugar_r_nodes(canonicalize_alpha1(expr)), expr, env)
+
+
+@given(expr=_random_trees(st.floats(-0.99, 0.99)), **_points)
+def test_desugar_preserves_values_below_alpha1(expr, x, y):
+    _assert_same_value(desugar_r_nodes(expr), expr, {"x": x, "y": y})
+
+
+def test_desugared_alpha1_loses_sqrt_eps_near_a_equals_b():
+    # the radical form of an alpha = 1 node computes sqrt((a-b)^2) from
+    # a^2 + b^2 - 2ab, which cancels to rounding noise when a is close to b
+    expr = RAnd(_X, _Y, 1.0)
+    env = {"x": 1.0, "y": 1.0 + 1e-9}
+    assert eval_expr(expr, env) == 1.0
+    assert eval_expr(canonicalize_alpha1(expr), env) == 1.0
+    assert abs(eval_expr(desugar_r_nodes(expr), env) - 1.0000000005) <= 1e-12
+
+
+def _concrete_subclasses(cls):
+    for sub in cls.__subclasses__():
+        # dataclass(slots=True) replaces each class; skip the replaced ones
+        if getattr(sys.modules[sub.__module__], sub.__qualname__, None) is sub:
+            yield sub
+        yield from _concrete_subclasses(sub)
+
+
+def test_node_table_covers_every_expression_class():
+    classes = set(_concrete_subclasses(Expr))
+    assert classes == set(NODES)
+    for cls, node in NODES.items():
+        # constructors take the operands first, then the parameters
+        assert [f.name for f in dataclasses.fields(cls)] == [*node.operands, *node.params]
+    assert len({node.tag for node in NODES.values()}) == len(NODES)
 
 
 # ----------------------------------------------------------------------
