@@ -75,16 +75,13 @@ from .polyfit import (
     fit_report,
     to_expr,
 )
-from .qmc import SampleSet, scale, sobol
+from .qmc import scale, sobol
 from .reactor import (
     CQA_BASIS,
-    DEFAULT_BOX,
     DEFAULT_PARAMS,
     PROFIT_MIN,
     PURITY_MIN,
-    Box,
     KineticParams,
-    OperatingPoint,
     ReactorOutcome,
     batch_cqa,
     cqa_closed,

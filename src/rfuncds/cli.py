@@ -186,13 +186,12 @@ def cmd_identify(args, provenance: str) -> int:
         print("error: --skip must be >= 0", file=sys.stderr)
         return 2
     check_alpha(args.alpha)
-    params, box = reactor.DEFAULT_PARAMS, reactor.DEFAULT_BOX
-    if args.config is not None:
-        try:
-            params, box = reactor.apply_config(_load_config(args.config), params, box)
-        except (ValueError, KeyError, FileNotFoundError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        params, box = reactor.apply_config(
+            _load_config(args.config) if args.config is not None else {})
+    except (ValueError, KeyError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     provenance = f"{provenance} | model reactor.cqa_closed"
 
     def model(points):
@@ -202,14 +201,12 @@ def cmd_identify(args, provenance: str) -> int:
         ds.ConstraintSpec("purity", reactor.PURITY_MIN),
         ds.ConstraintSpec("profit", reactor.PROFIT_MIN),
     ]
-    box_axes = [ds.BoxAxis("T", box.T[0], box.T[1], unit="K"),
-                ds.BoxAxis("t", box.t[0], box.t[1], unit="min")]
-    report = ds.identify(constraints, box_axes, args.n, reactor.CQA_BASIS,
+    report = ds.identify(constraints, box, args.n, reactor.CQA_BASIS,
                          alpha=args.alpha, model=model, skip=args.skip)
     out = _outdir(args)
 
     # each field is evaluated once, for its contours and (joint) the shading
-    bounds = [(a.lo, a.hi) for a in box_axes]
+    bounds = [(a.lo, a.hi) for a in box]
     joint_field = grid_eval(report.joint, bounds, args.grid)
     joint_contours = marching_squares(joint_field)
     contours = {c.name: marching_squares(grid_eval(c.phi, bounds, args.grid))
@@ -280,8 +277,7 @@ def cmd_sobol(args, provenance: str) -> int:
     if args.skip < 0:
         print("error: --skip must be >= 0", file=sys.stderr)
         return 2
-    samples = qmc.sobol(args.d, args.n, skip=args.skip)
-    for row in samples.points:
+    for row in qmc.sobol(args.d, args.n, skip=args.skip):
         print(",".join(repr(float(v)) for v in row))
     return 0
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import exprtext
 from .errors import (
-    AlphaOutOfRange, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, ParseError,
+    AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox,
+    ParseError,
 )
 from .expr import (
     And, Const, Leaf, Region, Sub, check_alpha, compose, eval_arrays, sign_class,
@@ -32,10 +33,24 @@ REPORT_FORMAT = "rfuncds-ds-report/1"
 
 @dataclass(frozen=True)
 class BoxAxis:
+    """One parameter range of the box that the Sobol points fill.
+
+    ``lo`` and ``hi`` are stored as floats and must be finite with
+    ``lo < hi``; anything else raises BoundsMismatch.
+    """
+
     name: str
     lo: float
     hi: float
     unit: str | None = None
+
+    def __post_init__(self):
+        lo, hi = float(self.lo), float(self.hi)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise BoundsMismatch(f"box axis {self.name!r} needs finite bounds with "
+                                 f"lo < hi, got [{lo!r}, {hi!r}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
 @dataclass(frozen=True)
@@ -126,7 +141,7 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
         return values
 
     bounds = [(axis.lo, axis.hi) for axis in box]
-    train = scale(sobol(len(box), n_samples, skip), bounds).points
+    train = scale(sobol(len(box), n_samples, skip), bounds)
     y_train = run_model(train)
 
     reports = []
@@ -144,7 +159,7 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     joint = compose(And(*leaves), alpha)
 
     validation_skip = skip + n_samples
-    val = scale(sobol(len(box), n_validation, validation_skip), bounds).points
+    val = scale(sobol(len(box), n_validation, validation_skip), bounds)
     y_val = run_model(val)
     env = {name: val[:, i] for i, name in enumerate(names)}
     predicted_in = eval_arrays(joint.expr, env) >= 0.0
@@ -263,14 +278,6 @@ def save_report(report: DSReport, path, artifacts: Mapping[str, str] | None = No
         fh.write("\n")
 
 
-def _load_box_axis(a) -> BoxAxis:
-    lo, hi = float(a["lo"]), float(a["hi"])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ParseError(None, f"box axis {a['name']!r} needs finite bounds with "
-                               f"lo < hi, got [{lo!r}, {hi!r}]")
-    return BoxAxis(a["name"], lo, hi, a.get("unit"))
-
-
 def load_report(path) -> DSReport:
     """Reload a saved report (metamodels and expressions).
 
@@ -287,9 +294,9 @@ def load_report(path) -> DSReport:
         raise ValueError(f"not a {REPORT_FORMAT} file: {path}")
     try:
         alpha = check_alpha(obj["alpha"])
-    except AlphaOutOfRange as exc:
+        box = tuple(BoxAxis(a["name"], a["lo"], a["hi"], a.get("unit")) for a in obj["box"])
+    except (AlphaOutOfRange, BoundsMismatch) as exc:
         raise ParseError(None, str(exc)) from None
-    box = tuple(_load_box_axis(a) for a in obj["box"])
     names = tuple(a.name for a in box)
     units = tuple(a.unit for a in box)
     constraints = []

@@ -337,15 +337,16 @@ def canonicalize_alpha1(expr: Expr) -> Expr:
     """Rewrite every alpha=1 R-node into its abs form.
 
     RAnd(1)(a, b) -> 0.5*((a+b) - |a-b|), ROr(1) with '+'.  Values are
-    preserved (within 1e-12); all other nodes are left untouched.
+    preserved (within 1e-12); all other nodes are left untouched.  The
+    result shares each rewritten node's operands between a+b and |a-b|.
     """
-    def rec(e: Expr) -> Expr:
+    def step(e: Expr, rec) -> Expr:
         join = _R_JOIN.get(type(e))
         if join is not None and e.alpha == 1.0:
             a, b = rec(e.a), rec(e.b)
             return Mul(Const(0.5), join(Add(a, b), Abs(Sub(a, b))))
         return _rebuild(e, rec)
-    return rec(expr)
+    return _rewrite(expr, step)
 
 
 def desugar_r_nodes(expr: Expr) -> Expr:
@@ -353,13 +354,28 @@ def desugar_r_nodes(expr: Expr) -> Expr:
 
     Used when emitting expressions in a form free of R-specific node kinds.
     """
-    def rec(e: Expr) -> Expr:
+    def step(e: Expr, rec) -> Expr:
         join = _R_JOIN.get(type(e))
         if join is not None:
             a, b = rec(e.a), rec(e.b)
             rad = Sub(Add(Pow(a, 2), Pow(b, 2)), Mul(Const(2.0 * e.alpha), Mul(a, b)))
             return Mul(Const(1.0 / (1.0 + e.alpha)), join(Add(a, b), Sqrt(rad)))
         return _rebuild(e, rec)
+    return _rewrite(expr, step)
+
+
+def _rewrite(expr: Expr, step) -> Expr:
+    """Rebuild ``expr`` bottom-up through ``step(node, rec)``, once per
+    distinct node: results are memoized by node identity, so a node shared
+    by several parents is rewritten once and its result is shared too."""
+    memo: dict[int, tuple[Expr, Expr]] = {}
+
+    def rec(e: Expr) -> Expr:
+        hit = memo.get(id(e))
+        if hit is None:
+            # the key node is kept alive with the result so its id stays unique
+            hit = memo[id(e)] = (e, step(e, rec))
+        return hit[1]
     return rec(expr)
 
 

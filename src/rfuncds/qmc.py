@@ -12,7 +12,6 @@ the documented ``d s a m_1..m_s`` row format (see docs/formats.md).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -24,17 +23,6 @@ N_BITS = 32
 MAX_DIMENSION = 16
 _DATA_FILE = "sobol_directions_d16.txt"
 _DATA_SHA256 = "e4d5fd6d239680ded367b1d0a176560b14718c2c2ba25e948df6a140cc1c4407"
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    dimension: int
-    points: np.ndarray  # (n, dimension) float64
-    skip: int
-    bounds: tuple[tuple[float, float], ...] | None = None  # set after scale()
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 @lru_cache(maxsize=1)
@@ -80,8 +68,9 @@ def _directions(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(columns)
 
 
-def sobol(d: int, n: int, skip: int = 1) -> SampleSet:
-    """First ``n`` points of the d-dimensional Sobol sequence after ``skip``."""
+def sobol(d: int, n: int, skip: int = 1) -> np.ndarray:
+    """First ``n`` points of the d-dimensional Sobol sequence after ``skip``,
+    as an ``(n, d)`` array."""
     if not 1 <= d <= MAX_DIMENSION:
         raise DimensionUnsupported(d, MAX_DIMENSION)
     if n < 1:
@@ -104,23 +93,19 @@ def sobol(d: int, n: int, skip: int = 1) -> SampleSet:
             for j in range(d):
                 out[row, j] = x[j] * scale_back
             row += 1
-    return SampleSet(dimension=d, points=out, skip=skip)
+    return out
 
 
-def scale(samples: SampleSet, bounds) -> SampleSet:
-    """Map unit-cube samples into a box via x <- lo + x*(hi - lo) per axis."""
+def scale(points: np.ndarray, bounds) -> np.ndarray:
+    """Map ``(n, d)`` unit-cube points into a box via x <- lo + x*(hi - lo)
+    per axis."""
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    if len(bounds) != samples.dimension:
+    if len(bounds) != points.shape[1]:
         raise BoundsMismatch(
-            f"{len(bounds)} bound pairs for dimension {samples.dimension}")
+            f"{len(bounds)} bound pairs for dimension {points.shape[1]}")
     for lo, hi in bounds:
         if not lo < hi:
             raise BoundsMismatch(f"need lo < hi, got ({lo}, {hi})")
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    return SampleSet(
-        dimension=samples.dimension,
-        points=lo + samples.points * (hi - lo),
-        skip=samples.skip,
-        bounds=bounds,
-    )
+    return lo + points * (hi - lo)

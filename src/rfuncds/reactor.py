@@ -18,10 +18,12 @@ vectorized closed form for point sets: C_A has the closed-form Riccati
 solution, C_B follows exactly from an integrating factor in terms of the
 exponential integral Ei, and C_C from conservation.  Ei is evaluated in
 numpy alone, by an all-positive power series up to 40 and by the
-asymptotic sum above, with no quadrature.  An a-posteriori estimate (the
-truncation bound of the sum that ran plus a rounding bound that shows
-cancellation) guards every point.  The closed form is verified against the
-generic path and against high-precision reference values in the test suite.
+asymptotic sum above, with no quadrature; where the reactions nearly
+freeze, a second-order expansion of C_B replaces the Ei form.  An
+a-posteriori estimate (the truncation bound of the sum or expansion that
+ran plus a rounding bound that shows cancellation) guards every point.
+The closed form is verified against the generic path and against
+high-precision reference values in the test suite.
 
 Two model backends share the design-space identifier's contract, an
 ``(n, 2)`` array of (T, t) rows in and an ``(n, 2)`` array of (purity,
@@ -35,10 +37,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from .ds import BoxAxis
 from .errors import (
     BoundsMismatch, IntegratorFailure, NonpositiveTemperature, ToleranceNotMet,
 )
@@ -78,50 +80,28 @@ class KineticParams:
 DEFAULT_PARAMS = KineticParams()
 
 
-class OperatingPoint(NamedTuple):
-    T: float  # temperature, K
-    t: float  # processing time, min
-
-
-@dataclass(frozen=True)
-class Box:
-    T: tuple[float, float] = (250.0, 300.0)
-    t: tuple[float, float] = (250.0, 300.0)
-
-    def __post_init__(self):
-        for name, (lo, hi) in (("T", self.T), ("t", self.t)):
-            if not lo < hi:
-                raise BoundsMismatch(f"{name} bounds need lo < hi, got ({lo}, {hi})")
-        if not self.T[0] > 0:
-            raise NonpositiveTemperature(self.T[0])
-        if not self.t[0] > 0:
-            raise BoundsMismatch(f"processing time must be positive, got t_lo = {self.t[0]!r}")
-
-    def contains(self, u: OperatingPoint) -> bool:
-        return self.T[0] <= u.T <= self.T[1] and self.t[0] <= u.t <= self.t[1]
-
-
-DEFAULT_BOX = Box()
-
 # config file schema: KineticParams fields plus box bounds
 _PARAM_KEYS = {f.name for f in dataclasses.fields(KineticParams)}
 _BOX_KEYS = {"T_lo", "T_hi", "t_lo", "t_hi"}
 CONFIG_KEYS = _PARAM_KEYS | _BOX_KEYS
 
 
-def apply_config(overrides: dict, params: KineticParams = DEFAULT_PARAMS,
-                 box: Box = DEFAULT_BOX) -> tuple[KineticParams, Box]:
-    """Apply a key->float override mapping; returns (params, box)."""
+def apply_config(overrides: dict, params: KineticParams = DEFAULT_PARAMS
+                 ) -> tuple[KineticParams, tuple[BoxAxis, BoxAxis]]:
+    """Apply a key->float override mapping to ``params`` and the default
+    250..300 box; returns (params, (T axis, t axis))."""
     unknown = set(overrides) - CONFIG_KEYS
     if unknown:
         raise KeyError(f"unknown config keys: {sorted(unknown)}; known: {sorted(CONFIG_KEYS)}")
     pvals = {k: float(v) for k, v in overrides.items() if k in _PARAM_KEYS}
     if pvals:
         params = dataclasses.replace(params, **pvals)
-    box = Box(
-        T=(float(overrides.get("T_lo", box.T[0])), float(overrides.get("T_hi", box.T[1]))),
-        t=(float(overrides.get("t_lo", box.t[0])), float(overrides.get("t_hi", box.t[1]))),
-    )
+    box = (BoxAxis("T", overrides.get("T_lo", 250.0), overrides.get("T_hi", 300.0), unit="K"),
+           BoxAxis("t", overrides.get("t_lo", 250.0), overrides.get("t_hi", 300.0), unit="min"))
+    if not box[0].lo > 0:
+        raise NonpositiveTemperature(box[0].lo)
+    if not box[1].lo > 0:
+        raise BoundsMismatch(f"processing time must be positive, got t_lo = {box[1].lo!r}")
     return params, box
 
 
@@ -159,18 +139,19 @@ class ReactorOutcome:
 _METHODS = {"lsoda": "LSODA", "radau": "Radau", "bdf": "BDF"}
 
 
-def integrate(u: OperatingPoint, params: KineticParams = DEFAULT_PARAMS,
+def integrate(T: float, t: float, params: KineticParams = DEFAULT_PARAMS,
               rtol: float = 1e-8, atol: float = 1e-10, method: str = "lsoda",
               dense: bool = False) -> Trajectory:
-    """Integrate the reactor ODEs over tau in [0, 1] with error control."""
+    """Integrate the reactor ODEs over tau in [0, 1] with error control,
+    at temperature ``T`` (K) for a batch of ``t`` minutes."""
     if method not in _METHODS:
         raise ValueError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
-    if not u.t > 0:
-        raise ValueError(f"processing time must be positive, got {u.t!r}")
+    if not t > 0:
+        raise ValueError(f"processing time must be positive, got {t!r}")
     from scipy.integrate import solve_ivp
 
-    k1, k2 = rate_constants(u.T, params)
-    t = float(u.t)
+    k1, k2 = rate_constants(T, params)
+    t = float(t)
 
     def rhs(tau, y):
         a, b, _ = y
@@ -212,13 +193,14 @@ def _outcome(c_a, c_b, c_c, t, params, steps, nfev, defect) -> ReactorOutcome:
                           steps=steps, nfev=nfev, error_estimate=defect)
 
 
-def simulate(u: OperatingPoint, params: KineticParams = DEFAULT_PARAMS,
+def simulate(T: float, t: float, params: KineticParams = DEFAULT_PARAMS,
              rtol: float = 1e-8, atol: float = 1e-10, method: str = "lsoda"
              ) -> ReactorOutcome:
-    """Run one batch and report final concentrations plus Purity and Profit."""
-    tr = integrate(u, params, rtol=rtol, atol=atol, method=method)
+    """Run one batch at temperature ``T`` (K) for ``t`` minutes and report
+    final concentrations plus Purity and Profit."""
+    tr = integrate(T, t, params, rtol=rtol, atol=atol, method=method)
     c_a, c_b, c_c = tr.states[:, -1]
-    return _outcome(float(c_a), float(c_b), float(c_c), float(u.t), params,
+    return _outcome(float(c_a), float(c_b), float(c_c), float(t), params,
                     tr.steps, tr.nfev, tr.conservation_defect)
 
 
@@ -230,6 +212,7 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _SERIES_CUT = 40.0       # power series for y <= 40, asymptotic sum above
 _ROUNDING_UNITS = 4.0    # rounding errors per bracket term, in units of eps
+_FROZEN = 1e-6           # gamma + lam at or below this: second-order expansion
 
 
 def _ei_series(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,10 +291,16 @@ def _b_final(T, t, params: KineticParams) -> tuple[np.ndarray, np.ndarray]:
     beta exp(-lam-beta) Ei(beta)] regrouped with beta/x = 1/(1+gamma).
     The estimate adds the truncation bounds of the sums that ran and
     ``_ROUNDING_UNITS`` eps times the magnitudes of the parts, relative to
-    the bracket, so cancellation shows in it.  Where the reactions nearly
-    freeze (beta <= 40 and gamma tiny, so lam = beta gamma is tiny too) the
-    two O(1) terms cancel to O(gamma): the estimate grows like 1e-15/gamma
-    and fails the default check below gamma of about 2e-8.
+    the bracket, so cancellation shows in it.
+
+    Where the reactions nearly freeze (gamma + lam <= ``_FROZEN``) the
+    bracket's two O(1) terms would cancel to O(gamma), so the second-order
+    expansion of the integrating-factor integral replaces it:
+
+        C_B(1) = (gamma C_A0/2) (1 - gamma - lam/2 + gamma^2
+                                 + gamma lam/3 + lam^2/6),
+
+    whose truncation is below (gamma + lam)^3 relative.
     """
     k1 = params.k1_0 * np.exp(-params.e1 / (params.r_gas * T))
     k2 = params.k2_0 * np.exp(-params.e2 / (params.r_gas * T))
@@ -326,7 +315,13 @@ def _b_final(T, t, params: KineticParams) -> tuple[np.ndarray, np.ndarray]:
     bracket = inv * d_x - decay * d_b
     error = (inv * trunc_x + decay * trunc_b
              + _ROUNDING_UNITS * _EPS * (inv * size_x + decay * size_b))
-    return 0.5 * params.c_a0 * bracket, error / np.maximum(np.abs(bracket), _TINY)
+    rel = error / np.maximum(np.abs(bracket), _TINY)
+    frozen = gamma + lam <= _FROZEN
+    if frozen.any():
+        g, lf = gamma[frozen], lam[frozen]
+        bracket[frozen] = g * (1.0 - g - 0.5 * lf + g * g + g * lf / 3.0 + lf * lf / 6.0)
+        rel[frozen] = (g + lf) ** 3 + _ROUNDING_UNITS * _EPS
+    return 0.5 * params.c_a0 * bracket, rel
 
 
 def batch_cqa(T, t, params: KineticParams = DEFAULT_PARAMS,
@@ -371,7 +366,7 @@ def cqa_ode(points, params: KineticParams = DEFAULT_PARAMS, rtol: float = 1e-8,
 
     Rows run in order; each run's conservation check applies.
     """
-    rows = [simulate(OperatingPoint(T, t), params, rtol=rtol, atol=atol)
+    rows = [simulate(T, t, params, rtol=rtol, atol=atol)
             for T, t in np.asarray(points, dtype=float)]
     return np.array([(out.purity, out.profit) for out in rows], dtype=float).reshape(-1, 2)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rfuncds import reactor
 from rfuncds.expr import And, Leaf, Not, Or, eval_arrays
 
 
@@ -35,3 +36,17 @@ def grid_env(bounds, resolution):
 def rng():
     # fresh per test so draws do not depend on execution order
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def failing_estimate(monkeypatch):
+    """Make every closed-form C_B error estimate read 2.5e-6, above
+    batch_cqa's default check_tol.
+
+    The check guards the closed form, but a scan of 1e-14 <= gamma <= 1e4,
+    1e-8 <= beta <= 8e5 finds no estimate above about 6.4e-9, so tests of
+    the check and of its exit path inject the estimate.
+    """
+    real = reactor._b_final
+    monkeypatch.setattr(reactor, "_b_final",
+                        lambda T, t, params: (real(T, t, params)[0], np.full(T.shape, 2.5e-6)))

@@ -10,9 +10,9 @@ two must agree to 1e-30 relative.
     python tests/make_cb_reference.py           # (re)write the fixture
     python tests/make_cb_reference.py --check   # regenerate, exit 1 on any difference
 
-``expect`` records what ``reactor.batch_cqa`` must do at its default
-``check_tol``: return the value, or raise ToleranceNotMet where the
-bracket's O(1) terms cancel (tiny gamma with beta <= 40).
+The ``frozen`` and ``tiny-gamma-*`` points have gamma + lam <= 1e-6, where
+``reactor._b_final`` uses its second-order expansion in place of the
+bracket, whose O(1) terms cancel there.
 """
 
 from __future__ import annotations
@@ -45,32 +45,33 @@ def _direct(gamma: float, lam: float) -> dict:
 def points() -> list[dict]:
     out = []
     corners = [(250.0, 250.0), (250.0, 300.0), (300.0, 250.0), (300.0, 300.0)]
-    sampled = [tuple(p) for p in scale(sobol(2, 8, 1), BOX).points.tolist()]
+    sampled = [tuple(p) for p in scale(sobol(2, 8, 1), BOX).tolist()]
     for regime, params in (("si", {}), ("kelvin", {"r_gas": 1.0})):
         for k, (T, t) in enumerate(sampled + corners):
-            out.append({"label": f"{regime}-{k}", "T": T, "t": t, "params": params,
-                        "expect": "value"})
+            out.append({"label": f"{regime}-{k}", "T": T, "t": t, "params": params})
     direct = [
-        ("x-32", 1.0, 16.0, "value"),                 # x = 32: series, not asymptotic
-        ("beta-30-x-33", 0.1, 3.0, "value"),          # beta = 30, x = 33
-        ("x-below-cut", 1.0, 19.95, "value"),         # x = 39.9
-        ("x-above-cut", 1.0, 20.05, "value"),         # x = 40.1
-        ("beta-below-cut", 0.025, 0.99, "value"),     # beta = 39.6, x = 40.59
-        ("beta-above-cut", 0.025, 1.0125, "value"),   # beta = 40.5
-        ("large-beta-x-39", 0.25, 7.8, "value"),      # beta = 31.2, x = 39
-        ("large-beta-x-39.7", 0.0125, 0.49, "value"),  # beta = 39.2, x = 39.69
-        ("both-asymptotic", 1e-3, 0.5, "value"),      # beta = 500
-        ("both-moderate", 3.0, 60.0, "value"),        # beta = 20, x = 80
-        ("tiny-gamma", 1e-10, 1.0, "value"),          # beta = 1e10
-        ("tiny-gamma-tiny-lam", 1e-10, 1e-9, "ToleranceNotMet"),   # beta = 10
-        ("tiny-gamma-beta-40", 1e-10, 4e-9, "ToleranceNotMet"),
-        ("tiny-lam", 1.0, 1e-12, "value"),
-        ("tiny-lam-large-gamma", 10.0, 1e-9, "value"),
-        ("subnormal-scale-lam", 5.0, 1e-300, "value"),
+        ("x-32", 1.0, 16.0),                  # x = 32: series, not asymptotic
+        ("beta-30-x-33", 0.1, 3.0),           # beta = 30, x = 33
+        ("x-below-cut", 1.0, 19.95),          # x = 39.9
+        ("x-above-cut", 1.0, 20.05),          # x = 40.1
+        ("beta-below-cut", 0.025, 0.99),      # beta = 39.6, x = 40.59
+        ("beta-above-cut", 0.025, 1.0125),    # beta = 40.5
+        ("large-beta-x-39", 0.25, 7.8),       # beta = 31.2, x = 39
+        ("large-beta-x-39.7", 0.0125, 0.49),  # beta = 39.2, x = 39.69
+        ("both-asymptotic", 1e-3, 0.5),       # beta = 500
+        ("both-moderate", 3.0, 60.0),         # beta = 20, x = 80
+        ("tiny-gamma", 1e-10, 1.0),           # beta = 1e10
+        ("tiny-gamma-tiny-lam", 1e-10, 1e-9),  # beta = 10
+        ("tiny-gamma-beta-40", 1e-10, 4e-9),
+        ("frozen-below-cut", 1e-7, 8.9e-7),   # gamma + lam = 9.9e-7, beta = 8.9
+        ("frozen-large-beta", 1e-12, 9e-7),   # beta = 9e5
+        ("frozen-lam-underflow", 1e-12, 1e-300),
+        ("tiny-lam", 1.0, 1e-12),
+        ("tiny-lam-large-gamma", 10.0, 1e-9),
+        ("subnormal-scale-lam", 5.0, 1e-300),
     ]
-    for label, gamma, lam, expect in direct:
-        out.append({"label": label, "T": 300.0, "t": 1.0, "params": _direct(gamma, lam),
-                    "expect": expect})
+    for label, gamma, lam in direct:
+        out.append({"label": label, "T": 300.0, "t": 1.0, "params": _direct(gamma, lam)})
     return out
 
 

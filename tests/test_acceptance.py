@@ -26,7 +26,6 @@ from rfuncds.reactor import (
     CQA_BASIS,
     DEFAULT_PARAMS,
     KineticParams,
-    OperatingPoint,
     PROFIT_MIN,
     PURITY_MIN,
     batch_cqa,
@@ -152,11 +151,11 @@ def test_criterion_05_3d_composites():
 
 
 def test_criterion_06_reactor_integrator():
-    pts = scale(sobol(2, 16, 1), [(250, 300), (250, 300)]).points
+    pts = scale(sobol(2, 16, 1), [(250, 300), (250, 300)])
     taus = np.linspace(0.1, 1.0, 10)
     worst_riccati = worst_defect = 0.0
     for T, t in pts:
-        tr = integrate(OperatingPoint(T, t), dense=True)
+        tr = integrate(T, t, dense=True)
         k1, _ = rate_constants(T)
         exact = DEFAULT_PARAMS.c_a0 / (1.0 + 2.0 * t * k1 * DEFAULT_PARAMS.c_a0 * taus)
         numeric = tr.interpolant(taus)[0]

@@ -181,7 +181,10 @@ def test_no_model_runs_guard_trips(tmp_path, no_model_runs):
     "T_lo = -5\n",
     "t_lo = 300\nt_hi = 260\n",
     "t_lo = 0\n",
-], ids=["T_lo>T_hi", "T_lo<0", "t_lo>t_hi", "t_lo=0"])
+    "T_hi = inf\n",
+    "t_hi = inf\n",
+    "T_lo = nan\n",
+], ids=["T_lo>T_hi", "T_lo<0", "t_lo>t_hi", "t_lo=0", "T_hi=inf", "t_hi=inf", "T_lo=nan"])
 def test_identify_rejects_bad_box(config, tmp_path, capsys, no_model_runs):
     cfg = tmp_path / "box.cfg"
     cfg.write_text(config)
@@ -276,12 +279,8 @@ def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert err == "error: step size underflow\n"
 
 
-def test_closed_refinement_failure_exits_1(tmp_path, capsys):
-    # gamma about 1e-10 and beta about 20: the closed form's bracket cancels
-    # to O(gamma), and its error estimate fails batch_cqa's own check
-    cfg = tmp_path / "frozen.cfg"
-    cfg.write_text("e1 = 0\ne2 = 0\nk1_0 = 1e-13\nk2_0 = 4e-12\nc_a0 = 1\n")
-    assert run(["identify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+def test_closed_refinement_failure_exits_1(tmp_path, capsys, failing_estimate):
+    assert run(["identify", "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -289,6 +288,21 @@ def test_closed_refinement_failure_exits_1(tmp_path, capsys):
     assert len(lines) == 1
     assert re.fullmatch(r"error: closed-form C_B error estimate \d\.\d{3}e-0[56] exceeds 1e-07",
                         lines[0])
+
+
+@pytest.mark.parametrize("config", [
+    "e1 = 0\ne2 = 0\nk1_0 = 1e-13\nk2_0 = 4e-12\nc_a0 = 1\n",
+    "T_lo = 0.5\n",
+], ids=["frozen-kinetics", "T_lo=0.5"])
+def test_identify_runs_where_reactions_freeze(config, tmp_path, capsys):
+    # gamma + lam below 1e-6 at some model points: the closed form's
+    # expansion covers them
+    cfg = tmp_path / "frozen.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert run(["identify", "--config", str(cfg), "--n", "8", "--grid", "8",
+                "--out", str(out)]) == 0
+    assert ds.load_report(out / "ds_report.json").validation.n_points == 256
 
 
 @pytest.mark.parametrize("argv", [["--grid", "1", "--n", "8"], ["--skip", "-5"]],

@@ -18,7 +18,7 @@ from rfuncds.ds import (
 )
 from rfuncds.emit import emit_contours_csv
 from rfuncds.errors import (
-    AlphaOutOfRange, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, ParseError,
+    AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, ParseError,
     RfuncdsError,
 )
 from rfuncds.expr import eval_arrays, eval_expr
@@ -159,7 +159,7 @@ def report_points(report, block):
     """The Sobol points of a report's training or validation block."""
     s = report.sampling
     n, skip = (s.n_train, s.skip) if block == "train" else (s.n_validation, s.validation_skip)
-    return scale(sobol(2, n, skip), [(a.lo, a.hi) for a in report.box]).points
+    return scale(sobol(2, n, skip), [(a.lo, a.hi) for a in report.box])
 
 
 def test_model_shares_runs_across_constraints():
@@ -202,6 +202,29 @@ def test_identify_validation_errors():
     bad_basis = BasisSpec(vars=("a", "b"), monomials=((0, 0),))
     with pytest.raises(ValueError):
         identify([SUM_SPEC], BOX, 16, bad_basis, model=sum_model)
+
+
+@pytest.mark.parametrize("lo, hi", [(300, 250), (250, 250), (float("nan"), 300),
+                                    (250, float("inf")), (float("-inf"), 300)])
+def test_box_axis_rejects_bad_bounds(lo, hi):
+    with pytest.raises(BoundsMismatch, match="lo < hi, got"):
+        BoxAxis("T", lo, hi)
+
+
+def test_box_axis_stores_floats():
+    axis = BoxAxis("T", 250, 300, unit="K")
+    assert (type(axis.lo), type(axis.hi)) == (float, float)
+    assert axis == BoxAxis("T", 250.0, 300.0, unit="K")
+
+
+def test_readme_identify_example_runs():
+    # the README's library example, run as written
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("Design-space identification:", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    assert membership(namespace["report"], (290.0, 280.0)) == "inside"
 
 
 @pytest.mark.parametrize("alpha", [2.0, -1.0, float("nan")])

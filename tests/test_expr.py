@@ -286,6 +286,31 @@ def test_desugared_alpha1_loses_sqrt_eps_near_a_equals_b():
     assert abs(eval_expr(desugar_r_nodes(expr), env) - 1.0000000005) <= 1e-12
 
 
+def _distinct_nodes(expr) -> int:
+    seen, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(children(node))
+    return len(seen)
+
+
+@pytest.mark.parametrize("alphas", [(1.0,), (1.0, 0.5)], ids=["alpha1", "alternating"])
+def test_rewrites_stay_linear_on_shared_operands(alphas):
+    # a left-nested 20-level r_and chain; the canonical form shares each
+    # alpha-1 node's operands between a+b and |a-b|, so a walk that does not
+    # notice the sharing reaches the innermost node 2^(alpha-1 levels) ways
+    depth = 20
+    expr = Var("x0")
+    for i in range(1, depth + 1):
+        expr = RAnd(expr, Var(f"x{i}"), alphas[i % len(alphas)])
+    canon = canonicalize_alpha1(expr)
+    # counted before the asserts, so a failure does not print the expressions
+    sizes = (_distinct_nodes(canon), _distinct_nodes(desugar_r_nodes(canon)))
+    assert sizes[0] <= 8 * depth and sizes[1] <= 16 * depth
+
+
 def _concrete_subclasses(cls):
     for sub in cls.__subclasses__():
         # dataclass(slots=True) replaces each class; skip the replaced ones

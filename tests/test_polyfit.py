@@ -62,7 +62,7 @@ def test_constant_target_convention():
 
 def test_recovers_polynomial_in_basis(rng):
     true = np.array([1.2e2, -3.0, 4.5e-3, 2.0, -1.0e-4])
-    pts = scale(sobol(2, 64, 1), [(250, 300), (250, 300)]).points
+    pts = scale(sobol(2, 64, 1), [(250, 300), (250, 300)])
     values = design_matrix(pts, CQA_BASIS) @ true
     fit = fit_least_squares(pts, values, CQA_BASIS)
     assert np.abs((fit.coefficients - true) / true).max() <= 1e-8
@@ -117,11 +117,11 @@ def test_to_expr_zero():
 
 
 def test_to_expr_matches_design_matrix(rng):
-    pts = scale(sobol(2, 64, 1), [(250, 300), (250, 300)]).points
+    pts = scale(sobol(2, 64, 1), [(250, 300), (250, 300)])
     values = rng.normal(size=64)
     fit = fit_least_squares(pts, values, CQA_BASIS)
     expr = to_expr(fit)
-    grid = scale(sobol(2, 100, 65), [(250, 300), (250, 300)]).points
+    grid = scale(sobol(2, 100, 65), [(250, 300), (250, 300)])
     via_expr = eval_arrays(expr, {"T": grid[:, 0], "t": grid[:, 1]})
     via_matrix = design_matrix(grid, CQA_BASIS) @ fit.coefficients
     assert np.abs(via_expr - via_matrix).max() <= 1e-10

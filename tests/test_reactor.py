@@ -10,9 +10,7 @@ from rfuncds.errors import NonpositiveTemperature, ToleranceNotMet
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import (
     DEFAULT_PARAMS,
-    Box,
     KineticParams,
-    OperatingPoint,
     _b_final,
     apply_config,
     batch_cqa,
@@ -27,7 +25,7 @@ from rfuncds.reactor import (
 # both quality attributes are O(1) and the purity threshold crosses the box
 KELVIN_PARAMS = KineticParams(r_gas=1.0)
 
-U_CENTER = OperatingPoint(275.0, 275.0)
+U_CENTER = (275.0, 275.0)
 
 # regression values pinned from rtol=1e-11/atol=1e-13 runs (Radau and LSODA
 # agree to ~1e-9 relative)
@@ -38,7 +36,7 @@ PINNED = {
 
 
 def sobol_points(n=16):
-    return scale(sobol(2, n, 1), [(250, 300), (250, 300)]).points
+    return scale(sobol(2, n, 1), [(250, 300), (250, 300)])
 
 
 def test_rate_constants_high_temperature_limit():
@@ -80,14 +78,14 @@ def test_params_validation():
                                           ("kelvin", KELVIN_PARAMS)])
 def test_pinned_regression_values(label, params):
     purity, profit = PINNED[label]
-    out = simulate(U_CENTER, params)
+    out = simulate(*U_CENTER, params)
     assert out.purity == pytest.approx(purity, rel=1e-5 if label == "default" else 1e-6)
     assert out.profit == pytest.approx(profit, rel=1e-6)
 
 
 def test_no_reaction_limit():
     params = KineticParams(k1_0=1e-300)
-    out = simulate(OperatingPoint(275.0, 275.0), params)
+    out = simulate(275.0, 275.0, params)
     assert out.c_a == pytest.approx(params.c_a0, rel=1e-12)
     assert out.c_b <= 1e-30 and out.c_c <= 1e-30
     assert out.purity <= 1e-30
@@ -100,8 +98,7 @@ def test_no_reaction_limit():
 def test_riccati_oracle_and_conservation(params):
     # closed-form solution of the decoupled A equation as an independent check
     for T, t in sobol_points(4):
-        u = OperatingPoint(T, t)
-        tr = integrate(u, params, dense=True)
+        tr = integrate(T, t, params, dense=True)
         k1, _ = rate_constants(T, params)
         taus = np.linspace(0.05, 1.0, 10)
         a_exact = params.c_a0 / (1.0 + 2.0 * t * k1 * params.c_a0 * taus)
@@ -113,7 +110,7 @@ def test_riccati_oracle_and_conservation(params):
 
 @pytest.mark.parametrize("params", [DEFAULT_PARAMS, KELVIN_PARAMS])
 def test_monotone_decay_and_nonnegativity(params):
-    tr = integrate(U_CENTER, params)
+    tr = integrate(*U_CENTER, params)
     a = tr.states[0]
     assert np.all(np.diff(a) < 0)
     assert tr.states.min() >= -1e-9 * params.c_a0
@@ -121,14 +118,14 @@ def test_monotone_decay_and_nonnegativity(params):
 
 def test_purity_in_unit_interval():
     for T, t in sobol_points(8):
-        out = simulate(OperatingPoint(T, t), KELVIN_PARAMS)
+        out = simulate(T, t, KELVIN_PARAMS)
         assert 0.0 <= out.purity <= 1.0
 
 
 def test_integrator_methods_agree():
     for params in (DEFAULT_PARAMS, KELVIN_PARAMS):
-        a = simulate(U_CENTER, params, method="lsoda")
-        b = simulate(U_CENTER, params, method="radau")
+        a = simulate(*U_CENTER, params, method="lsoda")
+        b = simulate(*U_CENTER, params, method="radau")
         scale_c = params.c_a0
         for fa, fb in ((a.c_a, b.c_a), (a.c_b, b.c_b), (a.c_c, b.c_c)):
             assert abs(fa - fb) <= 1e-7 * scale_c
@@ -152,11 +149,11 @@ def test_tolerance_halving_stability_default_regime():
 
 
 def test_integrate_reports_statistics():
-    tr = integrate(U_CENTER, KELVIN_PARAMS)
+    tr = integrate(*U_CENTER, KELVIN_PARAMS)
     assert tr.steps >= 10
     assert tr.nfev > tr.steps
     assert 0 <= tr.conservation_defect <= 1e-6
-    out = simulate(U_CENTER, KELVIN_PARAMS)
+    out = simulate(*U_CENTER, KELVIN_PARAMS)
     assert out.steps == tr.steps
     assert out.error_estimate == tr.conservation_defect
 
@@ -187,16 +184,10 @@ def test_apply_config():
     params, box = apply_config({"r_gas": 1.0, "T_lo": 240.0})
     assert params.r_gas == 1.0
     assert params.e1 == DEFAULT_PARAMS.e1
-    assert box.T == (240.0, 300.0)
+    assert (box[0].lo, box[0].hi) == (240.0, 300.0)
     for key in ("gas_constant", "rtol", "atol"):
         with pytest.raises(KeyError):
             apply_config({key: 1.0})
-
-
-def test_box_contains():
-    box = Box()
-    assert box.contains(OperatingPoint(250.0, 300.0))
-    assert not box.contains(OperatingPoint(249.9, 275.0))
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +203,7 @@ def test_backends_share_the_model_contract():
         ode = cqa_ode(pts, params)
         assert ode.shape == (8, 2)
         for (T, t), row in zip(pts, ode):
-            out = simulate(OperatingPoint(T, t), params)
+            out = simulate(T, t, params)
             assert row.tolist() == [out.purity, out.profit]
     assert cqa_closed(pts[:1]).shape == cqa_ode(pts[:1]).shape == (1, 2)
 
@@ -221,9 +212,9 @@ def test_ode_backend_runs_simulate_in_row_order(monkeypatch):
     seen = []
     real = reactor.simulate
 
-    def spy(u, *args, **kwargs):
-        seen.append(tuple(u))
-        return real(u, *args, **kwargs)
+    def spy(T, t, *args, **kwargs):
+        seen.append((T, t))
+        return real(T, t, *args, **kwargs)
 
     monkeypatch.setattr(reactor, "simulate", spy)
     pts = sobol_points(4)
@@ -231,12 +222,9 @@ def test_ode_backend_runs_simulate_in_row_order(monkeypatch):
     assert seen == [tuple(p) for p in pts.tolist()]
 
 
-def test_closed_backend_keeps_refinement_check():
-    # gamma = 1e-10 with beta = 10: the bracket's O(1) terms cancel to
-    # O(gamma), which the error estimate shows and the check refuses
-    params = KineticParams(e1=0.0, e2=0.0, k1_0=5e-11, k2_0=1e-9, c_a0=1.0)
-    with pytest.raises(ToleranceNotMet, match="error estimate"):
-        cqa_closed([(300.0, 1.0)], params)
+def test_closed_backend_keeps_refinement_check(failing_estimate):
+    with pytest.raises(ToleranceNotMet, match="error estimate 2.500e-06 exceeds 1e-07"):
+        cqa_closed([(300.0, 1.0)], KELVIN_PARAMS)
 
 
 def test_closed_form_stays_finite_where_reactions_freeze_or_race():
@@ -247,9 +235,25 @@ def test_closed_form_stays_finite_where_reactions_freeze_or_race():
     # rate constants so large that gamma and lam overflow: B decays at once
     purity, profit, est = batch_cqa([275.0], [275.0], KineticParams(k1_0=1e300, k2_0=1e300))
     assert purity[0] == 0.0 and np.isfinite(profit).all() and est == 0.0
-    # gamma tiny but not zero with lam = 0: the bracket cancels completely
-    with pytest.raises(ToleranceNotMet, match="error estimate"):
-        batch_cqa([0.5], [275.0])
+    # gamma tiny but not zero with lam = 0: the expansion gives C_B = amp
+    purity, profit, est = batch_cqa([0.5], [275.0])
+    k1, _ = rate_constants(0.5)
+    assert purity[0] == pytest.approx(275.0 * k1 * DEFAULT_PARAMS.c_a0, rel=1e-13)
+    assert profit[0] == -20.0 * DEFAULT_PARAMS.c_a0 / 305.0 and est <= 1e-15
+
+
+def test_expansion_where_reactions_freeze_matches_ode():
+    # gamma + lam between 2.2e-7 and 8.8e-7; C_A0 = 1e4 puts C_B far above
+    # the integrator's atol
+    params = KineticParams(e1=0.0, e2=0.0, k1_0=1e-11, k2_0=2e-8, c_a0=1e4)
+    pts = [(300.0, 1.0), (300.0, 2.5), (300.0, 4.0)]
+    closed, ode = cqa_closed(pts, params), cqa_ode(pts, params)
+    assert (np.abs(closed - ode) <= 1e-10 * np.abs(ode)).all()
+    # the kelvin preset at T = 20 K: gamma about 4e-50, lam about 8e-103
+    purity, _, est = batch_cqa([20.0], [275.0], KELVIN_PARAMS)
+    k1, _ = rate_constants(20.0, KELVIN_PARAMS)
+    assert purity[0] == pytest.approx(275.0 * k1 * KELVIN_PARAMS.c_a0, rel=1e-13)
+    assert est <= 1e-15
 
 
 # ----------------------------------------------------------------------
@@ -267,10 +271,6 @@ def _reference_case(row):
 @pytest.mark.parametrize("row", REFERENCE["points"], ids=lambda row: row["label"])
 def test_closed_form_matches_mpmath_reference(row):
     T, t, params = _reference_case(row)
-    if row["expect"] == "ToleranceNotMet":
-        with pytest.raises(ToleranceNotMet, match="error estimate"):
-            batch_cqa(T, t, params)
-        return
     (purity,), (profit,), est = batch_cqa(T, t, params)
     (c_b,), _ = _b_final(T, t, params)
     assert est <= 1e-7
@@ -284,7 +284,7 @@ def test_closed_form_matches_mpmath_reference(row):
 def test_error_estimate_covers_actual_error(row):
     (c_b,), (est,) = _b_final(*_reference_case(row))
     assert abs(c_b - row["c_b"]) <= max(est, 1e-14) * abs(row["c_b"])
-    assert (est > 1e-7) == (row["expect"] == "ToleranceNotMet")
+    assert est <= 1e-7
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +384,7 @@ def quadrature_cqa(T, t, params, mu_weights=quadrature_mu_weights):
 
 def identify_points():
     # the 64 training and 256 validation points of a default identify run
-    return scale(sobol(2, 320, 1), [(250, 300), (250, 300)]).points
+    return scale(sobol(2, 320, 1), [(250, 300), (250, 300)])
 
 
 @pytest.mark.parametrize("params", [DEFAULT_PARAMS, KELVIN_PARAMS], ids=["si", "kelvin"])
