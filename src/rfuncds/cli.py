@@ -189,7 +189,7 @@ def cmd_identify(args, provenance: str) -> int:
     try:
         params, box = reactor.apply_config(
             _load_config(args.config) if args.config is not None else {})
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:   # OSError: a config that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
     provenance = f"{provenance} | model reactor.cqa_closed"
@@ -265,7 +265,7 @@ def cmd_check(args, provenance: str) -> int:
         print(f"error: malformed point {args.point!r}", file=sys.stderr)
         return 2
     verdict = ds.membership(report, point)
-    value = eval_expr(report.joint.expr, point)
+    value = eval_expr(report.joint, point)
     print(f"{verdict} (joint expression = {value!r})")
     return {"inside": 0, "outside": 3, "boundary": 4}[verdict]
 

@@ -83,9 +83,8 @@ def grid_eval(region: Region, bounds, resolution) -> ScalarField:
             raise ValueError("resolution must be >= 2 per axis")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, resolution)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    env = {name: grid for name, grid in zip(region.vars, mesh)}
     # constant subexpressions stay scalar, so broadcast to the grid shape
-    values = np.broadcast_to(eval_arrays(region.expr, env), mesh[0].shape).copy()
+    values = np.broadcast_to(eval_arrays(region, mesh), mesh[0].shape).copy()
     return ScalarField(bounds=bounds, resolution=resolution, values=values, vars=region.vars)
 
 
@@ -224,14 +223,14 @@ def slice_contours_3d(region: Region, bounds, resolution, n_slices: int
     else:
         levels = np.linspace(zlo, zhi, n_slices)
 
-    xname, yname, zname = region.vars
+    xname, yname, _ = region.vars
     xs = np.linspace(*bounds[0], res[0])
     ys = np.linspace(*bounds[1], res[1])
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     out = []
     for z in levels:
         values = np.broadcast_to(
-            eval_arrays(region.expr, {xname: gx, yname: gy, zname: float(z)}),
+            eval_arrays(region, (gx, gy, float(z))),
             gx.shape).copy()
         fld = ScalarField(bounds=bounds[:2], resolution=res[:2],
                           values=values, vars=(xname, yname))

@@ -98,6 +98,12 @@ class DSReport:
     sampling: SamplingMeta | None = None
     validation: ValidationStats | None = None
 
+    def __post_init__(self):
+        names = tuple(axis.name for axis in self.box)
+        if self.joint.vars != names:
+            raise ValueError(f"joint region variables {self.joint.vars} "
+                             f"differ from the box axes {names}")
+
 
 def plot_count(d: int) -> int:
     """Number of 2D projection plots needed to present a d-dimensional space."""
@@ -161,8 +167,7 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     validation_skip = skip + n_samples
     val = scale(sobol(len(box), n_validation, validation_skip), bounds)
     y_val = run_model(val)
-    env = {name: val[:, i] for i, name in enumerate(names)}
-    predicted_in = eval_arrays(joint.expr, env) >= 0.0
+    predicted_in = eval_arrays(joint, val.T) >= 0.0
     actual_in = np.all(
         y_val >= np.array([spec.threshold for spec, _, _ in reports]), axis=1)
     agree = predicted_in == actual_in
@@ -195,8 +200,9 @@ def membership(report: DSReport, u, tol: float = 1e-9) -> str:
     the report's parameter box, and for a mapping that misses a box
     coordinate or names one the box does not have.
     """
-    names = [axis.name for axis in report.box]
+    box = report.box
     if isinstance(u, Mapping):
+        names = [axis.name for axis in box]
         unknown = [k for k in u if k not in names]
         if unknown:
             raise OutOfBox(f"point has coordinate {unknown[0]!r}, which the box "
@@ -207,17 +213,18 @@ def membership(report: DSReport, u, tol: float = 1e-9) -> str:
             raise OutOfBox(f"point is missing coordinate {exc.args[0]!r}") from None
     else:
         values = [float(v) for v in u]
-        if len(values) != len(names):
-            raise OutOfBox(f"point has {len(values)} coordinates, box has {len(names)}")
-    for axis, v in zip(report.box, values):
+        if len(values) != len(box):
+            raise OutOfBox(f"point has {len(values)} coordinates, box has {len(box)}")
+    for axis, v in zip(box, values):
         if not axis.lo <= v <= axis.hi:
             raise OutOfBox(
                 f"{axis.name} = {v!r} outside [{axis.lo}, {axis.hi}]")
-    return sign_class(report.joint, dict(zip(names, values)), tol=tol)
+    # the joint region's inputs are the box axes in order (DSReport checks it)
+    return sign_class(report.joint, values, tol=tol)
 
 
 def joint_expression(report: DSReport, format: str = "infix",
-                     alpha1_style: str = "sqrt") -> str:
+                     alpha1_style: str = "abs") -> str:
     """The joint design-space expression as text (see exprtext formats)."""
     return exprtext.serialize(report.joint.expr, format=format, alpha1_style=alpha1_style)
 

@@ -15,9 +15,12 @@ alpha = 1 the pair degenerates to min/max.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -195,42 +198,83 @@ def _children_getter(operands: tuple[str, ...]) -> Callable[[Expr], tuple[Expr, 
 class Node:
     """What the rest of the package needs to know about one node class."""
 
-    __slots__ = ("tag", "operands", "params", "evaluate", "children")
+    __slots__ = ("tag", "operands", "params", "emit", "children")
 
     def __init__(self, tag: str, operands: tuple[str, ...], params: tuple[str, ...],
-                 evaluate: Callable):
+                 emit: Callable):
         self.tag = tag              # ``kind`` in the tree format
         self.operands = operands    # child fields, left to right
         self.params = params        # other fields; constructors take operands first
-        self.evaluate = evaluate    # (node, env) -> value
+        self.emit = emit            # (node, compiler, *operand texts) -> Python text
         # a node's operands as a tuple; attrgetter is the fastest generic accessor
         self.children = _children_getter(operands)
 
 
-# Each evaluator looks its operands' evaluators up in _EVAL itself rather than
-# going through _eval, so a tree level costs one Python frame, not two.
-
-def _eval(e: Expr, env: Mapping[str, object]):
-    # env values are floats or numpy arrays; numpy ufuncs cover both.
-    return _EVAL[type(e)](e, env)
-
-
-def _eval_var(e: Var, env):
-    try:
-        return env[e.name]
-    except KeyError:
-        raise UnboundVariable(e.name) from None
-
-
-def _eval_pow(e: Pow, env):
-    base = _EVAL[type(e.base)](e.base, env)
-    if e.exponent == 0:
-        return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
-    return base ** e.exponent
+def _emit_r_node(join: str, extreme: str):
+    """Text of an R-node: AND joins a+b and the radical with "-" and is
+    "minimum" at alpha = 1, OR uses "+" and "maximum"."""
+    def emit(e, k, a, b):
+        if e.alpha == 1.0:
+            return f"{extreme}({a}, {b})"  # exact value of (a+b -/+ |a-b|)/2
+        # the formula reads each operand four times, so both become locals
+        a, b = k.local(a), k.local(b)
+        # the radicand is mathematically >= (1-|alpha|)(a^2+b^2); maximum
+        # clamps its float-error negatives
+        rad = f"(({a} * {a}) + ({b} * {b})) - ({k.const(2.0 * e.alpha)} * ({a} * {b}))"
+        return f"((({a} + {b}) {join} sqrt(maximum({rad}, 0.0))) / {k.const(1.0 + e.alpha)})"
+    return emit
 
 
-def _eval_sqrt(e: Sqrt, env):
-    arg = _EVAL[type(e.a)](e.a, env)
+def _emit_binary(op: str):
+    return lambda e, k, a, b: f"({a} {op} {b})"
+
+
+# every concrete Expr class, declared once; constructors are type(e)(*operands, *params)
+NODES: dict[type, Node] = {
+    Const: Node("const", (), ("value",), lambda e, k: k.const(e.value)),
+    Var: Node("var", (), ("name",), lambda e, k: k.var(e.name)),
+    Neg: Node("neg", ("a",), (), lambda e, k, a: f"(-{a})"),
+    Add: Node("add", ("a", "b"), (), _emit_binary("+")),
+    Sub: Node("sub", ("a", "b"), (), _emit_binary("-")),
+    Mul: Node("mul", ("a", "b"), (), _emit_binary("*")),
+    Pow: Node("pow", ("base",), ("exponent",), lambda e, k, a: f"({a} ** {'%d' % e.exponent})"),
+    Sqrt: Node("sqrt", ("a",), (), lambda e, k, a: f"root({a})"),
+    Abs: Node("abs", ("a",), (), lambda e, k, a: f"absolute({a})"),
+    Min: Node("min", ("a", "b"), (), lambda e, k, a, b: f"minimum({a}, {b})"),
+    Max: Node("max", ("a", "b"), (), lambda e, k, a, b: f"maximum({a}, {b})"),
+    RAnd: Node("rand", ("a", "b"), ("alpha",), _emit_r_node("-", "minimum")),
+    ROr: Node("ror", ("a", "b"), ("alpha",), _emit_r_node("+", "maximum")),
+}
+
+
+# ----------------------------------------------------------------------
+# compiled evaluation
+#
+# An expression is evaluated by one generated Python function.  Each node's
+# text comes from its NODES entry and goes inline into its parent's text, so
+# numpy reuses temporaries as it would for hand-written arithmetic.  A node
+# is bound to a local only when its value is read more than once (a node
+# shared by identity, an operand of an alpha != 1 R-node), or when its text
+# nests _SPILL_DEPTH levels deep, so that compile() never meets the parser's
+# nesting limit; each local is deleted after its last read.  Nothing taken
+# from the expression enters the source: inputs are read as x0, x1, ... and
+# constants as the globals c0, c1, ..., so names and values such as inf,
+# nan or -0.0 are never spelled in it.
+
+_SPILL_DEPTH = 40
+
+
+def _scalar_min(a, b):
+    # np.minimum bit for bit: b on ties (min(0.0, -0.0) is -0.0), nan if either is nan
+    return a if (a < b or a != a) else b
+
+
+def _scalar_max(a, b):
+    return a if (a > b or a != a) else b
+
+
+def _root_arrays(arg):
+    """sqrt with arguments in [-SQRT_CLAMP_TOL, 0) clamped to 0."""
     low = np.min(arg)
     if low < -SQRT_CLAMP_TOL:
         raise NegativeSqrtArgument(float(low))
@@ -239,62 +283,157 @@ def _eval_sqrt(e: Sqrt, env):
     return np.sqrt(arg)
 
 
-def _r_root(va, vb, alpha: float):
-    rad = va * va + vb * vb - 2.0 * alpha * (va * vb)
-    # mathematically >= (1-|alpha|)(a^2+b^2); clamp float-error negatives
-    return np.sqrt(np.maximum(rad, 0.0))
+def _root_scalar(arg):
+    if arg < 0.0:
+        if arg < -SQRT_CLAMP_TOL:
+            raise NegativeSqrtArgument(float(arg))
+        arg = 0.0
+    return math.sqrt(arg)
 
 
-def _eval_r_and(e: RAnd, env):
-    va, vb = _EVAL[type(e.a)](e.a, env), _EVAL[type(e.b)](e.b, env)
-    if e.alpha == 1.0:
-        return np.minimum(va, vb)  # exact value of (a+b-|a-b|)/2
-    return (va + vb - _r_root(va, vb, e.alpha)) / (1.0 + e.alpha)
+# the functions the generated source calls, for numpy arrays and for floats
+_ARRAY_FUNCTIONS = {"sqrt": np.sqrt, "root": _root_arrays, "absolute": np.abs,
+                    "minimum": np.minimum, "maximum": np.maximum}
+_SCALAR_FUNCTIONS = {"sqrt": math.sqrt, "root": _root_scalar, "absolute": abs,
+                     "minimum": _scalar_min, "maximum": _scalar_max}
+_LOCAL_RE = re.compile(r"\bv\d+\b")
 
 
-def _eval_r_or(e: ROr, env):
-    va, vb = _EVAL[type(e.a)](e.a, env), _EVAL[type(e.b)](e.b, env)
-    if e.alpha == 1.0:
-        return np.maximum(va, vb)
-    return (va + vb + _r_root(va, vb, e.alpha)) / (1.0 + e.alpha)
+@dataclass(frozen=True, slots=True)
+class Program:
+    """An expression compiled into one generated Python function.
+
+    ``arrays`` evaluates it with numpy functions, ``scalars`` with float
+    functions; both take the input values as one sequence ordered like
+    ``names`` and share one code object.  ``reads`` holds the names the
+    expression reads and ``source`` the generated text.
+    """
+
+    names: tuple[str, ...]
+    reads: frozenset[str]
+    source: str
+    arrays: Callable
+    scalars: Callable
+
+    def inputs(self, point):
+        """The input sequence for a name -> value mapping; any other
+        ``point`` is taken as the values already ordered like ``names``."""
+        if isinstance(point, (list, tuple)) or not isinstance(point, Mapping):
+            return point
+        try:
+            return [point[name] for name in self.names]
+        except KeyError:
+            pass
+        for name in self.names:
+            if name not in point and name in self.reads:
+                raise UnboundVariable(name)
+        return [point.get(name) for name in self.names]   # unread names may be absent
 
 
-# every concrete Expr class, declared once; constructors are type(e)(*operands, *params)
-NODES: dict[type, Node] = {
-    Const: Node("const", (), ("value",), lambda e, env: e.value),
-    Var: Node("var", (), ("name",), _eval_var),
-    Neg: Node("neg", ("a",), (), lambda e, env: -_EVAL[type(e.a)](e.a, env)),
-    Add: Node("add", ("a", "b"), (),
-              lambda e, env: _EVAL[type(e.a)](e.a, env) + _EVAL[type(e.b)](e.b, env)),
-    Sub: Node("sub", ("a", "b"), (),
-              lambda e, env: _EVAL[type(e.a)](e.a, env) - _EVAL[type(e.b)](e.b, env)),
-    Mul: Node("mul", ("a", "b"), (),
-              lambda e, env: _EVAL[type(e.a)](e.a, env) * _EVAL[type(e.b)](e.b, env)),
-    Pow: Node("pow", ("base",), ("exponent",), _eval_pow),
-    Sqrt: Node("sqrt", ("a",), (), _eval_sqrt),
-    Abs: Node("abs", ("a",), (), lambda e, env: np.abs(_EVAL[type(e.a)](e.a, env))),
-    Min: Node("min", ("a", "b"), (),
-              lambda e, env: np.minimum(_EVAL[type(e.a)](e.a, env), _EVAL[type(e.b)](e.b, env))),
-    Max: Node("max", ("a", "b"), (),
-              lambda e, env: np.maximum(_EVAL[type(e.a)](e.a, env), _EVAL[type(e.b)](e.b, env))),
-    RAnd: Node("rand", ("a", "b"), ("alpha",), _eval_r_and),
-    ROr: Node("ror", ("a", "b"), ("alpha",), _eval_r_or),
-}
+class _Compiler:
+    """The state of one compilation: inputs read, constants and statements."""
 
-_EVAL = {cls: node.evaluate for cls, node in NODES.items()}
+    def __init__(self, names: tuple[str, ...]):
+        self.inputs = {name: f"x{i}" for i, name in enumerate(names)}
+        self.reads: set[str] = set()
+        self.consts: list = []
+        self.statements: list[tuple[str, str]] = []   # (local, text)
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
+
+    def var(self, name: str) -> str:
+        self.reads.add(name)
+        return self.inputs[name]
+
+    def local(self, text: str) -> str:
+        """A name holding the value of ``text``; a name stays as it is."""
+        if text.isidentifier():
+            return text
+        name = f"v{len(self.statements)}"
+        self.statements.append((name, text))
+        return name
+
+
+@functools.lru_cache(maxsize=64)
+def _code(source: str):
+    # constraints fitted on one basis share their source, so one compiles for all
+    return compile(source, "<rfuncds program>", "exec")
+
+
+def compile_expr(expr: Expr, names: Sequence[str] | None = None) -> Program:
+    """Compile ``expr`` into a Program whose inputs are ``names`` (default:
+    the expression's variables, sorted), which must cover every variable."""
+    names = tuple(sorted(variables(expr)) if names is None else names)
+    k = _Compiler(names)
+    order, uses = _postorder(expr)
+    texts: dict[int, str] = {}    # by id(node)
+    levels: dict[int, int] = {}   # nesting depth of each text; names are level 0
+    for node in order:
+        spec = NODES[type(node)]
+        operands = spec.children(node)
+        if not operands:
+            texts[id(node)], levels[id(node)] = spec.emit(node, k), 0
+            continue
+        text = spec.emit(node, k, *[texts[id(c)] for c in operands])
+        level = 1 + max([levels[id(c)] for c in operands])
+        if uses[id(node)] > 1 or level >= _SPILL_DEPTH:
+            text, level = k.local(text), 0
+        texts[id(node)], levels[id(node)] = text, level
+
+    result = texts[id(expr)]
+    last_read = {}
+    for i, (_, text) in enumerate(k.statements):
+        for name in _LOCAL_RE.findall(text):
+            last_read[name] = i
+    for name in _LOCAL_RE.findall(result):
+        last_read[name] = len(k.statements)
+    dead: dict[int, list[str]] = {}
+    for name, i in last_read.items():
+        dead.setdefault(i, []).append(name)
+
+    lines = ["def program(X):"]
+    if names:
+        lines.append(f"    {''.join(f'x{i}, ' for i in range(len(names)))}= X")
+    for i, (name, text) in enumerate(k.statements):
+        lines.append(f"    {name} = {text}")
+        if i in dead:
+            lines.append(f"    del {', '.join(dead[i])}")
+    lines.append(f"    return {result}")
+    source = "\n".join(lines) + "\n"
+
+    # the constants and the functions called are the program's globals
+    code = _code(source)
+    consts = {f"c{i}": value for i, value in enumerate(k.consts)}
+
+    def bind(functions):
+        namespace = {**functions, **consts}
+        exec(code, namespace)
+        return namespace["program"]
+    return Program(names, frozenset(k.reads), source,
+                   bind(_ARRAY_FUNCTIONS), bind(_SCALAR_FUNCTIONS))
 
 
 # ----------------------------------------------------------------------
 # evaluation and traversal
 
-def eval_expr(expr: Expr, point: Mapping[str, float]) -> float:
-    """Evaluate at a single point given as a name -> value mapping."""
-    return float(_eval(expr, point))
+def eval_expr(expr: Expr | Region, point) -> float:
+    """Evaluate at a single point.
+
+    ``point`` is a name -> value mapping, or the values in the order of a
+    Region's ``vars``.  A Region evaluates through the program it compiled
+    on first use; a bare expression is compiled for this call.
+    """
+    program = expr.program if isinstance(expr, Region) else compile_expr(expr)
+    return float(program.scalars(program.inputs(point)))
 
 
-def eval_arrays(expr: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Vectorized evaluation; env values are broadcast-compatible arrays."""
-    return np.asarray(_eval(expr, env), dtype=float)
+def eval_arrays(expr: Expr | Region, env) -> np.ndarray:
+    """Vectorized evaluation; env values are broadcast-compatible arrays,
+    given like ``point`` of :func:`eval_expr`."""
+    program = expr.program if isinstance(expr, Region) else compile_expr(expr)
+    return np.asarray(program.arrays(program.inputs(env)), dtype=float)
 
 
 def children(node: Expr) -> tuple[Expr, ...]:
@@ -311,19 +450,44 @@ def walk(expr: Expr) -> Iterator[Expr]:
         stack.extend(reversed(children(node)))
 
 
-def depth(expr: Expr) -> int:
-    """Number of levels of the tree (a leaf has depth 1), without recursion."""
-    deepest = 0
-    stack = [(expr, 1)]
+def _postorder(expr: Expr) -> tuple[list[Expr], dict[int, int]]:
+    """Every distinct node once (by identity), operands before the nodes
+    that read them, and the number of operand slots reading each node (the
+    root counts one); without recursion."""
+    order: list[Expr] = []
+    uses = {id(expr): 1}
+    entered = set()
+    stack = [expr]
+    pop, push = stack.pop, stack.append
     while stack:
-        node, level = stack.pop()
-        deepest = max(deepest, level)
-        stack.extend((child, level + 1) for child in children(node))
-    return deepest
+        node = pop()
+        if node is None:            # every operand of the node below is in order
+            order.append(pop())
+            continue
+        if id(node) in entered:
+            continue
+        entered.add(id(node))
+        push(node)
+        push(None)
+        for child in reversed(children(node)):
+            push(child)
+            uses[id(child)] = uses.get(id(child), 0) + 1
+    return order, uses
+
+
+def depth(expr: Expr) -> int:
+    """Number of levels of the tree (a leaf has depth 1), without recursion.
+
+    Shared nodes are visited once, so this is linear in the distinct nodes.
+    """
+    levels: dict[int, int] = {}
+    for node in _postorder(expr)[0]:
+        levels[id(node)] = 1 + max((levels[id(c)] for c in children(node)), default=0)
+    return levels[id(expr)]
 
 
 def variables(expr: Expr) -> set[str]:
-    return {node.name for node in walk(expr) if type(node) is Var}
+    return {node.name for node in _postorder(expr)[0] if type(node) is Var}
 
 
 # ----------------------------------------------------------------------
@@ -418,15 +582,27 @@ class Region:
             raise ValueError(f"expression uses variables {sorted(unbound)} "
                              f"not in the binding list {self.vars}")
 
+    @functools.cached_property
+    def program(self) -> Program:
+        """The expression compiled with ``vars`` as inputs, on first use."""
+        return compile_expr(self.expr, self.vars)
+
+    def __getstate__(self):
+        # the compiled program holds generated functions, which do not pickle
+        return {key: v for key, v in self.__dict__.items() if key != "program"}
+
     def __call__(self, point: Mapping[str, float]) -> float:
-        return eval_expr(self.expr, point)
+        return eval_expr(self, point)
 
 
-def sign_class(region: Region, point: Mapping[str, float], tol: float = 1e-9) -> str:
-    """Classify a point as 'inside' (f > tol), 'boundary' (|f| <= tol) or 'outside'."""
+def sign_class(region: Region, point, tol: float = 1e-9) -> str:
+    """Classify a point as 'inside' (f > tol), 'boundary' (|f| <= tol) or 'outside'.
+
+    ``point`` is a name -> value mapping or the values in ``region.vars`` order.
+    """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    value = eval_expr(region.expr, point)
+    value = eval_expr(region, point)
     if value > tol:
         return "inside"
     if value < -tol:

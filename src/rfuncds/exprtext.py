@@ -10,9 +10,9 @@ The infix grammar (documented in docs/expressions.md):
 
 Functions: sqrt, abs (one argument), min, max (two or more, folded left).
 There is no division.  R-nodes have no infix spelling; they are expanded to
-arithmetic on output (alpha=1 optionally in abs form) and never produced by
-the parser.  The tree format keeps R-nodes intact, so structural round trips
-go through it.
+arithmetic on output (alpha=1 in abs form unless the sqrt form is asked
+for) and never produced by the parser.  The tree format keeps R-nodes
+intact, so structural round trips go through it.
 
 Both parsers refuse expressions deeper than ``MAX_DEPTH`` levels with a
 ParseError, checked before anything recurses that deep, so deep input never
@@ -37,12 +37,14 @@ FORMATS = ("infix", "tree")
 MAX_DEPTH = 128
 
 
-def serialize(expr: Expr, format: str = "infix", alpha1_style: str = "sqrt") -> str:
+def serialize(expr: Expr, format: str = "infix", alpha1_style: str = "abs") -> str:
     """Render an expression as text.
 
     ``format="tree"`` emits the JSON node tree (R-nodes kept).  With
     ``format="infix"``, R-nodes are expanded: ``alpha1_style="abs"`` uses the
-    0.5*((a+b) -/+ |a-b|) form for alpha=1 nodes, ``"sqrt"`` the radical form.
+    0.5*((a+b) -/+ |a-b|) form for alpha=1 nodes, which reads back to
+    rounding, ``"sqrt"`` the radical form, which loses about sqrt(eps)*|a|
+    near a = b (see docs/expressions.md).
     """
     if format == "tree":
         return to_tree_text(expr)
@@ -62,7 +64,7 @@ def parse(text: str, format: str = "infix") -> Expr:
 # ----------------------------------------------------------------------
 # infix output
 
-def to_infix(expr: Expr, alpha1_style: str = "sqrt") -> str:
+def to_infix(expr: Expr, alpha1_style: str = "abs") -> str:
     if alpha1_style not in ("sqrt", "abs"):
         raise ValueError("alpha1_style must be 'sqrt' or 'abs'")
     if alpha1_style == "abs":

@@ -193,6 +193,15 @@ def test_identify_rejects_bad_box(config, tmp_path, capsys, no_model_runs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "a-directory"], ids=["missing", "directory"])
+def test_identify_rejects_unreadable_config(name, tmp_path, capsys, no_model_runs):
+    (tmp_path / "a-directory").mkdir()
+    out = tmp_path / "o"
+    assert_usage_error(run(["identify", "--config", str(tmp_path / name), "--out", str(out)]),
+                       capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["2", "-1", "nan"])
 def test_identify_rejects_alpha(alpha, tmp_path, capsys, no_model_runs):
     out = tmp_path / "o"

@@ -1,0 +1,212 @@
+"""The compiled evaluator against the recursive tree walk, and its limits."""
+
+import json
+import math
+import pickle
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from rfuncds import ds
+from rfuncds.errors import NegativeSqrtArgument, UnboundVariable
+from rfuncds.expr import (
+    Abs, Add, Const, Max, Min, Mul, Neg, Pow, RAnd, Region, ROr, Sqrt, Sub, Var,
+    canonicalize_alpha1, compose, depth, eval_arrays, eval_expr, variables,
+)
+from rfuncds.geometry import TESTCASE_NAMES, testcase as load_case
+from tree_eval import tree_eval, tree_eval_arrays
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+X, Y = Var("x"), Var("y")
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+_values = st.one_of(st.floats(-5, 5), st.sampled_from(SPECIAL))
+_alphas = st.one_of(st.just(1.0), st.floats(-1.0, 1.0, exclude_min=True))
+_BINARY = (Add, Sub, Mul, Min, Max)
+_UNARY = (Neg, Abs, Sqrt)
+
+
+@st.composite
+def _dags(draw):
+    """Expressions whose operands are drawn from every node built so far, so
+    a node may be shared by several parents (by identity) or appear twice
+    in one."""
+    pool = [X, Y, *(Const(v) for v in draw(st.lists(_values, min_size=1, max_size=3)))]
+    for _ in range(draw(st.integers(1, 12))):
+        pick = st.sampled_from(pool)
+        kind = draw(st.sampled_from(["binary", "unary", "pow", "r-node"]))
+        if kind == "binary":
+            node = draw(st.sampled_from(_BINARY))(draw(pick), draw(pick))
+        elif kind == "unary":
+            node = draw(st.sampled_from(_UNARY))(draw(pick))
+        elif kind == "pow":
+            node = Pow(draw(pick), draw(st.integers(0, 3)))
+        else:
+            node = draw(st.sampled_from((RAnd, ROr)))(draw(pick), draw(pick), draw(_alphas))
+        pool.append(node)
+    return pool[-1]
+
+
+def _outcome(evaluate, expr, env):
+    try:
+        return evaluate(expr, env)
+    except (NegativeSqrtArgument, OverflowError) as exc:
+        return exc
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@given(expr=_dags(), x=_values, y=_values)
+def test_compiled_matches_tree_walk(expr, x, y):
+    with np.errstate(all="ignore"):
+        got = _outcome(eval_expr, expr, {"x": x, "y": y})
+        want = _outcome(tree_eval, expr, {"x": x, "y": y})
+        # float ** int raises OverflowError where numpy's power returns inf;
+        # the tree walk mixed both, the program always uses float powers
+        assume(not isinstance(got, OverflowError) and not isinstance(want, OverflowError))
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+        else:
+            assert repr(got) == repr(want)
+
+        env = {"x": np.array([x, -x, 0.5]), "y": np.array([y, 2.0, y])}
+        got = _outcome(eval_arrays, expr, env)
+        want = _outcome(tree_eval_arrays, expr, env)
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+        else:
+            assert _same_bits(got, want)
+
+
+def _regions():
+    for name in ("kelvin-alpha1", "kelvin-alpha0"):
+        report = ds.load_report(FIXTURES / f"{name}.json")
+        box = tuple((a.lo, a.hi) for a in report.box)
+        yield pytest.param(report.joint, box, id=f"{name}-joint")
+        for c in report.constraints:
+            yield pytest.param(c.phi, box, id=f"{name}-{c.name}")
+    for case_name in TESTCASE_NAMES:
+        _, _, case = load_case(case_name)
+        for label, tree in case.trees:
+            for alpha in (case.alpha, 0.5):
+                yield pytest.param(compose(tree, alpha), case.bounds,
+                                   id=f"{case_name}-{label}-alpha{alpha}")
+
+
+@pytest.mark.parametrize("region, box", list(_regions()))
+def test_compiled_matches_tree_walk_on_saved_and_demo_regions(region, box, rng):
+    lo, hi = np.array(box).T
+    pts = rng.uniform(lo, hi, size=(10_000, len(box)))
+    env = {n: pts[:, i] for i, n in enumerate(region.vars)}
+    assert _same_bits(eval_arrays(region, env), tree_eval_arrays(region.expr, env))
+    for row in pts.tolist():
+        assert repr(eval_expr(region, row)) == repr(
+            tree_eval(region.expr, dict(zip(region.vars, row))))
+
+
+def _renamed_report(tmp_path, names):
+    """The kelvin fixture with its two axes renamed, saved and loaded again."""
+    text = (FIXTURES / "kelvin-alpha1.json").read_text()
+    obj = json.loads(text)
+    rename = dict(zip((a["name"] for a in obj["box"]), names))
+
+    def visit(node):
+        if isinstance(node, dict):
+            if node.get("kind") == "var":
+                node["name"] = rename[node["name"]]
+            for v in node.values():
+                visit(v)
+        elif isinstance(node, list):
+            for v in node:
+                visit(v)
+
+    visit(obj["joint"]["tree"])
+    for c in obj["constraints"]:
+        visit(c["phi_tree"])
+        c["basis"]["vars"] = [rename[v] for v in c["basis"]["vars"]]
+    for axis in obj["box"]:
+        axis["name"] = rename[axis["name"]]
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(obj))
+    return ds.load_report(path)
+
+
+def test_variable_names_never_reach_the_generated_source(tmp_path, rng):
+    hostile = ("T t", "__import__('os').system('exit 1')")
+    plain = ds.load_report(FIXTURES / "kelvin-alpha1.json")
+    for names in (hostile, ("X[0]", "X[1]")):
+        report = _renamed_report(tmp_path, names)
+        assert tuple(a.name for a in report.box) == names
+        pts = rng.uniform([250.0, 250.0], [300.0, 300.0], size=(500, 2))
+        for T, t in pts.tolist():
+            assert ds.membership(report, [T, t]) == ds.membership(plain, [T, t])
+            assert ds.membership(report, dict(zip(names, (T, t)))) == \
+                ds.membership(plain, {"T": T, "t": t})
+        for name in names:
+            assert name not in report.joint.program.source
+
+
+def test_deep_chains_evaluate_without_recursion():
+    expr = X
+    for i in range(10_000):
+        expr = Add(Neg(expr), Const(float(i)))
+    assert depth(expr) == 20_001
+    want = 1.5
+    for i in range(10_000):
+        want = -want + float(i)
+    assert eval_expr(expr, {"x": 1.5}) == want
+    assert eval_arrays(expr, {"x": np.array([1.5, 1.5])}).tolist() == [want, want]
+
+
+def _canonical_chain(levels):
+    expr = Var("x0")
+    for i in range(1, levels + 1):
+        expr = RAnd(expr, Var(f"x{i}"), 1.0)
+    return canonicalize_alpha1(expr), tuple(f"x{i}" for i in range(levels + 1))
+
+
+def test_depth_and_variables_visit_shared_nodes_once():
+    # the abs form shares each level's operands between a+b and |a-b|, so a
+    # walk that does not notice the sharing reaches x0 2^24 ways
+    expr, names = _canonical_chain(24)
+    start = time.perf_counter()
+    assert depth(expr) == 4 * 24 + 1
+    assert variables(expr) == set(names)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_shared_chain_compiles_and_evaluates_once_per_node():
+    expr, names = _canonical_chain(40)
+    start = time.perf_counter()
+    region = Region(expr, names)
+    value = eval_expr(region, [float(i) for i in range(41)])
+    assert time.perf_counter() - start < 0.5
+    assert value == 0.0
+    values = eval_arrays(region, [np.full(3, float(i)) for i in range(41)])
+    assert values.tolist() == [0.0] * 3
+
+
+def test_unbound_variable_only_when_read():
+    region = Region(X + 1.0, ("x", "y"))
+    assert eval_expr(region, {"x": 2.0}) == 3.0
+    with pytest.raises(UnboundVariable, match="'x'"):
+        eval_expr(region, {"y": 2.0})
+    assert eval_expr(region, [2.0, math.nan]) == 3.0
+
+
+def test_region_compiles_lazily_and_pickles_after_queries():
+    report = ds.load_report(FIXTURES / "kelvin-alpha0.json")
+    assert "program" not in vars(report.joint)
+    before = ds.membership(report, [275.0, 280.0])
+    assert "program" in vars(report.joint)
+    copy = pickle.loads(pickle.dumps(report))
+    assert "program" not in vars(copy.joint)
+    assert ds.membership(copy, [275.0, 280.0]) == before
+    assert copy.joint == report.joint

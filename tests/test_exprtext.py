@@ -50,9 +50,9 @@ def test_canonical_alpha1_infix_spelling():
 def test_round_trip_value_equality(expr, fmt, rng):
     text = serialize(expr, fmt)
     back = parse(text, fmt)
-    # infix output expands R-nodes to radical arithmetic, so the round-trip
-    # contract is against the expression as emitted
-    reference = desugar_r_nodes(expr) if fmt == "infix" else expr
+    # infix output expands R-nodes to arithmetic (alpha=1 in abs form), so
+    # the round-trip contract is against the expression as emitted
+    reference = desugar_r_nodes(canonicalize_alpha1(expr)) if fmt == "infix" else expr
     pts = rng.uniform(-7, 7, size=(200, 2))
     for x, y in pts:
         env = {"x": x, "y": y}
@@ -75,6 +75,17 @@ def test_composed_case_round_trips(rng):
         for x, y in pts:
             env = {"x": x, "y": y}
             assert eval_expr(back, env) == pytest.approx(eval_expr(reference, env), abs=1e-12)
+
+
+def test_default_infix_reads_alpha1_back_exactly():
+    # the sqrt style reads r_and(x, y, 1) back as 1.0000000005 here
+    expr = RAnd(X, Y, 1.0)
+    env = {"x": 1.0, "y": 1.0 + 1e-9}
+    assert eval_expr(expr, env) == 1.0
+    assert eval_expr(parse_infix(to_infix(expr)), env) == 1.0
+    assert eval_expr(parse_infix(serialize(expr)), env) == 1.0
+    assert abs(eval_expr(parse_infix(to_infix(expr, alpha1_style="sqrt")), env)
+               - 1.0000000005) <= 1e-12
 
 
 def test_infix_alpha1_styles_differ():
