@@ -45,9 +45,7 @@ from .expr import (
     Sqrt,
     Sub,
     Var,
-    canonicalize_alpha1,
     compose,
-    desugar_r_nodes,
     eval_arrays,
     eval_expr,
     r_and,

@@ -258,14 +258,14 @@ def _report_obj(report: DSReport, artifacts: Mapping[str, str] | None,
             "n_points": c.fit.n_points,
             "validation_r_squared": c.validation_r_squared,
             "phi_infix": exprtext.to_infix(c.phi.expr),
-            "phi_tree": json.loads(exprtext.to_tree_text(c.phi.expr)),
+            "phi_tree": exprtext.to_tree_obj(c.phi.expr),
         }
         for c in report.constraints
     ]
     obj["joint"] = {
         "infix_sqrt": exprtext.to_infix(report.joint.expr, alpha1_style="sqrt"),
         "infix_abs": exprtext.to_infix(report.joint.expr, alpha1_style="abs"),
-        "tree": json.loads(exprtext.to_tree_text(report.joint.expr)),
+        "tree": exprtext.to_tree_obj(report.joint.expr),
     }
     if report.validation is not None:
         v = report.validation
@@ -289,9 +289,10 @@ def load_report(path) -> DSReport:
     """Reload a saved report (metamodels and expressions).
 
     Expression trees may nest at most ``exprtext.MAX_DEPTH`` levels; the
-    file is checked for that before it is decoded.  An alpha outside
-    (-1, 1], a box axis without finite ``lo < hi`` and a too-deep tree
-    raise ParseError.
+    file is checked for that before it is decoded.  A missing field, a
+    value that does not convert (such as an integer beyond the float
+    range), an alpha outside (-1, 1], a box axis without finite
+    ``lo < hi`` and a too-deep tree raise ParseError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -300,10 +301,16 @@ def load_report(path) -> DSReport:
     if not isinstance(obj, dict) or obj.get("format") != REPORT_FORMAT:
         raise ValueError(f"not a {REPORT_FORMAT} file: {path}")
     try:
-        alpha = check_alpha(obj["alpha"])
-        box = tuple(BoxAxis(a["name"], a["lo"], a["hi"], a.get("unit")) for a in obj["box"])
-    except (AlphaOutOfRange, BoundsMismatch) as exc:
+        return _report_from_obj(obj)
+    except KeyError as exc:
+        raise ParseError(None, f"report has no field {exc.args[0]!r}") from None
+    except (AlphaOutOfRange, BoundsMismatch, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(None, str(exc)) from None
+
+
+def _report_from_obj(obj: dict) -> DSReport:
+    alpha = check_alpha(obj["alpha"])
+    box = tuple(BoxAxis(a["name"], a["lo"], a["hi"], a.get("unit")) for a in obj["box"])
     names = tuple(a.name for a in box)
     units = tuple(a.unit for a in box)
     constraints = []
@@ -315,13 +322,13 @@ def load_report(path) -> DSReport:
                         r_squared=float(c["r_squared"]),
                         n_points=int(c["n_points"]),
                         residual_max_abs=float(c["residual_max_abs"]))
-        phi = Region(expr=exprtext.parse_tree_text(json.dumps(c["phi_tree"])),
+        phi = Region(expr=exprtext.from_tree_obj(c["phi_tree"]),
                      vars=names, units=units,
                      description=f"metamodel of {c['name']} minus threshold")
         constraints.append(ConstraintReport(
             name=c["name"], threshold=float(c["threshold"]), fit=fit, phi=phi,
             validation_r_squared=c.get("validation_r_squared")))
-    joint = Region(expr=exprtext.parse_tree_text(json.dumps(obj["joint"]["tree"])),
+    joint = Region(expr=exprtext.from_tree_obj(obj["joint"]["tree"]),
                    vars=names, units=units, description="joint design space")
     sampling = None
     if "sampling" in obj:

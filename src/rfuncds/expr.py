@@ -19,6 +19,7 @@ import functools
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -117,6 +118,8 @@ class Pow(Expr):
     def __post_init__(self):
         if not isinstance(self.exponent, int) or self.exponent < 0:
             raise ValueError(f"Pow exponent must be a non-negative integer, got {self.exponent!r}")
+        if self.exponent > sys.float_info.max:   # float ** int and numpy convert it to float
+            raise ValueError("Pow exponent is too large to convert to float")
 
 
 @dataclass(frozen=True, slots=True)
@@ -423,10 +426,17 @@ def eval_expr(expr: Expr | Region, point) -> float:
 
     ``point`` is a name -> value mapping, or the values in the order of a
     Region's ``vars``.  A Region evaluates through the program it compiled
-    on first use; a bare expression is compiled for this call.
+    on first use; a bare expression is compiled for this call.  A float
+    power that overflows gives inf, as in :func:`eval_arrays`.
     """
     program = expr.program if isinstance(expr, Region) else compile_expr(expr)
-    return float(program.scalars(program.inputs(point)))
+    inputs = program.inputs(point)
+    try:
+        return float(program.scalars(inputs))
+    except OverflowError:
+        # float ** int raises where numpy gives inf; only such points pay for numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(program.arrays([np.float64(v) for v in inputs]))
 
 
 def eval_arrays(expr: Expr | Region, env) -> np.ndarray:
@@ -475,84 +485,34 @@ def _postorder(expr: Expr) -> tuple[list[Expr], dict[int, int]]:
     return order, uses
 
 
+def fold(expr: Expr, visit: Callable):
+    """``visit(node, *operand results)`` once per distinct node (by identity),
+    operands before the nodes that read them, without recursion; returns the
+    root's result.  A result is dropped once its last reader has used it, so
+    a deep chain holds only the results still waiting for a reader."""
+    order, waiting = _postorder(expr)
+    results: dict[int, object] = {}
+    for node in order:
+        operands = children(node)
+        args = [results[id(c)] for c in operands]
+        for c in operands:
+            waiting[id(c)] -= 1
+            if not waiting[id(c)]:
+                del results[id(c)]
+        results[id(node)] = visit(node, *args)
+    return results[id(expr)]
+
+
 def depth(expr: Expr) -> int:
     """Number of levels of the tree (a leaf has depth 1), without recursion.
 
     Shared nodes are visited once, so this is linear in the distinct nodes.
     """
-    levels: dict[int, int] = {}
-    for node in _postorder(expr)[0]:
-        levels[id(node)] = 1 + max((levels[id(c)] for c in children(node)), default=0)
-    return levels[id(expr)]
+    return fold(expr, lambda node, *levels: 1 + max(levels, default=0))
 
 
 def variables(expr: Expr) -> set[str]:
     return {node.name for node in _postorder(expr)[0] if type(node) is Var}
-
-
-# ----------------------------------------------------------------------
-# rewrites
-
-# how an R-node joins a+b with its radical term: AND subtracts, OR adds
-_R_JOIN = {RAnd: Sub, ROr: Add}
-
-
-def canonicalize_alpha1(expr: Expr) -> Expr:
-    """Rewrite every alpha=1 R-node into its abs form.
-
-    RAnd(1)(a, b) -> 0.5*((a+b) - |a-b|), ROr(1) with '+'.  Values are
-    preserved (within 1e-12); all other nodes are left untouched.  The
-    result shares each rewritten node's operands between a+b and |a-b|.
-    """
-    def step(e: Expr, rec) -> Expr:
-        join = _R_JOIN.get(type(e))
-        if join is not None and e.alpha == 1.0:
-            a, b = rec(e.a), rec(e.b)
-            return Mul(Const(0.5), join(Add(a, b), Abs(Sub(a, b))))
-        return _rebuild(e, rec)
-    return _rewrite(expr, step)
-
-
-def desugar_r_nodes(expr: Expr) -> Expr:
-    """Expand every R-node into explicit arithmetic with a Sqrt.
-
-    Used when emitting expressions in a form free of R-specific node kinds.
-    """
-    def step(e: Expr, rec) -> Expr:
-        join = _R_JOIN.get(type(e))
-        if join is not None:
-            a, b = rec(e.a), rec(e.b)
-            rad = Sub(Add(Pow(a, 2), Pow(b, 2)), Mul(Const(2.0 * e.alpha), Mul(a, b)))
-            return Mul(Const(1.0 / (1.0 + e.alpha)), join(Add(a, b), Sqrt(rad)))
-        return _rebuild(e, rec)
-    return _rewrite(expr, step)
-
-
-def _rewrite(expr: Expr, step) -> Expr:
-    """Rebuild ``expr`` bottom-up through ``step(node, rec)``, once per
-    distinct node: results are memoized by node identity, so a node shared
-    by several parents is rewritten once and its result is shared too."""
-    memo: dict[int, tuple[Expr, Expr]] = {}
-
-    def rec(e: Expr) -> Expr:
-        hit = memo.get(id(e))
-        if hit is None:
-            # the key node is kept alive with the result so its id stays unique
-            hit = memo[id(e)] = (e, step(e, rec))
-        return hit[1]
-    return rec(expr)
-
-
-def _rebuild(e: Expr, rec) -> Expr:
-    """Apply rec to children; reuse the node when nothing changed."""
-    node = NODES[type(e)]
-    if not node.operands:
-        return e
-    old = node.children(e)
-    new = tuple(map(rec, old))
-    if all(map(operator.is_, new, old)):
-        return e
-    return type(e)(*new, *[getattr(e, p) for p in node.params])
 
 
 # ----------------------------------------------------------------------

@@ -14,21 +14,24 @@ arithmetic on output (alpha=1 in abs form unless the sqrt form is asked
 for) and never produced by the parser.  The tree format keeps R-nodes
 intact, so structural round trips go through it.
 
-Both parsers refuse expressions deeper than ``MAX_DEPTH`` levels with a
-ParseError, checked before anything recurses that deep, so deep input never
-ends in a RecursionError.  Infix text may also nest parentheses and calls
-at most ``MAX_DEPTH`` deep.
+Both writers visit each distinct node once and do not recurse (``json``
+still recurses once per level of tree text).  Both parsers refuse
+expressions deeper than ``MAX_DEPTH`` levels with a ParseError, checked
+before anything recurses that deep, so deep input never ends in a
+RecursionError.  Infix text may also nest parentheses and calls at most
+``MAX_DEPTH`` deep.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 
 from .errors import ParseError
 from .expr import (
-    NODES, Abs, Add, Const, Expr, Max, Min, Mul, Neg, Pow, Sqrt, Sub, Var,
-    canonicalize_alpha1, children, depth, desugar_r_nodes,
+    NODES, Abs, Add, Const, Expr, Max, Min, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var, depth,
+    fold,
 )
 
 FORMATS = ("infix", "tree")
@@ -63,55 +66,66 @@ def parse(text: str, format: str = "infix") -> Expr:
 
 # ----------------------------------------------------------------------
 # infix output
+#
+# One fold prints each node once, from its operands' printed text and how
+# each reads as an operand: _ATOM bare everywhere (a name, a constant that
+# is not negative), _CALL bare except as a power base (calls, powers,
+# negative constants), _COMPOUND parenthesized except as a call argument.
+
+_ATOM, _CALL, _COMPOUND = range(3)
+
 
 def to_infix(expr: Expr, alpha1_style: str = "abs") -> str:
     if alpha1_style not in ("sqrt", "abs"):
         raise ValueError("alpha1_style must be 'sqrt' or 'abs'")
-    if alpha1_style == "abs":
-        expr = canonicalize_alpha1(expr)
-    expr = desugar_r_nodes(expr)
-    return _infix(expr)
+    abs_alpha1 = alpha1_style == "abs"
+    printers = {**_PRINTERS, RAnd: _r_printer("-", abs_alpha1), ROr: _r_printer("+", abs_alpha1)}
+    return fold(expr, lambda e, *operands: printers[type(e)](e, *operands))[0]
 
 
-def _infix(e: Expr) -> str:
-    try:
-        printer = _PRINTERS[type(e)]
-    except KeyError:
-        raise TypeError(f"node {type(e).__name__} has no infix form") from None
-    return printer(e)
+def _operand(printed) -> str:
+    text, how = printed
+    return f"({text})" if how == _COMPOUND else text
 
 
-def _operand(e: Expr) -> str:
-    # operands of operators and of negation are parenthesized unless they
-    # are atoms or calls; the direct lookup keeps a tree level to two frames
-    s = _PRINTERS[type(e)](e)
-    return f"({s})" if type(e) in _PARENTHESIZED else s
+def _base(printed) -> str:
+    text, how = printed
+    return text if how == _ATOM else f"({text})"
 
 
-def _power(e: Pow) -> str:
-    base, text = e.base, _infix(e.base)
-    # atoms print bare, except negative constants
-    if not (type(base) is Var or (type(base) is Const and not base.value < 0)):
-        text = f"({text})"
-    return f"{text}^{e.exponent}"
+def _binary_printer(op: str):
+    return lambda e, a, b: (f"{_operand(a)}{op}{_operand(b)}", _COMPOUND)
 
 
 def _call_printer(name: str):
-    return lambda e: f"{name}({','.join(map(_infix, children(e)))})"
+    return lambda e, *args: (f"{name}({','.join(text for text, _ in args)})", _CALL)
+
+
+def _r_printer(join: str, abs_alpha1: bool):
+    """An R-node printed as its expansion, a product: AND joins a+b and the
+    root term with "-", OR with "+".  At alpha = 1 the abs style prints
+    0.5*((a+b) -/+ abs(a-b)); every other node prints the radical form
+    (a+b -/+ sqrt(a^2 + b^2 - 2*alpha*a*b)) / (1 + alpha)."""
+    def print_r(e, a, b):
+        a_, b_ = _operand(a), _operand(b)
+        if abs_alpha1 and e.alpha == 1.0:
+            return f"0.5*(({a_}+{b_}){join}abs({a_}-{b_}))", _COMPOUND
+        radicand = f"({_base(a)}^2+{_base(b)}^2)-({2.0 * e.alpha!r}*({a_}*{b_}))"
+        return f"{1.0 / (1.0 + e.alpha)!r}*(({a_}+{b_}){join}sqrt({radicand}))", _COMPOUND
+    return print_r
 
 
 # Function spellings, shared by the printer and the parser.  min and max
 # print with two arguments and parse with two or more, folded left.
 FUNCTIONS = {"sqrt": Sqrt, "abs": Abs, "min": Min, "max": Max}
-_PARENTHESIZED = {Add, Sub, Mul, Neg}
 _PRINTERS = {
-    Const: lambda e: repr(e.value),
-    Var: lambda e: e.name,
-    Neg: lambda e: f"-{_operand(e.a)}",
-    Add: lambda e: f"{_operand(e.a)}+{_operand(e.b)}",
-    Sub: lambda e: f"{_operand(e.a)}-{_operand(e.b)}",
-    Mul: lambda e: f"{_operand(e.a)}*{_operand(e.b)}",
-    Pow: _power,
+    Const: lambda e: (repr(e.value), _CALL if e.value < 0 else _ATOM),
+    Var: lambda e: (e.name, _ATOM),
+    Neg: lambda e, a: (f"-{_operand(a)}", _COMPOUND),
+    Add: _binary_printer("+"),
+    Sub: _binary_printer("-"),
+    Mul: _binary_printer("*"),
+    Pow: lambda e, a: (f"{_base(a)}^{e.exponent}", _CALL),
     **{cls: _call_printer(name) for name, cls in FUNCTIONS.items()},
 }
 
@@ -212,7 +226,10 @@ def _parse_power(toks: _Tokens) -> Expr:
         kind, value, pos = toks.next()
         if kind != "number" or not value.isdigit():
             raise ParseError(pos, "exponent must be an unsigned integer literal")
-        node = Pow(node, int(value))
+        try:
+            node = Pow(node, int(value))
+        except ValueError as exc:   # too many digits for int(), too large for float
+            raise ParseError(pos, str(exc)) from None
     return node
 
 
@@ -266,22 +283,30 @@ def _parse_nested(toks: _Tokens, pos: int) -> Expr:
 # ----------------------------------------------------------------------
 # tree format (JSON)
 
-def _to_obj(e: Expr):
+def to_tree_obj(expr: Expr):
+    """The tree format as JSON-ready dicts and lists, built once per distinct
+    node: a node shared by several parents shares its object too."""
+    return fold(expr, _tree_node)
+
+
+def _tree_node(e: Expr, *args):
     node = NODES[type(e)]
     obj = {"kind": node.tag}
     for field in node.params:
         obj[field] = getattr(e, field)
     if node.operands:
-        obj["args"] = list(map(_to_obj, node.children(e)))
+        obj["args"] = list(args)
     return obj
 
 
 def to_tree_text(expr: Expr) -> str:
-    return json.dumps(_to_obj(expr), separators=(",", ":"))
+    return json.dumps(to_tree_obj(expr), separators=(",", ":"))
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # an integer beyond the float range would overflow in float()
+    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
+                                    and abs(v) <= sys.float_info.max)
 
 
 # what the tree format accepts for each parameter field, and how to read it
@@ -289,14 +314,16 @@ _PARAMS = {
     "value": (_is_number, float, "a number"),
     "alpha": (_is_number, float, "a number"),
     "name": (lambda v: isinstance(v, str) and v != "", str, "a non-empty string"),
-    "exponent": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0, int,
-                 "a non-negative integer"),
+    "exponent": (lambda v: _is_number(v) and isinstance(v, int) and v >= 0, int,
+                 "a non-negative integer below 2^1024"),
 }
 _BY_TAG = {node.tag: cls for cls, node in NODES.items()}
 _CHILD_COUNTS = {1: "one child", 2: "two children"}
 
 
-def _from_obj(obj) -> Expr:
+def from_tree_obj(obj) -> Expr:
+    """Read the tree format from decoded JSON.  It recurses once per level,
+    so the caller bounds the depth, as ``load_json`` does."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(None, f"tree node must be an object with 'kind', got {obj!r}")
     tag = obj["kind"]
@@ -317,7 +344,7 @@ def _from_obj(obj) -> Expr:
     args = obj.get("args")
     if not isinstance(args, list) or len(args) != len(node.operands):
         raise ParseError(None, f"{tag} takes {_CHILD_COUNTS[len(node.operands)]}")
-    return cls(*map(_from_obj, args), *params)
+    return cls(*map(from_tree_obj, args), *params)
 
 
 _JSON_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -345,7 +372,9 @@ def load_json(text: str, max_nesting: int):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.pos, f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:   # an integer with more digits than int() converts
+        raise ParseError(None, f"invalid JSON: {exc}") from None
 
 
 def parse_tree_text(text: str) -> Expr:
-    return _from_obj(load_json(text, 2 * MAX_DEPTH - 1))
+    return from_tree_obj(load_json(text, 2 * MAX_DEPTH - 1))

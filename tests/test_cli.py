@@ -1,5 +1,8 @@
+import copy
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -246,10 +249,25 @@ def _edited_report(tmp_path, edit):
 
 
 @pytest.mark.parametrize("edit, needle", [
-    (lambda r: r.update(alpha=5), "alpha must satisfy"),
-    (lambda r: r["box"][0].update(lo=300.0, hi=250.0), "lo < hi, got [300.0, 250.0]"),
-    (lambda r: r["box"][0].update(lo=float("nan")), "lo < hi, got [nan, 300.0]"),
-], ids=["alpha=5", "lo>hi", "nan-lo"])
+    pytest.param(lambda r: r.update(alpha=5), "alpha must satisfy", id="alpha=5"),
+    pytest.param(lambda r: r["box"][0].update(lo=300.0, hi=250.0),
+                 "lo < hi, got [300.0, 250.0]", id="lo>hi"),
+    pytest.param(lambda r: r["box"][0].update(lo=float("nan")), "lo < hi, got [nan, 300.0]",
+                 id="nan-lo"),
+    pytest.param(lambda r: r["constraints"][0].update(threshold=10**400),
+                 "int too large to convert to float", id="threshold=10**400"),
+    pytest.param(lambda r: r["constraints"][0]["coefficients"].__setitem__(0, 10**400),
+                 "int too large to convert to float", id="coefficient=10**400"),
+    pytest.param(lambda r: r["constraints"][1].update(residual_max_abs=-10**400),
+                 "int too large to convert to float", id="residual=-10**400"),
+    pytest.param(lambda r: r["constraints"][0]["basis"]["monomials"][1].__setitem__(0, math.inf),
+                 "cannot convert float infinity to integer", id="monomial-exponent=inf"),
+    pytest.param(lambda r: r["joint"].update(tree={
+        "kind": "pow", "exponent": 10**400, "args": [{"kind": "var", "name": "T"}]}),
+                 "integer below 2^1024", id="pow-exponent=10**400"),
+    pytest.param(lambda r: r["sampling"].pop("skip"), "report has no field 'skip'",
+                 id="no-skip"),
+])
 def test_check_rejects_invalid_report_fields(edit, needle, tmp_path, capsys):
     path = _edited_report(tmp_path, edit)
     line = assert_usage_error(run(["check", str(path), "290,275"]), capsys)
@@ -277,6 +295,59 @@ def test_check_reads_trees_at_the_depth_limit(tmp_path, capsys):
     path.write_text(path.read_text().replace('"DEEP"', chain))
     assert run(["check", str(path), "290,275"]) == 3
     assert capsys.readouterr().out.startswith("outside (joint expression = -290.0)")
+
+
+def test_check_reports_inf_when_a_float_power_overflows(tmp_path, capsys):
+    # (1e200*T)^2 - 1: float ** int raises OverflowError where numpy gives inf
+    tree = {"kind": "sub", "args": [
+        {"kind": "pow", "exponent": 2, "args": [{"kind": "mul", "args": [
+            {"kind": "const", "value": 1e200}, {"kind": "var", "name": "T"}]}]},
+        {"kind": "const", "value": 1.0}]}
+    path = _edited_report(tmp_path, lambda r: r["joint"].update(tree=tree))
+    assert run(["check", str(path), "290,275"]) == 0
+    assert capsys.readouterr() == ("inside (joint expression = inf)\n", "")
+
+
+# what a mutated report field becomes: numbers beyond the float range or
+# the basis' integers, special floats, wrong types and a foreign tree node
+_MUTANTS = [10**400, -10**400, 10**30, 2**70, math.inf, -math.inf, math.nan, 0, -1, 0.5,
+            1e200, "x", "", None, True, [], {}, [1.0, 2.0], {"kind": "var", "name": "T"}]
+
+
+def _mutate(rnd, report):
+    """Replace or delete one value anywhere in ``report``."""
+    slots, stack = [], [report]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            for key in keys:
+                slots.append((node, key))
+                stack.append(node[key])
+    node, key = rnd.choice(slots)
+    if rnd.random() < 0.2:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(rnd.choice(_MUTANTS))
+
+
+def test_check_never_ends_in_a_traceback_on_a_mutated_report(tmp_path, capsys):
+    # the documented exit codes and one error line for every mutation
+    text = REPORT_FIXTURE.read_text()
+    path = tmp_path / "mutant.json"
+    rnd = random.Random(1)
+    for case in range(300):
+        report = json.loads(text)
+        for _ in range(rnd.randint(1, 3)):
+            _mutate(rnd, report)
+        path.write_text(json.dumps(report))
+        code = run(["check", str(path), "290,275"])
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), (case, err)
+        if code == 2:
+            assert err.count("\n") == 1 and err.startswith("error: "), (case, err)
+        else:
+            assert err == "" and out.startswith(("inside", "outside", "boundary")), case
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):

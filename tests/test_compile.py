@@ -8,46 +8,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given
 
 from rfuncds import ds
 from rfuncds.errors import NegativeSqrtArgument, UnboundVariable
 from rfuncds.expr import (
-    Abs, Add, Const, Max, Min, Mul, Neg, Pow, RAnd, Region, ROr, Sqrt, Sub, Var,
-    canonicalize_alpha1, compose, depth, eval_arrays, eval_expr, variables,
+    Add, Const, Mul, Neg, Pow, RAnd, Region, Sub, Var, compose, depth, eval_arrays, eval_expr,
+    variables,
 )
 from rfuncds.geometry import TESTCASE_NAMES, testcase as load_case
+from dags import dags, values
+from rewrites import canonicalize_alpha1
 from tree_eval import tree_eval, tree_eval_arrays
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 X, Y = Var("x"), Var("y")
-SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
-
-_values = st.one_of(st.floats(-5, 5), st.sampled_from(SPECIAL))
-_alphas = st.one_of(st.just(1.0), st.floats(-1.0, 1.0, exclude_min=True))
-_BINARY = (Add, Sub, Mul, Min, Max)
-_UNARY = (Neg, Abs, Sqrt)
-
-
-@st.composite
-def _dags(draw):
-    """Expressions whose operands are drawn from every node built so far, so
-    a node may be shared by several parents (by identity) or appear twice
-    in one."""
-    pool = [X, Y, *(Const(v) for v in draw(st.lists(_values, min_size=1, max_size=3)))]
-    for _ in range(draw(st.integers(1, 12))):
-        pick = st.sampled_from(pool)
-        kind = draw(st.sampled_from(["binary", "unary", "pow", "r-node"]))
-        if kind == "binary":
-            node = draw(st.sampled_from(_BINARY))(draw(pick), draw(pick))
-        elif kind == "unary":
-            node = draw(st.sampled_from(_UNARY))(draw(pick))
-        elif kind == "pow":
-            node = Pow(draw(pick), draw(st.integers(0, 3)))
-        else:
-            node = draw(st.sampled_from((RAnd, ROr)))(draw(pick), draw(pick), draw(_alphas))
-        pool.append(node)
-    return pool[-1]
 
 
 def _outcome(evaluate, expr, env):
@@ -63,13 +38,13 @@ def _same_bits(a, b) -> bool:
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-@given(expr=_dags(), x=_values, y=_values)
+@given(expr=dags(), x=values, y=values)
 def test_compiled_matches_tree_walk(expr, x, y):
     with np.errstate(all="ignore"):
         got = _outcome(eval_expr, expr, {"x": x, "y": y})
         want = _outcome(tree_eval, expr, {"x": x, "y": y})
         # float ** int raises OverflowError where numpy's power returns inf;
-        # the tree walk mixed both, the program always uses float powers
+        # the tree walk mixed both, eval_expr gives numpy's inf
         assume(not isinstance(got, OverflowError) and not isinstance(want, OverflowError))
         if isinstance(want, Exception):
             assert type(got) is type(want)
@@ -151,6 +126,20 @@ def test_variable_names_never_reach_the_generated_source(tmp_path, rng):
                 ds.membership(plain, {"T": T, "t": t})
         for name in names:
             assert name not in report.joint.program.source
+
+
+@pytest.mark.parametrize("exponent", [2, 3, 2**70, 10**30], ids=["2", "3", "2**70", "10**30"])
+def test_scalar_power_overflow_gives_the_array_value(exponent):
+    # float ** int raises OverflowError where numpy gives inf; eval_expr
+    # redoes such a point with numpy
+    expr = Sub(Pow(Mul(Const(1e200), X), exponent), Y)
+    bases = [1.0, -1.0, 1e-200, -1e-200, 1.5e-200, -1.5e-200, 0.5e-200, 0.0, -0.0,
+             math.inf, -math.inf, math.nan]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = eval_arrays(expr, {"x": np.array(bases), "y": np.ones(len(bases))})
+    got = [eval_expr(expr, {"x": x, "y": 1.0}) for x in bases]
+    assert _same_bits(got, want)
+    assert math.isinf(got[0])
 
 
 def test_deep_chains_evaluate_without_recursion():

@@ -21,8 +21,8 @@ from rfuncds.errors import (
     AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, ParseError,
     RfuncdsError,
 )
-from rfuncds.expr import eval_arrays, eval_expr
-from rfuncds.exprtext import parse_infix
+from rfuncds.expr import depth, eval_arrays, eval_expr
+from rfuncds.exprtext import MAX_DEPTH, parse_infix
 from rfuncds.polyfit import BasisSpec
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
@@ -271,8 +271,8 @@ def test_joint_expression_structure_two_constraints():
 
 
 def test_joint_expression_round_trip(rng):
-    from rfuncds.expr import canonicalize_alpha1, desugar_r_nodes
     from rfuncds.exprtext import parse
+    from rewrites import canonicalize_alpha1, desugar_r_nodes
 
     report = synthetic_report()
     joint = report.joint.expr
@@ -325,6 +325,31 @@ def test_saved_report_round_trips_byte_for_byte(fixture, tmp_path):
     save_report(load_report(fixture), path, artifacts=saved["files"],
                 provenance=saved["provenance"])
     assert path.read_bytes() == fixture.read_bytes()
+
+
+@pytest.mark.parametrize("field", ["phi_tree", "joint"])
+def test_load_report_takes_trees_of_max_depth_levels(field, tmp_path):
+    # the report's one nesting check bounds a phi_tree (inside the report,
+    # constraints and constraint) and joint.tree (inside the report and
+    # joint) to exactly MAX_DEPTH levels
+    report = json.loads(REPORT_FIXTURES[1].read_text())
+    if field == "joint":
+        report["joint"]["tree"] = "DEEP"
+    else:
+        report["constraints"][0]["phi_tree"] = "DEEP"
+    text = json.dumps(report)
+    path = tmp_path / "deep.json"
+    for levels in (MAX_DEPTH, MAX_DEPTH + 1):
+        chain = ('{"kind":"neg","args":[' * (levels - 1) + '{"kind":"var","name":"T"}'
+                 + "]}" * (levels - 1))
+        path.write_text(text.replace('"DEEP"', chain))
+        if levels == MAX_DEPTH:
+            loaded = load_report(path)
+            tree = loaded.joint if field == "joint" else loaded.constraints[0].phi
+            assert depth(tree.expr) == MAX_DEPTH
+        else:
+            with pytest.raises(ParseError, match="deeper than"):
+                load_report(path)
 
 
 def test_load_rejects_other_files(tmp_path):

@@ -13,10 +13,11 @@ from rfuncds.errors import (
 )
 from rfuncds.expr import (
     NODES, Abs, Add, And, Const, Expr, Leaf, Max, Min, Mul, Neg, Not, Pow, RAnd, ROr, Region,
-    Sqrt, Sub, Var, canonicalize_alpha1, children, compose, depth, desugar_r_nodes, eval_arrays,
-    eval_expr, r_and, r_not, r_or, sign_class, walk,
+    Sqrt, Sub, Var, children, compose, depth, eval_arrays, eval_expr, r_and, r_not, r_or,
+    sign_class, walk,
 )
 from rfuncds.geometry import Circle, primitive, testcase as load_case
+from rewrites import canonicalize_alpha1, desugar_r_nodes
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 alphas = st.sampled_from([-0.9, -0.5, 0.0, 0.5, 1.0])

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,12 +9,14 @@ from hypothesis import given, strategies as st
 from rfuncds.errors import ParseError
 from rfuncds.expr import (
     Abs, Add, Const, Max, Min, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var,
-    canonicalize_alpha1, depth, desugar_r_nodes, eval_expr,
+    depth, eval_expr,
 )
 from rfuncds.exprtext import (
     MAX_DEPTH, parse, parse_infix, parse_tree_text, serialize, to_infix, to_tree_text,
 )
 from rfuncds.geometry import testcase as load_case
+from dags import dags
+from rewrites import canonicalize_alpha1, desugar_r_nodes
 
 X, Y = Var("x"), Var("y")
 
@@ -115,6 +119,8 @@ def test_number_round_trip_full_precision(v):
     ("x @ y", True),
     ("", True),
     ("min()", True),
+    pytest.param("x ^ 1" + "0" * 400, True, id="exponent-10**400"),
+    pytest.param("x ^ 1" + "0" * 5000, True, id="exponent-5001-digits"),
 ])
 def test_parse_errors(bad, position_known):
     with pytest.raises(ParseError):
@@ -129,6 +135,10 @@ def test_parse_errors(bad, position_known):
     '{"kind":"add","args":[{"kind":"var","name":"x"}]}',
     '{"kind":"rand","args":[{"kind":"var","name":"x"},{"kind":"var","name":"y"}]}',
     "{not json",
+    pytest.param('{"kind":"pow","exponent":1' + "0" * 400 + ',"args":[{"kind":"var","name":"x"}]}',
+                 id="exponent-10**400"),
+    pytest.param('{"kind":"const","value":1' + "0" * 400 + "}", id="value-10**400"),
+    pytest.param('{"kind":"const","value":1' + "0" * 5000 + "}", id="value-5001-digits"),
 ])
 def test_tree_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -228,3 +238,69 @@ def test_random_expression_round_trip(expr, x, y):
     for fmt in ("infix", "tree"):
         back = parse(serialize(expr, fmt), fmt)
         assert eval_expr(back, env) == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("expr, abs_text, sqrt_text", [
+    (Pow(Const(-2.0), 2), "(-2.0)^2", None),
+    (Pow(Const(math.nan), 2), "nan^2", None),
+    (Pow(Const(-0.0), 2), "-0.0^2", None),
+    (Neg(Const(-1.0)), "--1.0", None),
+    (Mul(Const(-1.0), X), "-1.0*x", None),
+    (Pow(Pow(X, 2), 3), "(x^2)^3", None),
+    (Pow(Abs(X), 2), "(abs(x))^2", None),
+    (Sub(X, Neg(Y)), "x-(-y)", None),
+    (Min(X + Y, X * Y), "min(x+y,x*y)", None),
+    (RAnd(X, Y, 1.0), "0.5*((x+y)-abs(x-y))", "0.5*((x+y)-sqrt((x^2+y^2)-(2.0*(x*y))))"),
+    (ROr(X + Y, Const(-3.0), 1.0), "0.5*(((x+y)+-3.0)+abs((x+y)--3.0))",
+     "0.5*(((x+y)+-3.0)+sqrt(((x+y)^2+(-3.0)^2)-(2.0*((x+y)*-3.0))))"),
+    (RAnd(Pow(X, 2), Neg(Y), -0.5), "2.0*((x^2+(-y))-sqrt(((x^2)^2+(-y)^2)-(-1.0*(x^2*(-y)))))",
+     None),
+    (Pow(ROr(X, Y, 1.0), 2), "(0.5*((x+y)+abs(x-y)))^2",
+     "(0.5*((x+y)+sqrt((x^2+y^2)-(2.0*(x*y)))))^2"),
+])
+def test_infix_spelling(expr, abs_text, sqrt_text):
+    # operands of operators and negation are parenthesized unless they are
+    # atoms, calls, powers or constants; a power base prints bare only as a
+    # name or a constant that is not negative
+    assert to_infix(expr, alpha1_style="abs") == abs_text
+    assert to_infix(expr, alpha1_style="sqrt") == (sqrt_text or abs_text)
+
+
+@given(expr=dags())
+def test_infix_matches_printing_the_rewritten_expression(expr):
+    # the printer expands R-nodes itself; the rewrites build that expansion
+    # as a tree, which prints without any R-node
+    assert to_infix(expr, alpha1_style="abs") == to_infix(
+        desugar_r_nodes(canonicalize_alpha1(expr)), alpha1_style="abs")
+    assert to_infix(expr, alpha1_style="sqrt") == to_infix(
+        desugar_r_nodes(expr), alpha1_style="sqrt")
+
+
+def test_deep_chain_prints_to_infix_in_small_memory():
+    # each level's text is dropped once its parent has read it; holding
+    # every level's text of this chain takes about 1 GB
+    levels = 20_000
+    expr = X
+    for _ in range(levels):
+        expr = Add(expr, Y)
+    tracemalloc.start()
+    try:
+        text = to_infix(expr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "(" * (levels - 1) + "x+y" + ")+y" * (levels - 1)
+    assert peak < 20e6
+
+
+def test_shared_alpha1_chain_prints_in_time_linear_in_its_text():
+    # the abs form repeats each level's operand twice, so the text doubles
+    # with each level; printing each distinct node once costs no more
+    expr = X
+    for i in range(16):
+        expr = RAnd(expr, Var(f"x{i}"), 1.0)
+    start = time.perf_counter()
+    text = to_infix(expr, alpha1_style="abs")
+    assert time.perf_counter() - start < 0.5
+    assert text == to_infix(desugar_r_nodes(canonicalize_alpha1(expr)))
+    assert len(text) > 2 ** 16
