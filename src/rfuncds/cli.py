@@ -15,12 +15,11 @@ the built-in kinetics and box.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
-from . import __version__, ds, qmc, reactor
-from .contour import grid_eval, marching_squares, slice_contours_3d
-from .emit import DEFAULT_PALETTE, emit_contours_csv, emit_field_csv, emit_svg
+from . import __version__, ds
 from .errors import (
     InsufficientPoints,
     IntegratorFailure,
@@ -28,7 +27,7 @@ from .errors import (
     RfuncdsError,
     ToleranceNotMet,
 )
-from .expr import check_alpha, compose, eval_expr
+from .expr import check_alpha, classify, compose, eval_expr
 from .exprtext import serialize
 from .geometry import TESTCASE_NAMES, testcase
 
@@ -36,6 +35,30 @@ from .geometry import TESTCASE_NAMES, testcase
 # usage error or malformed input and exits 2
 _RUNTIME_ERRORS = (IntegratorFailure, ToleranceNotMet, RankDeficient,
                    InsufficientPoints, OSError)
+
+# names imported when a command that draws runs, so that check loads
+# neither numpy nor the modules it does not use
+_LAZY = {
+    **dict.fromkeys(("grid_eval", "marching_squares", "slice_contours_3d"), "contour"),
+    **dict.fromkeys(("DEFAULT_PALETTE", "emit_contours_csv", "emit_field_csv", "emit_svg"),
+                    "emit"),
+}
+
+
+def _bind(*names: str) -> None:
+    """Bind lazily imported names as module globals, keeping a binding that
+    is already there (such as a wrapper installed around the function)."""
+    for name in names:
+        if name not in globals():
+            module = importlib.import_module(f"{__package__}.{_LAZY[name]}")
+            globals()[name] = getattr(module, name)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,6 +138,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_demo(args, provenance: str) -> int:
+    _bind("grid_eval", "marching_squares", "slice_contours_3d", "DEFAULT_PALETTE",
+          "emit_svg", "emit_field_csv")
     _, _, case = testcase(args.name)
     alpha = case.alpha if args.alpha is None else args.alpha
     grid = case.default_resolution if args.grid is None else args.grid
@@ -175,6 +200,8 @@ def _load_config(path: str) -> dict:
 
 
 def cmd_identify(args, provenance: str) -> int:
+    from . import reactor
+    _bind("grid_eval", "marching_squares", "DEFAULT_PALETTE", "emit_svg", "emit_contours_csv")
     if args.n < len(reactor.CQA_BASIS):
         print(f"error: --n must be >= {len(reactor.CQA_BASIS)} (basis size), got {args.n}",
               file=sys.stderr)
@@ -264,8 +291,8 @@ def cmd_check(args, provenance: str) -> int:
     except ValueError:
         print(f"error: malformed point {args.point!r}", file=sys.stderr)
         return 2
-    verdict = ds.membership(report, point)
-    value = eval_expr(report.joint, point)
+    value = eval_expr(report.joint, ds.box_point(report, point))
+    verdict = classify(value)
     print(f"{verdict} (joint expression = {value!r})")
     return {"inside": 0, "outside": 3, "boundary": 4}[verdict]
 
@@ -277,6 +304,7 @@ def cmd_sobol(args, provenance: str) -> int:
     if args.skip < 0:
         print("error: --skip must be >= 0", file=sys.stderr)
         return 2
+    from . import qmc
     for row in qmc.sobol(args.d, args.n, skip=args.skip):
         print(",".join(repr(float(v)) for v in row))
     return 0

@@ -13,9 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import exprtext
 from .errors import (
@@ -27,6 +25,9 @@ from .expr import (
 )
 from .polyfit import BasisSpec, FitResult, fit_least_squares, r_squared, to_expr
 from .qmc import scale, sobol
+
+if TYPE_CHECKING:
+    import numpy as np
 
 REPORT_FORMAT = "rfuncds-ds-report/1"
 
@@ -128,6 +129,7 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     the sign of the joint expression agrees with direct thresholding of the
     model output.
     """
+    import numpy as np
     constraints = list(constraints)
     if not constraints:
         raise EmptyConstraintList("need at least one constraint")
@@ -196,12 +198,23 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
 def membership(report: DSReport, u, tol: float = 1e-9) -> str:
     """Classify a point against the identified joint expression.
 
-    Never calls the underlying model.  Raises OutOfBox for points outside
-    the report's parameter box, and for a mapping that misses a box
-    coordinate or names one the box does not have.
+    Never calls the underlying model.  Raises OutOfBox as ``box_point``.
+    """
+    # the joint region's inputs are the box axes in order (DSReport checks it)
+    return sign_class(report.joint, box_point(report, u), tol=tol)
+
+
+def box_point(report: DSReport, u) -> list[float]:
+    """The coordinates of ``u`` as floats in box-axis order.
+
+    ``u`` is a name -> value mapping or the values in box-axis order.
+    Raises OutOfBox for points outside the report's parameter box, and for
+    a mapping that misses a box coordinate or names one the box does not
+    have.
     """
     box = report.box
-    if isinstance(u, Mapping):
+    # lists and tuples skip the slower abstract-class check
+    if not isinstance(u, (list, tuple)) and isinstance(u, Mapping):
         names = [axis.name for axis in box]
         unknown = [k for k in u if k not in names]
         if unknown:
@@ -212,15 +225,14 @@ def membership(report: DSReport, u, tol: float = 1e-9) -> str:
         except KeyError as exc:
             raise OutOfBox(f"point is missing coordinate {exc.args[0]!r}") from None
     else:
-        values = [float(v) for v in u]
+        values = list(map(float, u))
         if len(values) != len(box):
             raise OutOfBox(f"point has {len(values)} coordinates, box has {len(box)}")
     for axis, v in zip(box, values):
         if not axis.lo <= v <= axis.hi:
             raise OutOfBox(
                 f"{axis.name} = {v!r} outside [{axis.lo}, {axis.hi}]")
-    # the joint region's inputs are the box axes in order (DSReport checks it)
-    return sign_class(report.joint, values, tol=tol)
+    return values
 
 
 def joint_expression(report: DSReport, format: str = "infix",
@@ -289,17 +301,19 @@ def load_report(path) -> DSReport:
     """Reload a saved report (metamodels and expressions).
 
     Expression trees may nest at most ``exprtext.MAX_DEPTH`` levels; the
-    file is checked for that before it is decoded.  A missing field, a
-    value that does not convert (such as an integer beyond the float
-    range), an alpha outside (-1, 1], a box axis without finite
-    ``lo < hi`` and a too-deep tree raise ParseError.
+    file is checked for that before it is decoded.  A missing or wrong
+    ``format`` key, a missing field, a value that does not convert (such as
+    an integer beyond the float range), a coefficient list that does not
+    match its basis, an alpha outside (-1, 1], a box axis without finite
+    ``lo < hi`` and a too-deep tree raise ParseError.  Coefficients load as
+    a tuple of floats; nothing here imports numpy.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     # a phi_tree sits three levels down (report, constraints, constraint)
     obj = exprtext.load_json(text, 2 * exprtext.MAX_DEPTH + 2)
     if not isinstance(obj, dict) or obj.get("format") != REPORT_FORMAT:
-        raise ValueError(f"not a {REPORT_FORMAT} file: {path}")
+        raise ParseError(None, f"not a {REPORT_FORMAT} file: {path}")
     try:
         return _report_from_obj(obj)
     except KeyError as exc:
@@ -317,8 +331,11 @@ def _report_from_obj(obj: dict) -> DSReport:
     for c in obj["constraints"]:
         basis = BasisSpec(vars=tuple(c["basis"]["vars"]),
                           monomials=tuple(tuple(m) for m in c["basis"]["monomials"]))
-        fit = FitResult(basis=basis,
-                        coefficients=np.array(c["coefficients"], dtype=float),
+        coefficients = tuple(float(v) for v in c["coefficients"])
+        if len(coefficients) != len(basis):
+            raise ValueError(f"{len(coefficients)} coefficients for "
+                             f"{len(basis)} monomials")
+        fit = FitResult(basis=basis, coefficients=coefficients,
                         r_squared=float(c["r_squared"]),
                         n_points=int(c["n_points"]),
                         residual_max_abs=float(c["residual_max_abs"]))

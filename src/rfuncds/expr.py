@@ -20,10 +20,8 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     AlphaOutOfRange,
@@ -31,6 +29,9 @@ from .errors import (
     NegativeSqrtArgument,
     UnboundVariable,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Sqrt arguments in [-SQRT_CLAMP_TOL, 0) clamp to 0; anything lower raises.
 # alpha=1 compositions produce sqrt((a-b)^2), which can go epsilon-negative.
@@ -278,6 +279,7 @@ def _scalar_max(a, b):
 
 def _root_arrays(arg):
     """sqrt with arguments in [-SQRT_CLAMP_TOL, 0) clamped to 0."""
+    import numpy as np
     low = np.min(arg)
     if low < -SQRT_CLAMP_TOL:
         raise NegativeSqrtArgument(float(low))
@@ -295,8 +297,13 @@ def _root_scalar(arg):
 
 
 # the functions the generated source calls, for numpy arrays and for floats
-_ARRAY_FUNCTIONS = {"sqrt": np.sqrt, "root": _root_arrays, "absolute": np.abs,
-                    "minimum": np.minimum, "maximum": np.maximum}
+@functools.cache
+def _array_functions() -> dict:
+    import numpy as np
+    return {"sqrt": np.sqrt, "root": _root_arrays, "absolute": np.abs,
+            "minimum": np.minimum, "maximum": np.maximum}
+
+
 _SCALAR_FUNCTIONS = {"sqrt": math.sqrt, "root": _root_scalar, "absolute": abs,
                      "minimum": _scalar_min, "maximum": _scalar_max}
 _LOCAL_RE = re.compile(r"\bv\d+\b")
@@ -308,15 +315,24 @@ class Program:
 
     ``arrays`` evaluates it with numpy functions, ``scalars`` with float
     functions; both take the input values as one sequence ordered like
-    ``names`` and share one code object.  ``reads`` holds the names the
+    ``names`` and share one code object.  ``bind`` makes the function from
+    a table of the functions it calls; ``arrays`` is bound on first use, so
+    scalar evaluation never imports numpy.  ``reads`` holds the names the
     expression reads and ``source`` the generated text.
     """
 
     names: tuple[str, ...]
     reads: frozenset[str]
     source: str
-    arrays: Callable
     scalars: Callable
+    bind: Callable = field(repr=False)
+    _arrays: Callable | None = field(default=None, repr=False)
+
+    @property
+    def arrays(self) -> Callable:
+        if self._arrays is None:
+            object.__setattr__(self, "_arrays", self.bind(_array_functions()))
+        return self._arrays
 
     def inputs(self, point):
         """The input sequence for a name -> value mapping; any other
@@ -414,8 +430,7 @@ def compile_expr(expr: Expr, names: Sequence[str] | None = None) -> Program:
         namespace = {**functions, **consts}
         exec(code, namespace)
         return namespace["program"]
-    return Program(names, frozenset(k.reads), source,
-                   bind(_ARRAY_FUNCTIONS), bind(_SCALAR_FUNCTIONS))
+    return Program(names, frozenset(k.reads), source, bind(_SCALAR_FUNCTIONS), bind)
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +450,7 @@ def eval_expr(expr: Expr | Region, point) -> float:
         return float(program.scalars(inputs))
     except OverflowError:
         # float ** int raises where numpy gives inf; only such points pay for numpy
+        import numpy as np
         with np.errstate(over="ignore", invalid="ignore"):
             return float(program.arrays([np.float64(v) for v in inputs]))
 
@@ -442,6 +458,7 @@ def eval_expr(expr: Expr | Region, point) -> float:
 def eval_arrays(expr: Expr | Region, env) -> np.ndarray:
     """Vectorized evaluation; env values are broadcast-compatible arrays,
     given like ``point`` of :func:`eval_expr`."""
+    import numpy as np
     program = expr.program if isinstance(expr, Region) else compile_expr(expr)
     return np.asarray(program.arrays(program.inputs(env)), dtype=float)
 
@@ -560,9 +577,13 @@ def sign_class(region: Region, point, tol: float = 1e-9) -> str:
 
     ``point`` is a name -> value mapping or the values in ``region.vars`` order.
     """
+    return classify(eval_expr(region, point), tol)
+
+
+def classify(value: float, tol: float = 1e-9) -> str:
+    """The class of an expression value, as in :func:`sign_class`."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    value = eval_expr(region, point)
     if value > tol:
         return "inside"
     if value < -tol:

@@ -14,12 +14,11 @@ arithmetic on output (alpha=1 in abs form unless the sqrt form is asked
 for) and never produced by the parser.  The tree format keeps R-nodes
 intact, so structural round trips go through it.
 
-Both writers visit each distinct node once and do not recurse (``json``
-still recurses once per level of tree text).  Both parsers refuse
-expressions deeper than ``MAX_DEPTH`` levels with a ParseError, checked
-before anything recurses that deep, so deep input never ends in a
-RecursionError.  Infix text may also nest parentheses and calls at most
-``MAX_DEPTH`` deep.
+Both writers visit each distinct node once and do not recurse.  Both
+parsers refuse expressions deeper than ``MAX_DEPTH`` levels with a
+ParseError, checked before anything recurses that deep, so deep input never
+ends in a RecursionError.  Infix text may also nest parentheses and calls at
+most ``MAX_DEPTH`` deep.
 """
 
 from __future__ import annotations
@@ -300,7 +299,34 @@ def _tree_node(e: Expr, *args):
 
 
 def to_tree_text(expr: Expr) -> str:
-    return json.dumps(to_tree_obj(expr), separators=(",", ":"))
+    """The tree format as compact JSON text: ``json.dumps`` of
+    ``to_tree_obj`` with separators ``(",", ":")``, written without
+    recursion and in time linear in the length of the text.  Only scalars go
+    through ``json.dumps``."""
+    out = []
+    stack = [fold(expr, _tree_text)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(item))
+    return "".join(out)
+
+
+def _tree_text(e: Expr, *args):
+    """A leaf's text, or an inner node's as a list of text pieces and the
+    operands' own results, in order."""
+    node = NODES[type(e)]
+    head = '{"kind":' + json.dumps(node.tag) + "".join(
+        f',"{field}":{json.dumps(getattr(e, field))}' for field in node.params)
+    if not node.operands:
+        return head + "}"
+    pieces = [head + ',"args":[']
+    for arg in args:
+        pieces += (arg, ",")
+    pieces[-1] = "]}"
+    return pieces
 
 
 def _is_number(v) -> bool:

@@ -1,13 +1,19 @@
-"""Multivariate polynomial least squares over an explicit monomial basis."""
+"""Multivariate polynomial least squares over an explicit monomial basis.
+
+numpy is imported by the functions that take or build arrays, so a fit
+reloaded from a report (``ds.load_report``) needs none.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, InsufficientPoints, RankDeficient
 from .expr import Const, Expr, Mul, Pow, Var
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # residuals below this count as an exact fit when SS_tot degenerates to 0
 _EXACT_RESIDUAL = 1e-12
@@ -41,18 +47,22 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted polynomial: one coefficient per monomial of ``basis``."""
+
     basis: BasisSpec
-    coefficients: np.ndarray
+    coefficients: tuple[float, ...]
     r_squared: float
     n_points: int
     residual_max_abs: float
 
     def predict(self, points) -> np.ndarray:
-        return design_matrix(points, self.basis) @ self.coefficients
+        import numpy as np
+        return design_matrix(points, self.basis) @ np.array(self.coefficients)
 
 
 def design_matrix(points, basis: BasisSpec) -> np.ndarray:
     """Matrix with entry (i, j) = monomial_j evaluated at point_i."""
+    import numpy as np
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != len(basis.vars):
         raise DimensionMismatch(
@@ -69,6 +79,7 @@ def fit_least_squares(points, values, basis: BasisSpec) -> FitResult:
     reported on the training data; an all-constant target with a tiny
     residual counts as R^2 = 1.
     """
+    import numpy as np
     y = np.asarray(values, dtype=float)
     matrix = design_matrix(points, basis)
     n, m = matrix.shape
@@ -93,7 +104,7 @@ def fit_least_squares(points, values, basis: BasisSpec) -> FitResult:
         r2 = 1.0 - ss_res / ss_tot
     return FitResult(
         basis=basis,
-        coefficients=coeffs,
+        coefficients=tuple(coeffs.tolist()),
         r_squared=r2,
         n_points=n,
         residual_max_abs=float(np.abs(residuals).max(initial=0.0)),
@@ -102,6 +113,7 @@ def fit_least_squares(points, values, basis: BasisSpec) -> FitResult:
 
 def r_squared(fit: FitResult, points, values) -> float:
     """R^2 of an existing fit on held-out data."""
+    import numpy as np
     y = np.asarray(values, dtype=float)
     residuals = y - fit.predict(points)
     ss_tot = float(((y - y.mean()) ** 2).sum())

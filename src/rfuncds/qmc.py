@@ -11,13 +11,13 @@ the documented ``d s a m_1..m_s`` row format (see docs/formats.md).
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
-from importlib import resources
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BoundsMismatch, DimensionUnsupported, SampleCountTooLarge
+
+if TYPE_CHECKING:
+    import numpy as np
 
 N_BITS = 32
 MAX_DIMENSION = 16
@@ -27,6 +27,8 @@ _DATA_SHA256 = "e4d5fd6d239680ded367b1d0a176560b14718c2c2ba25e948df6a140cc1c4407
 
 @lru_cache(maxsize=1)
 def _direction_rows() -> list[tuple[int, int, list[int]]]:
+    import hashlib
+    from importlib import resources
     raw = resources.files("rfuncds.data").joinpath(_DATA_FILE).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     if digest != _DATA_SHA256:
@@ -71,6 +73,7 @@ def _directions(d: int) -> tuple[tuple[int, ...], ...]:
 def sobol(d: int, n: int, skip: int = 1) -> np.ndarray:
     """First ``n`` points of the d-dimensional Sobol sequence after ``skip``,
     as an ``(n, d)`` array."""
+    import numpy as np
     if not 1 <= d <= MAX_DIMENSION:
         raise DimensionUnsupported(d, MAX_DIMENSION)
     if n < 1:
@@ -99,6 +102,7 @@ def sobol(d: int, n: int, skip: int = 1) -> np.ndarray:
 def scale(points: np.ndarray, bounds) -> np.ndarray:
     """Map ``(n, d)`` unit-cube points into a box via x <- lo + x*(hi - lo)
     per axis."""
+    import numpy as np
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     if len(bounds) != points.shape[1]:
         raise BoundsMismatch(

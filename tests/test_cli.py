@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -308,6 +309,26 @@ def test_check_reports_inf_when_a_float_power_overflows(tmp_path, capsys):
     assert capsys.readouterr() == ("inside (joint expression = inf)\n", "")
 
 
+@pytest.mark.parametrize("value, code, verdict", [
+    (0.5, 0, "inside"), (-0.5, 3, "outside"), (1e-9, 4, "boundary"), (-1e-9, 4, "boundary"),
+    (1.5e-9, 0, "inside"), (-1.5e-9, 3, "outside"),
+])
+def test_check_evaluates_the_joint_expression_once(value, code, verdict, monkeypatch, capsys):
+    # the verdict comes from the one printed value, with membership's tolerance
+    report = ds.load_report(REPORT_FIXTURE)
+    calls = []
+
+    def scalars(inputs):
+        calls.append(list(inputs))
+        return value
+    program = dataclasses.replace(report.joint.program, scalars=scalars)
+    report.joint.__dict__["program"] = program
+    monkeypatch.setattr(ds, "load_report", lambda path: report)
+    assert run(["check", str(REPORT_FIXTURE), "t=280,T=290"]) == code
+    assert calls == [[290.0, 280.0]]
+    assert capsys.readouterr() == (f"{verdict} (joint expression = {value!r})\n", "")
+
+
 # what a mutated report field becomes: numbers beyond the float range or
 # the basis' integers, special floats, wrong types and a foreign tree node
 _MUTANTS = [10**400, -10**400, 10**30, 2**70, math.inf, -math.inf, math.nan, 0, -1, 0.5,
@@ -420,6 +441,18 @@ def test_identify_provenance_names_model(tmp_path, capsys):
     assert (out / "joint.csv").read_text().splitlines()[0] == f"# {expected}"
 
 
+def _run_child(*args, cwd=REPO):
+    """Run a child interpreter that imports this package; it must exit 0."""
+    env = dict(os.environ)
+    extra = env.get("PYTHONPATH")
+    pkg_root = Path(rfuncds.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = str(pkg_root) + (os.pathsep + extra if extra else "")
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_default_paths_never_import_scipy(tmp_path):
     # a child interpreter, so no other test's imports count
     code = (
@@ -432,13 +465,80 @@ def test_default_paths_never_import_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(rfuncds.__file__)\n"
     )
-    env = dict(os.environ)
-    extra = env.get("PYTHONPATH")
-    pkg_root = Path(rfuncds.__file__).resolve().parents[1]
-    env["PYTHONPATH"] = str(pkg_root) + (os.pathsep + extra if extra else "")
-    proc = subprocess.run([sys.executable, "-c", code, str(KELVIN_CFG)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = _run_child("-c", code, str(KELVIN_CFG), cwd=tmp_path)
     modules, pkg_file = proc.stdout.splitlines()[-2:]
     assert Path(pkg_file).resolve() == Path(rfuncds.__file__).resolve()
     assert modules == "[]"
+
+
+def test_import_load_and_check_never_import_numpy():
+    # a child interpreter, so no other test's imports count
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "import rfuncds\n"
+        "print(loaded())\n"
+        "from rfuncds import cli, ds\n"
+        "reports = [ds.load_report(p) for p in sys.argv[1:]]\n"
+        "print(loaded())\n"
+        "codes = [cli.main(['check', p, '290,280']) for p in sys.argv[1:]]\n"
+        "print(codes, loaded())\n"
+        "print(rfuncds.__file__)\n"
+    )
+    fixtures = [str(REPORT_FIXTURE), str(REPORT_FIXTURE.with_name("kelvin-alpha0.json"))]
+    out = _run_child("-c", code, *fixtures).stdout.splitlines()
+    assert out[:2] == ["[]", "[]"] and out[-2] == "[0, 0] []"
+    assert Path(out[-1]).resolve() == Path(rfuncds.__file__).resolve()
+
+
+def test_cold_check_imports_no_numpy_or_scipy():
+    proc = _run_child("-X", "importtime", "-m", "rfuncds.cli", "check", str(REPORT_FIXTURE),
+                      "290,280")
+    assert proc.stdout == "inside (joint expression = 0.0013891360431317334)\n"
+    imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "rfuncds.errors" in imported
+    assert [m for m in imported if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+# the names `import rfuncds` provided when it imported every module
+EXPORTS = (
+    "Abs", "Add", "And", "BasisSpec", "BoolTree", "BoxAxis", "CQA_BASIS", "Circle", "Const",
+    "ConstraintSpec", "ContourSet", "CylinderZ", "DEFAULT_PARAMS", "DSReport", "Expr",
+    "FitResult", "KineticParams", "Leaf", "Max", "Min", "Mul", "Neg", "Not", "Or",
+    "PROFIT_MIN", "PURITY_MIN", "Parabola", "Paraboloid", "Polyline", "Pow", "RAnd", "ROr",
+    "ReactorOutcome", "Region", "ScalarField", "Slab", "Sqrt", "Sub", "TESTCASE_NAMES",
+    "TestCase", "Var", "batch_cqa", "compose", "contour", "cqa_closed", "cqa_ode",
+    "design_matrix", "ds", "errors", "eval_arrays", "eval_expr", "expr", "exprtext",
+    "fit_least_squares", "fit_report", "geometry", "grid_eval", "identify", "inside_fraction",
+    "joint_expression", "load_report", "marching_squares", "membership", "parse",
+    "parse_infix", "parse_tree_text", "plot_count", "polyfit", "primitive", "qmc", "r_and",
+    "r_not", "r_or", "rate_constants", "reactor", "save_report", "scale", "serialize",
+    "sign_class", "simulate", "slice_contours_3d", "sobol", "testcase", "to_expr",
+    "to_infix", "to_tree_text",
+)
+
+
+def test_every_export_resolves_and_is_listed():
+    code = (
+        "import importlib, sys\n"
+        "import rfuncds\n"
+        "names = sys.argv[1:]\n"
+        "print([n for n in names if n not in dir(rfuncds)])\n"
+        "wrong = []\n"
+        "for n in names:\n"
+        "    value = getattr(rfuncds, n)\n"
+        "    exec(f'from rfuncds import {n} as imported')\n"
+        "    homes = [m for k, m in sys.modules.items() if k.startswith('rfuncds.')\n"
+        "             and (m is value or getattr(m, n, None) is value)]\n"
+        "    if imported is not value or not homes:\n"
+        "        wrong.append(n)\n"
+        "print(wrong)\n"
+        "try:\n"
+        "    rfuncds.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = _run_child("-c", code, *EXPORTS).stdout.splitlines()
+    assert out == ["[]", "[]", "module 'rfuncds' has no attribute 'no_such_name'"]

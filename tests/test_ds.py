@@ -1,10 +1,11 @@
 import json
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rfuncds import cli
+from rfuncds import cli, reactor
 from rfuncds.contour import grid_eval, marching_squares
 from rfuncds.ds import (
     BoxAxis,
@@ -317,6 +318,30 @@ def test_report_save_load_round_trip(tmp_path):
         assert membership(loaded, u) == membership(report, u)
 
 
+def test_reloaded_fit_predicts_bit_for_bit(tmp_path):
+    params, box = reactor.apply_config({})
+    report = identify([ConstraintSpec("purity", reactor.PURITY_MIN),
+                       ConstraintSpec("profit", reactor.PROFIT_MIN)],
+                      box, 16, CQA_BASIS, model=lambda p: reactor.cqa_closed(p, params))
+    save_report(report, tmp_path / "report.json")
+    loaded = load_report(tmp_path / "report.json")
+    lo, hi = np.array([(a.lo, a.hi) for a in box]).T
+    points = np.random.default_rng(3).uniform(lo, hi, (1000, 2))
+    for new, old in zip(loaded.constraints, report.constraints):
+        assert type(new.fit.coefficients) is type(old.fit.coefficients) is tuple
+        assert new.fit == old.fit
+        assert new.fit.predict(points).tobytes() == old.fit.predict(points).tobytes()
+
+
+def test_load_rejects_coefficients_that_do_not_match_the_basis(tmp_path):
+    report = json.loads(REPORT_FIXTURES[1].read_text())
+    report["constraints"][0]["coefficients"].pop()
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    with pytest.raises(ParseError, match="4 coefficients for 5 monomials"):
+        load_report(path)
+
+
 @pytest.mark.parametrize("fixture", REPORT_FIXTURES, ids=lambda p: p.stem)
 def test_saved_report_round_trips_byte_for_byte(fixture, tmp_path):
     # pins the tree reader, the tree writer and the infix printer on real trees
@@ -355,8 +380,69 @@ def test_load_report_takes_trees_of_max_depth_levels(field, tmp_path):
 def test_load_rejects_other_files(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="not a rfuncds-ds-report/1 file"):
         load_report(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.update(format="rfuncds-ds-report/2"),
+    lambda r: r.update(format=None),
+    lambda r: r.pop("format"),
+    lambda r: r.clear(),
+], ids=["other-version", "null", "missing", "empty-object"])
+def test_load_rejects_a_missing_or_wrong_format_key(edit, tmp_path):
+    report = json.loads(REPORT_FIXTURES[1].read_text())
+    edit(report)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    with pytest.raises(ParseError, match="not a rfuncds-ds-report/1 file"):
+        load_report(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "1.5", '"rfuncds-ds-report/1"', "null"])
+def test_load_rejects_json_that_is_not_an_object(text, tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="not a rfuncds-ds-report/1 file"):
+        load_report(path)
+
+
+def _fuzzed_reports(rnd, n):
+    """(kind, text): seeded truncations and one-character edits of the
+    report fixtures."""
+    texts = [p.read_text() for p in REPORT_FIXTURES]
+    structural = [[k for k, c in enumerate(t) if c in '{}[]:,"'] for t in texts]
+    for _ in range(n):
+        i = rnd.randrange(len(texts))
+        text = texts[i]
+        k = rnd.randrange(len(text))
+        kind = rnd.choice(["truncate", "delete", "insert", "replace"])
+        if kind == "truncate":   # every proper prefix of the JSON is invalid
+            yield kind, text[:rnd.randrange(len(text.rstrip()))]
+        elif kind == "delete":   # a bracket, quote, colon or comma
+            k = rnd.choice(structural[i])
+            yield kind, text[:k] + text[k + 1:]
+        elif kind == "insert":
+            yield kind, text[:k] + rnd.choice('{}[]:,"') + text[k:]
+        else:
+            yield kind, text[:k] + rnd.choice("0-.eE9xN ") + text[k + 1:]
+
+
+def test_load_report_raises_only_package_errors_on_fuzzed_text(tmp_path):
+    # an edit inside a string or a number may leave a valid report, which
+    # then loads; any other exception than an RfuncdsError fails the test
+    path = tmp_path / "fuzzed.json"
+    raised = {"truncate": 0, "delete": 0, "insert": 0, "replace": 0}
+    made = dict.fromkeys(raised, 0)
+    for kind, text in _fuzzed_reports(random.Random(11), 1500):
+        path.write_text(text)
+        made[kind] += 1
+        try:
+            load_report(path)
+        except RfuncdsError:
+            raised[kind] += 1
+    assert raised["truncate"] == made["truncate"]
+    assert sum(raised.values()) >= 0.8 * sum(made.values())
 
 
 @pytest.mark.parametrize("old, new", [

@@ -12,7 +12,8 @@ from rfuncds.expr import (
     depth, eval_expr,
 )
 from rfuncds.exprtext import (
-    MAX_DEPTH, parse, parse_infix, parse_tree_text, serialize, to_infix, to_tree_text,
+    MAX_DEPTH, parse, parse_infix, parse_tree_text, serialize, to_infix, to_tree_obj,
+    to_tree_text,
 )
 from rfuncds.geometry import testcase as load_case
 from dags import dags
@@ -208,6 +209,28 @@ def test_tree_text_deeper_than_the_limit_is_a_parse_error():
     # brackets inside strings do not nest
     name = "[{" * 5000
     assert parse_tree_text(json.dumps({"kind": "var", "name": name})) == Var(name)
+
+
+def test_deep_chain_prints_to_tree_text():
+    levels = 20_000
+    assert to_tree_text(_neg_chain(levels)) == _neg_tree_text(levels)
+
+
+def _compact_json(expr):
+    return json.dumps(to_tree_obj(expr), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("expr", [
+    *ZOO, Var('T"\\\u00e9\n\u2603'), Const(1e300), Const(-0.0), Const(5e-324), Const(math.nan),
+    Const(-math.inf), Pow(X, 2 ** 70), RAnd(X, Y, -0.999), Mul(X + Y, X + Y),
+], ids=lambda e: type(e).__name__)
+def test_tree_text_is_the_compact_json_of_the_tree(expr):
+    assert to_tree_text(expr) == _compact_json(expr)
+
+
+@given(expr=dags())
+def test_tree_text_of_shared_nodes_is_the_compact_json_of_the_tree(expr):
+    assert to_tree_text(expr) == _compact_json(expr)
 
 
 # random safe expressions (no sqrt: keeps domains valid for any point)
