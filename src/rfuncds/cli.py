@@ -29,7 +29,6 @@ from .errors import (
 )
 from .expr import check_alpha, classify, compose, eval_expr
 from .exprtext import serialize
-from .geometry import TESTCASE_NAMES, testcase
 
 # failures of a run on valid input exit 1; every other package error is a
 # usage error or malformed input and exits 2
@@ -39,6 +38,7 @@ _RUNTIME_ERRORS = (IntegratorFailure, ToleranceNotMet, RankDeficient,
 # names imported when a command that draws runs, so that check loads
 # neither numpy nor the modules it does not use
 _LAZY = {
+    **dict.fromkeys(("TESTCASE_NAMES", "testcase"), "geometry"),
     **dict.fromkeys(("grid_eval", "marching_squares", "slice_contours_3d"), "contour"),
     **dict.fromkeys(("DEFAULT_PALETTE", "emit_contours_csv", "emit_field_csv", "emit_svg"),
                     "emit"),
@@ -61,6 +61,15 @@ def __getattr__(name: str):
     return globals()[name]
 
 
+def _case_name(value: str) -> str:
+    """The ``demo`` case argument; geometry is imported only when it is parsed."""
+    _bind("TESTCASE_NAMES")
+    if value not in TESTCASE_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {', '.join(map(repr, TESTCASE_NAMES))})")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as one ``error:`` line (exit 2), like every
     other error; subcommand parsers inherit the class."""
@@ -78,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_demo = sub.add_parser("demo", help="render a built-in geometry case")
-    p_demo.add_argument("name", choices=TESTCASE_NAMES)
+    p_demo.add_argument("name", type=_case_name,
+                        help="a built-in case; an unknown name lists them all")
     p_demo.add_argument("--grid", type=int, default=None,
                         help="nodes per axis (default: per-case, 256 for 2D, 64 for 3D)")
     p_demo.add_argument("--slices", type=int, default=9,
@@ -138,7 +148,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_demo(args, provenance: str) -> int:
-    _bind("grid_eval", "marching_squares", "slice_contours_3d", "DEFAULT_PALETTE",
+    _bind("testcase", "grid_eval", "marching_squares", "slice_contours_3d", "DEFAULT_PALETTE",
           "emit_svg", "emit_field_csv")
     _, _, case = testcase(args.name)
     alpha = case.alpha if args.alpha is None else args.alpha

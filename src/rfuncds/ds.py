@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import exprtext
@@ -25,6 +24,7 @@ from .expr import (
 )
 from .polyfit import BasisSpec, FitResult, fit_least_squares, r_squared, to_expr
 from .qmc import scale, sobol
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,78 +32,60 @@ if TYPE_CHECKING:
 REPORT_FORMAT = "rfuncds-ds-report/1"
 
 
-@dataclass(frozen=True)
-class BoxAxis:
+class BoxAxis(Record):
     """One parameter range of the box that the Sobol points fill.
 
     ``lo`` and ``hi`` are stored as floats and must be finite with
     ``lo < hi``; anything else raises BoundsMismatch.
     """
 
-    name: str
-    lo: float
-    hi: float
-    unit: str | None = None
+    __slots__ = ("name", "lo", "hi", "unit")
 
-    def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
+    def __init__(self, name: str, lo: float, hi: float, unit: str | None = None):
+        lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise BoundsMismatch(f"box axis {self.name!r} needs finite bounds with "
+            raise BoundsMismatch(f"box axis {name!r} needs finite bounds with "
                                  f"lo < hi, got [{lo!r}, {hi!r}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(name, lo, hi, unit)
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
+class ConstraintSpec(Record):
     """A quality attribute with its acceptance threshold (direction fixed >=).
 
     The model passed to ``identify`` computes the attribute values.  Express
     a <= constraint by negating both the model's column and the threshold.
     """
 
-    name: str
-    threshold: float
+    __slots__ = ("name", "threshold")
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    name: str
-    threshold: float
-    fit: FitResult
-    phi: Region                      # fitted metamodel minus threshold
-    validation_r_squared: float | None = None
+class ConstraintReport(Record):
+    """One constraint's fit; ``phi`` is the fitted metamodel minus the
+    threshold, as a Region."""
+
+    __slots__ = ("name", "threshold", "fit", "phi", "validation_r_squared")
 
 
-@dataclass(frozen=True)
-class SamplingMeta:
-    n_train: int
-    skip: int
-    n_validation: int
-    validation_skip: int
+class SamplingMeta(Record):
+    __slots__ = ("n_train", "skip", "n_validation", "validation_skip")
 
 
-@dataclass(frozen=True)
-class ValidationStats:
-    agreement_rate: float
-    n_points: int
-    n_disagreements: int
+class ValidationStats(Record):
+    __slots__ = ("agreement_rate", "n_points", "n_disagreements")
 
 
-@dataclass(frozen=True)
-class DSReport:
-    box: tuple[BoxAxis, ...]
-    alpha: float
-    constraints: tuple[ConstraintReport, ...]
-    joint: Region
-    sampling: SamplingMeta | None = None
-    validation: ValidationStats | None = None
+class DSReport(Record):
+    __slots__ = ("box", "alpha", "constraints", "joint", "sampling", "validation")
 
-    def __post_init__(self):
-        names = tuple(axis.name for axis in self.box)
-        if self.joint.vars != names:
-            raise ValueError(f"joint region variables {self.joint.vars} "
+    def __init__(self, box: tuple[BoxAxis, ...], alpha: float,
+                 constraints: tuple[ConstraintReport, ...], joint: Region,
+                 sampling: SamplingMeta | None = None,
+                 validation: ValidationStats | None = None):
+        names = tuple(axis.name for axis in box)
+        if joint.vars != names:
+            raise ValueError(f"joint region variables {joint.vars} "
                              f"differ from the box axes {names}")
+        super().__init__(box, alpha, constraints, joint, sampling, validation)
 
 
 def plot_count(d: int) -> int:
@@ -301,15 +283,19 @@ def load_report(path) -> DSReport:
     """Reload a saved report (metamodels and expressions).
 
     Expression trees may nest at most ``exprtext.MAX_DEPTH`` levels; the
-    file is checked for that before it is decoded.  A missing or wrong
-    ``format`` key, a missing field, a value that does not convert (such as
+    file is checked for that before it is decoded.  A file that is not
+    UTF-8 text, a missing or wrong ``format`` key, a missing field, a value that does not convert (such as
     an integer beyond the float range), a coefficient list that does not
     match its basis, an alpha outside (-1, 1], a box axis without finite
     ``lo < hi`` and a too-deep tree raise ParseError.  Coefficients load as
     a tuple of floats; nothing here imports numpy.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(None, f"{path} is not UTF-8 text: {exc.reason} "
+                               f"at byte {exc.start}") from None
     # a phi_tree sits three levels down (report, constraints, constraint)
     obj = exprtext.load_json(text, 2 * exprtext.MAX_DEPTH + 2)
     if not isinstance(obj, dict) or obj.get("format") != REPORT_FORMAT:

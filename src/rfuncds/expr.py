@@ -20,7 +20,6 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
     NegativeSqrtArgument,
     UnboundVariable,
 )
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,10 +38,48 @@ if TYPE_CHECKING:
 SQRT_CLAMP_TOL = 1e-12
 
 
-class Expr:
-    """Immutable expression node; operators build new nodes."""
+class Expr(Record):
+    """Immutable expression node; operators build new nodes.
+
+    Nodes are records (see :mod:`rfuncds.record`): equal when their classes
+    and fields are equal, and unchangeable once built.
+    """
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        """The record ``repr`` of every node, in time and length linear in the
+        distinct nodes and without recursion: a node with operands that is
+        read more than once prints in full once, as ``#n=Add(...)``, and as
+        the back-reference ``#n#`` wherever it occurs again."""
+        readers: dict[int, int] = {}   # by id of a node's parts list
+
+        def visit(node, *operands):
+            for part in operands:
+                if type(part) is list:
+                    readers[id(part)] = readers.get(id(part), 0) + 1
+            params = [repr(getattr(node, name)) for name in NODES[type(node)].params]
+            parts = [f"{type(node).__qualname__}("]
+            for name, value in zip(node._fields, [*operands, *params]):
+                parts += (f"{name}=", value, ", ")
+            parts[-1] = ")"
+            return parts if operands else "".join(parts)
+
+        out: list[str] = []
+        labels: dict[int, int] = {}
+        stack = [fold(self, visit)]
+        while stack:
+            part = stack.pop()
+            if type(part) is str:
+                out.append(part)
+            elif id(part) in labels:
+                out.append(f"#{labels[id(part)]}#")
+            else:
+                if readers.get(id(part), 0) > 1:
+                    labels[id(part)] = len(labels) + 1
+                    out.append(f"#{len(labels)}=")
+                stack.extend(reversed(part))
+        return "".join(out)
 
     def __add__(self, other) -> "Expr":
         return Add(self, as_expr(other))
@@ -76,73 +114,57 @@ def as_expr(value) -> Expr:
     raise TypeError(f"cannot treat {value!r} as an expression")
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expr):
-    a: Expr
+    __slots__ = ("a",)
 
 
-@dataclass(frozen=True, slots=True)
 class Add(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True, slots=True)
 class Sub(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True, slots=True)
 class Mul(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True, slots=True)
 class Pow(Expr):
     """Integer power with non-negative exponent."""
 
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 0:
-            raise ValueError(f"Pow exponent must be a non-negative integer, got {self.exponent!r}")
-        if self.exponent > sys.float_info.max:   # float ** int and numpy convert it to float
+    def __init__(self, base: Expr, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"Pow exponent must be a non-negative integer, got {exponent!r}")
+        if exponent > sys.float_info.max:   # float ** int and numpy convert it to float
             raise ValueError("Pow exponent is too large to convert to float")
+        super().__init__(base, exponent)
 
 
-@dataclass(frozen=True, slots=True)
 class Sqrt(Expr):
-    a: Expr
+    __slots__ = ("a",)
 
 
-@dataclass(frozen=True, slots=True)
 class Abs(Expr):
-    a: Expr
+    __slots__ = ("a",)
 
 
-@dataclass(frozen=True, slots=True)
 class Min(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True, slots=True)
 class Max(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
 
 
 def check_alpha(alpha: float) -> float:
@@ -152,24 +174,18 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-@dataclass(frozen=True, slots=True)
 class RAnd(Expr):
-    a: Expr
-    b: Expr
-    alpha: float
+    __slots__ = ("a", "b", "alpha")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+    def __init__(self, a: Expr, b: Expr, alpha: float):
+        super().__init__(a, b, check_alpha(alpha))
 
 
-@dataclass(frozen=True, slots=True)
 class ROr(Expr):
-    a: Expr
-    b: Expr
-    alpha: float
+    __slots__ = ("a", "b", "alpha")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+    def __init__(self, a: Expr, b: Expr, alpha: float):
+        super().__init__(a, b, check_alpha(alpha))
 
 
 def r_and(a, b, alpha: float = 1.0) -> Expr:
@@ -309,8 +325,7 @@ _SCALAR_FUNCTIONS = {"sqrt": math.sqrt, "root": _root_scalar, "absolute": abs,
 _LOCAL_RE = re.compile(r"\bv\d+\b")
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
+class Program(Record):
     """An expression compiled into one generated Python function.
 
     ``arrays`` evaluates it with numpy functions, ``scalars`` with float
@@ -321,18 +336,15 @@ class Program:
     expression reads and ``source`` the generated text.
     """
 
-    names: tuple[str, ...]
-    reads: frozenset[str]
-    source: str
-    scalars: Callable
-    bind: Callable = field(repr=False)
-    _arrays: Callable | None = field(default=None, repr=False)
+    __slots__ = ("names", "reads", "source", "scalars", "bind", "_arrays")
 
     @property
     def arrays(self) -> Callable:
-        if self._arrays is None:
+        try:
+            return self._arrays
+        except AttributeError:
             object.__setattr__(self, "_arrays", self.bind(_array_functions()))
-        return self._arrays
+            return self._arrays
 
     def inputs(self, point):
         """The input sequence for a name -> value mapping; any other
@@ -535,38 +547,36 @@ def variables(expr: Expr) -> set[str]:
 # ----------------------------------------------------------------------
 # regions and Boolean composition
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Implicit region: the point set where ``expr >= 0``.
 
     ``vars`` fixes the coordinate order (used by grids, CSV output and CLI
     point arguments); ``units`` is optional per-variable unit labels.
     """
 
-    expr: Expr
-    vars: tuple[str, ...]
-    units: tuple[str | None, ...] | None = None
-    description: str = ""
+    # the instance dict holds only the compiled program
+    __slots__ = ("expr", "vars", "units", "description", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-        if self.units is not None:
-            if len(self.units) != len(self.vars):
+    def __init__(self, expr: Expr, vars: Sequence[str],
+                 units: Sequence[str | None] | None = None, description: str = ""):
+        vars = tuple(vars)
+        if units is not None:
+            if len(units) != len(vars):
                 raise ValueError("units length must match vars length")
-            object.__setattr__(self, "units", tuple(self.units))
-        unbound = variables(self.expr) - set(self.vars)
+            units = tuple(units)
+        unbound = variables(expr) - set(vars)
         if unbound:
             raise ValueError(f"expression uses variables {sorted(unbound)} "
-                             f"not in the binding list {self.vars}")
+                             f"not in the binding list {vars}")
+        super().__init__(expr, vars, units, description)
 
     @functools.cached_property
     def program(self) -> Program:
-        """The expression compiled with ``vars`` as inputs, on first use."""
-        return compile_expr(self.expr, self.vars)
+        """The expression compiled with ``vars`` as inputs, on first use.
 
-    def __getstate__(self):
-        # the compiled program holds generated functions, which do not pickle
-        return {key: v for key, v in self.__dict__.items() if key != "program"}
+        A pickled region leaves it out (its functions do not pickle) and
+        compiles it again on first use after loading."""
+        return compile_expr(self.expr, self.vars)
 
     def __call__(self, point: Mapping[str, float]) -> float:
         return eval_expr(self, point)

@@ -6,11 +6,11 @@ reloaded from a report (``ds.load_report``) needs none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, InsufficientPoints, RankDeficient
 from .expr import Const, Expr, Mul, Pow, Var
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -20,40 +20,33 @@ _EXACT_RESIDUAL = 1e-12
 _RANK_RCOND = 1e-10
 
 
-@dataclass(frozen=True)
-class BasisSpec:
+class BasisSpec(Record):
     """Monomial basis: one exponent vector per monomial, e.g. (2, 1) = x^2*y."""
 
-    vars: tuple[str, ...]
-    monomials: tuple[tuple[int, ...], ...]
+    __slots__ = ("vars", "monomials")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(self, "monomials", tuple(tuple(int(e) for e in m)
-                                                    for m in self.monomials))
-        if not self.monomials:
+    def __init__(self, vars: tuple[str, ...], monomials: tuple[tuple[int, ...], ...]):
+        vars = tuple(vars)
+        monomials = tuple(tuple(int(e) for e in m) for m in monomials)
+        if not monomials:
             raise ValueError("basis needs at least one monomial")
-        for m in self.monomials:
-            if len(m) != len(self.vars):
-                raise ValueError(f"monomial {m} arity != {len(self.vars)} variables")
+        for m in monomials:
+            if len(m) != len(vars):
+                raise ValueError(f"monomial {m} arity != {len(vars)} variables")
             if any(e < 0 for e in m):
                 raise ValueError(f"negative exponent in monomial {m}")
-        if len(set(self.monomials)) != len(self.monomials):
+        if len(set(monomials)) != len(monomials):
             raise ValueError("duplicate monomials in basis")
+        super().__init__(vars, monomials)
 
     def __len__(self) -> int:
         return len(self.monomials)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """A fitted polynomial: one coefficient per monomial of ``basis``."""
 
-    basis: BasisSpec
-    coefficients: tuple[float, ...]
-    r_squared: float
-    n_points: int
-    residual_max_abs: float
+    __slots__ = ("basis", "coefficients", "r_squared", "n_points", "residual_max_abs")
 
     def predict(self, points) -> np.ndarray:
         import numpy as np

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 import os
@@ -16,7 +15,7 @@ import rfuncds
 from rfuncds import cli, ds, reactor
 from rfuncds.errors import IntegratorFailure
 from rfuncds.exprtext import MAX_DEPTH, parse_infix
-from rfuncds.expr import eval_arrays
+from rfuncds.expr import Program, eval_arrays
 from rfuncds.reactor import CQA_BASIS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -232,6 +231,13 @@ def test_check_rejects_corrupt_joint_tree(tmp_path, capsys):
     assert "cannot read report" in line
 
 
+def test_check_rejects_a_report_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + REPORT_FIXTURE.read_text().encode("utf-16-le"))
+    line = assert_usage_error(run(["check", str(path), "290,275"]), capsys)
+    assert "cannot read report" in line and "is not UTF-8 text" in line
+
+
 @pytest.mark.parametrize("argv", [["identify", "--n", "abc"], ["demo", "circles-9.9"], []],
                          ids=["bad-int", "unknown-demo", "no-subcommand"])
 def test_argparse_errors_are_one_line(argv, capsys):
@@ -321,7 +327,8 @@ def test_check_evaluates_the_joint_expression_once(value, code, verdict, monkeyp
     def scalars(inputs):
         calls.append(list(inputs))
         return value
-    program = dataclasses.replace(report.joint.program, scalars=scalars)
+    old = report.joint.program
+    program = Program(old.names, old.reads, old.source, scalars, old.bind)
     report.joint.__dict__["program"] = program
     monkeypatch.setattr(ds, "load_report", lambda path: report)
     assert run(["check", str(REPORT_FIXTURE), "t=280,T=290"]) == code
@@ -492,14 +499,28 @@ def test_import_load_and_check_never_import_numpy():
     assert Path(out[-1]).resolve() == Path(rfuncds.__file__).resolve()
 
 
-def test_cold_check_imports_no_numpy_or_scipy():
+def _cold_check_imports():
+    """The modules a fresh ``check`` process imports, from -X importtime."""
     proc = _run_child("-X", "importtime", "-m", "rfuncds.cli", "check", str(REPORT_FIXTURE),
                       "290,280")
     assert proc.stdout == "inside (joint expression = 0.0013891360431317334)\n"
     imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "rfuncds.errors" in imported
+    return imported
+
+
+def test_cold_check_imports_no_numpy_or_scipy():
+    imported = _cold_check_imports()
     assert [m for m in imported if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_cold_check_imports_no_dataclasses_nor_drawing_modules():
+    unwanted = {"dataclasses", "inspect", "rfuncds.geometry", "rfuncds.contour", "rfuncds.emit",
+                "rfuncds.reactor"}
+    imported = _cold_check_imports()
+    assert "rfuncds.expr" in imported
+    assert [m for m in imported if m in unwanted] == []
 
 
 # the names `import rfuncds` provided when it imported every module

@@ -384,6 +384,14 @@ def test_load_rejects_other_files(tmp_path):
         load_report(path)
 
 
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    # the fixture saved as UTF-16 with its byte-order mark, ff fe
+    path = tmp_path / "report.json"
+    path.write_bytes(b"\xff\xfe" + REPORT_FIXTURES[1].read_text().encode("utf-16-le"))
+    with pytest.raises(ParseError, match="is not UTF-8 text: invalid start byte at byte 0"):
+        load_report(path)
+
+
 @pytest.mark.parametrize("edit", [
     lambda r: r.update(format="rfuncds-ds-report/2"),
     lambda r: r.update(format=None),

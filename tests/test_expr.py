@@ -1,6 +1,3 @@
-import dataclasses
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -67,10 +64,16 @@ def test_pow_exponent_validation():
     assert eval_expr(Pow(A, 0), {"a": 7.0}) == 1.0
 
 
+# one node of every class, each field holding a value of its kind
+SAMPLE_NODES = [Const(1.0), Var("a"), Neg(A), Add(A, B), Sub(A, B), Mul(A, B), Pow(A, 2),
+                Sqrt(A), Abs(A), Min(A, B), Max(A, B), RAnd(A, B, 0.5), ROr(A, B, 0.5)]
+
+
 def test_nodes_are_immutable():
-    node = Const(1.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        node.value = 2.0
+    for node in SAMPLE_NODES:
+        for name in node.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(node, name, Const(2.0))
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -1.5, 1.0 + 1e-9, 2.0])
@@ -314,19 +317,60 @@ def test_rewrites_stay_linear_on_shared_operands(alphas):
 
 def _concrete_subclasses(cls):
     for sub in cls.__subclasses__():
-        # dataclass(slots=True) replaces each class; skip the replaced ones
-        if getattr(sys.modules[sub.__module__], sub.__qualname__, None) is sub:
-            yield sub
+        yield sub
         yield from _concrete_subclasses(sub)
 
 
 def test_node_table_covers_every_expression_class():
     classes = set(_concrete_subclasses(Expr))
-    assert classes == set(NODES)
+    assert classes == set(NODES) == {type(node) for node in SAMPLE_NODES}
     for cls, node in NODES.items():
         # constructors take the operands first, then the parameters
-        assert [f.name for f in dataclasses.fields(cls)] == [*node.operands, *node.params]
+        assert list(cls.__slots__) == [*node.operands, *node.params]
     assert len({node.tag for node in NODES.values()}) == len(NODES)
+
+
+def _tree_repr(e) -> str:
+    """The recursive repr of a dataclass with the same fields."""
+    fields = ", ".join(
+        f"{name}={_tree_repr(v) if isinstance(v, Expr) else repr(v)}"
+        for name, v in ((name, getattr(e, name)) for name in e.__slots__))
+    return f"{type(e).__name__}({fields})"
+
+
+def test_repr_of_a_tree_names_every_field():
+    e = RAnd(Pow(Sub(A, Const(-0.0)), 2), Neg(Var("b")), 0.5)
+    assert repr(e) == ("RAnd(a=Pow(base=Sub(a=Var(name='a'), b=Const(value=-0.0)), "
+                       "exponent=2), b=Neg(a=Var(name='b')), alpha=0.5)")
+
+
+@given(expr=_random_trees(_any_alpha))
+def test_repr_of_trees_without_shared_nodes_is_the_recursive_repr(expr):
+    assert repr(expr) == _tree_repr(expr)
+
+
+def test_repr_prints_a_shared_node_once():
+    shared = Add(A, Const(1.0))
+    e = Mul(Neg(shared), Sub(shared, shared))
+    assert repr(e) == ("Mul(a=Neg(a=#1=Add(a=Var(name='a'), b=Const(value=1.0))), "
+                       "b=Sub(a=#1#, b=#1#))")
+
+
+def test_repr_of_a_shared_dag_is_linear():
+    expr = Var("x0")
+    for i in range(1, 15):
+        expr = RAnd(expr, Var(f"x{i}"), 1.0)
+    canon = canonicalize_alpha1(expr)
+    assert _distinct_nodes(canon) == 99
+    assert len(repr(canon)) < 10_000
+
+
+def test_repr_needs_no_recursion():
+    e = A
+    for _ in range(20_000):
+        e = Neg(e)
+    text = repr(e)
+    assert text == "Neg(a=" * 20_000 + "Var(name='a')" + ")" * 20_000
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,156 @@
+"""Record semantics of the expression nodes and the report records: equality
+and hashing by class and fields, immutability, and pickling."""
+
+import pickle
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+
+from dags import X, Y, dags
+from rfuncds import ds
+from rfuncds.ds import (
+    BoxAxis, ConstraintReport, ConstraintSpec, DSReport, SamplingMeta, ValidationStats,
+)
+from rfuncds.expr import (
+    NODES, Abs, Add, Const, Max, Min, Mul, Neg, Pow, Program, RAnd, ROr, Region, Sqrt, Sub, Var,
+    children, eval_expr, fold,
+)
+from rfuncds.polyfit import BasisSpec, FitResult
+
+REPORT_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "kelvin-alpha1.json"
+
+# one node of every class
+NODE_SAMPLES = [Const(-0.0), Var("x"), Neg(X), Add(X, Y), Sub(X, Y), Mul(X, Y), Pow(X, 3),
+                Sqrt(X), Abs(X), Min(X, Y), Max(X, Y), RAnd(X, Y, 0.25), ROr(X, Y, -0.5)]
+
+# each record class with its fields, in constructor order
+RECORD_FIELDS = {
+    Region: ("expr", "vars", "units", "description"),
+    Program: ("names", "reads", "source", "scalars", "bind"),
+    BoxAxis: ("name", "lo", "hi", "unit"),
+    ConstraintSpec: ("name", "threshold"),
+    ConstraintReport: ("name", "threshold", "fit", "phi", "validation_r_squared"),
+    SamplingMeta: ("n_train", "skip", "n_validation", "validation_skip"),
+    ValidationStats: ("agreement_rate", "n_points", "n_disagreements"),
+    DSReport: ("box", "alpha", "constraints", "joint", "sampling", "validation"),
+    BasisSpec: ("vars", "monomials"),
+    FitResult: ("basis", "coefficients", "r_squared", "n_points", "residual_max_abs"),
+}
+
+
+def _node_params(node):
+    return [getattr(node, name) for name in NODES[type(node)].params]
+
+
+def _rebuild(expr):
+    """A copy of ``expr`` that shares no node with it but keeps its sharing."""
+    return fold(expr, lambda node, *operands: type(node)(*operands, *_node_params(node)))
+
+
+def _records():
+    report = ds.load_report(REPORT_FIXTURE)
+    constraint = report.constraints[0]
+    return [report.joint, report.joint.program, report.box[0], ConstraintSpec("purity", 0.9),
+            constraint, report.sampling, report.validation, report, constraint.fit.basis,
+            constraint.fit]
+
+
+def _record_id(record):
+    return type(record).__name__
+
+
+def _copy(record):
+    return type(record)(*[getattr(record, name) for name in RECORD_FIELDS[type(record)]])
+
+
+def test_samples_cover_every_class():
+    assert {type(node) for node in NODE_SAMPLES} == set(NODES)
+    assert {type(record) for record in _records()} == set(RECORD_FIELDS)
+
+
+@given(expr=dags())
+def test_a_rebuilt_dag_is_equal_and_hashes_equal(expr):
+    copy = _rebuild(expr)
+    assert copy is not expr and copy == expr and hash(copy) == hash(expr)
+
+
+@pytest.mark.parametrize("node", NODE_SAMPLES, ids=_record_id)
+def test_a_rebuilt_node_is_equal_and_a_changed_one_is_not(node):
+    operands, params = list(children(node)), _node_params(node)
+    copy = type(node)(*operands, *params)
+    assert copy is not node and copy == node and hash(copy) == hash(node)
+    for i in range(len(operands)):
+        assert type(node)(*operands[:i], Const(7.0), *operands[i + 1:], *params) != node
+    for i, value in enumerate(params):
+        other = {float: 0.75, int: 2, str: "z"}[type(value)]
+        assert type(node)(*operands, *params[:i], other, *params[i + 1:]) != node
+
+
+@pytest.mark.parametrize("first, second", [
+    (Add(X, Y), Sub(X, Y)), (Add(X, Y), Mul(X, Y)), (Min(X, Y), Max(X, Y)), (Sqrt(X), Abs(X)),
+    (RAnd(X, Y, 1.0), ROr(X, Y, 1.0)),
+], ids=lambda node: type(node).__name__)
+def test_nodes_of_different_classes_with_equal_fields_differ(first, second):
+    assert first != second and not first == second
+
+
+@pytest.mark.parametrize("node", NODE_SAMPLES, ids=_record_id)
+def test_nodes_refuse_assignment_and_deletion(node):
+    for name in [*NODES[type(node)].operands, *NODES[type(node)].params]:
+        with pytest.raises(AttributeError):
+            setattr(node, name, Const(0.0))
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+        assert getattr(node, name) is not None
+
+
+@pytest.mark.parametrize("record", _records(), ids=_record_id)
+def test_a_rebuilt_record_is_equal(record):
+    copy = _copy(record)
+    assert copy is not record and copy == record and hash(copy) == hash(record)
+    assert record != object()
+
+
+@pytest.mark.parametrize("record", _records(), ids=_record_id)
+def test_records_refuse_assignment_and_deletion(record):
+    for name in RECORD_FIELDS[type(record)]:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is before
+
+
+def test_records_check_their_arguments():
+    with pytest.raises(TypeError):
+        SamplingMeta(64, 1, 256)
+    with pytest.raises(TypeError):
+        ValidationStats(1.0, 256, 0, 0)
+    with pytest.raises(TypeError):
+        ConstraintSpec(name="purity", threshold=0.9, unit="")
+    assert ConstraintSpec(threshold=0.9, name="purity") == ConstraintSpec("purity", 0.9)
+
+
+def test_region_program_is_an_instance_dict_entry_after_first_use():
+    region = ds.load_report(REPORT_FIXTURE).joint
+    assert "program" not in vars(region)
+    program = region.program
+    assert vars(region)["program"] is program and region.program is program
+
+
+def test_region_and_report_pickle_after_queries():
+    report = ds.load_report(REPORT_FIXTURE)
+    point = [290.0, 280.0]
+    verdict = ds.membership(report, point)
+    value = eval_expr(report.joint, point)
+    assert "program" in vars(report.joint)
+
+    region = pickle.loads(pickle.dumps(report.joint))
+    assert region == report.joint and "program" not in vars(region)
+    assert eval_expr(region, point) == value
+
+    loaded = pickle.loads(pickle.dumps(report))
+    assert loaded == report
+    assert ds.membership(loaded, point) == verdict
