@@ -5,10 +5,12 @@ float formatting (SVG coordinates at 1/100 px, CSV values at full repr()
 precision).  Every file starts with a provenance comment supplied by the
 caller (tool version + invocation).
 
-Each writer builds its whole file from arrays and writes it at once: pixel
-coordinates are computed with numpy in the same operation order as the
-scalar mapping, and only the final float formatting and the joins run in
-Python.  The format is unchanged; see docs/formats.md.
+Each writer builds its file from arrays, not one node or point at a time:
+pixel coordinates are computed with numpy in the same operation order as
+the scalar mapping.  A field CSV formats each distinct value once (repr()
+depends only on a float's bits) and each coordinate once, and fills one
+prebuilt ``%s`` template per slab of the first axis, so no per-row Python
+code runs.  The format is unchanged; see docs/formats.md.
 """
 
 from __future__ import annotations
@@ -125,15 +127,23 @@ def _shading(field: ScalarField, to_px, st: SvgStyle) -> str:
 
 def emit_field_csv(path, field: ScalarField, provenance: str = "") -> None:
     """One row per grid node, row-major over the axes, full float precision."""
-    # product() yields the coordinate tuples in C order, matching ravel()
-    axes = [list(map(repr, field.axis(k).tolist())) for k in range(len(field.resolution))]
-    values = np.asarray(field.values, dtype=float).ravel().tolist()
-    rows = map("{},{!r}\n".format, map(",".join, itertools.product(*axes)), values)
+    first, *rest = [list(map(repr, field.axis(k).tolist())) for k in range(len(field.resolution))]
+    # the rows of one slab of the first axis, each up to its value: "y,z," ...;
+    # product() yields them in C order, matching ravel()
+    heads = ["".join(row) for row in itertools.product(*[[c + "," for c in ax] for ax in rest])]
+    # repr() depends only on a float's bits, so each distinct bit pattern is
+    # formatted once; keying on bits keeps 0.0 and -0.0 (and nan payloads) apart
+    bits = np.ascontiguousarray(field.values, dtype=np.float64).ravel().view(np.uint64)
+    distinct, which = np.unique(bits, return_inverse=True)
+    reprs = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if provenance:
             fh.write(f"# {provenance}\n")
         fh.write(",".join(field.vars) + ",value\n")
-        fh.write("".join(rows))
+        for x, slab in zip(first, which.reshape(len(first), len(heads))):
+            # "x,head0%s\nx,head1%s\n..." filled with this slab's value texts
+            template = x + "," + ("%s\n" + x + ",").join(heads) + "%s\n"
+            fh.write(template % tuple(reprs[slab].tolist()))
 
 
 def emit_contours_csv(path, contours: ContourSet, provenance: str = "") -> None:

@@ -81,6 +81,48 @@ class Expr(Record):
                 stack.extend(reversed(part))
         return "".join(out)
 
+    def __eq__(self, other):
+        """Record equality, without recursion and in time near-linear in the
+        distinct nodes of both sides: a pair of nodes is compared once and
+        then joined into one class of equal nodes, so a pair that meets
+        the class again (through a shared node) is not compared twice."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        joined: dict[int, int] = {}   # id of a node -> id of one known equal to it
+
+        def find(i):
+            root = i
+            while root in joined:
+                root = joined[root]
+            while i != root:
+                joined[i], i = root, joined[i]
+            return root
+
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            ra, rb = find(id(a)), find(id(b))
+            if ra == rb:
+                continue
+            if type(a) is not type(b):
+                return False
+            spec = NODES[type(a)]
+            for name in spec.params:
+                x, y = getattr(a, name), getattr(b, name)
+                if not (x is y or x == y):   # as tuple comparison does
+                    return False
+            joined[ra] = rb
+            pairs.extend(zip(spec.children(a), spec.children(b)))
+        return True
+
+    def __hash__(self):
+        """Hash of the class, the operands' hashes and the parameters, one
+        fold over the distinct nodes."""
+        return fold(self, lambda node, *hashes: hash(
+            (type(node), *hashes, *[getattr(node, name) for name in NODES[type(node)].params])))
+
     def __add__(self, other) -> "Expr":
         return Add(self, as_expr(other))
 

@@ -170,9 +170,9 @@ def assert_same_bytes(tmp_path, writer, *args, **kwargs):
 
 def _field(values):
     values = np.asarray(values)
-    return ScalarField(bounds=((-1.5, 2.0), (0.25, 3.0), (-7.0, -1.0))[: values.ndim],
+    return ScalarField(bounds=((-1.5, 2.0), (0.25, 3.0), (-7.0, -1.0), (0.5, 9.0))[: values.ndim],
                        resolution=values.shape, values=values,
-                       vars=("x", "y", "z")[: values.ndim])
+                       vars=("x", "y", "z", "w")[: values.ndim])
 
 
 def assert_field_outputs_same(tmp_path, field, bounds, provenance=PROVENANCE, title=""):
@@ -222,7 +222,8 @@ def test_report_fields(fixture, tmp_path):
 # ----------------------------------------------------------------------
 # shapes and values
 
-@pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (5, 13), (3, 4, 5)])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (5, 13), (3, 4, 5), (7,), (1,),
+                                   (1, 6), (3, 1, 4), (2, 3, 2, 4)])
 @pytest.mark.parametrize("provenance", ["", PROVENANCE])
 def test_small_and_nonsquare_fields(shape, provenance, rng, tmp_path):
     values = rng.normal(size=shape)
@@ -253,6 +254,27 @@ def test_special_values_give_no_nan_coordinates(tmp_path):
         assert len(points) > 0 and np.isfinite(points).all()
         emit_contours_csv(tmp_path / "c.csv", contours)
         assert "nan" not in (tmp_path / "c.csv").read_text()
+
+
+# NaNs with different payloads, signs and the signalling bit: each prints "nan"
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+            0xFFFC0000DEADBEEF]
+
+
+@pytest.mark.parametrize("shape", [(240,), (12, 20), (4, 6, 10), (2, 3, 4, 10)])
+def test_repeated_values(shape, rng, tmp_path):
+    # a field formats each distinct value once, so every repeat must keep its own text
+    nans = np.array(NAN_BITS, dtype=np.uint64).view(np.float64)
+    pool = np.concatenate([[0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.1], nans,
+                           np.float32([0.1, -1.0 / 3.0, 1e38, 0.1]).astype(float)])
+    values = pool[rng.integers(len(pool), size=shape)]
+    values.ravel()[: 2 * len(pool)] = np.tile(pool, 2)   # every value, at least twice
+    with np.errstate(invalid="ignore"):   # NaNs cast to float32
+        single = values.astype(np.float32)
+    for field in (_field(values), _field(single),
+                  _field(np.where(np.indices(shape).sum(axis=0) % 2, 0.0, -0.0)),
+                  _field(np.full(shape, -0.0))):
+        assert_same_bytes(tmp_path, emit_field_csv, field, provenance=PROVENANCE)
 
 
 def test_float32_and_noncontiguous_values(rng, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 from dags import X, Y, dags
+from rewrites import canonicalize_alpha1
 from rfuncds import ds
 from rfuncds.ds import (
     BoxAxis, ConstraintReport, ConstraintSpec, DSReport, SamplingMeta, ValidationStats,
@@ -93,6 +94,65 @@ def test_a_rebuilt_node_is_equal_and_a_changed_one_is_not(node):
 ], ids=lambda node: type(node).__name__)
 def test_nodes_of_different_classes_with_equal_fields_differ(first, second):
     assert first != second and not first == second
+
+
+class _CountedName(str):
+    """A variable name that counts the times it is hashed or compared."""
+
+    def __new__(cls, text):
+        name = super().__new__(cls, text)
+        name.reads = 0
+        return name
+
+    def __hash__(self):
+        self.reads += 1
+        return str.__hash__(self)
+
+    def __eq__(self, other):
+        self.reads += 1
+        return str.__eq__(self, other)
+
+
+def _doubling_chain(levels, name):
+    """``Add(e, e)`` nested ``levels`` deep: 2**levels paths reach the leaf."""
+    expr = Var(name)
+    for _ in range(levels):
+        expr = Add(expr, expr)
+    return expr
+
+
+def test_hash_and_eq_read_each_distinct_node_once():
+    first, second = _CountedName("x"), _CountedName("x")
+    a, b = _doubling_chain(16, first), _doubling_chain(16, second)
+    assert hash(a) == hash(b)
+    assert (first.reads, second.reads) == (1, 1)
+    assert a == b
+    assert first.reads + second.reads == 3   # the two leaves are compared once
+    assert a != _doubling_chain(16, "y") and Add(a, a) != Add(a, Neg(a))
+
+
+def test_hash_and_eq_of_a_canonicalized_chain_are_linear():
+    # each alpha-1 level shares its operands between a+b and |a-b|, so the
+    # innermost variable is reached 2**14 ways
+    name = _CountedName("x0")
+    expr = Var(name)
+    for i in range(1, 15):
+        expr = RAnd(expr, Var(f"x{i}"), 1.0)
+    canon = canonicalize_alpha1(expr)
+    copy = _rebuild(canon)
+    assert hash(copy) == hash(canon) and copy == canon
+    assert name.reads == 2   # once per hash; the copy shares the name object
+
+
+def test_hash_and_eq_need_no_recursion():
+    def chain(leaf):
+        expr = Var(leaf)
+        for _ in range(20_000):
+            expr = Neg(expr)
+        return expr
+    a, b = chain("a"), chain("a")
+    assert a == b and hash(a) == hash(b)
+    assert a != chain("b") and a != Neg(b) and Abs(a) != Neg(b)
 
 
 @pytest.mark.parametrize("node", NODE_SAMPLES, ids=_record_id)
