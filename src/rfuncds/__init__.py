@@ -2,7 +2,7 @@
 on it, and an analytical design-space identifier for process models.
 
 The names below are imported from their modules on first access, so
-``import rfuncds`` and a membership query load neither numpy nor scipy.
+``import rfuncds`` and a membership query load no numpy.
 """
 
 import importlib
@@ -29,8 +29,7 @@ _EXPORTS = {
                      "fit_report", "to_expr"), "polyfit"),
     **dict.fromkeys(("scale", "sobol"), "qmc"),
     **dict.fromkeys(("CQA_BASIS", "DEFAULT_PARAMS", "PROFIT_MIN", "PURITY_MIN", "KineticParams",
-                     "ReactorOutcome", "batch_cqa", "cqa_closed", "cqa_ode", "rate_constants",
-                     "simulate"), "reactor"),
+                     "batch_cqa", "cqa_closed"), "reactor"),
 }
 __all__ = sorted(_EXPORTS)
 

@@ -4,7 +4,7 @@ Subcommands: ``demo`` (built-in geometry cases), ``identify`` (reactor
 design space), ``check`` (membership query against a saved report) and
 ``sobol`` (sample points to stdout).  Exit codes: 0 success / point inside,
 2 usage or malformed input, 3 point outside, 4 point on the boundary,
-1 runtime failure (integration, fitting, IO).
+1 runtime failure (closed-form error estimate, fitting, IO).
 
 Outputs are byte-deterministic: headers carry the tool version and the
 invocation (for ``identify`` also the model that produced the numbers),
@@ -22,7 +22,6 @@ from pathlib import Path
 from . import __version__, ds
 from .errors import (
     InsufficientPoints,
-    IntegratorFailure,
     RankDeficient,
     RfuncdsError,
     ToleranceNotMet,
@@ -32,8 +31,7 @@ from .exprtext import serialize
 
 # failures of a run on valid input exit 1; every other package error is a
 # usage error or malformed input and exits 2
-_RUNTIME_ERRORS = (IntegratorFailure, ToleranceNotMet, RankDeficient,
-                   InsufficientPoints, OSError)
+_RUNTIME_ERRORS = (ToleranceNotMet, RankDeficient, InsufficientPoints, OSError)
 
 # names imported when a command that draws runs, so that check loads
 # neither numpy nor the modules it does not use

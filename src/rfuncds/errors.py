@@ -83,12 +83,9 @@ class NonpositiveTemperature(RfuncdsError):
         super().__init__(f"temperature must be positive, got {value!r}")
 
 
-class IntegratorFailure(RfuncdsError):
-    """The ODE integrator gave up (e.g. minimum step underflow)."""
-
-
 class ToleranceNotMet(RfuncdsError):
-    """Integration finished but an a-posteriori accuracy check failed."""
+    """An a-posteriori accuracy check failed, such as the closed form's C_B
+    error estimate exceeding its tolerance."""
 
 
 # --- design space ---

@@ -1,6 +1,6 @@
 """Two-stage batch reactor model (2A -> B -> C) and its quality attributes.
 
-State is integrated over scaled time tau in [0, 1] for a batch of duration
+The state evolves over scaled time tau in [0, 1] for a batch of duration
 t minutes at temperature T:
 
     dC_A/dtau = -2 t k1 C_A^2
@@ -10,26 +10,25 @@ t minutes at temperature T:
 with C_A(0) = C_A0 and C_B(0) = C_C(0) = 0.  B is the desired product; the
 quality attributes are Purity = C_B / (C_A + C_B + C_C) and
 Profit = (100 C_B - 20 C_A) V / (t + 30).  The stoichiometry conserves
-C_A + 2 (C_B + C_C) exactly, which serves as an a-posteriori accuracy check.
+C_A + 2 (C_B + C_C) exactly.
 
-The C_B equation is stiff (decay rate t*k2 can exceed 1e5 per unit tau), so
-the generic path uses an adaptive implicit integrator.  ``batch_cqa`` is a
-vectorized closed form for point sets: C_A has the closed-form Riccati
-solution, C_B follows exactly from an integrating factor in terms of the
-exponential integral Ei, and C_C from conservation.  Ei is evaluated in
-numpy alone, by an all-positive power series up to 40 and by the
-asymptotic sum above, with no quadrature; where the reactions nearly
-freeze, a second-order expansion of C_B replaces the Ei form.  An
-a-posteriori estimate (the truncation bound of the sum or expansion that
-ran plus a rounding bound that shows cancellation) guards every point.
-The closed form is verified against the generic path and against
-high-precision reference values in the test suite.
+The C_B equation is stiff (decay rate t*k2 can exceed 1e5 per unit tau),
+so the model is not integrated at all: ``batch_cqa`` is a vectorized
+closed form for point sets.  C_A has the closed-form Riccati solution, C_B
+follows exactly from an integrating factor in terms of the exponential
+integral Ei, and C_C from conservation.  Ei is evaluated in numpy alone,
+by an all-positive power series up to 40 and by the asymptotic sum above,
+with no quadrature; where the reactions nearly freeze, a second-order
+expansion of C_B replaces the Ei form.  An a-posteriori estimate (the
+truncation bound of the sum or expansion that ran plus a rounding bound
+that shows cancellation) guards every point.  The test suite holds the
+closed form to high-precision reference values and to an adaptive-ODE
+oracle (``tests/ode_oracle.py``).
 
-Two model backends share the design-space identifier's contract, an
-``(n, 2)`` array of (T, t) rows in and an ``(n, 2)`` array of (purity,
-profit) rows out: ``cqa_closed`` (``batch_cqa``, with its error estimate check)
-and ``cqa_ode`` (one ``simulate`` per row, with its conservation check).
-scipy is imported only when the integrator first runs.
+The one model backend, ``cqa_closed``, has the design-space identifier's
+contract: an ``(n, 2)`` array of (T, t) rows in, one ``batch_cqa`` call
+with its error estimate check, and an ``(n, 2)`` array of (purity, profit)
+rows out.
 """
 
 from __future__ import annotations
@@ -41,9 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ds import BoxAxis
-from .errors import (
-    BoundsMismatch, IntegratorFailure, NonpositiveTemperature, ToleranceNotMet,
-)
+from .errors import BoundsMismatch, NonpositiveTemperature, ToleranceNotMet
 from .polyfit import BasisSpec
 
 PURITY_MIN = 0.80      # fraction
@@ -52,9 +49,6 @@ PROFIT_MIN = 128.0     # $/min
 # response surface for the CQAs: quadratic in T, linear in t, TT interaction
 CQA_BASIS = BasisSpec(vars=("T", "t"),
                       monomials=((0, 0), (1, 0), (2, 0), (0, 1), (1, 1)))
-
-_CONSERVATION_TOL = 1e-6   # relative defect that fails integration
-_NEGATIVE_SLACK = 1e-9     # relative; lower concentrations are an error
 
 
 @dataclass(frozen=True)
@@ -103,105 +97,6 @@ def apply_config(overrides: dict, params: KineticParams = DEFAULT_PARAMS
     if not box[1].lo > 0:
         raise BoundsMismatch(f"processing time must be positive, got t_lo = {box[1].lo!r}")
     return params, box
-
-
-def rate_constants(T: float, params: KineticParams = DEFAULT_PARAMS) -> tuple[float, float]:
-    """Arrhenius rate constants (k1, k2) at temperature T."""
-    if not T > 0:
-        raise NonpositiveTemperature(T)
-    k1 = params.k1_0 * np.exp(-params.e1 / (params.r_gas * T))
-    k2 = params.k2_0 * np.exp(-params.e2 / (params.r_gas * T))
-    return float(k1), float(k2)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    tau: np.ndarray          # accepted steps
-    states: np.ndarray       # (3, n) rows C_A, C_B, C_C
-    steps: int
-    nfev: int
-    conservation_defect: float   # max relative defect over accepted steps
-    interpolant: object = None   # scipy dense-output callable when requested
-
-
-@dataclass(frozen=True)
-class ReactorOutcome:
-    c_a: float
-    c_b: float
-    c_c: float
-    purity: float
-    profit: float
-    steps: int
-    nfev: int
-    error_estimate: float    # relative conservation defect of the run
-
-
-_METHODS = {"lsoda": "LSODA", "radau": "Radau", "bdf": "BDF"}
-
-
-def integrate(T: float, t: float, params: KineticParams = DEFAULT_PARAMS,
-              rtol: float = 1e-8, atol: float = 1e-10, method: str = "lsoda",
-              dense: bool = False) -> Trajectory:
-    """Integrate the reactor ODEs over tau in [0, 1] with error control,
-    at temperature ``T`` (K) for a batch of ``t`` minutes."""
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
-    if not t > 0:
-        raise ValueError(f"processing time must be positive, got {t!r}")
-    from scipy.integrate import solve_ivp
-
-    k1, k2 = rate_constants(T, params)
-    t = float(t)
-
-    def rhs(tau, y):
-        a, b, _ = y
-        r1 = k1 * a * a
-        return (-2.0 * t * r1, t * (r1 - k2 * b), t * k2 * b)
-
-    def jac(tau, y):
-        a = y[0]
-        return np.array([[-4.0 * t * k1 * a, 0.0, 0.0],
-                         [2.0 * t * k1 * a, -t * k2, 0.0],
-                         [0.0, t * k2, 0.0]])
-
-    sol = solve_ivp(rhs, (0.0, 1.0), (params.c_a0, 0.0, 0.0),
-                    method=_METHODS[method], jac=jac, rtol=rtol, atol=atol,
-                    dense_output=dense)
-    if not sol.success:
-        raise IntegratorFailure(sol.message)
-    defect = float(np.abs(sol.y[0] + 2.0 * (sol.y[1] + sol.y[2]) - params.c_a0).max()
-                   / params.c_a0)
-    if defect > _CONSERVATION_TOL:
-        raise ToleranceNotMet(
-            f"conservation defect {defect:.3e} exceeds {_CONSERVATION_TOL:.0e}")
-    return Trajectory(tau=sol.t, states=sol.y, steps=sol.t.size - 1, nfev=sol.nfev,
-                      conservation_defect=defect,
-                      interpolant=sol.sol if dense else None)
-
-
-def _outcome(c_a, c_b, c_c, t, params, steps, nfev, defect) -> ReactorOutcome:
-    floor = -_NEGATIVE_SLACK * params.c_a0
-    concs = []
-    for name, v in (("C_A", c_a), ("C_B", c_b), ("C_C", c_c)):
-        if v < floor:
-            raise ToleranceNotMet(f"{name} = {v!r} is below the negativity slack")
-        concs.append(max(v, 0.0))
-    c_a, c_b, c_c = concs
-    purity = c_b / (c_a + c_b + c_c)
-    profit = (100.0 * c_b - 20.0 * c_a) * params.volume / (t + 30.0)
-    return ReactorOutcome(c_a=c_a, c_b=c_b, c_c=c_c, purity=purity, profit=profit,
-                          steps=steps, nfev=nfev, error_estimate=defect)
-
-
-def simulate(T: float, t: float, params: KineticParams = DEFAULT_PARAMS,
-             rtol: float = 1e-8, atol: float = 1e-10, method: str = "lsoda"
-             ) -> ReactorOutcome:
-    """Run one batch at temperature ``T`` (K) for ``t`` minutes and report
-    final concentrations plus Purity and Profit."""
-    tr = integrate(T, t, params, rtol=rtol, atol=atol, method=method)
-    c_a, c_b, c_c = tr.states[:, -1]
-    return _outcome(float(c_a), float(c_b), float(c_c), float(t), params,
-                    tr.steps, tr.nfev, tr.conservation_defect)
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +174,16 @@ def _d_term(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return value, size, trunc
 
 
-def _b_final(T, t, params: KineticParams) -> tuple[np.ndarray, np.ndarray]:
-    """C_B at tau=1 in closed form, with its relative error estimate.
+def _rates(T, params: KineticParams) -> tuple[np.ndarray, np.ndarray]:
+    """Arrhenius rate constants (k1, k2) at the temperatures ``T``."""
+    k1 = params.k1_0 * np.exp(-params.e1 / (params.r_gas * T))
+    k2 = params.k2_0 * np.exp(-params.e2 / (params.r_gas * T))
+    return k1, k2
+
+
+def _b_final(t, k1, k2, params: KineticParams) -> tuple[np.ndarray, np.ndarray]:
+    """C_B at tau=1 in closed form, with its relative error estimate, for
+    batch times ``t`` and the rate constants of ``_rates``.
 
     With gamma = 2 t k1 C_A0, lam = t k2, beta = lam/gamma, x = lam + beta
     and amp/gamma = C_A0/2, the integrating factor gives
@@ -302,8 +205,6 @@ def _b_final(T, t, params: KineticParams) -> tuple[np.ndarray, np.ndarray]:
 
     whose truncation is below (gamma + lam)^3 relative.
     """
-    k1 = params.k1_0 * np.exp(-params.e1 / (params.r_gas * T))
-    k2 = params.k2_0 * np.exp(-params.e2 / (params.r_gas * T))
     gamma = 2.0 * t * k1 * params.c_a0       # Riccati rate of the A equation
     lam = t * k2                             # stiff decay rate of B
     # gamma = 0 (k1 underflowed) means no A reacts: beta = inf gives C_B = 0
@@ -343,13 +244,13 @@ def batch_cqa(T, t, params: KineticParams = DEFAULT_PARAMS,
     if np.any(t <= 0):
         raise ValueError("processing times must be positive")
 
-    b_final, rel = _b_final(T, t, params)
+    k1, k2 = _rates(T, params)
+    b_final, rel = _b_final(t, k1, k2, params)
     worst = float(rel.max(initial=0.0))
     if not worst <= check_tol:
         raise ToleranceNotMet(
             f"closed-form C_B error estimate {worst:.3e} exceeds {check_tol:.0e}")
 
-    k1 = params.k1_0 * np.exp(-params.e1 / (params.r_gas * T))
     a_final = params.c_a0 / (1.0 + 2.0 * t * k1 * params.c_a0)
     c_final = (params.c_a0 - a_final) / 2.0 - b_final
     purity = b_final / (a_final + b_final + c_final)
@@ -358,18 +259,7 @@ def batch_cqa(T, t, params: KineticParams = DEFAULT_PARAMS,
 
 
 # ----------------------------------------------------------------------
-# model backends: (n, 2) rows of (T, t) in, (n, 2) rows of (purity, profit) out
-
-def cqa_ode(points, params: KineticParams = DEFAULT_PARAMS, rtol: float = 1e-8,
-            atol: float = 1e-10) -> np.ndarray:
-    """(purity, profit) rows for (T, t) rows, one LSODA ``simulate`` run per row.
-
-    Rows run in order; each run's conservation check applies.
-    """
-    rows = [simulate(T, t, params, rtol=rtol, atol=atol)
-            for T, t in np.asarray(points, dtype=float)]
-    return np.array([(out.purity, out.profit) for out in rows], dtype=float).reshape(-1, 2)
-
+# model backend: (n, 2) rows of (T, t) in, (n, 2) rows of (purity, profit) out
 
 def cqa_closed(points, params: KineticParams = DEFAULT_PARAMS) -> np.ndarray:
     """(purity, profit) rows for (T, t) rows from one ``batch_cqa`` call.

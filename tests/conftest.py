@@ -49,4 +49,5 @@ def failing_estimate(monkeypatch):
     """
     real = reactor._b_final
     monkeypatch.setattr(reactor, "_b_final",
-                        lambda T, t, params: (real(T, t, params)[0], np.full(T.shape, 2.5e-6)))
+                        lambda t, k1, k2, params: (real(t, k1, k2, params)[0],
+                                                   np.full(t.shape, 2.5e-6)))

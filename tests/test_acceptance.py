@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import boolean_oracle, grid_env
+from ode_oracle import cqa_ode, integrate, rate_constants
 
 import rfuncds
 from rfuncds import ds
@@ -30,9 +31,6 @@ from rfuncds.reactor import (
     PURITY_MIN,
     batch_cqa,
     cqa_closed,
-    cqa_ode,
-    integrate,
-    rate_constants,
 )
 
 REPO = Path(__file__).resolve().parents[1]

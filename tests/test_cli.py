@@ -13,7 +13,7 @@ import pytest
 
 import rfuncds
 from rfuncds import cli, ds, reactor
-from rfuncds.errors import IntegratorFailure
+from rfuncds.errors import RankDeficient
 from rfuncds.exprtext import MAX_DEPTH, parse_infix
 from rfuncds.expr import Program, eval_arrays
 from rfuncds.reactor import CQA_BASIS
@@ -380,11 +380,11 @@ def test_check_never_ends_in_a_traceback_on_a_mutated_report(tmp_path, capsys):
 
 def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
-        raise IntegratorFailure("step size underflow")
+        raise RankDeficient("design matrix is rank deficient")
     monkeypatch.setattr(reactor, "batch_cqa", fail)
     assert run(["identify", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err == "error: step size underflow\n"
+    assert err == "error: design matrix is rank deficient\n"
 
 
 def test_closed_refinement_failure_exits_1(tmp_path, capsys, failing_estimate):
@@ -461,15 +461,22 @@ def _run_child(*args, cwd=REPO):
 
 
 def test_default_paths_never_import_scipy(tmp_path):
-    # a child interpreter, so no other test's imports count
+    # a child interpreter, so no other test's imports count; with scipy
+    # blocked, any import of it raises ImportError
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import rfuncds\n"
         "from rfuncds import cli\n"
         "assert cli.main(['identify', '--n', '16', '--grid', '16',\n"
         "                 '--config', sys.argv[1], '--out', 'ds']) == 0\n"
         "assert cli.main(['check', 'ds/ds_report.json', '290,275']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "assert cli.main(['demo', 'circles-4.1', '--grid', '16', '--out', 'd2']) == 0\n"
+        "assert cli.main(['demo', 'slabs-A1', '--grid', '8', '--slices', '2',\n"
+        "                 '--out', 'd3']) == 0\n"
+        "assert cli.main(['sobol', '2', '4']) == 0\n"
+        "print(sorted(m for m, v in sys.modules.items()\n"
+        "             if m.split('.')[0] == 'scipy' and v is not None))\n"
         "print(rfuncds.__file__)\n"
     )
     proc = _run_child("-c", code, str(KELVIN_CFG), cwd=tmp_path)
@@ -523,21 +530,21 @@ def test_cold_check_imports_no_dataclasses_nor_drawing_modules():
     assert [m for m in imported if m in unwanted] == []
 
 
-# the names `import rfuncds` provided when it imported every module
+# the names `import rfuncds` provides: those it provided when it imported
+# every module, less the ODE oracle's, which moved to tests/ode_oracle.py
 EXPORTS = (
     "Abs", "Add", "And", "BasisSpec", "BoolTree", "BoxAxis", "CQA_BASIS", "Circle", "Const",
     "ConstraintSpec", "ContourSet", "CylinderZ", "DEFAULT_PARAMS", "DSReport", "Expr",
     "FitResult", "KineticParams", "Leaf", "Max", "Min", "Mul", "Neg", "Not", "Or",
     "PROFIT_MIN", "PURITY_MIN", "Parabola", "Paraboloid", "Polyline", "Pow", "RAnd", "ROr",
-    "ReactorOutcome", "Region", "ScalarField", "Slab", "Sqrt", "Sub", "TESTCASE_NAMES",
-    "TestCase", "Var", "batch_cqa", "compose", "contour", "cqa_closed", "cqa_ode",
-    "design_matrix", "ds", "errors", "eval_arrays", "eval_expr", "expr", "exprtext",
-    "fit_least_squares", "fit_report", "geometry", "grid_eval", "identify", "inside_fraction",
-    "joint_expression", "load_report", "marching_squares", "membership", "parse",
-    "parse_infix", "parse_tree_text", "plot_count", "polyfit", "primitive", "qmc", "r_and",
-    "r_not", "r_or", "rate_constants", "reactor", "save_report", "scale", "serialize",
-    "sign_class", "simulate", "slice_contours_3d", "sobol", "testcase", "to_expr",
-    "to_infix", "to_tree_text",
+    "Region", "ScalarField", "Slab", "Sqrt", "Sub", "TESTCASE_NAMES", "TestCase", "Var",
+    "batch_cqa", "compose", "contour", "cqa_closed", "design_matrix", "ds", "errors",
+    "eval_arrays", "eval_expr", "expr", "exprtext", "fit_least_squares", "fit_report",
+    "geometry", "grid_eval", "identify", "inside_fraction", "joint_expression", "load_report",
+    "marching_squares", "membership", "parse", "parse_infix", "parse_tree_text", "plot_count",
+    "polyfit", "primitive", "qmc", "r_and", "r_not", "r_or", "reactor", "save_report", "scale",
+    "serialize", "sign_class", "slice_contours_3d", "sobol", "testcase", "to_expr", "to_infix",
+    "to_tree_text",
 )
 
 
@@ -547,6 +554,7 @@ def test_every_export_resolves_and_is_listed():
         "import rfuncds\n"
         "names = sys.argv[1:]\n"
         "print([n for n in names if n not in dir(rfuncds)])\n"
+        "print(sorted(set(rfuncds.__all__) ^ set(names)))\n"
         "wrong = []\n"
         "for n in names:\n"
         "    value = getattr(rfuncds, n)\n"
@@ -562,4 +570,4 @@ def test_every_export_resolves_and_is_listed():
         "    print(exc)\n"
     )
     out = _run_child("-c", code, *EXPORTS).stdout.splitlines()
-    assert out == ["[]", "[]", "module 'rfuncds' has no attribute 'no_such_name'"]
+    assert out == ["[]", "[]", "[]", "module 'rfuncds' has no attribute 'no_such_name'"]
