@@ -199,10 +199,13 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
+        key = key.strip()
+        if key in overrides:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
         try:
-            overrides[key.strip()] = float(value.strip())
+            overrides[key] = float(value.strip())
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: value for {key.strip()!r} "
+            raise ValueError(f"{path}:{lineno}: value for {key!r} "
                              f"is not a number: {value.strip()!r}") from None
     return overrides
 

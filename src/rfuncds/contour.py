@@ -21,44 +21,35 @@ then closed loops in the C order of their first cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DimensionMismatch
 from .expr import Region, eval_arrays
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Record):
     """Values of a region's expression on a regular grid.
 
     ``values[i, j(, k)]`` corresponds to axis-0 index i, axis-1 index j, ...;
     node i along an axis sits at ``lo + i*(hi-lo)/(n-1)``.
     """
 
-    bounds: tuple[tuple[float, float], ...]
-    resolution: tuple[int, ...]
-    values: np.ndarray
-    vars: tuple[str, ...]
+    __slots__ = ("bounds", "resolution", "values", "vars")
 
     def axis(self, k: int) -> np.ndarray:
         lo, hi = self.bounds[k]
         return np.linspace(lo, hi, self.resolution[k])
 
 
-@dataclass(frozen=True)
-class Polyline:
-    points: np.ndarray  # (m, 2)
-    closed: bool
+class Polyline(Record):
+    __slots__ = ("points", "closed")   # points: (m, 2) array
 
 
-@dataclass(frozen=True)
-class ContourSet:
+class ContourSet(Record):
     """Zero-level-set polylines of a 2D field."""
 
-    polylines: tuple[Polyline, ...]
-    iso: float = 0.0
+    __slots__ = ("polylines",)
 
 
 def grid_eval(region: Region, bounds, resolution) -> ScalarField:

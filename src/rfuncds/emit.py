@@ -2,8 +2,9 @@
 
 Output is byte-deterministic for identical inputs: no timestamps, fixed
 float formatting (SVG coordinates at 1/100 px, CSV values at full repr()
-precision).  Every file starts with a provenance comment supplied by the
-caller (tool version + invocation).
+precision).  Every file starts with the provenance supplied by the caller
+(tool version + invocation): a comment line in a CSV, an XML-escaped
+``<desc>`` as the first child of an SVG's root.
 
 Each writer builds its file from arrays, not one node or point at a time:
 pixel coordinates are computed with numpy in the same operation order as
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,18 @@ from .contour import ContourSet, ScalarField
 
 DEFAULT_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
+_SIZE = 800              # SVG width and height, px
+_MARGIN = 60.0
+_STROKE_WIDTH = 2.0
+_SHADE_FILL = "#bcd8f0"
+_MAX_SHADE_CELLS = 96    # per axis; denser fields are strided down
 
-@dataclass(frozen=True)
-class SvgStyle:
-    size: int = 800
-    margin: float = 60.0
-    stroke_width: float = 2.0
-    shade_fill: str = "#bcd8f0"
-    max_shade_cells: int = 96  # per axis; denser fields are strided down
+# SVG text: markup characters as entities, CR as a character reference (a
+# parser reads a literal one as LF), and the characters XML 1.0 cannot hold
+# at all (the other C0 controls, U+FFFE, U+FFFF) as U+FFFD
+_XML_TEXT = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;", ord("\r"): "&#13;",
+             **dict.fromkeys([c for c in range(32) if chr(c) not in "\t\n\r"]
+                             + [0xFFFE, 0xFFFF], "\ufffd")}
 
 
 def _fmt(v: float) -> str:
@@ -40,34 +44,32 @@ def _fmt(v: float) -> str:
 
 
 def emit_svg(path, layers, bounds, field: ScalarField | None = None,
-             style: SvgStyle | None = None, provenance: str = "",
-             title: str = "") -> None:
+             provenance: str = "", title: str = "") -> None:
     """Write contour layers as an SVG plot.
 
     ``layers`` is a list of (ContourSet, stroke-color) pairs; pass colors
     from DEFAULT_PALETTE or any CSS color.  If ``field`` is given, grid
     cells whose four corners are all inside are shaded first.
     """
-    st = style or SvgStyle()
     (xlo, xhi), (ylo, yhi) = bounds
-    span = st.size - 2 * st.margin
+    span = _SIZE - 2 * _MARGIN
 
     def to_px(x, y):  # scalars or arrays, same arithmetic for both
-        px = st.margin + (x - xlo) / (xhi - xlo) * span
-        py = st.size - st.margin - (y - ylo) / (yhi - ylo) * span
+        px = _MARGIN + (x - xlo) / (xhi - xlo) * span
+        py = _SIZE - _MARGIN - (y - ylo) / (yhi - ylo) * span
         return px, py
 
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>']
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+    ]
     if provenance:
-        parts.append(f"<!-- {provenance} -->")
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{st.size}" height="{st.size}" '
-        f'viewBox="0 0 {st.size} {st.size}">'
-    )
-    parts.append(f'<rect width="{st.size}" height="{st.size}" fill="white"/>')
+        parts.append(f"<desc>{provenance.translate(_XML_TEXT)}</desc>")
+    parts.append(f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>')
 
     if field is not None:
-        parts.append(_shading(field, to_px, st))
+        parts.append(_shading(field, to_px))
 
     # frame and corner labels
     x0, y0 = to_px(xlo, ylo)
@@ -82,7 +84,7 @@ def emit_svg(path, layers, bounds, field: ScalarField | None = None,
     parts.append(f'<text x="{_fmt(x0 - 45)}" y="{_fmt(y0)}" font-size="14">{ylo:g}</text>')
     parts.append(f'<text x="{_fmt(x0 - 45)}" y="{_fmt(y1 + 5)}" font-size="14">{yhi:g}</text>')
     if title:
-        parts.append(f'<text x="{_fmt(st.size / 2)}" y="30" font-size="18" '
+        parts.append(f'<text x="{_fmt(_SIZE / 2)}" y="30" font-size="18" '
                      f'text-anchor="middle">{title}</text>')
 
     for contours, color in layers:
@@ -95,7 +97,7 @@ def emit_svg(path, layers, bounds, field: ScalarField | None = None,
                 cmds.append("Z")
             parts.append(
                 f'<path d="{" ".join(cmds)}" fill="none" stroke="{color}" '
-                f'stroke-width="{st.stroke_width:g}"/>'
+                f'stroke-width="{_STROKE_WIDTH:g}"/>'
             )
 
     parts.append("</svg>")
@@ -103,10 +105,10 @@ def emit_svg(path, layers, bounds, field: ScalarField | None = None,
         fh.write("\n".join(parts) + "\n")
 
 
-def _shading(field: ScalarField, to_px, st: SvgStyle) -> str:
+def _shading(field: ScalarField, to_px) -> str:
     nx, ny = field.resolution
-    sx = max(1, math.ceil((nx - 1) / st.max_shade_cells))
-    sy = max(1, math.ceil((ny - 1) / st.max_shade_cells))
+    sx = max(1, math.ceil((nx - 1) / _MAX_SHADE_CELLS))
+    sy = max(1, math.ceil((ny - 1) / _MAX_SHADE_CELLS))
     ix = np.arange(0, nx, sx)
     iy = np.arange(0, ny, sy)
     if ix[-1] != nx - 1:
@@ -122,7 +124,7 @@ def _shading(field: ScalarField, to_px, st: SvgStyle) -> str:
     px1, py1 = to_px(xs[i + 1], ys[j])
     rects = map('<rect x="{:.2f}" y="{:.2f}" width="{:.2f}" height="{:.2f}"/>'.format,
                 px0.tolist(), py0.tolist(), (px1 - px0).tolist(), (py1 - py0).tolist())
-    return "\n".join([f'<g fill="{st.shade_fill}" stroke="none">', *rects, "</g>"])
+    return "\n".join([f'<g fill="{_SHADE_FILL}" stroke="none">', *rects, "</g>"])
 
 
 def emit_field_csv(path, field: ScalarField, provenance: str = "") -> None:

@@ -3,50 +3,41 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import InvalidSpec, UnknownTestCase
 from .expr import And, BoolTree, Const, Leaf, Not, Or, Pow, Region, Sub, Var, compose
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Circle:
-    cx: float
-    cy: float
-    radius: float
+class Circle(Record):
+    __slots__ = ("cx", "cy", "radius")
 
 
-@dataclass(frozen=True)
-class Parabola:
+class Parabola(Record):
     """Region above the parabola y = a*(x-x0)^2 - c (opens-up) or
     y = -a*(x-x0)^2 - c (opens-down)."""
 
-    a: float
-    x0: float
-    c: float
-    orientation: str = "opens-up"
+    __slots__ = ("a", "x0", "c", "orientation")
+
+    def __init__(self, a: float, x0: float, c: float, orientation: str = "opens-up"):
+        super().__init__(a, x0, c, orientation)
 
 
-@dataclass(frozen=True)
-class Slab:
+class Slab(Record):
     """|axis| <= half_thickness, unbounded along the other two axes."""
 
-    axis: str
-    half_thickness: float
+    __slots__ = ("axis", "half_thickness")
 
 
-@dataclass(frozen=True)
-class Paraboloid:
+class Paraboloid(Record):
     """side='under': z <= coeff*(1-x^2-y^2); side='above': z >= -coeff*(1-x^2-y^2)."""
 
-    side: str
-    coeff: float
+    __slots__ = ("side", "coeff")
 
 
-@dataclass(frozen=True)
-class CylinderZ:
-    radius: float
+class CylinderZ(Record):
+    __slots__ = ("radius",)
 
 
 PrimitiveSpec = Union[Circle, Parabola, Slab, Paraboloid, CylinderZ]
@@ -110,25 +101,18 @@ def primitive(spec: PrimitiveSpec) -> Region:
     raise InvalidSpec(f"unknown primitive {spec!r}")
 
 
-@dataclass(frozen=True)
-class TestCase:
-    """A named demo: primitive parameters, the composition trees, plot window."""
+class TestCase(Record):
+    """A named demo: the composition trees as (label, tree) pairs, the
+    composition alpha, the plot window and the default grid resolution."""
 
-    name: str
-    params: dict
-    trees: tuple[tuple[str, BoolTree], ...]  # (label, tree) pairs
-    alpha: float
-    bounds: tuple[tuple[float, float], ...]
-    default_resolution: int
+    __slots__ = ("name", "trees", "alpha", "bounds", "default_resolution")
 
 
 def _case_circles() -> TestCase:
-    params = dict(x0=1.0, y0=2.0, r0=1.5, x1=1.0, y1=1.0, r1=1.0)
-    c0 = Leaf(primitive(Circle(params["x0"], params["y0"], params["r0"])))
-    c1 = Leaf(primitive(Circle(params["x1"], params["y1"], params["r1"])))
+    c0 = Leaf(primitive(Circle(1.0, 2.0, 1.5)))
+    c1 = Leaf(primitive(Circle(1.0, 1.0, 1.0)))
     return TestCase(
         name="circles-4.1",
-        params=params,
         trees=(("and", And(c0, c1)), ("or", Or(c0, c1))),
         alpha=1.0,
         bounds=((-1.0, 3.0), (-0.5, 4.0)),
@@ -139,12 +123,10 @@ def _case_circles() -> TestCase:
 def _case_parabolas() -> TestCase:
     # region of interest: above the opens-up parabola AND below the
     # opens-down one, i.e. phi1 >= 0 and phi2 <= 0
-    params = dict(a=1.0, x0=1.0, d=3.0, b=1.5)
-    p1 = Leaf(primitive(Parabola(params["a"], params["x0"], params["d"], "opens-up")))
-    p2 = Leaf(primitive(Parabola(params["a"], params["x0"], params["b"], "opens-down")))
+    p1 = Leaf(primitive(Parabola(1.0, 1.0, 3.0, "opens-up")))
+    p2 = Leaf(primitive(Parabola(1.0, 1.0, 1.5, "opens-down")))
     return TestCase(
         name="parabolas-4.2",
-        params=params,
         trees=(("and", And(p1, Not(p2))), ("or", Or(p1, Not(p2)))),
         alpha=1.0,
         bounds=((-2.0, 4.0), (-6.0, 2.0)),
@@ -153,15 +135,9 @@ def _case_parabolas() -> TestCase:
 
 
 def _case_slabs() -> TestCase:
-    params = dict(a=2.0, b=1.0, c=2.0)
-    s = [
-        Leaf(primitive(Slab("x", params["a"]))),
-        Leaf(primitive(Slab("y", params["b"]))),
-        Leaf(primitive(Slab("z", params["c"]))),
-    ]
+    s = [Leaf(primitive(Slab(axis, half))) for axis, half in (("x", 2.0), ("y", 1.0), ("z", 2.0))]
     return TestCase(
         name="slabs-A1",
-        params=params,
         trees=(("and", And(*s)), ("or", Or(*s))),
         alpha=1.0,
         bounds=((-3.0, 3.0), (-3.0, 3.0), (-3.0, 3.0)),
@@ -172,14 +148,12 @@ def _case_slabs() -> TestCase:
 def _case_paraboloid_cylinders() -> TestCase:
     # lens between two paraboloids, optionally with an annular cylindrical
     # cut-out: keep the core of radius 0.3, remove the ring out to 0.5
-    params = dict(coeff=0.6, r_outer=0.5, r_inner=0.3)
-    f1 = Leaf(primitive(Paraboloid("under", params["coeff"])))
-    f2 = Leaf(primitive(Paraboloid("above", params["coeff"])))
-    f3 = Leaf(primitive(CylinderZ(params["r_outer"])))
-    f4 = Leaf(primitive(CylinderZ(params["r_inner"])))
+    f1 = Leaf(primitive(Paraboloid("under", 0.6)))
+    f2 = Leaf(primitive(Paraboloid("above", 0.6)))
+    f3 = Leaf(primitive(CylinderZ(0.5)))
+    f4 = Leaf(primitive(CylinderZ(0.3)))
     return TestCase(
         name="paraboloid-cylinders-A2",
-        params=params,
         trees=(
             ("and", And(f1, f2)),
             ("cutout", And(f1, f2, Or(Not(f3), f4))),

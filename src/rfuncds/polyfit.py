@@ -89,16 +89,10 @@ def fit_least_squares(points, values, basis: BasisSpec) -> FitResult:
             f"design matrix rank {rank} < {m} (singular values {sv.tolist()})")
     coeffs = coeffs / col_scale
     residuals = y - matrix @ coeffs
-    ss_res = float(residuals @ residuals)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        r2 = 1.0 if np.abs(residuals).max(initial=0.0) <= _EXACT_RESIDUAL else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
     return FitResult(
         basis=basis,
         coefficients=tuple(coeffs.tolist()),
-        r_squared=r2,
+        r_squared=_r_squared(y, residuals),
         n_points=n,
         residual_max_abs=float(np.abs(residuals).max(initial=0.0)),
     )
@@ -108,7 +102,13 @@ def r_squared(fit: FitResult, points, values) -> float:
     """R^2 of an existing fit on held-out data."""
     import numpy as np
     y = np.asarray(values, dtype=float)
-    residuals = y - fit.predict(points)
+    return _r_squared(y, y - fit.predict(points))
+
+
+def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
+    """1 - SS_res/SS_tot; when SS_tot is 0, 1 for residuals within
+    ``_EXACT_RESIDUAL`` of zero and 0 otherwise."""
+    import numpy as np
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0:
         return 1.0 if np.abs(residuals).max(initial=0.0) <= _EXACT_RESIDUAL else 0.0

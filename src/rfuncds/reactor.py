@@ -33,15 +33,14 @@ rows out.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ds import BoxAxis
 from .errors import BoundsMismatch, NonpositiveTemperature, ToleranceNotMet
 from .polyfit import BasisSpec
+from .record import Record
 
 PURITY_MIN = 0.80      # fraction
 PROFIT_MIN = 128.0     # $/min
@@ -51,31 +50,31 @@ CQA_BASIS = BasisSpec(vars=("T", "t"),
                       monomials=((0, 0), (1, 0), (2, 0), (0, 1), (1, 1)))
 
 
-@dataclass(frozen=True)
-class KineticParams:
-    e1: float = 2500.2        # activation energy, J/mol
-    e2: float = 5000.1        # activation energy, J/mol
-    k1_0: float = 0.0666      # pre-exponential factor
-    k2_0: float = 10333.5     # pre-exponential factor
-    r_gas: float = 8.314      # gas constant, J/(mol K)
-    c_a0: float = 2000.0      # initial concentration of A
-    volume: float = 1.0       # vessel volume, m^3
+class KineticParams(Record):
+    __slots__ = ("e1", "e2", "k1_0", "k2_0", "r_gas", "c_a0", "volume")
 
-    def __post_init__(self):
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
+    def __init__(self,
+                 e1: float = 2500.2,       # activation energy, J/mol
+                 e2: float = 5000.1,       # activation energy, J/mol
+                 k1_0: float = 0.0666,     # pre-exponential factor
+                 k2_0: float = 10333.5,    # pre-exponential factor
+                 r_gas: float = 8.314,     # gas constant, J/(mol K)
+                 c_a0: float = 2000.0,     # initial concentration of A
+                 volume: float = 1.0):     # vessel volume, m^3
+        super().__init__(e1, e2, k1_0, k2_0, r_gas, c_a0, volume)
+        for name, v in zip(self._fields, self._values()):
             # energies may be zero (temperature-independent rate); the rest
             # must be strictly positive
-            floor_ok = v >= 0 if f.name in ("e1", "e2") else v > 0
+            floor_ok = v >= 0 if name in ("e1", "e2") else v > 0
             if not (math.isfinite(v) and floor_ok):
-                raise ValueError(f"KineticParams.{f.name} out of range: {v!r}")
+                raise ValueError(f"KineticParams.{name} out of range: {v!r}")
 
 
 DEFAULT_PARAMS = KineticParams()
 
 
 # config file schema: KineticParams fields plus box bounds
-_PARAM_KEYS = {f.name for f in dataclasses.fields(KineticParams)}
+_PARAM_KEYS = set(KineticParams._fields)
 _BOX_KEYS = {"T_lo", "T_hi", "t_lo", "t_hi"}
 CONFIG_KEYS = _PARAM_KEYS | _BOX_KEYS
 
@@ -87,9 +86,8 @@ def apply_config(overrides: dict, params: KineticParams = DEFAULT_PARAMS
     unknown = set(overrides) - CONFIG_KEYS
     if unknown:
         raise KeyError(f"unknown config keys: {sorted(unknown)}; known: {sorted(CONFIG_KEYS)}")
-    pvals = {k: float(v) for k, v in overrides.items() if k in _PARAM_KEYS}
-    if pvals:
-        params = dataclasses.replace(params, **pvals)
+    params = KineticParams(*[float(overrides[name]) if name in overrides else getattr(params, name)
+                             for name in KineticParams._fields])
     box = (BoxAxis("T", overrides.get("T_lo", 250.0), overrides.get("T_hi", 300.0), unit="K"),
            BoxAxis("t", overrides.get("t_lo", 250.0), overrides.get("t_hi", 300.0), unit="min"))
     if not box[0].lo > 0:

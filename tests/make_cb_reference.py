@@ -18,7 +18,6 @@ bracket, whose O(1) terms cancel there.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from rfuncds.qmc import scale, sobol  # noqa: E402
-from rfuncds.reactor import DEFAULT_PARAMS  # noqa: E402
+from rfuncds.reactor import KineticParams  # noqa: E402
 
 FIXTURE = ROOT / "tests" / "data" / "cb_reference.json"
 DPS = 60
@@ -76,7 +75,7 @@ def points() -> list[dict]:
 
 
 def _exact(point: dict) -> dict:
-    p = dataclasses.replace(DEFAULT_PARAMS, **point["params"])
+    p = KineticParams(**point["params"])
     T, t = mp.mpf(point["T"]), mp.mpf(point["t"])
     k1 = mp.mpf(p.k1_0) * mp.exp(-mp.mpf(p.e1) / (mp.mpf(p.r_gas) * T))
     k2 = mp.mpf(p.k2_0) * mp.exp(-mp.mpf(p.e2) / (mp.mpf(p.r_gas) * T))

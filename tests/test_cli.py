@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -119,6 +120,32 @@ def test_identify_rejects_bad_config(tmp_path, capsys):
     cfg.write_text("r_gas ~ 1.0\n")
     assert run(["identify", "--n", "8", "--out", str(tmp_path / "o"),
                 "--config", str(cfg)]) == 2
+
+
+def test_identify_rejects_a_repeated_config_key(tmp_path, capsys, no_model_runs):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("r_gas = 1.0\n# SI after all\n r_gas=8.314\n")
+    out = tmp_path / "o"
+    line = assert_usage_error(run(["identify", "--config", str(cfg), "--out", str(out)]), capsys)
+    assert line == f"error: {cfg}:3: key 'r_gas' given twice"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, model", [
+    (["demo", "circles-4.1", "--grid", "16"], ""),
+    (["demo", "slabs-A1", "--grid", "8", "--slices", "2"], ""),
+    (["identify", "--n", "8", "--grid", "16"], " | model reactor.cqa_closed"),
+], ids=["demo-2d", "demo-3d", "identify"])
+def test_every_svg_written_is_well_formed_xml(argv, model, tmp_path):
+    # XML comments may not hold "--", so the invocation cannot go in one
+    out = tmp_path / "a&b <c> --d"
+    argv = [*argv, "--out", str(out)]
+    assert run(argv) == 0
+    svgs = sorted(out.glob("*.svg"))
+    assert len(svgs) >= 2
+    for path in svgs:
+        desc = ElementTree.parse(path).getroot()[0]
+        assert desc.text == f"rfuncds {rfuncds.__version__} | rfuncds {' '.join(argv)}{model}"
 
 
 def test_sobol_command(capsys):

@@ -9,6 +9,8 @@ import filecmp
 import itertools
 import math
 from pathlib import Path
+from xml.etree import ElementTree
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from rfuncds.contour import (
 from rfuncds.ds import load_report
 from rfuncds.emit import (
     DEFAULT_PALETTE,
-    SvgStyle,
     emit_contours_csv,
     emit_field_csv,
     emit_svg,
@@ -42,28 +43,33 @@ def _fmt(v):
     return f"{v:.2f}"
 
 
-def reference_emit_svg(path, layers, bounds, field=None, style=None,
-                       provenance="", title=""):
-    st = style or SvgStyle()
+SIZE, MARGIN, STROKE_WIDTH, SHADE_FILL, MAX_SHADE_CELLS = 800, 60.0, 2.0, "#bcd8f0", 96
+NOT_XML = [chr(c) for c in range(32) if chr(c) not in "\t\n\r"] + ["\ufffe", "\uffff"]
+
+
+def reference_emit_svg(path, layers, bounds, field=None, provenance="", title=""):
     (xlo, xhi), (ylo, yhi) = bounds
-    span = st.size - 2 * st.margin
+    span = SIZE - 2 * MARGIN
 
     def to_px(x, y):
-        px = st.margin + (x - xlo) / (xhi - xlo) * span
-        py = st.size - st.margin - (y - ylo) / (yhi - ylo) * span
+        px = MARGIN + (x - xlo) / (xhi - xlo) * span
+        py = SIZE - MARGIN - (y - ylo) / (yhi - ylo) * span
         return px, py
 
     parts = ['<?xml version="1.0" encoding="UTF-8"?>']
-    if provenance:
-        parts.append(f"<!-- {provenance} -->")
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{st.size}" height="{st.size}" '
-        f'viewBox="0 0 {st.size} {st.size}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">'
     )
-    parts.append(f'<rect width="{st.size}" height="{st.size}" fill="white"/>')
+    if provenance:
+        text = escape(provenance, {"\r": "&#13;"})
+        for char in NOT_XML:
+            text = text.replace(char, "\ufffd")
+        parts.append(f"<desc>{text}</desc>")
+    parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
 
     if field is not None:
-        parts.append(_reference_shading(field, to_px, st))
+        parts.append(_reference_shading(field, to_px))
 
     x0, y0 = to_px(xlo, ylo)
     x1, y1 = to_px(xhi, yhi)
@@ -77,7 +83,7 @@ def reference_emit_svg(path, layers, bounds, field=None, style=None,
     parts.append(f'<text x="{_fmt(x0 - 45)}" y="{_fmt(y0)}" font-size="14">{ylo:g}</text>')
     parts.append(f'<text x="{_fmt(x0 - 45)}" y="{_fmt(y1 + 5)}" font-size="14">{yhi:g}</text>')
     if title:
-        parts.append(f'<text x="{_fmt(st.size / 2)}" y="30" font-size="18" '
+        parts.append(f'<text x="{_fmt(SIZE / 2)}" y="30" font-size="18" '
                      f'text-anchor="middle">{title}</text>')
 
     for contours, color in layers:
@@ -90,7 +96,7 @@ def reference_emit_svg(path, layers, bounds, field=None, style=None,
                 cmds.append("Z")
             parts.append(
                 f'<path d="{" ".join(cmds)}" fill="none" stroke="{color}" '
-                f'stroke-width="{st.stroke_width:g}"/>'
+                f'stroke-width="{STROKE_WIDTH:g}"/>'
             )
 
     parts.append("</svg>")
@@ -98,10 +104,10 @@ def reference_emit_svg(path, layers, bounds, field=None, style=None,
         fh.write("\n".join(parts) + "\n")
 
 
-def _reference_shading(field, to_px, st):
+def _reference_shading(field, to_px):
     nx, ny = field.resolution
-    sx = max(1, math.ceil((nx - 1) / st.max_shade_cells))
-    sy = max(1, math.ceil((ny - 1) / st.max_shade_cells))
+    sx = max(1, math.ceil((nx - 1) / MAX_SHADE_CELLS))
+    sy = max(1, math.ceil((ny - 1) / MAX_SHADE_CELLS))
     ix = np.arange(0, nx, sx)
     iy = np.arange(0, ny, sy)
     if ix[-1] != nx - 1:
@@ -111,7 +117,7 @@ def _reference_shading(field, to_px, st):
     sub = field.values[np.ix_(ix, iy)] >= 0.0
     xs = field.axis(0)[ix]
     ys = field.axis(1)[iy]
-    rects = [f'<g fill="{st.shade_fill}" stroke="none">']
+    rects = [f'<g fill="{SHADE_FILL}" stroke="none">']
     full = sub[:-1, :-1] & sub[1:, :-1] & sub[:-1, 1:] & sub[1:, 1:]
     for i, j in zip(*np.nonzero(full)):
         px0, py0 = to_px(xs[i], ys[j + 1])
@@ -315,18 +321,32 @@ OPEN_AND_CLOSED = ContourSet((
 ))
 
 
-@pytest.mark.parametrize("style", [None, SvgStyle(size=500, margin=33.3, stroke_width=1.5,
-                                                  max_shade_cells=7)])
-def test_svg_polylines_and_layers(style, tmp_path):
+def test_svg_polylines_and_layers(tmp_path):
     bounds = ((0, 2), (-1.5, 1.5))  # integer bounds, as some demo cases give
     field = grid_eval(CIRCLE, bounds, 40)
     other = marching_squares(field)
     assert other.polylines and not any(line.closed for line in other.polylines)  # leaves the box
     for layers in ([], [(OPEN_AND_CLOSED, "#123456")],
                    [(OPEN_AND_CLOSED, "red"), (other, "blue"), (ContourSet(()), "green")]):
-        assert_same_bytes(tmp_path, emit_svg, layers, bounds, style=style)
-        assert_same_bytes(tmp_path, emit_svg, layers, bounds, field=field, style=style,
+        assert_same_bytes(tmp_path, emit_svg, layers, bounds)
+        assert_same_bytes(tmp_path, emit_svg, layers, bounds, field=field,
                           provenance=PROVENANCE, title="t")
+
+
+@pytest.mark.parametrize("provenance, readback", [
+    (PROVENANCE, PROVENANCE),
+    ("rfuncds demo circles-4.1 --out 'a&b <c>--' --x ]]> -->", None),
+    ("tab\there, LF\nthere, CR\rthere, CRLF\r\nthere", None),
+    ("nul\x00 bell\x07 esc\x1b nonchars\ufffe\uffff end-", "nul\ufffd bell\ufffd esc\ufffd "
+                                                          "nonchars\ufffd\ufffd end-"),
+], ids=["plain", "markup", "line-ends", "not-xml"])
+def test_svg_provenance_is_well_formed_and_reads_back(provenance, readback, tmp_path):
+    assert_same_bytes(tmp_path, emit_svg, [], ((0.0, 1.0), (0.0, 1.0)), provenance=provenance)
+    path = tmp_path / "p.svg"
+    emit_svg(path, [(OPEN_AND_CLOSED, "red")], ((0.0, 1.0), (0.0, 1.0)), provenance=provenance)
+    desc = ElementTree.parse(path).getroot()[0]
+    assert desc.tag == "{http://www.w3.org/2000/svg}desc"
+    assert desc.text == (provenance if readback is None else readback)
 
 
 # ----------------------------------------------------------------------

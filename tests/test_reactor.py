@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -267,7 +266,7 @@ REFERENCE = json.loads(
 
 
 def _reference_case(row):
-    params = dataclasses.replace(DEFAULT_PARAMS, **row["params"])
+    params = KineticParams(**row["params"])
     return np.array([row["T"]]), np.array([row["t"]]), params
 
 

@@ -1,7 +1,10 @@
-"""Record semantics of the expression nodes and the report records: equality
-and hashing by class and fields, immutability, and pickling."""
+"""Record semantics of the expression nodes and every other record of the
+package: equality and hashing by class and fields, immutability, and
+pickling."""
 
+import dataclasses
 import pickle
+import types
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,9 @@ from hypothesis import given
 
 from dags import X, Y, dags
 from rewrites import canonicalize_alpha1
-from rfuncds import ds
+import rfuncds
+from rfuncds import ds, geometry
+from rfuncds.contour import ContourSet, Polyline, ScalarField, grid_eval, marching_squares
 from rfuncds.ds import (
     BoxAxis, ConstraintReport, ConstraintSpec, DSReport, SamplingMeta, ValidationStats,
 )
@@ -17,7 +22,9 @@ from rfuncds.expr import (
     NODES, Abs, Add, Const, Max, Min, Mul, Neg, Pow, Program, RAnd, ROr, Region, Sqrt, Sub, Var,
     children, eval_expr, fold,
 )
+from rfuncds.geometry import Circle, CylinderZ, Parabola, Paraboloid, Slab, primitive
 from rfuncds.polyfit import BasisSpec, FitResult
+from rfuncds.reactor import KineticParams
 
 REPORT_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "kelvin-alpha1.json"
 
@@ -37,6 +44,20 @@ RECORD_FIELDS = {
     DSReport: ("box", "alpha", "constraints", "joint", "sampling", "validation"),
     BasisSpec: ("vars", "monomials"),
     FitResult: ("basis", "coefficients", "r_squared", "n_points", "residual_max_abs"),
+    Circle: ("cx", "cy", "radius"),
+    Parabola: ("a", "x0", "c", "orientation"),
+    Slab: ("axis", "half_thickness"),
+    Paraboloid: ("side", "coeff"),
+    CylinderZ: ("radius",),
+    geometry.TestCase: ("name", "trees", "alpha", "bounds", "default_resolution"),
+    KineticParams: ("e1", "e2", "k1_0", "k2_0", "r_gas", "c_a0", "volume"),
+}
+
+# records that hold arrays: immutable, but not hashable
+ARRAY_RECORD_FIELDS = {
+    ScalarField: ("bounds", "resolution", "values", "vars"),
+    Polyline: ("points", "closed"),
+    ContourSet: ("polylines",),
 }
 
 
@@ -54,7 +75,15 @@ def _records():
     constraint = report.constraints[0]
     return [report.joint, report.joint.program, report.box[0], ConstraintSpec("purity", 0.9),
             constraint, report.sampling, report.validation, report, constraint.fit.basis,
-            constraint.fit]
+            constraint.fit, Circle(1.0, 2.0, 1.5), Parabola(1.0, 1.0, 3.0), Slab("x", 2.0),
+            Paraboloid("under", 0.6), CylinderZ(0.5), geometry.testcase("circles-4.1")[2],
+            KineticParams(r_gas=1.0)]
+
+
+def _array_records():
+    field = grid_eval(primitive(Circle(0.0, 0.0, 1.0)), ((-1.5, 1.5), (-1.5, 1.5)), 9)
+    contours = marching_squares(field)
+    return [field, contours.polylines[0], contours]
 
 
 def _record_id(record):
@@ -68,6 +97,17 @@ def _copy(record):
 def test_samples_cover_every_class():
     assert {type(node) for node in NODE_SAMPLES} == set(NODES)
     assert {type(record) for record in _records()} == set(RECORD_FIELDS)
+    assert {type(record) for record in _array_records()} == set(ARRAY_RECORD_FIELDS)
+
+
+def test_no_class_of_the_package_is_a_dataclass():
+    exported = [getattr(rfuncds, name) for name in rfuncds.__all__]
+    classes = [value for value in exported if isinstance(value, type)]
+    classes += [value for module in exported if isinstance(module, types.ModuleType)
+                for value in vars(module).values()
+                if isinstance(value, type) and value.__module__ == module.__name__]
+    assert {*RECORD_FIELDS, *ARRAY_RECORD_FIELDS} <= set(classes)
+    assert [cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)] == []
 
 
 @given(expr=dags())
@@ -172,15 +212,25 @@ def test_a_rebuilt_record_is_equal(record):
     assert record != object()
 
 
-@pytest.mark.parametrize("record", _records(), ids=_record_id)
+@pytest.mark.parametrize("record", [*_records(), *_array_records()], ids=_record_id)
 def test_records_refuse_assignment_and_deletion(record):
-    for name in RECORD_FIELDS[type(record)]:
+    fields = {**RECORD_FIELDS, **ARRAY_RECORD_FIELDS}[type(record)]
+    assert type(record)._fields == fields
+    for name in fields:
         before = getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
             delattr(record, name)
         assert getattr(record, name) is before
+
+
+@pytest.mark.parametrize("record", [record for record in [*_records(), *_array_records()]
+                                    if type(record) is not Program], ids=_record_id)
+def test_records_pickle(record):
+    # a Program holds generated functions and is rebuilt from its Region
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and repr(copy) == repr(record)
 
 
 def test_records_check_their_arguments():
