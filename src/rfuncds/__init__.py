@@ -15,8 +15,8 @@ _EXPORTS = {
                       "qmc", "reactor")},
     **dict.fromkeys(("ContourSet", "Polyline", "ScalarField", "grid_eval", "inside_fraction",
                      "marching_squares", "slice_contours_3d"), "contour"),
-    **dict.fromkeys(("BoxAxis", "ConstraintSpec", "DSReport", "identify", "joint_expression",
-                     "load_report", "membership", "plot_count", "save_report"), "ds"),
+    **dict.fromkeys(("BoxAxis", "ConstraintSpec", "DSReport", "identify", "load_report",
+                     "membership", "plot_count", "save_report"), "ds"),
     **dict.fromkeys(("Abs", "Add", "And", "BoolTree", "Const", "Expr", "Leaf", "Max", "Min",
                      "Mul", "Neg", "Not", "Or", "Pow", "RAnd", "ROr", "Region", "Sqrt", "Sub",
                      "Var", "compose", "eval_arrays", "eval_expr", "r_and", "r_not", "r_or",
@@ -25,8 +25,8 @@ _EXPORTS = {
                      "to_tree_text"), "exprtext"),
     **dict.fromkeys(("TESTCASE_NAMES", "Circle", "CylinderZ", "Parabola", "Paraboloid", "Slab",
                      "TestCase", "primitive", "testcase"), "geometry"),
-    **dict.fromkeys(("BasisSpec", "FitResult", "design_matrix", "fit_least_squares",
-                     "fit_report", "to_expr"), "polyfit"),
+    **dict.fromkeys(("BasisSpec", "FitResult", "design_matrix", "fit_least_squares", "to_expr"),
+                    "polyfit"),
     **dict.fromkeys(("scale", "sobol"), "qmc"),
     **dict.fromkeys(("CQA_BASIS", "DEFAULT_PARAMS", "PROFIT_MIN", "PURITY_MIN", "KineticParams",
                      "batch_cqa", "cqa_closed"), "reactor"),

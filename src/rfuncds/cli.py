@@ -26,7 +26,7 @@ from .errors import (
     RfuncdsError,
     ToleranceNotMet,
 )
-from .expr import check_alpha, classify, compose, eval_expr
+from .expr import classify, compose, eval_expr
 from .exprtext import serialize
 
 # failures of a run on valid input exit 1; every other package error is a
@@ -88,11 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("name", type=_case_name,
                         help="a built-in case; an unknown name lists them all")
     p_demo.add_argument("--grid", type=int, default=None,
-                        help="nodes per axis (default: per-case, 256 for 2D, 64 for 3D)")
+                        help="nodes per axis (default 256 for 2D cases, 64 for 3D)")
     p_demo.add_argument("--slices", type=int, default=9,
                         help="z-levels for 3D cases (default 9)")
-    p_demo.add_argument("--alpha", type=float, default=None,
-                        help="composition alpha (default: the case's own, 1.0)")
+    p_demo.add_argument("--alpha", type=float, default=1.0,
+                        help="composition alpha (default 1.0)")
     p_demo.add_argument("--out", default="out", help="output directory")
     p_demo.set_defaults(func=cmd_demo)
 
@@ -122,11 +122,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _escaped(text: str) -> str:
+    """``text`` as one line of valid UTF-8: control characters, line
+    separators and the lone surrogates that stand for argv bytes that are not
+    UTF-8 become escapes ("\\n", "\\u2028", "\\udcff")."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
-    provenance = f"rfuncds {__version__} | rfuncds {' '.join(argv)}"
+    provenance = _escaped(f"rfuncds {__version__} | rfuncds {' '.join(argv)}")
     try:
         return args.func(args, provenance)
     except _RUNTIME_ERRORS as exc:
@@ -149,19 +156,18 @@ def cmd_demo(args, provenance: str) -> int:
     _bind("testcase", "grid_eval", "marching_squares", "slice_contours_3d", "DEFAULT_PALETTE",
           "emit_svg", "emit_field_csv")
     _, _, case = testcase(args.name)
-    alpha = case.alpha if args.alpha is None else args.alpha
-    grid = case.default_resolution if args.grid is None else args.grid
+    is3d = len(case.bounds) == 3
+    grid = (64 if is3d else 256) if args.grid is None else args.grid
     if grid < 2:
         print("error: --grid must be >= 2", file=sys.stderr)
         return 2
     if args.slices < 1:
         print("error: --slices must be >= 1", file=sys.stderr)
         return 2
-    regions = [(label, compose(tree, alpha)) for label, tree in case.trees]
+    regions = [(label, compose(tree, args.alpha)) for label, tree in case.trees]
     out = _outdir(args)
-    is3d = len(case.bounds) == 3
 
-    lines = [f"# {provenance}", f"# case {case.name}, alpha={alpha!r}", ""]
+    lines = [f"# {provenance}", f"# case {case.name}, alpha={args.alpha!r}", ""]
     for (label, region), color in zip(regions, DEFAULT_PALETTE):
         if not is3d:
             field = grid_eval(region, case.bounds, grid)
@@ -186,7 +192,7 @@ def cmd_demo(args, provenance: str) -> int:
         lines.append(f"tree = {serialize(region.expr, 'tree')}")
         lines.append("")
     (out / "expressions.txt").write_text("\n".join(lines), encoding="utf-8")
-    print(f"wrote {case.name} demo to {out}")
+    print(f"wrote {case.name} demo to {_escaped(str(out))}")
     return 0
 
 
@@ -223,7 +229,6 @@ def cmd_identify(args, provenance: str) -> int:
     if args.skip < 0:
         print("error: --skip must be >= 0", file=sys.stderr)
         return 2
-    check_alpha(args.alpha)
     try:
         params, box = reactor.apply_config(
             _load_config(args.config) if args.config is not None else {})
@@ -274,7 +279,7 @@ def cmd_identify(args, provenance: str) -> int:
     v = report.validation
     print(f"membership agreement on {v.n_points} validation points: "
           f"{v.agreement_rate:.4f} ({v.n_disagreements} disagreements)")
-    print(f"report: {out / 'ds_report.json'}")
+    print(f"report: {_escaped(str(out / 'ds_report.json'))}")
     return 0
 
 

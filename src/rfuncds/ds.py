@@ -118,7 +118,6 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     check_alpha(alpha)
     box = tuple(box)
     names = tuple(axis.name for axis in box)
-    units = tuple(axis.unit for axis in box)
     if basis.vars != names:
         raise ValueError(f"basis variables {basis.vars} != box axes {names}")
 
@@ -140,7 +139,7 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
         fit = fit_least_squares(train, y_train[:, k], basis)
         phi = Region(
             expr=Sub(to_expr(fit), Const(float(spec.threshold))),
-            vars=names, units=units,
+            vars=names,
             description=f"metamodel of {spec.name} minus threshold {spec.threshold}",
         )
         reports.append((spec, fit, phi))
@@ -215,12 +214,6 @@ def box_point(report: DSReport, u) -> list[float]:
             raise OutOfBox(
                 f"{axis.name} = {v!r} outside [{axis.lo}, {axis.hi}]")
     return values
-
-
-def joint_expression(report: DSReport, format: str = "infix",
-                     alpha1_style: str = "abs") -> str:
-    """The joint design-space expression as text (see exprtext formats)."""
-    return exprtext.serialize(report.joint.expr, format=format, alpha1_style=alpha1_style)
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +305,6 @@ def _report_from_obj(obj: dict) -> DSReport:
     alpha = check_alpha(obj["alpha"])
     box = tuple(BoxAxis(a["name"], a["lo"], a["hi"], a.get("unit")) for a in obj["box"])
     names = tuple(a.name for a in box)
-    units = tuple(a.unit for a in box)
     constraints = []
     for c in obj["constraints"]:
         basis = BasisSpec(vars=tuple(c["basis"]["vars"]),
@@ -325,14 +317,13 @@ def _report_from_obj(obj: dict) -> DSReport:
                         r_squared=float(c["r_squared"]),
                         n_points=int(c["n_points"]),
                         residual_max_abs=float(c["residual_max_abs"]))
-        phi = Region(expr=exprtext.from_tree_obj(c["phi_tree"]),
-                     vars=names, units=units,
+        phi = Region(expr=exprtext.from_tree_obj(c["phi_tree"]), vars=names,
                      description=f"metamodel of {c['name']} minus threshold")
         constraints.append(ConstraintReport(
             name=c["name"], threshold=float(c["threshold"]), fit=fit, phi=phi,
             validation_r_squared=c.get("validation_r_squared")))
-    joint = Region(expr=exprtext.from_tree_obj(obj["joint"]["tree"]),
-                   vars=names, units=units, description="joint design space")
+    joint = Region(expr=exprtext.from_tree_obj(obj["joint"]["tree"]), vars=names,
+                   description="joint design space")
     sampling = None
     if "sampling" in obj:
         s = obj["sampling"]

@@ -593,24 +593,19 @@ class Region(Record):
     """Implicit region: the point set where ``expr >= 0``.
 
     ``vars`` fixes the coordinate order (used by grids, CSV output and CLI
-    point arguments); ``units`` is optional per-variable unit labels.
+    point arguments).
     """
 
     # the instance dict holds only the compiled program
-    __slots__ = ("expr", "vars", "units", "description", "__dict__")
+    __slots__ = ("expr", "vars", "description", "__dict__")
 
-    def __init__(self, expr: Expr, vars: Sequence[str],
-                 units: Sequence[str | None] | None = None, description: str = ""):
+    def __init__(self, expr: Expr, vars: Sequence[str], description: str = ""):
         vars = tuple(vars)
-        if units is not None:
-            if len(units) != len(vars):
-                raise ValueError("units length must match vars length")
-            units = tuple(units)
         unbound = variables(expr) - set(vars)
         if unbound:
             raise ValueError(f"expression uses variables {sorted(unbound)} "
                              f"not in the binding list {vars}")
-        super().__init__(expr, vars, units, description)
+        super().__init__(expr, vars, description)
 
     @functools.cached_property
     def program(self) -> Program:
@@ -693,18 +688,6 @@ class Not(BoolTree):
         return f"Not({self.child!r})"
 
 
-def _leaf_regions(tree: BoolTree) -> Iterator[Region]:
-    if isinstance(tree, Leaf):
-        yield tree.region
-    elif isinstance(tree, (And, Or)):
-        for child in tree.children:
-            yield from _leaf_regions(child)
-    elif isinstance(tree, Not):
-        yield from _leaf_regions(tree.child)
-    else:
-        raise TypeError(f"unknown BoolTree node {type(tree).__name__}")
-
-
 def compose(tree: BoolTree, alpha: float = 1.0) -> Region:
     """Collapse a Boolean tree of regions into one region.
 
@@ -713,19 +696,16 @@ def compose(tree: BoolTree, alpha: float = 1.0) -> Region:
     combination of the leaf memberships.
     """
     check_alpha(alpha)
-    regions = list(_leaf_regions(tree))
-    if not regions:
-        raise ValueError("tree has no leaves")
-    var_lists = {r.vars for r in regions}
-    if len(var_lists) != 1:
-        raise MixedVariableLists(f"leaf regions use different variable lists: {sorted(var_lists)}")
-    first = regions[0]
+    regions = []
 
     def rec(node: BoolTree) -> Expr:
         if isinstance(node, Leaf):
+            regions.append(node.region)
             return node.region.expr
         if isinstance(node, Not):
             return r_not(rec(node.child))
+        if not isinstance(node, (And, Or)):
+            raise TypeError(f"unknown BoolTree node {type(node).__name__}")
         exprs = [rec(child) for child in node.children]
         out = exprs[0]
         ctor = r_and if isinstance(node, And) else r_or
@@ -733,9 +713,12 @@ def compose(tree: BoolTree, alpha: float = 1.0) -> Region:
             out = ctor(out, e, alpha)
         return out
 
+    expr = rec(tree)
+    var_lists = {r.vars for r in regions}
+    if len(var_lists) != 1:
+        raise MixedVariableLists(f"leaf regions use different variable lists: {sorted(var_lists)}")
     return Region(
-        expr=rec(tree),
-        vars=first.vars,
-        units=first.units,
+        expr=expr,
+        vars=regions[0].vars,
         description=f"composed from {len(regions)} region(s), alpha={alpha}",
     )

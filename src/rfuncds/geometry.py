@@ -102,10 +102,10 @@ def primitive(spec: PrimitiveSpec) -> Region:
 
 
 class TestCase(Record):
-    """A named demo: the composition trees as (label, tree) pairs, the
-    composition alpha, the plot window and the default grid resolution."""
+    """A named demo: the composition trees as (label, tree) pairs and the
+    plot window.  ``testcase`` composes its trees at alpha = 1."""
 
-    __slots__ = ("name", "trees", "alpha", "bounds", "default_resolution")
+    __slots__ = ("name", "trees", "bounds")
 
 
 def _case_circles() -> TestCase:
@@ -114,9 +114,7 @@ def _case_circles() -> TestCase:
     return TestCase(
         name="circles-4.1",
         trees=(("and", And(c0, c1)), ("or", Or(c0, c1))),
-        alpha=1.0,
         bounds=((-1.0, 3.0), (-0.5, 4.0)),
-        default_resolution=256,
     )
 
 
@@ -128,9 +126,7 @@ def _case_parabolas() -> TestCase:
     return TestCase(
         name="parabolas-4.2",
         trees=(("and", And(p1, Not(p2))), ("or", Or(p1, Not(p2)))),
-        alpha=1.0,
         bounds=((-2.0, 4.0), (-6.0, 2.0)),
-        default_resolution=256,
     )
 
 
@@ -139,9 +135,7 @@ def _case_slabs() -> TestCase:
     return TestCase(
         name="slabs-A1",
         trees=(("and", And(*s)), ("or", Or(*s))),
-        alpha=1.0,
         bounds=((-3.0, 3.0), (-3.0, 3.0), (-3.0, 3.0)),
-        default_resolution=64,
     )
 
 
@@ -158,9 +152,7 @@ def _case_paraboloid_cylinders() -> TestCase:
             ("and", And(f1, f2)),
             ("cutout", And(f1, f2, Or(Not(f3), f4))),
         ),
-        alpha=1.0,
         bounds=((-1.2, 1.2), (-1.2, 1.2), (-1.2, 1.2)),
-        default_resolution=64,
     )
 
 
@@ -180,6 +172,6 @@ def testcase(name: str) -> tuple[Region, Region, TestCase]:
         case = _CASES[name]()
     except KeyError:
         raise UnknownTestCase(name, TESTCASE_NAMES) from None
-    first = compose(case.trees[0][1], case.alpha)
-    second = compose(case.trees[1][1], case.alpha)
+    first = compose(case.trees[0][1])
+    second = compose(case.trees[1][1])
     return first, second, case

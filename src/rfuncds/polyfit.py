@@ -115,24 +115,6 @@ def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
     return 1.0 - float(residuals @ residuals) / ss_tot
 
 
-def fit_report(fit: FitResult) -> str:
-    """Human-readable fit summary with full-precision coefficients."""
-    lines = [
-        f"variables: {', '.join(fit.basis.vars)}",
-        f"n_points: {fit.n_points}",
-        f"r_squared: {fit.r_squared!r}",
-        f"residual_max_abs: {fit.residual_max_abs!r}",
-        "coefficients:",
-    ]
-    for coeff, mono in zip(fit.coefficients, fit.basis.monomials):
-        label = " * ".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(fit.basis.vars, mono) if e > 0
-        ) or "1"
-        lines.append(f"  {label}: {float(coeff)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def to_expr(fit: FitResult) -> Expr:
     """Expression form of the fitted polynomial (exact-zero terms dropped)."""
     terms: list[Expr] = []

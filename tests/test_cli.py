@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import math
 import os
@@ -146,6 +148,44 @@ def test_every_svg_written_is_well_formed_xml(argv, model, tmp_path):
     for path in svgs:
         desc = ElementTree.parse(path).getroot()[0]
         assert desc.text == f"rfuncds {rfuncds.__version__} | rfuncds {' '.join(argv)}{model}"
+
+
+# an --out that is not UTF-8 (Python decodes the byte to a lone surrogate) and
+# one that holds a newline; each reads back as an escape in the provenance
+@pytest.mark.parametrize("name, shown", [("d\udcff", "d\\udcff"), ("n\nx", "n\\nx")],
+                         ids=["not-utf8", "newline"])
+@pytest.mark.parametrize("argv, model, csvs", [
+    (["demo", "circles-4.1", "--grid", "8"], "", ("and_field.csv", "or_field.csv")),
+    (["identify", "--n", "16", "--grid", "8"], " | model reactor.cqa_closed",
+     ("phi_purity.csv", "phi_profit.csv", "joint.csv")),
+], ids=["demo", "identify"])
+def test_provenance_is_one_utf8_line_whatever_argv_holds(argv, model, csvs, name, shown,
+                                                         tmp_path, capsys):
+    out = tmp_path / name
+    assert run([*argv, "--out", str(out)]) == 0
+    assert all(line.isprintable() for line in capsys.readouterr().out.splitlines())
+    expected = (f"rfuncds {rfuncds.__version__} | rfuncds {' '.join(argv)} "
+                f"--out {tmp_path}/{shown}{model}")
+    texts = {path.name: path.read_bytes().decode("utf-8", errors="strict")
+             for path in out.iterdir()}
+    for csv_name in csvs:
+        rows = list(csv.reader(io.StringIO(texts[csv_name])))
+        assert rows[0] == [f"# {expected}"]
+        assert rows[1] in (["x", "y", "value"], ["polyline", "point", "x", "y", "closed"])
+    if argv[0] == "demo":
+        assert texts["expressions.txt"].splitlines()[:2] == [
+            f"# {expected}", "# case circles-4.1, alpha=1.0"]
+    else:
+        assert json.loads(texts["ds_report.json"])["provenance"] == expected
+    for svg in (path for path in out.iterdir() if path.suffix == ".svg"):
+        assert ElementTree.parse(svg).getroot()[0].text == expected
+
+
+def test_escaped_keeps_printable_text_and_escapes_the_rest():
+    printable = "".join(map(chr, range(32, 127))) + " \u00e9 \u65e5"
+    assert cli._escaped(printable) == printable
+    assert cli._escaped("a\tb\r\n\x1b\x7f\x85\u2028\udcff") == (
+        "a\\tb\\r\\n\\x1b\\x7f\\x85\\u2028\\udcff")
 
 
 def test_sobol_command(capsys):
@@ -566,12 +606,11 @@ EXPORTS = (
     "PROFIT_MIN", "PURITY_MIN", "Parabola", "Paraboloid", "Polyline", "Pow", "RAnd", "ROr",
     "Region", "ScalarField", "Slab", "Sqrt", "Sub", "TESTCASE_NAMES", "TestCase", "Var",
     "batch_cqa", "compose", "contour", "cqa_closed", "design_matrix", "ds", "errors",
-    "eval_arrays", "eval_expr", "expr", "exprtext", "fit_least_squares", "fit_report",
-    "geometry", "grid_eval", "identify", "inside_fraction", "joint_expression", "load_report",
-    "marching_squares", "membership", "parse", "parse_infix", "parse_tree_text", "plot_count",
-    "polyfit", "primitive", "qmc", "r_and", "r_not", "r_or", "reactor", "save_report", "scale",
-    "serialize", "sign_class", "slice_contours_3d", "sobol", "testcase", "to_expr", "to_infix",
-    "to_tree_text",
+    "eval_arrays", "eval_expr", "expr", "exprtext", "fit_least_squares", "geometry",
+    "grid_eval", "identify", "inside_fraction", "load_report", "marching_squares", "membership",
+    "parse", "parse_infix", "parse_tree_text", "plot_count", "polyfit", "primitive", "qmc",
+    "r_and", "r_not", "r_or", "reactor", "save_report", "scale", "serialize", "sign_class",
+    "slice_contours_3d", "sobol", "testcase", "to_expr", "to_infix", "to_tree_text",
 )
 
 

@@ -70,7 +70,7 @@ def _regions():
     for case_name in TESTCASE_NAMES:
         _, _, case = load_case(case_name)
         for label, tree in case.trees:
-            for alpha in (case.alpha, 0.5):
+            for alpha in (1.0, 0.5):
                 yield pytest.param(compose(tree, alpha), case.bounds,
                                    id=f"{case_name}-{label}-alpha{alpha}")
 

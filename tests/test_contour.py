@@ -281,12 +281,13 @@ def test_nonfinite_crossings_take_limiting_positions(v0, v1, t):
 def test_matches_reference_demo_cases(name, monkeypatch):
     f_and, f_or, case = load_case(name)
     for region in (f_and, f_or):
+        # demo's default grid
         if len(case.bounds) == 2:
-            assert_matches_reference(grid_eval(region, case.bounds, case.default_resolution))
+            assert_matches_reference(grid_eval(region, case.bounds, 256))
         else:
-            got = slice_contours_3d(region, case.bounds, case.default_resolution, 9)
+            got = slice_contours_3d(region, case.bounds, 64, 9)
             monkeypatch.setattr(contour, "marching_squares", reference_marching_squares)
-            want = slice_contours_3d(region, case.bounds, case.default_resolution, 9)
+            want = slice_contours_3d(region, case.bounds, 64, 9)
             monkeypatch.undo()
             assert [z for z, _ in got] == [z for z, _ in want]
             for (_, g), (_, w) in zip(got, want):

@@ -11,7 +11,6 @@ from rfuncds.ds import (
     BoxAxis,
     ConstraintSpec,
     identify,
-    joint_expression,
     load_report,
     membership,
     plot_count,
@@ -23,7 +22,7 @@ from rfuncds.errors import (
     RfuncdsError,
 )
 from rfuncds.expr import depth, eval_arrays, eval_expr
-from rfuncds.exprtext import MAX_DEPTH, parse_infix
+from rfuncds.exprtext import MAX_DEPTH, parse_infix, serialize
 from rfuncds.polyfit import BasisSpec
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
@@ -257,7 +256,7 @@ def test_contours_present_in_2d(tmp_path):
 
 def test_joint_expression_single_constraint():
     report = identify([SUM_SPEC], BOX, 16, CQA_BASIS, model=sum_model)
-    text = joint_expression(report, "infix")
+    text = serialize(report.joint.expr, "infix")
     back = parse_infix(text)
     for T, t in [(250.0, 250.0), (275.0, 280.0), (300.0, 265.0)]:
         assert eval_expr(back, {"T": T, "t": t}) == pytest.approx(T + t - 550.0, abs=1e-6)
@@ -265,8 +264,8 @@ def test_joint_expression_single_constraint():
 
 def test_joint_expression_structure_two_constraints():
     report = synthetic_report()
-    abs_text = joint_expression(report, "infix", alpha1_style="abs")
-    sqrt_text = joint_expression(report, "infix", alpha1_style="sqrt")
+    abs_text = serialize(report.joint.expr, "infix", alpha1_style="abs")
+    sqrt_text = serialize(report.joint.expr, "infix", alpha1_style="sqrt")
     assert abs_text.count("abs(") == 1 and "sqrt(" not in abs_text
     assert sqrt_text.count("sqrt(") == 1 and "abs(" not in sqrt_text
 
@@ -283,7 +282,7 @@ def test_joint_expression_round_trip(rng):
         ("tree", "sqrt"): joint,
     }
     for (fmt, style), reference in references.items():
-        text = joint_expression(report, fmt, alpha1_style=style)
+        text = serialize(joint, fmt, alpha1_style=style)
         back = parse(text, fmt)
         for _ in range(20):
             T = float(rng.uniform(250, 300))

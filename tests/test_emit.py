@@ -196,7 +196,7 @@ def assert_field_outputs_same(tmp_path, field, bounds, provenance=PROVENANCE, ti
 @pytest.mark.parametrize("name", TESTCASE_NAMES)
 def test_demo_cases(name, tmp_path):
     f_and, f_or, case = load_case(name)
-    res = case.default_resolution
+    res = 256 if len(case.bounds) == 2 else 64   # demo's default grid
     for (label, _), region in zip(case.trees, (f_and, f_or)):
         title = f"{case.name} [{label}]"
         if len(case.bounds) == 2:

@@ -419,6 +419,13 @@ def test_compose_rejects_mixed_variables():
         compose(And(Leaf(c0), Leaf(other)), 1.0)
 
 
+def test_compose_rejects_a_node_that_is_not_a_bool_tree():
+    c0, c1 = _two_circles()
+    for tree in (c0, And(Leaf(c0), c1), Not(c1)):
+        with pytest.raises(TypeError, match="unknown BoolTree node Region"):
+            compose(tree)
+
+
 def test_compose_alpha_checked():
     c0, c1 = _two_circles()
     with pytest.raises(AlphaOutOfRange):

@@ -126,12 +126,3 @@ def test_to_expr_matches_design_matrix(rng):
     via_matrix = design_matrix(grid, CQA_BASIS) @ fit.coefficients
     assert np.abs(via_expr - via_matrix).max() <= 1e-10
 
-
-def test_fit_report_text():
-    from rfuncds.polyfit import fit_report
-    fit = fit_least_squares([[0.0], [1.0], [2.0]], [2.0, 5.0, 8.0], LINE)
-    text = fit_report(fit)
-    assert "r_squared: 1.0" in text
-    assert "n_points: 3" in text
-    assert "x: " in text and "1: " in text
-    assert repr(float(fit.coefficients[1])) in text

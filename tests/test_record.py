@@ -34,7 +34,7 @@ NODE_SAMPLES = [Const(-0.0), Var("x"), Neg(X), Add(X, Y), Sub(X, Y), Mul(X, Y), 
 
 # each record class with its fields, in constructor order
 RECORD_FIELDS = {
-    Region: ("expr", "vars", "units", "description"),
+    Region: ("expr", "vars", "description"),
     Program: ("names", "reads", "source", "scalars", "bind"),
     BoxAxis: ("name", "lo", "hi", "unit"),
     ConstraintSpec: ("name", "threshold"),
@@ -49,7 +49,7 @@ RECORD_FIELDS = {
     Slab: ("axis", "half_thickness"),
     Paraboloid: ("side", "coeff"),
     CylinderZ: ("radius",),
-    geometry.TestCase: ("name", "trees", "alpha", "bounds", "default_resolution"),
+    geometry.TestCase: ("name", "trees", "bounds"),
     KineticParams: ("e1", "e2", "k1_0", "k2_0", "r_gas", "c_a0", "volume"),
 }
 
