@@ -68,6 +68,16 @@ def _case_name(value: str) -> str:
     return value
 
 
+def _at_least(k: int):
+    """An argparse ``type=`` for an integer count no smaller than ``k``."""
+    def count(text: str) -> int:   # a ValueError reads "invalid count value: ..."
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be >= {k}, got {value}")
+        return value
+    return count
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as one ``error:`` line (exit 2), like every
     other error; subcommand parsers inherit the class."""
@@ -87,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="render a built-in geometry case")
     p_demo.add_argument("name", type=_case_name,
                         help="a built-in case; an unknown name lists them all")
-    p_demo.add_argument("--grid", type=int, default=None,
+    p_demo.add_argument("--grid", type=_at_least(2), default=None,
                         help="nodes per axis (default 256 for 2D cases, 64 for 3D)")
-    p_demo.add_argument("--slices", type=int, default=9,
+    p_demo.add_argument("--slices", type=_at_least(1), default=9,
                         help="z-levels for 3D cases (default 9)")
     p_demo.add_argument("--alpha", type=float, default=1.0,
                         help="composition alpha (default 1.0)")
@@ -99,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_id = sub.add_parser("identify", help="identify the reactor design space")
     p_id.add_argument("--n", type=int, default=64, help="training model runs (default 64)")
     p_id.add_argument("--alpha", type=float, default=1.0)
-    p_id.add_argument("--grid", type=int, default=256,
+    p_id.add_argument("--grid", type=_at_least(2), default=256,
                       help="contour grid resolution (default 256)")
-    p_id.add_argument("--skip", type=int, default=1, help="Sobol skip (default 1)")
+    p_id.add_argument("--skip", type=_at_least(0), default=1, help="Sobol skip (default 1)")
     p_id.add_argument("--out", default="out", help="output directory")
     p_id.add_argument("--config", default=None,
                       help="key=value file overriding kinetics and box")
@@ -115,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sob = sub.add_parser("sobol", help="print Sobol points as CSV")
     p_sob.add_argument("d", type=int)
-    p_sob.add_argument("n", type=int)
-    p_sob.add_argument("--skip", type=int, default=1)
+    p_sob.add_argument("n", type=_at_least(1))
+    p_sob.add_argument("--skip", type=_at_least(0), default=1)
     p_sob.set_defaults(func=cmd_sobol)
 
     return parser
@@ -158,34 +168,22 @@ def cmd_demo(args, provenance: str) -> int:
     _, _, case = testcase(args.name)
     is3d = len(case.bounds) == 3
     grid = (64 if is3d else 256) if args.grid is None else args.grid
-    if grid < 2:
-        print("error: --grid must be >= 2", file=sys.stderr)
-        return 2
-    if args.slices < 1:
-        print("error: --slices must be >= 1", file=sys.stderr)
-        return 2
     regions = [(label, compose(tree, args.alpha)) for label, tree in case.trees]
     out = _outdir(args)
 
     lines = [f"# {provenance}", f"# case {case.name}, alpha={args.alpha!r}", ""]
     for (label, region), color in zip(regions, DEFAULT_PALETTE):
-        if not is3d:
-            field = grid_eval(region, case.bounds, grid)
-            contours = marching_squares(field)
-            emit_svg(out / f"{label}.svg", [(contours, color)], case.bounds,
-                     field=field, provenance=provenance,
-                     title=f"{case.name} [{label}]")
-            emit_field_csv(out / f"{label}_field.csv", field, provenance=provenance)
-        else:
-            slices = slice_contours_3d(region, case.bounds, grid, args.slices)
-            for k, (z, contours) in enumerate(slices):
+        field = grid_eval(region, case.bounds, (grid, grid, args.slices) if is3d else grid)
+        if is3d:
+            for k, (z, contours) in enumerate(slice_contours_3d(field)):
                 emit_svg(out / f"{label}_slice{k:02d}.svg", [(contours, color)],
                          case.bounds[:2], provenance=provenance,
                          title=f"{case.name} [{label}] z={z:g}")
-            emit_field_csv(out / f"{label}_field.csv",
-                           grid_eval(region, case.bounds,
-                                     (grid, grid, max(args.slices, 2))),
-                           provenance=provenance)
+        else:
+            emit_svg(out / f"{label}.svg", [(marching_squares(field), color)], case.bounds,
+                     field=field, provenance=provenance,
+                     title=f"{case.name} [{label}]")
+        emit_field_csv(out / f"{label}_field.csv", field, provenance=provenance)
         lines.append(f"[{label}]")
         lines.append(f"infix_sqrt = {serialize(region.expr, 'infix', alpha1_style='sqrt')}")
         lines.append(f"infix_abs = {serialize(region.expr, 'infix', alpha1_style='abs')}")
@@ -222,12 +220,6 @@ def cmd_identify(args, provenance: str) -> int:
     if args.n < len(reactor.CQA_BASIS):
         print(f"error: --n must be >= {len(reactor.CQA_BASIS)} (basis size), got {args.n}",
               file=sys.stderr)
-        return 2
-    if args.grid < 2:
-        print("error: --grid must be >= 2", file=sys.stderr)
-        return 2
-    if args.skip < 0:
-        print("error: --skip must be >= 0", file=sys.stderr)
         return 2
     try:
         params, box = reactor.apply_config(
@@ -314,12 +306,6 @@ def cmd_check(args, provenance: str) -> int:
 
 
 def cmd_sobol(args, provenance: str) -> int:
-    if args.n < 1:
-        print("error: n must be >= 1", file=sys.stderr)
-        return 2
-    if args.skip < 0:
-        print("error: --skip must be >= 0", file=sys.stderr)
-        return 2
     from . import qmc
     for row in qmc.sobol(args.d, args.n, skip=args.skip):
         print(",".join(repr(float(v)) for v in row))

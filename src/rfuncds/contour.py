@@ -1,7 +1,8 @@
 """Grid evaluation and zero-level-set extraction.
 
-Marching squares works on 2D scalar fields; 3D regions are rendered as
-stacks of z-slices.  It is the 2D case of Lorensen & Cline's marching cubes
+``grid_eval`` is the one place a region is evaluated on a grid; a 3D field
+is drawn as the contours of its z-slabs.  Marching squares works on 2D
+fields.  It is the 2D case of Lorensen & Cline's marching cubes
 (SIGGRAPH 1987) and runs table-driven in numpy: the inside mask gives every
 cell a 4-bit corner code, a 16-case table maps the code to the segments
 joining its crossed edges, saddle cells are resolved for all cells at once,
@@ -32,14 +33,15 @@ class ScalarField(Record):
     """Values of a region's expression on a regular grid.
 
     ``values[i, j(, k)]`` corresponds to axis-0 index i, axis-1 index j, ...;
-    node i along an axis sits at ``lo + i*(hi-lo)/(n-1)``.
+    the shape of ``values`` is the grid's resolution.  Node i along an axis
+    of n nodes sits at ``lo + i*(hi-lo)/(n-1)``; an axis of one node sits at
+    the middle, ``(lo + hi)/2``.
     """
 
-    __slots__ = ("bounds", "resolution", "values", "vars")
+    __slots__ = ("bounds", "values", "vars")
 
     def axis(self, k: int) -> np.ndarray:
-        lo, hi = self.bounds[k]
-        return np.linspace(lo, hi, self.resolution[k])
+        return _axis(*self.bounds[k], self.values.shape[k])
 
 
 class Polyline(Record):
@@ -50,6 +52,10 @@ class ContourSet(Record):
     """Zero-level-set polylines of a 2D field."""
 
     __slots__ = ("polylines",)
+
+
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    return np.array([(lo + hi) / 2.0]) if n == 1 else np.linspace(lo, hi, n)
 
 
 def grid_eval(region: Region, bounds, resolution) -> ScalarField:
@@ -70,13 +76,13 @@ def grid_eval(region: Region, bounds, resolution) -> ScalarField:
         if not lo < hi:
             raise ValueError(f"bounds must have lo < hi, got ({lo}, {hi})")
     for n in resolution:
-        if n < 2:
-            raise ValueError("resolution must be >= 2 per axis")
-    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, resolution)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+        if n < 1:
+            raise ValueError("resolution must be >= 1 per axis")
+    mesh = np.meshgrid(*[_axis(lo, hi, n) for (lo, hi), n in zip(bounds, resolution)],
+                       indexing="ij")
     # constant subexpressions stay scalar, so broadcast to the grid shape
-    values = np.broadcast_to(eval_arrays(region, mesh), mesh[0].shape).copy()
-    return ScalarField(bounds=bounds, resolution=resolution, values=values, vars=region.vars)
+    values = np.broadcast_to(eval_arrays(region, mesh), resolution).copy()
+    return ScalarField(bounds=bounds, values=values, vars=region.vars)
 
 
 # ----------------------------------------------------------------------
@@ -196,37 +202,13 @@ def _chain(segments, points) -> list[Polyline]:
     return polylines
 
 
-def slice_contours_3d(region: Region, bounds, resolution, n_slices: int
-                      ) -> list[tuple[float, ContourSet]]:
-    """Contour a 3D region on uniformly spaced z-levels.
-
-    Levels span the z-bounds inclusively; a single slice sits at the middle.
-    """
-    if len(region.vars) != 3:
-        raise DimensionMismatch("slice contours need a 3D region")
-    if n_slices < 1:
-        raise ValueError("n_slices must be >= 1")
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    res = tuple(int(n) for n in np.broadcast_to(resolution, (3,)))
-    zlo, zhi = bounds[2]
-    if n_slices == 1:
-        levels = np.array([(zlo + zhi) / 2.0])
-    else:
-        levels = np.linspace(zlo, zhi, n_slices)
-
-    xname, yname, _ = region.vars
-    xs = np.linspace(*bounds[0], res[0])
-    ys = np.linspace(*bounds[1], res[1])
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    out = []
-    for z in levels:
-        values = np.broadcast_to(
-            eval_arrays(region, (gx, gy, float(z))),
-            gx.shape).copy()
-        fld = ScalarField(bounds=bounds[:2], resolution=res[:2],
-                          values=values, vars=(xname, yname))
-        out.append((float(z), marching_squares(fld)))
-    return out
+def slice_contours_3d(field: ScalarField) -> list[tuple[float, ContourSet]]:
+    """Contour each z-slab of a 3D field, as (z, contours) pairs in z order."""
+    if field.values.ndim != 3:
+        raise DimensionMismatch("slice contours need a 3D field")
+    bounds, vars = field.bounds[:2], field.vars[:2]
+    return [(z, marching_squares(ScalarField(bounds, field.values[:, :, k], vars)))
+            for k, z in enumerate(field.axis(2).tolist())]
 
 
 def inside_fraction(field: ScalarField) -> float:

@@ -129,26 +129,24 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
                                    f"{expected[0]} points, expected {expected}")
         return values
 
+    # both Sobol blocks are drawn before the first model run, so a skip
+    # beyond the sequence fails before any model time is spent
     bounds = [(axis.lo, axis.hi) for axis in box]
+    validation_skip = skip + n_samples
     train = scale(sobol(len(box), n_samples, skip), bounds)
+    val = scale(sobol(len(box), n_validation, validation_skip), bounds)
     y_train = run_model(train)
 
     reports = []
     leaves = []
     for k, spec in enumerate(constraints):
         fit = fit_least_squares(train, y_train[:, k], basis)
-        phi = Region(
-            expr=Sub(to_expr(fit), Const(float(spec.threshold))),
-            vars=names,
-            description=f"metamodel of {spec.name} minus threshold {spec.threshold}",
-        )
+        phi = Region(Sub(to_expr(fit), Const(float(spec.threshold))), names)
         reports.append((spec, fit, phi))
         leaves.append(Leaf(phi))
 
     joint = compose(And(*leaves), alpha)
 
-    validation_skip = skip + n_samples
-    val = scale(sobol(len(box), n_validation, validation_skip), bounds)
     y_val = run_model(val)
     predicted_in = eval_arrays(joint, val.T) >= 0.0
     actual_in = np.all(
@@ -317,13 +315,11 @@ def _report_from_obj(obj: dict) -> DSReport:
                         r_squared=float(c["r_squared"]),
                         n_points=int(c["n_points"]),
                         residual_max_abs=float(c["residual_max_abs"]))
-        phi = Region(expr=exprtext.from_tree_obj(c["phi_tree"]), vars=names,
-                     description=f"metamodel of {c['name']} minus threshold")
+        phi = Region(exprtext.from_tree_obj(c["phi_tree"]), names)
         constraints.append(ConstraintReport(
             name=c["name"], threshold=float(c["threshold"]), fit=fit, phi=phi,
             validation_r_squared=c.get("validation_r_squared")))
-    joint = Region(expr=exprtext.from_tree_obj(obj["joint"]["tree"]), vars=names,
-                   description="joint design space")
+    joint = Region(exprtext.from_tree_obj(obj["joint"]["tree"]), names)
     sampling = None
     if "sampling" in obj:
         s = obj["sampling"]

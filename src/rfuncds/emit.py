@@ -106,7 +106,7 @@ def emit_svg(path, layers, bounds, field: ScalarField | None = None,
 
 
 def _shading(field: ScalarField, to_px) -> str:
-    nx, ny = field.resolution
+    nx, ny = field.values.shape
     sx = max(1, math.ceil((nx - 1) / _MAX_SHADE_CELLS))
     sy = max(1, math.ceil((ny - 1) / _MAX_SHADE_CELLS))
     ix = np.arange(0, nx, sx)
@@ -129,7 +129,7 @@ def _shading(field: ScalarField, to_px) -> str:
 
 def emit_field_csv(path, field: ScalarField, provenance: str = "") -> None:
     """One row per grid node, row-major over the axes, full float precision."""
-    first, *rest = [list(map(repr, field.axis(k).tolist())) for k in range(len(field.resolution))]
+    first, *rest = [list(map(repr, field.axis(k).tolist())) for k in range(field.values.ndim)]
     # the rows of one slab of the first axis, each up to its value: "y,z," ...;
     # product() yields them in C order, matching ravel()
     heads = ["".join(row) for row in itertools.product(*[[c + "," for c in ax] for ax in rest])]

@@ -597,15 +597,15 @@ class Region(Record):
     """
 
     # the instance dict holds only the compiled program
-    __slots__ = ("expr", "vars", "description", "__dict__")
+    __slots__ = ("expr", "vars", "__dict__")
 
-    def __init__(self, expr: Expr, vars: Sequence[str], description: str = ""):
+    def __init__(self, expr: Expr, vars: Sequence[str]):
         vars = tuple(vars)
         unbound = variables(expr) - set(vars)
         if unbound:
             raise ValueError(f"expression uses variables {sorted(unbound)} "
                              f"not in the binding list {vars}")
-        super().__init__(expr, vars, description)
+        super().__init__(expr, vars)
 
     @functools.cached_property
     def program(self) -> Program:
@@ -651,7 +651,7 @@ class Leaf(BoolTree):
         self.region = region
 
     def __repr__(self):
-        return f"Leaf({self.region.description or self.region.vars})"
+        return f"Leaf({self.region.expr!r})"
 
 
 class And(BoolTree):
@@ -717,8 +717,4 @@ def compose(tree: BoolTree, alpha: float = 1.0) -> Region:
     var_lists = {r.vars for r in regions}
     if len(var_lists) != 1:
         raise MixedVariableLists(f"leaf regions use different variable lists: {sorted(var_lists)}")
-    return Region(
-        expr=expr,
-        vars=regions[0].vars,
-        description=f"composed from {len(regions)} region(s), alpha={alpha}",
-    )
+    return Region(expr, regions[0].vars)

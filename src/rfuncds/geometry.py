@@ -66,7 +66,7 @@ def primitive(spec: PrimitiveSpec) -> Region:
         _require_finite(spec, cx=spec.cx, cy=spec.cy)
         _require_positive(spec, radius=spec.radius)
         expr = Const(spec.radius**2) - (x - spec.cx) ** 2 - (y - spec.cy) ** 2
-        return Region(expr, _XY, description=f"disc r={spec.radius} at ({spec.cx},{spec.cy})")
+        return Region(expr, _XY)
     if isinstance(spec, Parabola):
         _require_finite(spec, x0=spec.x0, c=spec.c)
         _require_positive(spec, a=spec.a)
@@ -77,13 +77,13 @@ def primitive(spec: PrimitiveSpec) -> Region:
             expr = y + spec.a * shifted + spec.c
         else:
             raise InvalidSpec(f"orientation must be 'opens-up' or 'opens-down', got {spec.orientation!r}")
-        return Region(expr, _XY, description=f"above {spec.orientation} parabola")
+        return Region(expr, _XY)
     if isinstance(spec, Slab):
         if spec.axis not in ("x", "y", "z"):
             raise InvalidSpec(f"slab axis must be x, y or z, got {spec.axis!r}")
         _require_positive(spec, half_thickness=spec.half_thickness)
         expr = Const(spec.half_thickness**2) - Var(spec.axis) ** 2
-        return Region(expr, _XYZ, description=f"slab |{spec.axis}| <= {spec.half_thickness}")
+        return Region(expr, _XYZ)
     if isinstance(spec, Paraboloid):
         _require_positive(spec, coeff=spec.coeff)
         bowl = spec.coeff * (Const(1.0) - x**2 - y**2)
@@ -93,11 +93,11 @@ def primitive(spec: PrimitiveSpec) -> Region:
             expr = z + bowl
         else:
             raise InvalidSpec(f"paraboloid side must be 'under' or 'above', got {spec.side!r}")
-        return Region(expr, _XYZ, description=f"{spec.side} paraboloid, coeff {spec.coeff}")
+        return Region(expr, _XYZ)
     if isinstance(spec, CylinderZ):
         _require_positive(spec, radius=spec.radius)
         expr = Const(spec.radius**2) - x**2 - y**2
-        return Region(expr, _XYZ, description=f"cylinder r={spec.radius} about z")
+        return Region(expr, _XYZ)
     raise InvalidSpec(f"unknown primitive {spec!r}")
 
 

@@ -82,21 +82,15 @@ def sobol(d: int, n: int, skip: int = 1) -> np.ndarray:
         raise ValueError(f"skip must be >= 0, got {skip}")
     if skip + n > 2**N_BITS - 1:
         raise SampleCountTooLarge(f"skip + n = {skip + n} exceeds 2^{N_BITS} - 1")
-    dirs = _directions(d)
-    x = [0] * d
-    out = np.empty((n, d), dtype=float)
-    scale_back = 0.5 ** N_BITS
-    row = 0
-    for i in range(skip + n):
-        if i > 0:
-            c = (i & -i).bit_length() - 1  # Gray code: flip lowest set bit of i
-            for j in range(d):
-                x[j] ^= dirs[j][c]
-        if i >= skip:
-            for j in range(d):
-                out[row, j] = x[j] * scale_back
-            row += 1
-    return out
+    dirs = np.array(_directions(d), dtype=np.uint32)   # (d, N_BITS)
+    # the point at index skip is the XOR of the directions of the bits set
+    # in its Gray code; each later index i flips the direction of its
+    # lowest set bit
+    gray = skip ^ (skip >> 1)
+    start = np.bitwise_xor.reduce(dirs[:, [c for c in range(N_BITS) if gray >> c & 1]], axis=1)
+    flips = [(i & -i).bit_length() - 1 for i in range(skip + 1, skip + n)]
+    points = np.bitwise_xor.accumulate(np.vstack([start, dirs[:, flips].T]), axis=0)
+    return points * 0.5 ** N_BITS
 
 
 def scale(points: np.ndarray, bounds) -> np.ndarray:

@@ -224,6 +224,13 @@ def test_identify_default_run_reports_high_r2(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # malformed input: exit 2 with one error line, before any model run
 
+def parse_error_code(argv):
+    """The exit code of a command line that argparse itself rejects."""
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    return info.value.code
+
+
 def assert_usage_error(code, capsys):
     assert code == 2
     err = capsys.readouterr().err
@@ -484,7 +491,7 @@ def test_identify_runs_where_reactions_freeze(config, tmp_path, capsys):
                          ids=["grid=1", "skip=-5"])
 def test_identify_rejects_bad_grid_and_skip(argv, tmp_path, capsys, no_model_runs):
     out = tmp_path / "o"
-    line = assert_usage_error(run(["identify", *argv, "--out", str(out)]), capsys)
+    line = assert_usage_error(parse_error_code(["identify", *argv, "--out", str(out)]), capsys)
     assert argv[0] in line
     assert not out.exists()
 
@@ -492,7 +499,37 @@ def test_identify_rejects_bad_grid_and_skip(argv, tmp_path, capsys, no_model_run
 @pytest.mark.parametrize("argv", [["2", "-1"], ["2", "3", "--skip", "-1"]],
                          ids=["n=-1", "skip=-1"])
 def test_sobol_rejects_bad_counts(argv, capsys):
-    assert_usage_error(run(["sobol", *argv]), capsys)
+    assert_usage_error(parse_error_code(["sobol", *argv]), capsys)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--grid", "1"], "error: argument --grid: must be >= 2, got 1"),
+    (["--slices", "0"], "error: argument --slices: must be >= 1, got 0"),
+    (["--slices", "two"], "error: argument --slices: invalid count value: 'two'"),
+], ids=["grid=1", "slices=0", "slices=two"])
+def test_demo_rejects_bad_counts(argv, line, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert assert_usage_error(
+        parse_error_code(["demo", "slabs-A1", *argv, "--out", str(out)]), capsys) == line
+    assert not out.exists()
+
+
+def test_demo_one_slice_field_is_the_middle_z_level(tmp_path):
+    out = tmp_path / "o"
+    assert run(["demo", "slabs-A1", "--grid", "8", "--slices", "1", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("and_*")) == ["and_field.csv", "and_slice00.svg"]
+    rows = list(csv.reader(io.StringIO((out / "and_field.csv").read_text())))[2:]
+    assert len(rows) == 8 * 8
+    assert {row[2] for row in rows} == {"0.0"}
+
+
+def test_identify_skip_beyond_the_sequence_runs_no_model(tmp_path, capsys, no_model_runs):
+    # the training block fits below 2^32 - 1, the validation block does not
+    out = tmp_path / "o"
+    line = assert_usage_error(run(["identify", "--n", "8", "--skip", "4294967200",
+                                   "--out", str(out)]), capsys)
+    assert "exceeds 2^32 - 1" in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("point, needle", [

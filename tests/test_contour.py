@@ -45,6 +45,15 @@ def test_grid_eval_dimension_checks():
         grid_eval(UNIT_CIRCLE, ((-1, 1), (1, -1)), 8)
 
 
+def test_grid_eval_one_node_axis_sits_at_the_middle():
+    field = grid_eval(Region(Var("z"), ("x", "y", "z")), ((-1, 1), (0, 2), (-3.0, 5.0)), (3, 4, 1))
+    assert field.values.shape == (3, 4, 1)
+    assert field.axis(2).tolist() == [1.0]
+    assert np.all(field.values == 1.0)
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        grid_eval(UNIT_CIRCLE, SQUARE_BOUNDS, (4, 0))
+
+
 def test_marching_squares_empty():
     region = Region(Const(2.0), ("x", "y"))
     contours = marching_squares(grid_eval(region, SQUARE_BOUNDS, 32))
@@ -75,7 +84,7 @@ def test_marching_squares_circle():
 def test_marching_squares_saddle_center_rule():
     # 2x2 checkerboard: center value 0 counts as inside, so the positive
     # diagonal stays connected and the cell splits into two segments
-    field = ScalarField(bounds=((0.0, 1.0), (0.0, 1.0)), resolution=(2, 2),
+    field = ScalarField(bounds=((0.0, 1.0), (0.0, 1.0)),
                         values=np.array([[1.0, -1.0], [-1.0, 1.0]]), vars=("x", "y"))
     contours = marching_squares(field)
     assert len(contours.polylines) == 2
@@ -124,7 +133,7 @@ def _reference_edge_key(n0, n1):
 
 def reference_marching_squares(field):
     vals = field.values
-    nx, ny = field.resolution
+    nx, ny = field.values.shape
     xs, ys = field.axis(0), field.axis(1)
     inside = vals >= 0.0
     crossings = {}
@@ -209,7 +218,7 @@ def assert_matches_reference(field):
 
 def _field(values, bounds=((0.0, 1.0), (-1.0, 2.0))):
     values = np.asarray(values, dtype=float)
-    return ScalarField(bounds=bounds, resolution=values.shape, values=values,
+    return ScalarField(bounds=bounds, values=values,
                        vars=("x", "y"))
 
 
@@ -285,9 +294,10 @@ def test_matches_reference_demo_cases(name, monkeypatch):
         if len(case.bounds) == 2:
             assert_matches_reference(grid_eval(region, case.bounds, 256))
         else:
-            got = slice_contours_3d(region, case.bounds, 64, 9)
+            field = grid_eval(region, case.bounds, (64, 64, 9))
+            got = slice_contours_3d(field)
             monkeypatch.setattr(contour, "marching_squares", reference_marching_squares)
-            want = slice_contours_3d(region, case.bounds, 64, 9)
+            want = slice_contours_3d(field)
             monkeypatch.undo()
             assert [z for z, _ in got] == [z for z, _ in want]
             for (_, g), (_, w) in zip(got, want):
@@ -307,7 +317,7 @@ def test_matches_reference_report_fields(fixture):
 
 def test_slabs_slice_rectangle():
     f_and, _, case = load_case("slabs-A1")
-    slices = slice_contours_3d(f_and, case.bounds, 97, n_slices=1)
+    slices = slice_contours_3d(grid_eval(f_and, case.bounds, (97, 97, 1)))
     (z, contours), = slices
     assert z == 0.0
     assert len(contours.polylines) == 1
@@ -319,13 +329,13 @@ def test_slabs_slice_rectangle():
 
 def test_slabs_slice_outside_is_empty():
     f_and, _, case = load_case("slabs-A1")
-    slices = slice_contours_3d(f_and, ((-3, 3), (-3, 3), (2.5, 3.5)), 33, n_slices=1)
+    slices = slice_contours_3d(grid_eval(f_and, ((-3, 3), (-3, 3), (2.5, 3.5)), (33, 33, 1)))
     assert slices[0][1].polylines == ()
 
 
 def test_annular_cutout_slice_radii():
     _, composite, case = load_case("paraboloid-cylinders-A2")
-    slices = slice_contours_3d(composite, case.bounds, 201, n_slices=1)
+    slices = slice_contours_3d(grid_eval(composite, case.bounds, (201, 201, 1)))
     (z, contours), = slices
     radii = sorted(
         float(np.hypot(line.points[:, 0], line.points[:, 1]).mean())
@@ -340,7 +350,7 @@ def test_annular_cutout_slice_radii():
 
 def test_slice_levels_cover_bounds():
     f_and, _, case = load_case("slabs-A1")
-    slices = slice_contours_3d(f_and, case.bounds, 17, n_slices=9)
+    slices = slice_contours_3d(grid_eval(f_and, case.bounds, (17, 17, 9)))
     zs = [z for z, _ in slices]
     assert zs[0] == -3.0 and zs[-1] == 3.0 and zs[4] == 0.0
 

@@ -19,7 +19,7 @@ from rfuncds.ds import (
 from rfuncds.emit import emit_contours_csv
 from rfuncds.errors import (
     AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, ParseError,
-    RfuncdsError,
+    RfuncdsError, SampleCountTooLarge,
 )
 from rfuncds.expr import depth, eval_arrays, eval_expr
 from rfuncds.exprtext import MAX_DEPTH, parse_infix, serialize
@@ -134,6 +134,19 @@ def test_membership_never_calls_model():
     for u in [(260.0, 280.0), (290.0, 290.0), (275.0, 275.0)]:
         membership(report, u)
     assert calls == [(16, 2), (256, 2)]
+
+
+def test_skip_beyond_the_sequence_fails_before_any_model_run():
+    # skip + n fits below 2^32 - 1; the validation block after it does not
+    calls = []
+
+    def counting_sum(points):
+        calls.append(points.shape)
+        return sum_model(points)
+
+    with pytest.raises(SampleCountTooLarge):
+        identify([SUM_SPEC], BOX, 8, CQA_BASIS, model=counting_sum, skip=2**32 - 109)
+    assert calls == []
 
 
 def test_order_invariance_of_sign():

@@ -105,7 +105,7 @@ def reference_emit_svg(path, layers, bounds, field=None, provenance="", title=""
 
 
 def _reference_shading(field, to_px):
-    nx, ny = field.resolution
+    nx, ny = field.values.shape
     sx = max(1, math.ceil((nx - 1) / MAX_SHADE_CELLS))
     sy = max(1, math.ceil((ny - 1) / MAX_SHADE_CELLS))
     ix = np.arange(0, nx, sx)
@@ -135,8 +135,8 @@ def reference_emit_field_csv(path, field, provenance=""):
         if provenance:
             fh.write(f"# {provenance}\n")
         fh.write(",".join(field.vars) + ",value\n")
-        axes = [field.axis(k) for k in range(len(field.resolution))]
-        for idx in np.ndindex(*field.resolution):
+        axes = [field.axis(k) for k in range(len(field.values.shape))]
+        for idx in np.ndindex(*field.values.shape):
             coords = ",".join(repr(float(axes[k][i])) for k, i in enumerate(idx))
             fh.write(f"{coords},{repr(float(field.values[idx]))}\n")
 
@@ -177,13 +177,13 @@ def assert_same_bytes(tmp_path, writer, *args, **kwargs):
 def _field(values):
     values = np.asarray(values)
     return ScalarField(bounds=((-1.5, 2.0), (0.25, 3.0), (-7.0, -1.0), (0.5, 9.0))[: values.ndim],
-                       resolution=values.shape, values=values,
+                       values=values,
                        vars=("x", "y", "z", "w")[: values.ndim])
 
 
 def assert_field_outputs_same(tmp_path, field, bounds, provenance=PROVENANCE, title=""):
     assert_same_bytes(tmp_path, emit_field_csv, field, provenance=provenance)
-    if len(field.resolution) == 2:
+    if len(field.values.shape) == 2:
         contours = marching_squares(field)
         assert_same_bytes(tmp_path, emit_svg, [(contours, DEFAULT_PALETTE[0])], bounds,
                           field=field, provenance=provenance, title=title)
@@ -203,11 +203,11 @@ def test_demo_cases(name, tmp_path):
             field = grid_eval(region, case.bounds, res)
             assert_field_outputs_same(tmp_path, field, case.bounds, title=title)
         else:
-            for z, contours in slice_contours_3d(region, case.bounds, res, 9):
+            field = grid_eval(region, case.bounds, (res, res, 9))
+            for z, contours in slice_contours_3d(field):
                 assert_same_bytes(tmp_path, emit_svg, [(contours, DEFAULT_PALETTE[1])],
                                   case.bounds[:2], provenance=PROVENANCE,
                                   title=f"{title} z={z:g}")
-            field = grid_eval(region, case.bounds, (res, res, 9))
             assert_field_outputs_same(tmp_path, field, case.bounds)
 
 

@@ -32,6 +32,19 @@ def test_matches_scipy_reference(d):
     assert np.array_equal(mine, ref)
 
 
+def test_large_skip_matches_scipy_fast_forward():
+    ref = scipy_qmc.Sobol(5, scramble=False, bits=32)
+    ref.fast_forward(999_983)
+    assert np.array_equal(sobol(5, 64, skip=999_983), ref.random(64))
+
+
+def test_skip_near_the_limit_jumps_there():
+    # 2^32 - 2 has Gray code 2^31 + 1, so the point is the XOR of the first
+    # and last dimension-1 directions, 2^31 and 1, over 2^32
+    assert sobol(1, 1, skip=2**32 - 2)[0, 0] == 0.5 + 2**-32
+    assert sobol(2, 2, skip=2**32 - 3).shape == (2, 2)
+
+
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_elementary_interval_property(k):
     # every dyadic sub-square at level k/2 per axis holds exactly one of 2^k points

@@ -34,7 +34,7 @@ NODE_SAMPLES = [Const(-0.0), Var("x"), Neg(X), Add(X, Y), Sub(X, Y), Mul(X, Y), 
 
 # each record class with its fields, in constructor order
 RECORD_FIELDS = {
-    Region: ("expr", "vars", "description"),
+    Region: ("expr", "vars"),
     Program: ("names", "reads", "source", "scalars", "bind"),
     BoxAxis: ("name", "lo", "hi", "unit"),
     ConstraintSpec: ("name", "threshold"),
@@ -55,7 +55,7 @@ RECORD_FIELDS = {
 
 # records that hold arrays: immutable, but not hashable
 ARRAY_RECORD_FIELDS = {
-    ScalarField: ("bounds", "resolution", "values", "vars"),
+    ScalarField: ("bounds", "values", "vars"),
     Polyline: ("points", "closed"),
     ContourSet: ("polylines",),
 }
