@@ -19,7 +19,7 @@ import importlib
 import sys
 from pathlib import Path
 
-from . import __version__, ds
+from . import __version__, ds, exprtext
 from .errors import (
     InsufficientPoints,
     RankDeficient,
@@ -27,7 +27,6 @@ from .errors import (
     ToleranceNotMet,
 )
 from .expr import classify, compose, eval_expr
-from .exprtext import serialize
 
 # failures of a run on valid input exit 1; every other package error is a
 # usage error or malformed input and exits 2
@@ -185,9 +184,9 @@ def cmd_demo(args, provenance: str) -> int:
                      title=f"{case.name} [{label}]")
         emit_field_csv(out / f"{label}_field.csv", field, provenance=provenance)
         lines.append(f"[{label}]")
-        lines.append(f"infix_sqrt = {serialize(region.expr, 'infix', alpha1_style='sqrt')}")
-        lines.append(f"infix_abs = {serialize(region.expr, 'infix', alpha1_style='abs')}")
-        lines.append(f"tree = {serialize(region.expr, 'tree')}")
+        lines.append(f"infix_sqrt = {exprtext.to_infix(region.expr, alpha1_style='sqrt')}")
+        lines.append(f"infix_abs = {exprtext.to_infix(region.expr)}")
+        lines.append(f"tree = {exprtext.to_tree_text(region.expr)}")
         lines.append("")
     (out / "expressions.txt").write_text("\n".join(lines), encoding="utf-8")
     print(f"wrote {case.name} demo to {_escaped(str(out))}")

@@ -31,6 +31,9 @@ if TYPE_CHECKING:
 
 REPORT_FORMAT = "rfuncds-ds-report/1"
 
+# Sobol points in the validation block that ``identify`` draws
+N_VALIDATION = 256
+
 
 class BoxAxis(Record):
     """One parameter range of the box that the Sobol points fill.
@@ -79,8 +82,7 @@ class DSReport(Record):
 
     def __init__(self, box: tuple[BoxAxis, ...], alpha: float,
                  constraints: tuple[ConstraintReport, ...], joint: Region,
-                 sampling: SamplingMeta | None = None,
-                 validation: ValidationStats | None = None):
+                 sampling: SamplingMeta, validation: ValidationStats):
         names = tuple(axis.name for axis in box)
         if joint.vars != names:
             raise ValueError(f"joint region variables {joint.vars} "
@@ -97,8 +99,7 @@ def plot_count(d: int) -> int:
 
 def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
              n_samples: int, basis: BasisSpec, alpha: float = 1.0, *,
-             model: Callable[[np.ndarray], np.ndarray],
-             n_validation: int = 256, skip: int = 1) -> DSReport:
+             model: Callable[[np.ndarray], np.ndarray], skip: int = 1) -> DSReport:
     """Identify the joint design space as one analytical expression.
 
     ``model`` maps an ``(n, d)`` array of parameter rows (columns ordered
@@ -106,10 +107,10 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     value at each row, columns ordered like ``constraints``; any other
     shape raises ModelOutputShape.  It is called exactly twice: once on the
     training block and once on the validation block.  Validation uses a
-    Sobol block disjoint from training (skip range starts right after the
-    training points) and records per-constraint R^2 plus the rate at which
-    the sign of the joint expression agrees with direct thresholding of the
-    model output.
+    Sobol block of ``N_VALIDATION`` points disjoint from training (skip
+    range starts right after the training points) and records
+    per-constraint R^2 plus the rate at which the sign of the joint
+    expression agrees with direct thresholding of the model output.
     """
     import numpy as np
     constraints = list(constraints)
@@ -134,7 +135,7 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     bounds = [(axis.lo, axis.hi) for axis in box]
     validation_skip = skip + n_samples
     train = scale(sobol(len(box), n_samples, skip), bounds)
-    val = scale(sobol(len(box), n_validation, validation_skip), bounds)
+    val = scale(sobol(len(box), N_VALIDATION, validation_skip), bounds)
     y_train = run_model(train)
 
     reports = []
@@ -169,18 +170,18 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     return DSReport(
         box=box, alpha=float(alpha), constraints=constraint_reports, joint=joint,
         sampling=SamplingMeta(n_train=n_samples, skip=skip,
-                              n_validation=n_validation, validation_skip=validation_skip),
+                              n_validation=N_VALIDATION, validation_skip=validation_skip),
         validation=stats,
     )
 
 
-def membership(report: DSReport, u, tol: float = 1e-9) -> str:
-    """Classify a point against the identified joint expression.
+def membership(report: DSReport, u) -> str:
+    """Classify a point against the joint expression, as ``sign_class`` does.
 
     Never calls the underlying model.  Raises OutOfBox as ``box_point``.
     """
     # the joint region's inputs are the box axes in order (DSReport checks it)
-    return sign_class(report.joint, box_point(report, u), tol=tol)
+    return sign_class(report.joint, box_point(report, u))
 
 
 def box_point(report: DSReport, u) -> list[float]:
@@ -226,11 +227,9 @@ def _report_obj(report: DSReport, artifacts: Mapping[str, str] | None,
     obj["box"] = [
         {"name": a.name, "lo": a.lo, "hi": a.hi, "unit": a.unit} for a in report.box
     ]
-    if report.sampling is not None:
-        s = report.sampling
-        obj["sampling"] = {"n_train": s.n_train, "skip": s.skip,
-                           "n_validation": s.n_validation,
-                           "validation_skip": s.validation_skip}
+    s = report.sampling
+    obj["sampling"] = {"n_train": s.n_train, "skip": s.skip, "n_validation": s.n_validation,
+                       "validation_skip": s.validation_skip}
     obj["constraints"] = [
         {
             "name": c.name,
@@ -252,11 +251,9 @@ def _report_obj(report: DSReport, artifacts: Mapping[str, str] | None,
         "infix_abs": exprtext.to_infix(report.joint.expr, alpha1_style="abs"),
         "tree": exprtext.to_tree_obj(report.joint.expr),
     }
-    if report.validation is not None:
-        v = report.validation
-        obj["validation"] = {"agreement_rate": v.agreement_rate,
-                             "n_points": v.n_points,
-                             "n_disagreements": v.n_disagreements}
+    v = report.validation
+    obj["validation"] = {"agreement_rate": v.agreement_rate, "n_points": v.n_points,
+                         "n_disagreements": v.n_disagreements}
     if artifacts:
         obj["files"] = dict(artifacts)
     return obj
@@ -318,20 +315,15 @@ def _report_from_obj(obj: dict) -> DSReport:
         phi = Region(exprtext.from_tree_obj(c["phi_tree"]), names)
         constraints.append(ConstraintReport(
             name=c["name"], threshold=float(c["threshold"]), fit=fit, phi=phi,
-            validation_r_squared=c.get("validation_r_squared")))
+            validation_r_squared=float(c["validation_r_squared"])))
     joint = Region(exprtext.from_tree_obj(obj["joint"]["tree"]), names)
-    sampling = None
-    if "sampling" in obj:
-        s = obj["sampling"]
-        sampling = SamplingMeta(n_train=int(s["n_train"]), skip=int(s["skip"]),
-                                n_validation=int(s["n_validation"]),
-                                validation_skip=int(s["validation_skip"]))
-    validation = None
-    if "validation" in obj:
-        v = obj["validation"]
-        validation = ValidationStats(agreement_rate=float(v["agreement_rate"]),
-                                     n_points=int(v["n_points"]),
-                                     n_disagreements=int(v["n_disagreements"]))
-    return DSReport(box=box, alpha=alpha,
-                    constraints=tuple(constraints), joint=joint,
+    s = obj["sampling"]
+    sampling = SamplingMeta(n_train=int(s["n_train"]), skip=int(s["skip"]),
+                            n_validation=int(s["n_validation"]),
+                            validation_skip=int(s["validation_skip"]))
+    v = obj["validation"]
+    validation = ValidationStats(agreement_rate=float(v["agreement_rate"]),
+                                 n_points=int(v["n_points"]),
+                                 n_disagreements=int(v["n_disagreements"]))
+    return DSReport(box=box, alpha=alpha, constraints=tuple(constraints), joint=joint,
                     sampling=sampling, validation=validation)

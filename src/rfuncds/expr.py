@@ -37,6 +37,9 @@ if TYPE_CHECKING:
 # alpha=1 compositions produce sqrt((a-b)^2), which can go epsilon-negative.
 SQRT_CLAMP_TOL = 1e-12
 
+# |f| <= BOUNDARY_TOL classifies a point as on the boundary of a region
+BOUNDARY_TOL = 1e-9
+
 
 class Expr(Record):
     """Immutable expression node; operators build new nodes.
@@ -601,6 +604,8 @@ class Region(Record):
 
     def __init__(self, expr: Expr, vars: Sequence[str]):
         vars = tuple(vars)
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"variable names repeat in the binding list {vars}")
         unbound = variables(expr) - set(vars)
         if unbound:
             raise ValueError(f"expression uses variables {sorted(unbound)} "
@@ -615,27 +620,23 @@ class Region(Record):
         compiles it again on first use after loading."""
         return compile_expr(self.expr, self.vars)
 
-    def __call__(self, point: Mapping[str, float]) -> float:
-        return eval_expr(self, point)
 
-
-def sign_class(region: Region, point, tol: float = 1e-9) -> str:
-    """Classify a point as 'inside' (f > tol), 'boundary' (|f| <= tol) or 'outside'.
+def sign_class(region: Region, point) -> str:
+    """Classify a point as 'inside' (f > BOUNDARY_TOL), 'boundary'
+    (|f| <= BOUNDARY_TOL) or 'outside' (anything else, nan included).
 
     ``point`` is a name -> value mapping or the values in ``region.vars`` order.
     """
-    return classify(eval_expr(region, point), tol)
+    return classify(eval_expr(region, point))
 
 
-def classify(value: float, tol: float = 1e-9) -> str:
+def classify(value: float) -> str:
     """The class of an expression value, as in :func:`sign_class`."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    if value > tol:
+    if value > BOUNDARY_TOL:
         return "inside"
-    if value < -tol:
-        return "outside"
-    return "boundary"
+    if value >= -BOUNDARY_TOL:
+        return "boundary"
+    return "outside"
 
 
 class BoolTree:

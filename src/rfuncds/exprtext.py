@@ -33,34 +33,8 @@ from .expr import (
     fold,
 )
 
-FORMATS = ("infix", "tree")
-
 # deepest expression the parsers accept; a leaf has depth 1
 MAX_DEPTH = 128
-
-
-def serialize(expr: Expr, format: str = "infix", alpha1_style: str = "abs") -> str:
-    """Render an expression as text.
-
-    ``format="tree"`` emits the JSON node tree (R-nodes kept).  With
-    ``format="infix"``, R-nodes are expanded: ``alpha1_style="abs"`` uses the
-    0.5*((a+b) -/+ |a-b|) form for alpha=1 nodes, which reads back to
-    rounding, ``"sqrt"`` the radical form, which loses about sqrt(eps)*|a|
-    near a = b (see docs/expressions.md).
-    """
-    if format == "tree":
-        return to_tree_text(expr)
-    if format == "infix":
-        return to_infix(expr, alpha1_style=alpha1_style)
-    raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-
-
-def parse(text: str, format: str = "infix") -> Expr:
-    if format == "tree":
-        return parse_tree_text(text)
-    if format == "infix":
-        return parse_infix(text)
-    raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +49,9 @@ _ATOM, _CALL, _COMPOUND = range(3)
 
 
 def to_infix(expr: Expr, alpha1_style: str = "abs") -> str:
+    """Infix text with R-nodes expanded; alpha=1 nodes in the abs form, which
+    reads back to rounding, or with ``alpha1_style="sqrt"`` the radical form,
+    which loses about sqrt(eps)*|a| near a = b (see docs/expressions.md)."""
     if alpha1_style not in ("sqrt", "abs"):
         raise ValueError("alpha1_style must be 'sqrt' or 'abs'")
     abs_alpha1 = alpha1_style == "abs"

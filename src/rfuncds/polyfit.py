@@ -27,6 +27,8 @@ class BasisSpec(Record):
 
     def __init__(self, vars: tuple[str, ...], monomials: tuple[tuple[int, ...], ...]):
         vars = tuple(vars)
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"variable names repeat in the basis {vars}")
         monomials = tuple(tuple(int(e) for e in m) for m in monomials)
         if not monomials:
             raise ValueError("basis needs at least one monomial")

@@ -79,14 +79,13 @@ _BOX_KEYS = {"T_lo", "T_hi", "t_lo", "t_hi"}
 CONFIG_KEYS = _PARAM_KEYS | _BOX_KEYS
 
 
-def apply_config(overrides: dict, params: KineticParams = DEFAULT_PARAMS
-                 ) -> tuple[KineticParams, tuple[BoxAxis, BoxAxis]]:
-    """Apply a key->float override mapping to ``params`` and the default
-    250..300 box; returns (params, (T axis, t axis))."""
+def apply_config(overrides: dict) -> tuple[KineticParams, tuple[BoxAxis, BoxAxis]]:
+    """Apply a key->float override mapping to ``DEFAULT_PARAMS`` and the
+    default 250..300 box; returns (params, (T axis, t axis))."""
     unknown = set(overrides) - CONFIG_KEYS
     if unknown:
         raise KeyError(f"unknown config keys: {sorted(unknown)}; known: {sorted(CONFIG_KEYS)}")
-    params = KineticParams(*[float(overrides[name]) if name in overrides else getattr(params, name)
+    params = KineticParams(*[float(overrides.get(name, getattr(DEFAULT_PARAMS, name)))
                              for name in KineticParams._fields])
     box = (BoxAxis("T", overrides.get("T_lo", 250.0), overrides.get("T_hi", 300.0), unit="K"),
            BoxAxis("t", overrides.get("t_lo", 250.0), overrides.get("t_hi", 300.0), unit="min"))
@@ -106,6 +105,7 @@ _TINY = float(np.finfo(float).tiny)
 _SERIES_CUT = 40.0       # power series for y <= 40, asymptotic sum above
 _ROUNDING_UNITS = 4.0    # rounding errors per bracket term, in units of eps
 _FROZEN = 1e-6           # gamma + lam at or below this: second-order expansion
+_CHECK_TOL = 1e-7        # largest relative C_B error estimate batch_cqa accepts
 
 
 def _ei_series(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,12 +223,12 @@ def _b_final(t, k1, k2, params: KineticParams) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * params.c_a0 * bracket, rel
 
 
-def batch_cqa(T, t, params: KineticParams = DEFAULT_PARAMS,
-              check_tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray, float]:
+def batch_cqa(T, t, params: KineticParams = DEFAULT_PARAMS
+              ) -> tuple[np.ndarray, np.ndarray, float]:
     """Purity and profit for arrays of operating points, plus an error estimate.
 
     The estimate is the largest relative error estimate of C_B over the
-    points (see ``_b_final``); exceeding ``check_tol`` raises
+    points (see ``_b_final``); exceeding ``_CHECK_TOL`` (1e-7) raises
     ToleranceNotMet.
     """
     T = np.asarray(T, dtype=float).ravel()
@@ -245,9 +245,9 @@ def batch_cqa(T, t, params: KineticParams = DEFAULT_PARAMS,
     k1, k2 = _rates(T, params)
     b_final, rel = _b_final(t, k1, k2, params)
     worst = float(rel.max(initial=0.0))
-    if not worst <= check_tol:
+    if not worst <= _CHECK_TOL:
         raise ToleranceNotMet(
-            f"closed-form C_B error estimate {worst:.3e} exceeds {check_tol:.0e}")
+            f"closed-form C_B error estimate {worst:.3e} exceeds {_CHECK_TOL:.0e}")
 
     a_final = params.c_a0 / (1.0 + 2.0 * t * k1 * params.c_a0)
     c_final = (params.c_a0 - a_final) / 2.0 - b_final
@@ -263,7 +263,7 @@ def cqa_closed(points, params: KineticParams = DEFAULT_PARAMS) -> np.ndarray:
     """(purity, profit) rows for (T, t) rows from one ``batch_cqa`` call.
 
     Its error estimate check raises ToleranceNotMet when the estimate
-    exceeds the default ``check_tol``.
+    exceeds ``_CHECK_TOL`` (1e-7).
     """
     points = np.asarray(points, dtype=float)
     purity, profit, _ = batch_cqa(points[:, 0], points[:, 1], params)

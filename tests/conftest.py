@@ -41,7 +41,7 @@ def rng():
 @pytest.fixture
 def failing_estimate(monkeypatch):
     """Make every closed-form C_B error estimate read 2.5e-6, above
-    batch_cqa's default check_tol.
+    batch_cqa's ``_CHECK_TOL`` (1e-7).
 
     The check guards the closed form, but a scan of 1e-14 <= gamma <= 1e4,
     1e-8 <= beta <= 8e5 finds no estimate above about 6.4e-9, so tests of

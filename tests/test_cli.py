@@ -321,6 +321,11 @@ def test_argparse_errors_are_one_line(argv, capsys):
     assert "usage:" not in assert_usage_error(info.value.code, capsys)
 
 
+def _repeat_axis_name(report):
+    # both axes named T, and the variable t with them
+    report.update(json.loads(json.dumps(report).replace('"t"', '"T"')))
+
+
 def _edited_report(tmp_path, edit):
     report = json.loads(REPORT_FIXTURE.read_text())
     edit(report)
@@ -348,6 +353,13 @@ def _edited_report(tmp_path, edit):
                  "integer below 2^1024", id="pow-exponent=10**400"),
     pytest.param(lambda r: r["sampling"].pop("skip"), "report has no field 'skip'",
                  id="no-skip"),
+    pytest.param(lambda r: r.pop("sampling"), "report has no field 'sampling'",
+                 id="no-sampling"),
+    pytest.param(lambda r: r.pop("validation"), "report has no field 'validation'",
+                 id="no-validation"),
+    pytest.param(lambda r: r["constraints"][1].pop("validation_r_squared"),
+                 "report has no field 'validation_r_squared'", id="no-validation-r-squared"),
+    pytest.param(_repeat_axis_name, "variable names repeat", id="repeated-axis-name"),
 ])
 def test_check_rejects_invalid_report_fields(edit, needle, tmp_path, capsys):
     path = _edited_report(tmp_path, edit)
@@ -391,7 +403,7 @@ def test_check_reports_inf_when_a_float_power_overflows(tmp_path, capsys):
 
 @pytest.mark.parametrize("value, code, verdict", [
     (0.5, 0, "inside"), (-0.5, 3, "outside"), (1e-9, 4, "boundary"), (-1e-9, 4, "boundary"),
-    (1.5e-9, 0, "inside"), (-1.5e-9, 3, "outside"),
+    (1.5e-9, 0, "inside"), (-1.5e-9, 3, "outside"), (math.nan, 3, "outside"),
 ])
 def test_check_evaluates_the_joint_expression_once(value, code, verdict, monkeypatch, capsys):
     # the verdict comes from the one printed value, with membership's tolerance
@@ -645,8 +657,8 @@ EXPORTS = (
     "batch_cqa", "compose", "contour", "cqa_closed", "design_matrix", "ds", "errors",
     "eval_arrays", "eval_expr", "expr", "exprtext", "fit_least_squares", "geometry",
     "grid_eval", "identify", "inside_fraction", "load_report", "marching_squares", "membership",
-    "parse", "parse_infix", "parse_tree_text", "plot_count", "polyfit", "primitive", "qmc",
-    "r_and", "r_not", "r_or", "reactor", "save_report", "scale", "serialize", "sign_class",
+    "parse_infix", "parse_tree_text", "plot_count", "polyfit", "primitive", "qmc",
+    "r_and", "r_not", "r_or", "reactor", "save_report", "scale", "sign_class",
     "slice_contours_3d", "sobol", "testcase", "to_expr", "to_infix", "to_tree_text",
 )
 

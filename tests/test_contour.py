@@ -13,7 +13,7 @@ from rfuncds.contour import (
 from rfuncds.ds import load_report
 from rfuncds.emit import emit_contours_csv, emit_field_csv, emit_svg
 from rfuncds.errors import DimensionMismatch
-from rfuncds.expr import Const, Region, Var
+from rfuncds.expr import Const, Region, Var, eval_expr
 from rfuncds.geometry import TESTCASE_NAMES, Circle, primitive, testcase as load_case
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -102,7 +102,7 @@ def test_contour_points_near_zero_level():
     lipschitz = float(np.hypot(gx, gy).max())
     for line in contours.polylines:
         for x, y in line.points:
-            assert abs(f_and({"x": x, "y": y})) <= 4 * lipschitz * h
+            assert abs(eval_expr(f_and, {"x": x, "y": y})) <= 4 * lipschitz * h
 
 
 def test_sign_stability_under_refinement():

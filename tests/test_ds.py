@@ -22,7 +22,7 @@ from rfuncds.errors import (
     RfuncdsError, SampleCountTooLarge,
 )
 from rfuncds.expr import depth, eval_arrays, eval_expr
-from rfuncds.exprtext import MAX_DEPTH, parse_infix, serialize
+from rfuncds.exprtext import MAX_DEPTH, parse_infix, parse_tree_text, to_infix, to_tree_text
 from rfuncds.polyfit import BasisSpec
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
@@ -217,6 +217,22 @@ def test_identify_validation_errors():
         identify([SUM_SPEC], BOX, 16, bad_basis, model=sum_model)
 
 
+def test_repeated_axis_name_fails_before_any_model_run():
+    # no basis can name a variable twice, so none matches such a box
+    calls = []
+
+    def counting_sum(points):
+        calls.append(points.shape)
+        return sum_model(points)
+
+    box = (BoxAxis("T", 250.0, 300.0), BoxAxis("T", 250.0, 300.0))
+    with pytest.raises(ValueError, match="box axes"):
+        identify([SUM_SPEC], box, 16, CQA_BASIS, model=counting_sum)
+    assert calls == []
+    with pytest.raises(ValueError, match="repeat"):
+        BasisSpec(vars=("T", "T"), monomials=((1, 0),))
+
+
 @pytest.mark.parametrize("lo, hi", [(300, 250), (250, 250), (float("nan"), 300),
                                     (250, float("inf")), (float("-inf"), 300)])
 def test_box_axis_rejects_bad_bounds(lo, hi):
@@ -269,34 +285,32 @@ def test_contours_present_in_2d(tmp_path):
 
 def test_joint_expression_single_constraint():
     report = identify([SUM_SPEC], BOX, 16, CQA_BASIS, model=sum_model)
-    text = serialize(report.joint.expr, "infix")
-    back = parse_infix(text)
+    back = parse_infix(to_infix(report.joint.expr))
     for T, t in [(250.0, 250.0), (275.0, 280.0), (300.0, 265.0)]:
         assert eval_expr(back, {"T": T, "t": t}) == pytest.approx(T + t - 550.0, abs=1e-6)
 
 
 def test_joint_expression_structure_two_constraints():
     report = synthetic_report()
-    abs_text = serialize(report.joint.expr, "infix", alpha1_style="abs")
-    sqrt_text = serialize(report.joint.expr, "infix", alpha1_style="sqrt")
+    abs_text = to_infix(report.joint.expr, alpha1_style="abs")
+    sqrt_text = to_infix(report.joint.expr, alpha1_style="sqrt")
     assert abs_text.count("abs(") == 1 and "sqrt(" not in abs_text
     assert sqrt_text.count("sqrt(") == 1 and "abs(" not in sqrt_text
 
 
 def test_joint_expression_round_trip(rng):
-    from rfuncds.exprtext import parse
     from rewrites import canonicalize_alpha1, desugar_r_nodes
 
     report = synthetic_report()
     joint = report.joint.expr
-    references = {
-        ("infix", "sqrt"): desugar_r_nodes(joint),
-        ("infix", "abs"): desugar_r_nodes(canonicalize_alpha1(joint)),
-        ("tree", "sqrt"): joint,
-    }
-    for (fmt, style), reference in references.items():
-        text = serialize(joint, fmt, alpha1_style=style)
-        back = parse(text, fmt)
+    # (text, reader, the expression the text stands for)
+    references = [
+        (to_infix(joint, alpha1_style="sqrt"), parse_infix, desugar_r_nodes(joint)),
+        (to_infix(joint), parse_infix, desugar_r_nodes(canonicalize_alpha1(joint))),
+        (to_tree_text(joint), parse_tree_text, joint),
+    ]
+    for text, read, reference in references:
+        back = read(text)
         for _ in range(20):
             T = float(rng.uniform(250, 300))
             t = float(rng.uniform(250, 300))

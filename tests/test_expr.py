@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -10,8 +12,8 @@ from rfuncds.errors import (
 )
 from rfuncds.expr import (
     NODES, Abs, Add, And, Const, Expr, Leaf, Max, Min, Mul, Neg, Not, Pow, RAnd, ROr, Region,
-    Sqrt, Sub, Var, children, compose, depth, eval_arrays, eval_expr, r_and, r_not, r_or,
-    sign_class, walk,
+    Sqrt, Sub, Var, children, classify, compose, depth, eval_arrays, eval_expr, r_and, r_not,
+    r_or, sign_class, walk,
 )
 from rfuncds.geometry import Circle, primitive, testcase as load_case
 from rewrites import canonicalize_alpha1, desugar_r_nodes
@@ -435,15 +437,23 @@ def test_compose_alpha_checked():
 def test_sign_class_circle():
     c0, _ = _two_circles()
     assert sign_class(c0, {"x": 1.0, "y": 2.0}) == "inside"
-    assert sign_class(c0, {"x": 2.5, "y": 2.0}, tol=1e-9) == "boundary"
+    assert sign_class(c0, {"x": 2.5, "y": 2.0}) == "boundary"
     assert sign_class(c0, {"x": 10.0, "y": 10.0}) == "outside"
-    with pytest.raises(ValueError):
-        sign_class(c0, {"x": 0.0, "y": 0.0}, tol=-1.0)
+
+
+def test_classify_reads_nan_as_outside():
+    # as everywhere else, where a region is the set f >= 0
+    assert classify(math.nan) == "outside"
 
 
 def test_region_rejects_unbound_expression_variables():
     with pytest.raises(ValueError):
         Region(Var("z") + 1.0, vars=("x", "y"))
+
+
+def test_region_rejects_repeated_variable_names():
+    with pytest.raises(ValueError, match="repeat"):
+        Region(Var("x") + 1.0, vars=("x", "x"))
 
 
 def test_canonicalized_composition_matches_closed_form():
