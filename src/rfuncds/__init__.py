@@ -21,7 +21,7 @@ _EXPORTS = {
                      "Mul", "Neg", "Not", "Or", "Pow", "RAnd", "ROr", "Region", "Sqrt", "Sub",
                      "Var", "compose", "eval_arrays", "eval_expr", "r_and", "r_not", "r_or",
                      "sign_class"), "expr"),
-    **dict.fromkeys(("parse_infix", "parse_tree_text", "to_infix", "to_tree_text"), "exprtext"),
+    **dict.fromkeys(("parse_tree_text", "to_infix", "to_tree_text"), "exprtext"),
     **dict.fromkeys(("TESTCASE_NAMES", "Circle", "CylinderZ", "Parabola", "Paraboloid", "Slab",
                      "TestCase", "primitive", "testcase"), "geometry"),
     **dict.fromkeys(("BasisSpec", "FitResult", "design_matrix", "fit_least_squares", "to_expr"),

@@ -85,7 +85,7 @@ def emit_svg(path, layers, bounds, field: ScalarField | None = None,
     parts.append(f'<text x="{_fmt(x0 - 45)}" y="{_fmt(y1 + 5)}" font-size="14">{yhi:g}</text>')
     if title:
         parts.append(f'<text x="{_fmt(_SIZE / 2)}" y="30" font-size="18" '
-                     f'text-anchor="middle">{title}</text>')
+                     f'text-anchor="middle">{title.translate(_XML_TEXT)}</text>')
 
     for contours, color in layers:
         for line in contours.polylines:

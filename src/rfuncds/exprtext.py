@@ -1,24 +1,15 @@
 """Text formats for expressions: human-readable infix and a JSON node tree.
 
-The infix grammar (documented in docs/expressions.md):
+Infix is written, never read: arithmetic with sqrt, abs, min and max calls
+and integer powers, whose grammar docs/expressions.md gives.  R-nodes have
+no infix spelling; they are expanded to arithmetic (alpha=1 in abs form
+unless the sqrt form is asked for).  The tree format keeps R-nodes intact
+and is the one text format read back.
 
-    expr    := term (('+' | '-') term)*
-    term    := factor ('*' factor)*
-    factor  := '-' factor | power
-    power   := atom ('^' UINT)?
-    atom    := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
-
-Functions: sqrt, abs (one argument), min, max (two or more, folded left).
-There is no division.  R-nodes have no infix spelling; they are expanded to
-arithmetic on output (alpha=1 in abs form unless the sqrt form is asked
-for) and never produced by the parser.  The tree format keeps R-nodes
-intact, so structural round trips go through it.
-
-Both writers visit each distinct node once and do not recurse.  Both
-parsers refuse expressions deeper than ``MAX_DEPTH`` levels with a
+Both writers visit each distinct node once and do not recurse.  The tree
+reader refuses expressions deeper than ``MAX_DEPTH`` levels with a
 ParseError, checked before anything recurses that deep, so deep input never
-ends in a RecursionError.  Infix text may also nest parentheses and calls at
-most ``MAX_DEPTH`` deep.
+ends in a RecursionError.
 """
 
 from __future__ import annotations
@@ -29,11 +20,10 @@ import sys
 
 from .errors import ParseError
 from .expr import (
-    NODES, Abs, Add, Const, Expr, Max, Min, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var, depth,
-    fold,
+    NODES, Abs, Add, Const, Expr, Max, Min, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var, fold,
 )
 
-# deepest expression the parsers accept; a leaf has depth 1
+# deepest expression the tree reader accepts; a leaf has depth 1
 MAX_DEPTH = 128
 
 
@@ -50,8 +40,9 @@ _ATOM, _CALL, _COMPOUND = range(3)
 
 def to_infix(expr: Expr, alpha1_style: str = "abs") -> str:
     """Infix text with R-nodes expanded; alpha=1 nodes in the abs form, which
-    reads back to rounding, or with ``alpha1_style="sqrt"`` the radical form,
-    which loses about sqrt(eps)*|a| near a = b (see docs/expressions.md)."""
+    evaluates to the node's value within rounding, or with
+    ``alpha1_style="sqrt"`` the radical form, which loses about sqrt(eps)*|a|
+    near a = b (see docs/expressions.md)."""
     if alpha1_style not in ("sqrt", "abs"):
         raise ValueError("alpha1_style must be 'sqrt' or 'abs'")
     abs_alpha1 = alpha1_style == "abs"
@@ -91,9 +82,6 @@ def _r_printer(join: str, abs_alpha1: bool):
     return print_r
 
 
-# Function spellings, shared by the printer and the parser.  min and max
-# print with two arguments and parse with two or more, folded left.
-FUNCTIONS = {"sqrt": Sqrt, "abs": Abs, "min": Min, "max": Max}
 _PRINTERS = {
     Const: lambda e: (repr(e.value), _CALL if e.value < 0 else _ATOM),
     Var: lambda e: (e.name, _ATOM),
@@ -102,158 +90,11 @@ _PRINTERS = {
     Sub: _binary_printer("-"),
     Mul: _binary_printer("*"),
     Pow: lambda e, a: (f"{_base(a)}^{e.exponent}", _CALL),
-    **{cls: _call_printer(name) for name, cls in FUNCTIONS.items()},
+    Sqrt: _call_printer("sqrt"),
+    Abs: _call_printer("abs"),
+    Min: _call_printer("min"),
+    Max: _call_printer("max"),
 }
-
-
-# ----------------------------------------------------------------------
-# infix parsing
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^(),]))"
-)
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []  # (kind, value, position)
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                bad_at = len(text) - len(stripped)
-                raise ParseError(bad_at, f"unexpected character {text[bad_at]!r}")
-            kind = m.lastgroup
-            self.items.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.i = 0
-        self.depth = 0   # open parentheses and calls
-
-    def peek(self):
-        return self.items[self.i] if self.i < len(self.items) else (None, None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, pos = self.next()
-        if kind != "op" or value != op:
-            raise ParseError(pos, f"expected {op!r}, got {value!r}")
-
-
-def parse_infix(text: str) -> Expr:
-    toks = _Tokens(text)
-    expr = _parse_sum(toks)
-    kind, value, pos = toks.peek()
-    if kind is not None:
-        raise ParseError(pos, f"unexpected trailing {value!r}")
-    if depth(expr) > MAX_DEPTH:
-        raise ParseError(None, f"expression is deeper than {MAX_DEPTH} levels")
-    return expr
-
-
-def _parse_sum(toks: _Tokens) -> Expr:
-    node = _parse_term(toks)
-    while True:
-        kind, value, _ = toks.peek()
-        if kind == "op" and value in ("+", "-"):
-            toks.next()
-            rhs = _parse_term(toks)
-            node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-        else:
-            return node
-
-
-def _parse_term(toks: _Tokens) -> Expr:
-    node = _parse_factor(toks)
-    while True:
-        kind, value, _ = toks.peek()
-        if kind == "op" and value == "*":
-            toks.next()
-            node = Mul(node, _parse_factor(toks))
-        else:
-            return node
-
-
-def _parse_factor(toks: _Tokens) -> Expr:
-    negations = 0
-    while toks.peek()[:2] == ("op", "-"):
-        toks.next()
-        negations += 1
-    node = _parse_power(toks)
-    for _ in range(negations):
-        node = Neg(node)
-    return node
-
-
-def _parse_power(toks: _Tokens) -> Expr:
-    node = _parse_atom(toks)
-    kind, value, _ = toks.peek()
-    if kind == "op" and value == "^":
-        toks.next()
-        kind, value, pos = toks.next()
-        if kind != "number" or not value.isdigit():
-            raise ParseError(pos, "exponent must be an unsigned integer literal")
-        try:
-            node = Pow(node, int(value))
-        except ValueError as exc:   # too many digits for int(), too large for float
-            raise ParseError(pos, str(exc)) from None
-    return node
-
-
-def _parse_atom(toks: _Tokens) -> Expr:
-    kind, value, pos = toks.next()
-    if kind == "number":
-        return Const(float(value))
-    if kind == "name":
-        nkind, nvalue, _ = toks.peek()
-        if nkind == "op" and nvalue == "(":
-            if value not in FUNCTIONS:
-                raise ParseError(pos, f"unknown function {value!r}")
-            toks.next()
-            args = [_parse_nested(toks, pos)]
-            while True:
-                k, v, p = toks.next()
-                if k == "op" and v == ")":
-                    break
-                if not (k == "op" and v == ","):
-                    raise ParseError(p, f"expected ',' or ')', got {v!r}")
-                args.append(_parse_nested(toks, pos))
-            ctor = FUNCTIONS[value]
-            if len(NODES[ctor].operands) == 1:
-                if len(args) != 1:
-                    raise ParseError(pos, f"{value} takes exactly one argument")
-                return ctor(args[0])
-            if len(args) < 2:
-                raise ParseError(pos, f"{value} takes at least two arguments")
-            out = args[0]
-            for a in args[1:]:
-                out = ctor(out, a)
-            return out
-        return Var(value)
-    if kind == "op" and value == "(":
-        node = _parse_nested(toks, pos)
-        toks.expect_op(")")
-        return node
-    raise ParseError(pos, f"expected a number, name or '(', got {value!r}")
-
-
-def _parse_nested(toks: _Tokens, pos: int) -> Expr:
-    # the only recursion: one level per open parenthesis or call
-    toks.depth += 1
-    if toks.depth > MAX_DEPTH:
-        raise ParseError(pos, f"parentheses nest deeper than {MAX_DEPTH} levels")
-    node = _parse_sum(toks)
-    toks.depth -= 1
-    return node
 
 
 # ----------------------------------------------------------------------

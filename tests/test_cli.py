@@ -17,9 +17,10 @@ import pytest
 import rfuncds
 from rfuncds import cli, ds, reactor
 from rfuncds.errors import RankDeficient
-from rfuncds.exprtext import MAX_DEPTH, parse_infix
-from rfuncds.expr import Program, eval_arrays
+from rfuncds.exprtext import MAX_DEPTH
+from rfuncds.expr import Program
 from rfuncds.reactor import CQA_BASIS
+from infix_eval import infix_eval
 
 REPO = Path(__file__).resolve().parents[1]
 KELVIN_CFG = REPO / "presets" / "kelvin-activation.cfg"
@@ -56,9 +57,8 @@ def test_demo_expressions_file_matches_closed_form(tmp_path):
             section = line.strip("[]")
         elif line.startswith("infix_abs = "):
             infix[section] = line.removeprefix("infix_abs = ")
-    expr = parse_infix(infix["and"])
     x, y = np.meshgrid(np.linspace(-2, 4, 50), np.linspace(-6, 2, 50), indexing="ij")
-    values = eval_arrays(expr, {"x": x, "y": y})
+    values = infix_eval(infix["and"], {"x": x, "y": y})
     expected = 2 * x - x**2 - np.abs(4 * y + 9) / 4 - 0.25
     assert np.abs(values - expected).max() <= 1e-9
 
@@ -657,7 +657,7 @@ EXPORTS = (
     "batch_cqa", "compose", "contour", "cqa_closed", "design_matrix", "ds", "errors",
     "eval_arrays", "eval_expr", "expr", "exprtext", "fit_least_squares", "geometry",
     "grid_eval", "identify", "inside_fraction", "load_report", "marching_squares", "membership",
-    "parse_infix", "parse_tree_text", "plot_count", "polyfit", "primitive", "qmc",
+    "parse_tree_text", "plot_count", "polyfit", "primitive", "qmc",
     "r_and", "r_not", "r_or", "reactor", "save_report", "scale", "sign_class",
     "slice_contours_3d", "sobol", "testcase", "to_expr", "to_infix", "to_tree_text",
 )

@@ -22,10 +22,11 @@ from rfuncds.errors import (
     RfuncdsError, SampleCountTooLarge,
 )
 from rfuncds.expr import depth, eval_arrays, eval_expr
-from rfuncds.exprtext import MAX_DEPTH, parse_infix, parse_tree_text, to_infix, to_tree_text
+from rfuncds.exprtext import MAX_DEPTH, parse_tree_text, to_infix, to_tree_text
 from rfuncds.polyfit import BasisSpec
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
+from infix_eval import infix_eval
 
 REPO = Path(__file__).resolve().parents[1]
 KELVIN_CFG = REPO / "presets" / "kelvin-activation.cfg"
@@ -285,9 +286,9 @@ def test_contours_present_in_2d(tmp_path):
 
 def test_joint_expression_single_constraint():
     report = identify([SUM_SPEC], BOX, 16, CQA_BASIS, model=sum_model)
-    back = parse_infix(to_infix(report.joint.expr))
+    text = to_infix(report.joint.expr)
     for T, t in [(250.0, 250.0), (275.0, 280.0), (300.0, 265.0)]:
-        assert eval_expr(back, {"T": T, "t": t}) == pytest.approx(T + t - 550.0, abs=1e-6)
+        assert infix_eval(text, {"T": T, "t": t}) == pytest.approx(T + t - 550.0, abs=1e-6)
 
 
 def test_joint_expression_structure_two_constraints():
@@ -303,19 +304,18 @@ def test_joint_expression_round_trip(rng):
 
     report = synthetic_report()
     joint = report.joint.expr
-    # (text, reader, the expression the text stands for)
+    # (text, its value at env, the expression the text stands for)
     references = [
-        (to_infix(joint, alpha1_style="sqrt"), parse_infix, desugar_r_nodes(joint)),
-        (to_infix(joint), parse_infix, desugar_r_nodes(canonicalize_alpha1(joint))),
-        (to_tree_text(joint), parse_tree_text, joint),
+        (to_infix(joint, alpha1_style="sqrt"), infix_eval, desugar_r_nodes(joint)),
+        (to_infix(joint), infix_eval, desugar_r_nodes(canonicalize_alpha1(joint))),
+        (to_tree_text(joint), lambda text, env: eval_expr(parse_tree_text(text), env), joint),
     ]
-    for text, read, reference in references:
-        back = read(text)
+    for text, value, reference in references:
         for _ in range(20):
             T = float(rng.uniform(250, 300))
             t = float(rng.uniform(250, 300))
             env = {"T": T, "t": t}
-            assert eval_expr(back, env) == pytest.approx(
+            assert value(text, env) == pytest.approx(
                 eval_expr(reference, env), abs=1e-12)
 
 

@@ -47,6 +47,13 @@ SIZE, MARGIN, STROKE_WIDTH, SHADE_FILL, MAX_SHADE_CELLS = 800, 60.0, 2.0, "#bcd8
 NOT_XML = [chr(c) for c in range(32) if chr(c) not in "\t\n\r"] + ["\ufffe", "\uffff"]
 
 
+def xml_text(text):
+    text = escape(text, {"\r": "&#13;"})
+    for char in NOT_XML:
+        text = text.replace(char, "\ufffd")
+    return text
+
+
 def reference_emit_svg(path, layers, bounds, field=None, provenance="", title=""):
     (xlo, xhi), (ylo, yhi) = bounds
     span = SIZE - 2 * MARGIN
@@ -62,10 +69,7 @@ def reference_emit_svg(path, layers, bounds, field=None, provenance="", title=""
         f'viewBox="0 0 {SIZE} {SIZE}">'
     )
     if provenance:
-        text = escape(provenance, {"\r": "&#13;"})
-        for char in NOT_XML:
-            text = text.replace(char, "\ufffd")
-        parts.append(f"<desc>{text}</desc>")
+        parts.append(f"<desc>{xml_text(provenance)}</desc>")
     parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
 
     if field is not None:
@@ -84,7 +88,7 @@ def reference_emit_svg(path, layers, bounds, field=None, provenance="", title=""
     parts.append(f'<text x="{_fmt(x0 - 45)}" y="{_fmt(y1 + 5)}" font-size="14">{yhi:g}</text>')
     if title:
         parts.append(f'<text x="{_fmt(SIZE / 2)}" y="30" font-size="18" '
-                     f'text-anchor="middle">{title}</text>')
+                     f'text-anchor="middle">{xml_text(title)}</text>')
 
     for contours, color in layers:
         for line in contours.polylines:
@@ -347,6 +351,16 @@ def test_svg_provenance_is_well_formed_and_reads_back(provenance, readback, tmp_
     desc = ElementTree.parse(path).getroot()[0]
     assert desc.tag == "{http://www.w3.org/2000/svg}desc"
     assert desc.text == (provenance if readback is None else readback)
+
+
+@pytest.mark.parametrize("title", ["x < y & z", "a > b\r\nnext", "nul\x00 end"])
+def test_svg_title_is_well_formed_and_reads_back(title, tmp_path):
+    assert_same_bytes(tmp_path, emit_svg, [], ((0.0, 1.0), (0.0, 1.0)), title=title)
+    path = tmp_path / "t.svg"
+    emit_svg(path, [(OPEN_AND_CLOSED, "red")], ((0.0, 1.0), (0.0, 1.0)), title=title)
+    [heading] = [e for e in ElementTree.parse(path).getroot()
+                 if e.get("text-anchor") == "middle"]
+    assert heading.text == title.replace("\x00", "\ufffd")
 
 
 # ----------------------------------------------------------------------
