@@ -19,11 +19,10 @@ _EXPORTS = {
                      "membership", "plot_count", "save_report"), "ds"),
     **dict.fromkeys(("Abs", "Add", "And", "BoolTree", "Const", "Expr", "Leaf", "Max", "Min",
                      "Mul", "Neg", "Not", "Or", "Pow", "RAnd", "ROr", "Region", "Sqrt", "Sub",
-                     "Var", "compose", "eval_arrays", "eval_expr", "r_and", "r_not", "r_or",
-                     "sign_class"), "expr"),
+                     "Var", "compose", "eval_arrays", "eval_expr", "sign_class"), "expr"),
     **dict.fromkeys(("parse_tree_text", "to_infix", "to_tree_text"), "exprtext"),
-    **dict.fromkeys(("TESTCASE_NAMES", "Circle", "CylinderZ", "Parabola", "Paraboloid", "Slab",
-                     "TestCase", "primitive", "testcase"), "geometry"),
+    **dict.fromkeys(("TESTCASE_NAMES", "TestCase", "circle", "cylinder_z", "parabola",
+                     "paraboloid", "slab", "testcase"), "geometry"),
     **dict.fromkeys(("BasisSpec", "FitResult", "design_matrix", "fit_least_squares", "to_expr"),
                     "polyfit"),
     **dict.fromkeys(("scale", "sobol"), "qmc"),

@@ -281,7 +281,7 @@ def cmd_check(args, provenance: str) -> int:
         print(f"error: cannot read report {args.report!r}: {exc}", file=sys.stderr)
         return 2
     names = [a.name for a in report.box]
-    tokens = [tok.strip() for tok in args.point.split(",") if tok.strip()]
+    tokens = [tok.strip() for tok in args.point.split(",")]
     try:
         if any("=" in tok for tok in tokens):
             point = {}

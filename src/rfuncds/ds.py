@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
 )
 from .expr import (
-    And, Const, Leaf, Region, Sub, check_alpha, compose, eval_arrays, sign_class,
+    And, Const, Leaf, Region, Sub, check_alpha, compose, depth, eval_arrays, sign_class,
 )
 from .polyfit import BasisSpec, FitResult, fit_least_squares, r_squared, to_expr
 from .qmc import scale, sobol
@@ -110,7 +110,9 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     Sobol block of ``N_VALIDATION`` points disjoint from training (skip
     range starts right after the training points) and records
     per-constraint R^2 plus the rate at which the sign of the joint
-    expression agrees with direct thresholding of the model output.
+    expression agrees with direct thresholding of the model output.  A
+    joint expression deeper than a report holds (``exprtext.MAX_DEPTH``)
+    raises ValueError before the validation run.
     """
     import numpy as np
     constraints = list(constraints)
@@ -147,6 +149,10 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
         leaves.append(Leaf(phi))
 
     joint = compose(And(*leaves), alpha)
+    levels = depth(joint.expr)
+    if levels > exprtext.MAX_DEPTH:   # save_report would write what load_report refuses
+        raise ValueError(f"a basis of {len(basis)} monomials gives a joint expression "
+                         f"{levels} levels deep; a report holds at most {exprtext.MAX_DEPTH}")
 
     y_val = run_model(val)
     predicted_in = eval_arrays(joint, val.T) >= 0.0
@@ -274,9 +280,10 @@ def load_report(path) -> DSReport:
     file is checked for that before it is decoded.  A file that is not
     UTF-8 text, a missing or wrong ``format`` key, a missing field, a value that does not convert (such as
     an integer beyond the float range), a coefficient list that does not
-    match its basis, an alpha outside (-1, 1], a box axis without finite
-    ``lo < hi`` and a too-deep tree raise ParseError.  Coefficients load as
-    a tuple of floats; nothing here imports numpy.
+    match its basis, basis variables other than the box axes, an alpha
+    outside (-1, 1], a box axis without finite ``lo < hi`` and a too-deep
+    tree raise ParseError.  Coefficients load as a tuple of floats; nothing
+    here imports numpy.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -304,6 +311,8 @@ def _report_from_obj(obj: dict) -> DSReport:
     for c in obj["constraints"]:
         basis = BasisSpec(vars=tuple(c["basis"]["vars"]),
                           monomials=tuple(tuple(m) for m in c["basis"]["monomials"]))
+        if basis.vars != names:
+            raise ParseError(None, f"basis variables {basis.vars} != box axes {names}")
         coefficients = tuple(float(v) for v in c["coefficients"])
         if len(coefficients) != len(basis):
             raise ValueError(f"{len(coefficients)} coefficients for "

@@ -233,21 +233,6 @@ class ROr(Expr):
         super().__init__(a, b, check_alpha(alpha))
 
 
-def r_and(a, b, alpha: float = 1.0) -> Expr:
-    """R-conjunction node: sign(r_and(a, b)) == sign(min(a, b))."""
-    return RAnd(as_expr(a), as_expr(b), alpha)
-
-
-def r_or(a, b, alpha: float = 1.0) -> Expr:
-    """R-disjunction node: sign(r_or(a, b)) == sign(max(a, b))."""
-    return ROr(as_expr(a), as_expr(b), alpha)
-
-
-def r_not(a) -> Expr:
-    """R-negation: plain sign flip."""
-    return Neg(as_expr(a))
-
-
 # ----------------------------------------------------------------------
 # the node table
 
@@ -704,12 +689,12 @@ def compose(tree: BoolTree, alpha: float = 1.0) -> Region:
             regions.append(node.region)
             return node.region.expr
         if isinstance(node, Not):
-            return r_not(rec(node.child))
+            return Neg(rec(node.child))
         if not isinstance(node, (And, Or)):
             raise TypeError(f"unknown BoolTree node {type(node).__name__}")
         exprs = [rec(child) for child in node.children]
         out = exprs[0]
-        ctor = r_and if isinstance(node, And) else r_or
+        ctor = RAnd if isinstance(node, And) else ROr
         for e in exprs[1:]:
             out = ctor(out, e, alpha)
         return out

@@ -3,102 +3,67 @@
 from __future__ import annotations
 
 import math
-from typing import Union
 
 from .errors import InvalidSpec, UnknownTestCase
 from .expr import And, BoolTree, Const, Leaf, Not, Or, Pow, Region, Sub, Var, compose
 from .record import Record
 
-
-class Circle(Record):
-    __slots__ = ("cx", "cy", "radius")
-
-
-class Parabola(Record):
-    """Region above the parabola y = a*(x-x0)^2 - c (opens-up) or
-    y = -a*(x-x0)^2 - c (opens-down)."""
-
-    __slots__ = ("a", "x0", "c", "orientation")
-
-    def __init__(self, a: float, x0: float, c: float, orientation: str = "opens-up"):
-        super().__init__(a, x0, c, orientation)
-
-
-class Slab(Record):
-    """|axis| <= half_thickness, unbounded along the other two axes."""
-
-    __slots__ = ("axis", "half_thickness")
-
-
-class Paraboloid(Record):
-    """side='under': z <= coeff*(1-x^2-y^2); side='above': z >= -coeff*(1-x^2-y^2)."""
-
-    __slots__ = ("side", "coeff")
-
-
-class CylinderZ(Record):
-    __slots__ = ("radius",)
-
-
-PrimitiveSpec = Union[Circle, Parabola, Slab, Paraboloid, CylinderZ]
-
 _XY = ("x", "y")
 _XYZ = ("x", "y", "z")
 
 
-def _require_finite(spec, **fields):
+def _require(shape: str, positive: tuple[str, ...], **fields):
+    """Every field must be finite; those named in ``positive`` also > 0."""
     for name, value in fields.items():
         if not math.isfinite(value):
-            raise InvalidSpec(f"{type(spec).__name__}.{name} must be finite, got {value!r}")
+            raise InvalidSpec(f"{shape}.{name} must be finite, got {value!r}")
+        if name in positive and value <= 0:
+            raise InvalidSpec(f"{shape}.{name} must be > 0, got {value!r}")
 
 
-def _require_positive(spec, **fields):
-    _require_finite(spec, **fields)
-    for name, value in fields.items():
-        if value <= 0:
-            raise InvalidSpec(f"{type(spec).__name__}.{name} must be > 0, got {value!r}")
+def circle(cx: float, cy: float, radius: float) -> Region:
+    _require("circle", ("radius",), cx=cx, cy=cy, radius=radius)
+    return Region(Const(radius**2) - (Var("x") - cx) ** 2 - (Var("y") - cy) ** 2, _XY)
 
 
-def primitive(spec: PrimitiveSpec) -> Region:
-    """Build the implicit region for an elementary shape."""
-    x, y, z = Var("x"), Var("y"), Var("z")
-    if isinstance(spec, Circle):
-        _require_finite(spec, cx=spec.cx, cy=spec.cy)
-        _require_positive(spec, radius=spec.radius)
-        expr = Const(spec.radius**2) - (x - spec.cx) ** 2 - (y - spec.cy) ** 2
-        return Region(expr, _XY)
-    if isinstance(spec, Parabola):
-        _require_finite(spec, x0=spec.x0, c=spec.c)
-        _require_positive(spec, a=spec.a)
-        shifted = Pow(Sub(x, Const(spec.x0)), 2)
-        if spec.orientation == "opens-up":
-            expr = y - spec.a * shifted + spec.c
-        elif spec.orientation == "opens-down":
-            expr = y + spec.a * shifted + spec.c
-        else:
-            raise InvalidSpec(f"orientation must be 'opens-up' or 'opens-down', got {spec.orientation!r}")
-        return Region(expr, _XY)
-    if isinstance(spec, Slab):
-        if spec.axis not in ("x", "y", "z"):
-            raise InvalidSpec(f"slab axis must be x, y or z, got {spec.axis!r}")
-        _require_positive(spec, half_thickness=spec.half_thickness)
-        expr = Const(spec.half_thickness**2) - Var(spec.axis) ** 2
-        return Region(expr, _XYZ)
-    if isinstance(spec, Paraboloid):
-        _require_positive(spec, coeff=spec.coeff)
-        bowl = spec.coeff * (Const(1.0) - x**2 - y**2)
-        if spec.side == "under":
-            expr = -z + bowl
-        elif spec.side == "above":
-            expr = z + bowl
-        else:
-            raise InvalidSpec(f"paraboloid side must be 'under' or 'above', got {spec.side!r}")
-        return Region(expr, _XYZ)
-    if isinstance(spec, CylinderZ):
-        _require_positive(spec, radius=spec.radius)
-        expr = Const(spec.radius**2) - x**2 - y**2
-        return Region(expr, _XYZ)
-    raise InvalidSpec(f"unknown primitive {spec!r}")
+def parabola(a: float, x0: float, c: float, orientation: str = "opens-up") -> Region:
+    """Region above the parabola y = a*(x-x0)^2 - c (opens-up) or
+    y = -a*(x-x0)^2 - c (opens-down)."""
+    _require("parabola", ("a",), x0=x0, c=c, a=a)
+    shifted = Pow(Sub(Var("x"), Const(x0)), 2)
+    if orientation == "opens-up":
+        expr = Var("y") - a * shifted + c
+    elif orientation == "opens-down":
+        expr = Var("y") + a * shifted + c
+    else:
+        raise InvalidSpec(f"orientation must be 'opens-up' or 'opens-down', got {orientation!r}")
+    return Region(expr, _XY)
+
+
+def slab(axis: str, half_thickness: float) -> Region:
+    """|axis| <= half_thickness, unbounded along the other two axes."""
+    if axis not in _XYZ:
+        raise InvalidSpec(f"slab axis must be x, y or z, got {axis!r}")
+    _require("slab", ("half_thickness",), half_thickness=half_thickness)
+    return Region(Const(half_thickness**2) - Var(axis) ** 2, _XYZ)
+
+
+def paraboloid(side: str, coeff: float) -> Region:
+    """side='under': z <= coeff*(1-x^2-y^2); side='above': z >= -coeff*(1-x^2-y^2)."""
+    _require("paraboloid", ("coeff",), coeff=coeff)
+    bowl = coeff * (Const(1.0) - Var("x") ** 2 - Var("y") ** 2)
+    if side == "under":
+        expr = -Var("z") + bowl
+    elif side == "above":
+        expr = Var("z") + bowl
+    else:
+        raise InvalidSpec(f"paraboloid side must be 'under' or 'above', got {side!r}")
+    return Region(expr, _XYZ)
+
+
+def cylinder_z(radius: float) -> Region:
+    _require("cylinder_z", ("radius",), radius=radius)
+    return Region(Const(radius**2) - Var("x") ** 2 - Var("y") ** 2, _XYZ)
 
 
 class TestCase(Record):
@@ -109,8 +74,8 @@ class TestCase(Record):
 
 
 def _case_circles() -> TestCase:
-    c0 = Leaf(primitive(Circle(1.0, 2.0, 1.5)))
-    c1 = Leaf(primitive(Circle(1.0, 1.0, 1.0)))
+    c0 = Leaf(circle(1.0, 2.0, 1.5))
+    c1 = Leaf(circle(1.0, 1.0, 1.0))
     return TestCase(
         name="circles-4.1",
         trees=(("and", And(c0, c1)), ("or", Or(c0, c1))),
@@ -121,8 +86,8 @@ def _case_circles() -> TestCase:
 def _case_parabolas() -> TestCase:
     # region of interest: above the opens-up parabola AND below the
     # opens-down one, i.e. phi1 >= 0 and phi2 <= 0
-    p1 = Leaf(primitive(Parabola(1.0, 1.0, 3.0, "opens-up")))
-    p2 = Leaf(primitive(Parabola(1.0, 1.0, 1.5, "opens-down")))
+    p1 = Leaf(parabola(1.0, 1.0, 3.0, "opens-up"))
+    p2 = Leaf(parabola(1.0, 1.0, 1.5, "opens-down"))
     return TestCase(
         name="parabolas-4.2",
         trees=(("and", And(p1, Not(p2))), ("or", Or(p1, Not(p2)))),
@@ -131,7 +96,7 @@ def _case_parabolas() -> TestCase:
 
 
 def _case_slabs() -> TestCase:
-    s = [Leaf(primitive(Slab(axis, half))) for axis, half in (("x", 2.0), ("y", 1.0), ("z", 2.0))]
+    s = [Leaf(slab(axis, half)) for axis, half in (("x", 2.0), ("y", 1.0), ("z", 2.0))]
     return TestCase(
         name="slabs-A1",
         trees=(("and", And(*s)), ("or", Or(*s))),
@@ -142,10 +107,10 @@ def _case_slabs() -> TestCase:
 def _case_paraboloid_cylinders() -> TestCase:
     # lens between two paraboloids, optionally with an annular cylindrical
     # cut-out: keep the core of radius 0.3, remove the ring out to 0.5
-    f1 = Leaf(primitive(Paraboloid("under", 0.6)))
-    f2 = Leaf(primitive(Paraboloid("above", 0.6)))
-    f3 = Leaf(primitive(CylinderZ(0.5)))
-    f4 = Leaf(primitive(CylinderZ(0.3)))
+    f1 = Leaf(paraboloid("under", 0.6))
+    f2 = Leaf(paraboloid("above", 0.6))
+    f3 = Leaf(cylinder_z(0.5))
+    f4 = Leaf(cylinder_z(0.3))
     return TestCase(
         name="paraboloid-cylinders-A2",
         trees=(

@@ -20,7 +20,7 @@ from ode_oracle import cqa_ode, integrate, rate_constants
 import rfuncds
 from rfuncds import ds
 from rfuncds.contour import grid_eval, inside_fraction, marching_squares
-from rfuncds.expr import Var, eval_arrays, r_and, r_or
+from rfuncds.expr import RAnd, ROr, Var, eval_arrays
 from rfuncds.geometry import testcase as load_case
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import (
@@ -82,8 +82,8 @@ def test_criterion_01_sign_consistency(ab_sample):
     env = {"a": a, "b": b}
     t0 = time.perf_counter()
     for alpha in ALPHAS:
-        v_and = eval_arrays(r_and(Var("a"), Var("b"), alpha), env)
-        v_or = eval_arrays(r_or(Var("a"), Var("b"), alpha), env)
+        v_and = eval_arrays(RAnd(Var("a"), Var("b"), alpha), env)
+        v_or = eval_arrays(ROr(Var("a"), Var("b"), alpha), env)
         assert np.array_equal(_sign(v_and), _sign(np.minimum(a, b)))
         assert np.array_equal(_sign(v_or), _sign(np.maximum(a, b)))
     elapsed = time.perf_counter() - t0
@@ -95,8 +95,8 @@ def test_criterion_01_sign_consistency(ab_sample):
 def test_criterion_02_alpha1_oracle_equivalence(ab_sample):
     a, b = ab_sample[:, 0], ab_sample[:, 1]
     env = {"a": a, "b": b}
-    d_and = np.abs(eval_arrays(r_and(Var("a"), Var("b"), 1.0), env) - np.minimum(a, b))
-    d_or = np.abs(eval_arrays(r_or(Var("a"), Var("b"), 1.0), env) - np.maximum(a, b))
+    d_and = np.abs(eval_arrays(RAnd(Var("a"), Var("b"), 1.0), env) - np.minimum(a, b))
+    d_or = np.abs(eval_arrays(ROr(Var("a"), Var("b"), 1.0), env) - np.maximum(a, b))
     assert d_and.max() <= 1e-12
     assert d_or.max() <= 1e-12
     print(f"\nCRITERION 2 PASS: alpha=1 equals min/max "
@@ -250,10 +250,10 @@ def test_criterion_09_plot_count():
 
 
 def test_criterion_10_contour_accuracy():
-    from rfuncds.geometry import Circle, primitive
+    from rfuncds.geometry import circle
 
     contours = marching_squares(
-        grid_eval(primitive(Circle(0.0, 0.0, 1.0)), ((-2, 2), (-2, 2)), 256))
+        grid_eval(circle(0.0, 0.0, 1.0), ((-2, 2), (-2, 2)), 256))
     assert len(contours.polylines) == 1
     pts = contours.polylines[0].points
     cell_diag = np.hypot(4 / 255, 4 / 255)

@@ -360,6 +360,8 @@ def _edited_report(tmp_path, edit):
     pytest.param(lambda r: r["constraints"][1].pop("validation_r_squared"),
                  "report has no field 'validation_r_squared'", id="no-validation-r-squared"),
     pytest.param(_repeat_axis_name, "variable names repeat", id="repeated-axis-name"),
+    pytest.param(lambda r: r["constraints"][0]["basis"].update(vars=["a", "b"]),
+                 "basis variables ('a', 'b') != box axes ('T', 't')", id="basis-vars"),
 ])
 def test_check_rejects_invalid_report_fields(edit, needle, tmp_path, capsys):
     path = _edited_report(tmp_path, edit)
@@ -548,7 +550,13 @@ def test_identify_skip_beyond_the_sequence_runs_no_model(tmp_path, capsys, no_mo
     ("T=290,t=275,z=1", "'z'"),
     ("T=290,T=275,t=275", "given twice"),
     ("T=290", "missing coordinate 't'"),
-], ids=["unknown", "repeated", "missing"])
+    # an empty coordinate is malformed, not dropped
+    ("290,,280", "malformed point"),
+    ("290,280,", "malformed point"),
+    (",290,280", "malformed point"),
+    ("T=290,,t=280", "malformed point"),
+], ids=["unknown", "repeated", "missing", "empty-middle", "empty-last", "empty-first",
+        "empty-named"])
 def test_check_rejects_bad_coordinate_names(point, needle, capsys):
     line = assert_usage_error(run(["check", str(REPORT_FIXTURE), point]), capsys)
     assert needle in line
@@ -647,18 +655,20 @@ def test_cold_check_imports_no_dataclasses_nor_drawing_modules():
 
 
 # the names `import rfuncds` provides: those it provided when it imported
-# every module, less the ODE oracle's, which moved to tests/ode_oracle.py
+# every module, less the ODE oracle's, which moved to tests/ode_oracle.py,
+# with the shape functions in place of the geometry spec records and
+# ``primitive``, and without the r_and/r_or/r_not spellings of RAnd/ROr/Neg
 EXPORTS = (
-    "Abs", "Add", "And", "BasisSpec", "BoolTree", "BoxAxis", "CQA_BASIS", "Circle", "Const",
-    "ConstraintSpec", "ContourSet", "CylinderZ", "DEFAULT_PARAMS", "DSReport", "Expr",
+    "Abs", "Add", "And", "BasisSpec", "BoolTree", "BoxAxis", "CQA_BASIS", "Const",
+    "ConstraintSpec", "ContourSet", "DEFAULT_PARAMS", "DSReport", "Expr",
     "FitResult", "KineticParams", "Leaf", "Max", "Min", "Mul", "Neg", "Not", "Or",
-    "PROFIT_MIN", "PURITY_MIN", "Parabola", "Paraboloid", "Polyline", "Pow", "RAnd", "ROr",
-    "Region", "ScalarField", "Slab", "Sqrt", "Sub", "TESTCASE_NAMES", "TestCase", "Var",
-    "batch_cqa", "compose", "contour", "cqa_closed", "design_matrix", "ds", "errors",
-    "eval_arrays", "eval_expr", "expr", "exprtext", "fit_least_squares", "geometry",
-    "grid_eval", "identify", "inside_fraction", "load_report", "marching_squares", "membership",
-    "parse_tree_text", "plot_count", "polyfit", "primitive", "qmc",
-    "r_and", "r_not", "r_or", "reactor", "save_report", "scale", "sign_class",
+    "PROFIT_MIN", "PURITY_MIN", "Polyline", "Pow", "RAnd", "ROr",
+    "Region", "ScalarField", "Sqrt", "Sub", "TESTCASE_NAMES", "TestCase", "Var",
+    "batch_cqa", "circle", "compose", "contour", "cqa_closed", "cylinder_z", "design_matrix",
+    "ds", "errors", "eval_arrays", "eval_expr", "expr", "exprtext", "fit_least_squares",
+    "geometry", "grid_eval", "identify", "inside_fraction", "load_report", "marching_squares",
+    "membership", "parabola", "paraboloid", "parse_tree_text", "plot_count", "polyfit", "qmc",
+    "reactor", "save_report", "scale", "sign_class", "slab",
     "slice_contours_3d", "sobol", "testcase", "to_expr", "to_infix", "to_tree_text",
 )
 

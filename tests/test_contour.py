@@ -14,11 +14,11 @@ from rfuncds.ds import load_report
 from rfuncds.emit import emit_contours_csv, emit_field_csv, emit_svg
 from rfuncds.errors import DimensionMismatch
 from rfuncds.expr import Const, Region, Var, eval_expr
-from rfuncds.geometry import TESTCASE_NAMES, Circle, primitive, testcase as load_case
+from rfuncds.geometry import TESTCASE_NAMES, circle, testcase as load_case
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
-UNIT_CIRCLE = primitive(Circle(0.0, 0.0, 1.0))
+UNIT_CIRCLE = circle(0.0, 0.0, 1.0)
 SQUARE_BOUNDS = ((-2.0, 2.0), (-2.0, 2.0))
 
 
@@ -368,7 +368,7 @@ def test_svg_empty_contours(tmp_path):
 
 
 def test_svg_single_square_polyline(tmp_path):
-    square = marching_squares(grid_eval(primitive(Circle(0, 0, 1.2)), SQUARE_BOUNDS, 64))
+    square = marching_squares(grid_eval(circle(0, 0, 1.2), SQUARE_BOUNDS, 64))
     path = tmp_path / "one.svg"
     emit_svg(path, [(square, "#123456")], SQUARE_BOUNDS)
     assert path.read_text().count("<path") == 1

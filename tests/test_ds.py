@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -247,14 +248,23 @@ def test_box_axis_stores_floats():
     assert axis == BoxAxis("T", 250.0, 300.0, unit="K")
 
 
+def _readme_example(heading):
+    """The first python block after ``heading`` in the README, as written."""
+    section = (REPO / "README.md").read_text(encoding="utf-8").split(heading, 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_identify_example_runs():
-    # the README's library example, run as written
-    text = (REPO / "README.md").read_text(encoding="utf-8")
-    section = text.split("Design-space identification:", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
-    exec(code, namespace)
+    exec(_readme_example("Design-space identification:"), namespace)
     assert membership(namespace["report"], (290.0, 280.0)) == "inside"
+
+
+def test_readme_library_tour_runs():
+    namespace = {}
+    exec(_readme_example("## Library tour"), namespace)
+    assert eval_expr(namespace["lens"].expr, {"x": 1.0, "y": 1.5}) == 0.75
+    assert namespace["contours"].polylines
 
 
 @pytest.mark.parametrize("alpha", [2.0, -1.0, float("nan")])
@@ -263,6 +273,40 @@ def test_identify_checks_alpha_before_model_runs(alpha):
         raise AssertionError("model ran before alpha was checked")
     with pytest.raises(AlphaOutOfRange):
         identify([SUM_SPEC], BOX, 16, CQA_BASIS, alpha=alpha, model=model)
+
+
+CUBE = tuple(BoxAxis(name, 0.0, 1.0) for name in "xyz")
+
+
+def total_degree_basis(degree):
+    """Every monomial in x, y, z of total degree at most ``degree``."""
+    return BasisSpec(("x", "y", "z"), tuple(
+        m for m in itertools.product(range(degree + 1), repeat=3) if sum(m) <= degree))
+
+
+def exp_model(points):
+    return np.exp(points.sum(axis=1, keepdims=True))
+
+
+def test_identify_refuses_a_joint_expression_too_deep_for_a_report():
+    # polyfit.to_expr chains one Add per monomial: 165 monomials give 167 levels
+    calls = []
+
+    def model(points):
+        calls.append(len(points))
+        return exp_model(points)
+    with pytest.raises(ValueError, match=f"basis of 165 monomials gives a joint expression "
+                                         f"167 levels deep; a report holds at most {MAX_DEPTH}"):
+        identify([ConstraintSpec("e", 2.0)], CUBE, 512, total_degree_basis(8), model=model)
+    assert calls == [512]       # the training run only
+
+
+def test_identify_report_below_the_depth_limit_saves_and_loads(tmp_path):
+    basis = total_degree_basis(7)
+    report = identify([ConstraintSpec("e", 2.0)], CUBE, 512, basis, model=exp_model)
+    assert (len(basis), depth(report.joint.expr)) == (120, 122)
+    save_report(report, tmp_path / "deep.json")
+    assert load_report(tmp_path / "deep.json").joint == report.joint
 
 
 def test_contours_present_in_2d(tmp_path):

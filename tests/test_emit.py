@@ -30,7 +30,7 @@ from rfuncds.emit import (
     emit_field_csv,
     emit_svg,
 )
-from rfuncds.geometry import TESTCASE_NAMES, Circle, primitive, testcase as load_case
+from rfuncds.geometry import TESTCASE_NAMES, circle, testcase as load_case
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 PROVENANCE = "rfuncds 0.1.0 | rfuncds demo circles-4.1 --out out"
@@ -298,7 +298,7 @@ def test_float32_and_noncontiguous_values(rng, tmp_path):
 # ----------------------------------------------------------------------
 # SVG specifics
 
-CIRCLE = primitive(Circle(0.0, 0.0, 1.0))
+CIRCLE = circle(0.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("shape", [(97, 97), (98, 98), (300, 41), (41, 300), (256, 256)],

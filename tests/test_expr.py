@@ -12,10 +12,9 @@ from rfuncds.errors import (
 )
 from rfuncds.expr import (
     NODES, Abs, Add, And, Const, Expr, Leaf, Max, Min, Mul, Neg, Not, Pow, RAnd, ROr, Region,
-    Sqrt, Sub, Var, children, classify, compose, depth, eval_arrays, eval_expr, r_and, r_not,
-    r_or, sign_class, walk,
+    Sqrt, Sub, Var, children, classify, compose, depth, eval_arrays, eval_expr, sign_class, walk,
 )
-from rfuncds.geometry import Circle, primitive, testcase as load_case
+from rfuncds.geometry import circle, testcase as load_case
 from rewrites import canonicalize_alpha1, desugar_r_nodes
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -25,12 +24,12 @@ A, B = Var("a"), Var("b")
 
 
 def test_eval_circle_center():
-    circle = primitive(Circle(1.0, 2.0, 1.5))
-    assert eval_expr(circle.expr, {"x": 1.0, "y": 2.0}) == 2.25
+    disc = circle(1.0, 2.0, 1.5)
+    assert eval_expr(disc.expr, {"x": 1.0, "y": 2.0}) == 2.25
 
 
 def test_eval_r0_conjunction():
-    assert eval_expr(r_and(A, B, 0.0), {"a": 3.0, "b": 4.0}) == pytest.approx(2.0, abs=1e-15)
+    assert eval_expr(RAnd(A, B, 0.0), {"a": 3.0, "b": 4.0}) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_eval_parabola_composition_point():
@@ -52,7 +51,7 @@ def test_sqrt_clamp_and_error():
 
 
 def test_eval_arrays_matches_scalar(rng):
-    expr = r_and(A * A - 1.0, B + 0.5, 0.5)
+    expr = RAnd(A * A - 1.0, B + 0.5, 0.5)
     a = rng.uniform(-3, 3, size=50)
     b = rng.uniform(-3, 3, size=50)
     vec = eval_arrays(expr, {"a": a, "b": b})
@@ -81,29 +80,29 @@ def test_nodes_are_immutable():
 @pytest.mark.parametrize("alpha", [-1.0, -1.5, 1.0 + 1e-9, 2.0])
 def test_alpha_out_of_range(alpha):
     with pytest.raises(AlphaOutOfRange):
-        r_and(A, B, alpha)
+        RAnd(A, B, alpha)
 
 
 def test_alpha_boundary_values_accepted():
-    r_and(A, B, 1.0)
-    r_and(A, B, -0.999999)
+    RAnd(A, B, 1.0)
+    RAnd(A, B, -0.999999)
 
 
 def test_r_and_examples():
-    assert eval_expr(r_and(A, B, 1.0), {"a": 2.0, "b": 5.0}) == 2.0
-    assert eval_expr(r_and(A, B, 0.0), {"a": 3.0, "b": 0.0}) == pytest.approx(0.0, abs=1e-15)
+    assert eval_expr(RAnd(A, B, 1.0), {"a": 2.0, "b": 5.0}) == 2.0
+    assert eval_expr(RAnd(A, B, 0.0), {"a": 3.0, "b": 0.0}) == pytest.approx(0.0, abs=1e-15)
     expected = -1.0 + 5.0 - np.sqrt(26.0)
-    assert eval_expr(r_and(A, B, 0.0), {"a": -1.0, "b": 5.0}) == pytest.approx(expected, abs=1e-12)
+    assert eval_expr(RAnd(A, B, 0.0), {"a": -1.0, "b": 5.0}) == pytest.approx(expected, abs=1e-12)
 
 
 def test_r_or_examples():
-    assert eval_expr(r_or(A, B, 1.0), {"a": 2.0, "b": 5.0}) == 5.0
-    assert eval_expr(r_or(A, B, 0.0), {"a": -3.0, "b": -4.0}) == pytest.approx(-2.0, abs=1e-12)
-    assert eval_expr(r_or(A, B, 0.5), {"a": 1.0, "b": 1.0}) == pytest.approx(2.0, abs=1e-12)
+    assert eval_expr(ROr(A, B, 1.0), {"a": 2.0, "b": 5.0}) == 5.0
+    assert eval_expr(ROr(A, B, 0.0), {"a": -3.0, "b": -4.0}) == pytest.approx(-2.0, abs=1e-12)
+    assert eval_expr(ROr(A, B, 0.5), {"a": 1.0, "b": 1.0}) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_r_not_involution(rng):
-    e = r_not(r_not(A * B - 2.0))
+    e = Neg(Neg(A * B - 2.0))
     pts = rng.uniform(-10, 10, size=(100, 2))
     for a, b in pts:
         env = {"a": a, "b": b}
@@ -112,8 +111,8 @@ def test_r_not_involution(rng):
 
 @given(a=finite, b=finite, alpha=alphas)
 def test_sign_consistency(a, b, alpha):
-    va = eval_expr(r_and(A, B, alpha), {"a": a, "b": b})
-    vo = eval_expr(r_or(A, B, alpha), {"a": a, "b": b})
+    va = eval_expr(RAnd(A, B, alpha), {"a": a, "b": b})
+    vo = eval_expr(ROr(A, B, alpha), {"a": a, "b": b})
     for value, ref in ((va, min(a, b)), (vo, max(a, b))):
         if abs(ref) <= 1e-12:
             assert abs(value) <= 1e-9
@@ -125,14 +124,14 @@ def test_sign_consistency(a, b, alpha):
 def test_symmetry(a, b, alpha):
     env_ab = {"a": a, "b": b}
     env_ba = {"a": b, "b": a}
-    assert eval_expr(r_and(A, B, alpha), env_ab) == eval_expr(r_and(A, B, alpha), env_ba)
-    assert eval_expr(r_or(A, B, alpha), env_ab) == eval_expr(r_or(A, B, alpha), env_ba)
+    assert eval_expr(RAnd(A, B, alpha), env_ab) == eval_expr(RAnd(A, B, alpha), env_ba)
+    assert eval_expr(ROr(A, B, alpha), env_ab) == eval_expr(ROr(A, B, alpha), env_ba)
 
 
 @given(a=finite, b=finite, alpha=alphas)
 def test_de_morgan_at_sign_level(a, b, alpha):
-    lhs = eval_expr(r_not(r_or(A, B, alpha)), {"a": a, "b": b})
-    rhs = eval_expr(r_and(A, B, alpha), {"a": -a, "b": -b})
+    lhs = eval_expr(Neg(ROr(A, B, alpha)), {"a": a, "b": b})
+    rhs = eval_expr(RAnd(A, B, alpha), {"a": -a, "b": -b})
     band = 1e-9
     if abs(lhs) <= band or abs(rhs) <= band:
         assert abs(lhs) <= band and abs(rhs) <= band
@@ -144,8 +143,8 @@ def test_alpha1_equals_min_max(rng):
     a = rng.uniform(-10, 10, size=10_000)
     b = rng.uniform(-10, 10, size=10_000)
     env = {"a": a, "b": b}
-    assert np.abs(eval_arrays(r_and(A, B, 1.0), env) - np.minimum(a, b)).max() <= 1e-12
-    assert np.abs(eval_arrays(r_or(A, B, 1.0), env) - np.maximum(a, b)).max() <= 1e-12
+    assert np.abs(eval_arrays(RAnd(A, B, 1.0), env) - np.minimum(a, b)).max() <= 1e-12
+    assert np.abs(eval_arrays(ROr(A, B, 1.0), env) - np.maximum(a, b)).max() <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +303,7 @@ def _distinct_nodes(expr) -> int:
 
 @pytest.mark.parametrize("alphas", [(1.0,), (1.0, 0.5)], ids=["alpha1", "alternating"])
 def test_rewrites_stay_linear_on_shared_operands(alphas):
-    # a left-nested 20-level r_and chain; the canonical form shares each
+    # a left-nested 20-level RAnd chain; the canonical form shares each
     # alpha-1 node's operands between a+b and |a-b|, so a walk that does not
     # notice the sharing reaches the innermost node 2^(alpha-1 levels) ways
     depth = 20
@@ -379,8 +378,8 @@ def test_repr_needs_no_recursion():
 # regions and composition
 
 def _two_circles():
-    c0 = primitive(Circle(1.0, 2.0, 1.5))
-    c1 = primitive(Circle(1.0, 1.0, 1.0))
+    c0 = circle(1.0, 2.0, 1.5)
+    c1 = circle(1.0, 1.0, 1.0)
     return c0, c1
 
 

@@ -87,7 +87,7 @@ def test_composed_case_round_trips(rng):
 
 
 def test_default_infix_reads_alpha1_back_exactly():
-    # the sqrt style's text evaluates r_and(x, y, 1) to 1.0000000005 here
+    # the sqrt style's text evaluates RAnd(x, y, 1) to 1.0000000005 here
     expr = RAnd(X, Y, 1.0)
     env = {"x": 1.0, "y": 1.0 + 1e-9}
     assert eval_expr(expr, env) == 1.0

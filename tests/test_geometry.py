@@ -6,39 +6,41 @@ from conftest import boolean_oracle, grid_env
 from rfuncds.errors import InvalidSpec, UnknownTestCase
 from rfuncds.expr import eval_arrays, eval_expr
 from rfuncds.geometry import (
-    Circle, CylinderZ, Parabola, Paraboloid, Slab, primitive, testcase as load_case,
+    circle, cylinder_z, parabola, paraboloid, slab, testcase as load_case,
 )
 
 
 def test_circle_value_at_center():
-    region = primitive(Circle(1.0, 2.0, 1.5))
+    region = circle(1.0, 2.0, 1.5)
     assert eval_expr(region.expr, {"x": 1.0, "y": 2.0}) == 2.25
 
 
 def test_slab_boundary():
-    region = primitive(Slab("x", 2.0))
+    region = slab("x", 2.0)
     assert eval_expr(region.expr, {"x": 2.0, "y": 9.0, "z": -4.0}) == 0.0
 
 
 def test_cylinder_boundary():
-    region = primitive(CylinderZ(0.5))
+    region = cylinder_z(0.5)
     assert eval_expr(region.expr, {"x": 0.3, "y": 0.4, "z": 11.0}) == pytest.approx(0.0, abs=1e-15)
 
 
+# (function, args) pairs
 @pytest.mark.parametrize("spec", [
-    Circle(0.0, 0.0, 0.0),
-    Circle(float("nan"), 0.0, 1.0),
-    Parabola(-1.0, 0.0, 1.0),
-    Parabola(1.0, 0.0, 1.0, orientation="sideways"),
-    Slab("w", 1.0),
-    Slab("x", -2.0),
-    Paraboloid("between", 0.6),
-    Paraboloid("under", 0.0),
-    CylinderZ(float("inf")),
+    (circle, (0.0, 0.0, 0.0)),
+    (circle, (float("nan"), 0.0, 1.0)),
+    (parabola, (-1.0, 0.0, 1.0)),
+    (parabola, (1.0, 0.0, 1.0, "sideways")),
+    (slab, ("w", 1.0)),
+    (slab, ("x", -2.0)),
+    (paraboloid, ("between", 0.6)),
+    (paraboloid, ("under", 0.0)),
+    (cylinder_z, (float("inf"),)),
 ])
 def test_invalid_specs_rejected(spec):
+    make, args = spec
     with pytest.raises(InvalidSpec):
-        primitive(spec)
+        make(*args)
 
 
 def test_unknown_testcase():
@@ -92,8 +94,8 @@ def test_circles_subset_superset():
     env = grid_env(case.bounds, 128)
     v_and = eval_arrays(f_and.expr, env)
     v_or = eval_arrays(f_or.expr, env)
-    phi1 = eval_arrays(primitive(Circle(1, 2, 1.5)).expr, env)
-    phi2 = eval_arrays(primitive(Circle(1, 1, 1.0)).expr, env)
+    phi1 = eval_arrays(circle(1, 2, 1.5).expr, env)
+    phi2 = eval_arrays(circle(1, 1, 1.0).expr, env)
     assert np.all((v_and >= 0) <= (phi1 >= 0))          # intersection inside each disc
     assert np.all((v_and >= 0) <= (phi2 >= 0))
     assert np.all((phi1 >= 0) <= (v_or >= 0))           # union contains each disc

@@ -22,7 +22,6 @@ from rfuncds.expr import (
     NODES, Abs, Add, Const, Max, Min, Mul, Neg, Pow, Program, RAnd, ROr, Region, Sqrt, Sub, Var,
     children, eval_expr, fold,
 )
-from rfuncds.geometry import Circle, CylinderZ, Parabola, Paraboloid, Slab, primitive
 from rfuncds.polyfit import BasisSpec, FitResult
 from rfuncds.reactor import KineticParams
 
@@ -44,11 +43,6 @@ RECORD_FIELDS = {
     DSReport: ("box", "alpha", "constraints", "joint", "sampling", "validation"),
     BasisSpec: ("vars", "monomials"),
     FitResult: ("basis", "coefficients", "r_squared", "n_points", "residual_max_abs"),
-    Circle: ("cx", "cy", "radius"),
-    Parabola: ("a", "x0", "c", "orientation"),
-    Slab: ("axis", "half_thickness"),
-    Paraboloid: ("side", "coeff"),
-    CylinderZ: ("radius",),
     geometry.TestCase: ("name", "trees", "bounds"),
     KineticParams: ("e1", "e2", "k1_0", "k2_0", "r_gas", "c_a0", "volume"),
 }
@@ -75,13 +69,11 @@ def _records():
     constraint = report.constraints[0]
     return [report.joint, report.joint.program, report.box[0], ConstraintSpec("purity", 0.9),
             constraint, report.sampling, report.validation, report, constraint.fit.basis,
-            constraint.fit, Circle(1.0, 2.0, 1.5), Parabola(1.0, 1.0, 3.0), Slab("x", 2.0),
-            Paraboloid("under", 0.6), CylinderZ(0.5), geometry.testcase("circles-4.1")[2],
-            KineticParams(r_gas=1.0)]
+            constraint.fit, geometry.testcase("circles-4.1")[2], KineticParams(r_gas=1.0)]
 
 
 def _array_records():
-    field = grid_eval(primitive(Circle(0.0, 0.0, 1.0)), ((-1.5, 1.5), (-1.5, 1.5)), 9)
+    field = grid_eval(geometry.circle(0.0, 0.0, 1.0), ((-1.5, 1.5), (-1.5, 1.5)), 9)
     contours = marching_squares(field)
     return [field, contours.polylines[0], contours]
 
