@@ -17,9 +17,9 @@ _EXPORTS = {
                      "marching_squares", "slice_contours_3d"), "contour"),
     **dict.fromkeys(("BoxAxis", "ConstraintSpec", "DSReport", "identify", "load_report",
                      "membership", "plot_count", "save_report"), "ds"),
-    **dict.fromkeys(("Abs", "Add", "And", "BoolTree", "Const", "Expr", "Leaf", "Max", "Min",
-                     "Mul", "Neg", "Not", "Or", "Pow", "RAnd", "ROr", "Region", "Sqrt", "Sub",
-                     "Var", "compose", "eval_arrays", "eval_expr", "sign_class"), "expr"),
+    **dict.fromkeys(("Abs", "Add", "And", "BoolTree", "Const", "Expr", "Leaf", "Mul", "Neg",
+                     "Not", "Or", "Pow", "RAnd", "ROr", "Region", "Sqrt", "Sub", "Var",
+                     "compose", "eval_arrays", "eval_expr", "sign_class"), "expr"),
     **dict.fromkeys(("parse_tree_text", "to_infix", "to_tree_text"), "exprtext"),
     **dict.fromkeys(("TESTCASE_NAMES", "TestCase", "circle", "cylinder_z", "parabola",
                      "paraboloid", "slab", "testcase"), "geometry"),

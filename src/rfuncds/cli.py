@@ -4,7 +4,7 @@ Subcommands: ``demo`` (built-in geometry cases), ``identify`` (reactor
 design space), ``check`` (membership query against a saved report) and
 ``sobol`` (sample points to stdout).  Exit codes: 0 success / point inside,
 2 usage or malformed input, 3 point outside, 4 point on the boundary,
-1 runtime failure (closed-form error estimate, fitting, IO).
+1 runtime failure (closed-form error estimate, fitting, inf or nan values, memory, IO).
 
 Outputs are byte-deterministic: headers carry the tool version and the
 invocation (for ``identify`` also the model that produced the numbers),
@@ -22,6 +22,7 @@ from pathlib import Path
 from . import __version__, ds, exprtext
 from .errors import (
     InsufficientPoints,
+    NonFiniteValue,
     RankDeficient,
     RfuncdsError,
     ToleranceNotMet,
@@ -30,7 +31,8 @@ from .expr import classify, compose, eval_expr
 
 # failures of a run on valid input exit 1; every other package error is a
 # usage error or malformed input and exits 2
-_RUNTIME_ERRORS = (ToleranceNotMet, RankDeficient, InsufficientPoints, OSError)
+_RUNTIME_ERRORS = (ToleranceNotMet, RankDeficient, InsufficientPoints, NonFiniteValue, OSError,
+                   MemoryError)
 
 # names imported when a command that draws runs, so that check loads
 # neither numpy nor the modules it does not use
@@ -223,7 +225,7 @@ def cmd_identify(args, provenance: str) -> int:
     try:
         params, box = reactor.apply_config(
             _load_config(args.config) if args.config is not None else {})
-    except (ValueError, KeyError, OSError) as exc:   # OSError: a config that cannot be read
+    except (ValueError, OSError) as exc:   # OSError: a config that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
     provenance = f"{provenance} | model reactor.cqa_closed"
@@ -280,7 +282,6 @@ def cmd_check(args, provenance: str) -> int:
     except (RfuncdsError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: cannot read report {args.report!r}: {exc}", file=sys.stderr)
         return 2
-    names = [a.name for a in report.box]
     tokens = [tok.strip() for tok in args.point.split(",")]
     try:
         if any("=" in tok for tok in tokens):
@@ -294,7 +295,7 @@ def cmd_check(args, provenance: str) -> int:
                     return 2
                 point[key] = float(value)
         else:
-            point = dict(zip(names, (float(tok) for tok in tokens), strict=True))
+            point = [float(tok) for tok in tokens]
     except ValueError:
         print(f"error: malformed point {args.point!r}", file=sys.stderr)
         return 2

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import exprtext
 from .errors import (
-    AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox,
-    ParseError,
+    AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape,
+    NonFiniteValue, OutOfBox, ParseError,
 )
 from .expr import (
     And, Const, Leaf, Region, Sub, check_alpha, compose, depth, eval_arrays, sign_class,
@@ -105,14 +105,15 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     ``model`` maps an ``(n, d)`` array of parameter rows (columns ordered
     like the box axes) to an ``(n, k)`` array holding every constraint's
     value at each row, columns ordered like ``constraints``; any other
-    shape raises ModelOutputShape.  It is called exactly twice: once on the
-    training block and once on the validation block.  Validation uses a
+    shape raises ModelOutputShape, and an inf or nan value NonFiniteValue.
+    It is called exactly twice: once on the training block and once on the
+    validation block.  Validation uses a
     Sobol block of ``N_VALIDATION`` points disjoint from training (skip
     range starts right after the training points) and records
     per-constraint R^2 plus the rate at which the sign of the joint
     expression agrees with direct thresholding of the model output.  A
-    joint expression deeper than a report holds (``exprtext.MAX_DEPTH``)
-    raises ValueError before the validation run.
+    joint expression deeper than the tree format holds
+    (``exprtext.check_depth``) raises ValueError before the validation run.
     """
     import numpy as np
     constraints = list(constraints)
@@ -125,11 +126,16 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
         raise ValueError(f"basis variables {basis.vars} != box axes {names}")
 
     def run_model(points):
-        values = np.asarray(model(points), dtype=float)
+        with np.errstate(all="ignore"):   # a non-finite value is refused below instead
+            values = np.asarray(model(points), dtype=float)
         expected = (points.shape[0], len(constraints))
         if values.shape != expected:
             raise ModelOutputShape(f"model returned shape {values.shape} for "
                                    f"{expected[0]} points, expected {expected}")
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            raise NonFiniteValue(f"model returned inf or nan at {int(bad.sum())} of "
+                                 f"{expected[0]} points, the first {points[bad][0].tolist()}")
         return values
 
     # both Sobol blocks are drawn before the first model run, so a skip
@@ -149,10 +155,8 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
         leaves.append(Leaf(phi))
 
     joint = compose(And(*leaves), alpha)
-    levels = depth(joint.expr)
-    if levels > exprtext.MAX_DEPTH:   # save_report would write what load_report refuses
-        raise ValueError(f"a basis of {len(basis)} monomials gives a joint expression "
-                         f"{levels} levels deep; a report holds at most {exprtext.MAX_DEPTH}")
+    exprtext.check_depth(depth(joint.expr),
+                         f"a basis of {len(basis)} monomials gives a joint expression")
 
     y_val = run_model(val)
     predicted_in = eval_arrays(joint, val.T) >= 0.0
@@ -267,9 +271,11 @@ def _report_obj(report: DSReport, artifacts: Mapping[str, str] | None,
 
 def save_report(report: DSReport, path, artifacts: Mapping[str, str] | None = None,
                 provenance: str = "") -> None:
-    """Write the report as structured JSON (full float precision)."""
+    """Write the report as structured JSON (full float precision); a tree too
+    deep to read back raises ValueError before the file is opened."""
+    obj = _report_obj(report, artifacts, provenance)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_report_obj(report, artifacts, provenance), fh, indent=2)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 

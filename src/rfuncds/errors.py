@@ -68,6 +68,10 @@ class BoundsMismatch(RfuncdsError):
     model's domain."""
 
 
+class NonFiniteValue(RfuncdsError):
+    """A model output, design matrix or fit target holds inf or nan."""
+
+
 class RankDeficient(RfuncdsError):
     """Design matrix is rank deficient after column scaling."""
 

@@ -204,14 +204,6 @@ class Abs(Expr):
     __slots__ = ("a",)
 
 
-class Min(Expr):
-    __slots__ = ("a", "b")
-
-
-class Max(Expr):
-    __slots__ = ("a", "b")
-
-
 def check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not -1.0 < alpha <= 1.0:
@@ -290,8 +282,6 @@ NODES: dict[type, Node] = {
     Pow: Node("pow", ("base",), ("exponent",), lambda e, k, a: f"({a} ** {'%d' % e.exponent})"),
     Sqrt: Node("sqrt", ("a",), (), lambda e, k, a: f"root({a})"),
     Abs: Node("abs", ("a",), (), lambda e, k, a: f"absolute({a})"),
-    Min: Node("min", ("a", "b"), (), lambda e, k, a, b: f"minimum({a}, {b})"),
-    Max: Node("max", ("a", "b"), (), lambda e, k, a, b: f"maximum({a}, {b})"),
     RAnd: Node("rand", ("a", "b"), ("alpha",), _emit_r_node("-", "minimum")),
     ROr: Node("ror", ("a", "b"), ("alpha",), _emit_r_node("+", "maximum")),
 }

@@ -1,15 +1,15 @@
 """Text formats for expressions: human-readable infix and a JSON node tree.
 
-Infix is written, never read: arithmetic with sqrt, abs, min and max calls
-and integer powers, whose grammar docs/expressions.md gives.  R-nodes have
-no infix spelling; they are expanded to arithmetic (alpha=1 in abs form
-unless the sqrt form is asked for).  The tree format keeps R-nodes intact
-and is the one text format read back.
+Infix is written, never read: arithmetic with sqrt and abs calls and integer
+powers, whose grammar docs/expressions.md gives.  R-nodes have no infix
+spelling; they are expanded to arithmetic (alpha=1 in abs form unless the
+sqrt form is asked for).  The tree format keeps R-nodes intact and is the
+one text format read back.
 
-Both writers visit each distinct node once and do not recurse.  The tree
-reader refuses expressions deeper than ``MAX_DEPTH`` levels with a
-ParseError, checked before anything recurses that deep, so deep input never
-ends in a RecursionError.
+Both formats are built by one fold over the distinct nodes, without
+recursion.  The tree format holds at most ``MAX_DEPTH`` levels, as ``json``
+recurses once per level: writers refuse deeper trees (ValueError) and the
+reader checks before it recurses (ParseError), never a RecursionError.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import sys
 
 from .errors import ParseError
 from .expr import (
-    NODES, Abs, Add, Const, Expr, Max, Min, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var, fold,
+    NODES, Abs, Add, Const, Expr, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var, fold,
 )
 
-# deepest expression the tree reader accepts; a leaf has depth 1
+# deepest expression the tree format holds; a leaf has depth 1
 MAX_DEPTH = 128
 
 
@@ -92,59 +92,44 @@ _PRINTERS = {
     Pow: lambda e, a: (f"{_base(a)}^{e.exponent}", _CALL),
     Sqrt: _call_printer("sqrt"),
     Abs: _call_printer("abs"),
-    Min: _call_printer("min"),
-    Max: _call_printer("max"),
 }
 
 
 # ----------------------------------------------------------------------
 # tree format (JSON)
 
+def check_depth(levels: int, subject: str = "an expression") -> None:
+    """Raise ValueError naming ``subject`` if ``levels`` (its ``expr.depth``)
+    exceeds ``MAX_DEPTH``, so no writer emits a tree the reader refuses."""
+    if levels > MAX_DEPTH:
+        raise ValueError(f"{subject} {levels} levels deep; "
+                         f"the tree format holds at most {MAX_DEPTH}")
+
+
 def to_tree_obj(expr: Expr):
-    """The tree format as JSON-ready dicts and lists, built once per distinct
-    node: a node shared by several parents shares its object too."""
-    return fold(expr, _tree_node)
+    """The tree format as JSON-ready dicts and lists, one object per distinct
+    node (shared nodes share it); raises ValueError as ``check_depth``."""
+    obj, levels = fold(expr, _tree_node)
+    check_depth(levels)
+    return obj
 
 
 def _tree_node(e: Expr, *args):
+    """A node's object and depth, from its operands' objects and depths."""
     node = NODES[type(e)]
     obj = {"kind": node.tag}
     for field in node.params:
         obj[field] = getattr(e, field)
-    if node.operands:
-        obj["args"] = list(args)
-    return obj
+    if not node.operands:
+        return obj, 1
+    objs, levels = zip(*args)
+    obj["args"] = list(objs)
+    return obj, 1 + max(levels)
 
 
 def to_tree_text(expr: Expr) -> str:
-    """The tree format as compact JSON text: ``json.dumps`` of
-    ``to_tree_obj`` with separators ``(",", ":")``, written without
-    recursion and in time linear in the length of the text.  Only scalars go
-    through ``json.dumps``."""
-    out = []
-    stack = [fold(expr, _tree_text)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        else:
-            stack.extend(reversed(item))
-    return "".join(out)
-
-
-def _tree_text(e: Expr, *args):
-    """A leaf's text, or an inner node's as a list of text pieces and the
-    operands' own results, in order."""
-    node = NODES[type(e)]
-    head = '{"kind":' + json.dumps(node.tag) + "".join(
-        f',"{field}":{json.dumps(getattr(e, field))}' for field in node.params)
-    if not node.operands:
-        return head + "}"
-    pieces = [head + ',"args":[']
-    for arg in args:
-        pieces += (arg, ",")
-    pieces[-1] = "]}"
-    return pieces
+    """The tree format as compact JSON text, keys in a fixed order."""
+    return json.dumps(to_tree_obj(expr), separators=(",", ":"))
 
 
 def _is_number(v) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import DimensionMismatch, InsufficientPoints, RankDeficient
+from .errors import DimensionMismatch, InsufficientPoints, NonFiniteValue, RankDeficient
 from .expr import Const, Expr, Mul, Pow, Var
 from .record import Record
 
@@ -56,14 +56,21 @@ class FitResult(Record):
 
 
 def design_matrix(points, basis: BasisSpec) -> np.ndarray:
-    """Matrix with entry (i, j) = monomial_j evaluated at point_i."""
+    """Matrix with entry (i, j) = monomial_j evaluated at point_i; an entry
+    that is inf or nan raises NonFiniteValue."""
     import numpy as np
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != len(basis.vars):
         raise DimensionMismatch(
             f"points have {pts.shape[1]} coordinates, basis has {len(basis.vars)} variables")
-    cols = [np.prod(pts ** np.asarray(m, dtype=float), axis=1) for m in basis.monomials]
-    return np.column_stack(cols)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
+        matrix = np.column_stack([np.prod(pts ** np.asarray(m, dtype=float), axis=1)
+                                  for m in basis.monomials])
+    if not np.isfinite(matrix).all():
+        i, j = np.argwhere(~np.isfinite(matrix))[0]
+        raise NonFiniteValue(f"monomial {basis.monomials[j]} in {basis.vars} is not finite "
+                             f"at point {pts[i].tolist()}")
+    return matrix
 
 
 def fit_least_squares(points, values, basis: BasisSpec) -> FitResult:
@@ -72,7 +79,8 @@ def fit_least_squares(points, values, basis: BasisSpec) -> FitResult:
     Columns are scaled to unit max-abs before the solve (the raw reactor
     columns span 1 to ~9e4) and coefficients are unscaled on output.  R^2 is
     reported on the training data; an all-constant target with a tiny
-    residual counts as R^2 = 1.
+    residual counts as R^2 = 1.  A target or design matrix that holds inf
+    or nan raises NonFiniteValue.
     """
     import numpy as np
     y = np.asarray(values, dtype=float)
@@ -80,6 +88,9 @@ def fit_least_squares(points, values, basis: BasisSpec) -> FitResult:
     n, m = matrix.shape
     if y.shape != (n,):
         raise DimensionMismatch(f"{n} points but {y.shape} values")
+    if not np.isfinite(y).all():
+        raise NonFiniteValue(f"fit target holds inf or nan at "
+                             f"{int((~np.isfinite(y)).sum())} of {n} points")
     if n < m:
         raise InsufficientPoints(f"{n} points for {m} monomials")
     col_scale = np.abs(matrix).max(axis=0)

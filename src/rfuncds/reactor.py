@@ -84,7 +84,7 @@ def apply_config(overrides: dict) -> tuple[KineticParams, tuple[BoxAxis, BoxAxis
     default 250..300 box; returns (params, (T axis, t axis))."""
     unknown = set(overrides) - CONFIG_KEYS
     if unknown:
-        raise KeyError(f"unknown config keys: {sorted(unknown)}; known: {sorted(CONFIG_KEYS)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}; known: {sorted(CONFIG_KEYS)}")
     params = KineticParams(*[float(overrides.get(name, getattr(DEFAULT_PARAMS, name)))
                              for name in KineticParams._fields])
     box = (BoxAxis("T", overrides.get("T_lo", 250.0), overrides.get("T_hi", 300.0), unit="K"),

@@ -5,14 +5,14 @@ import math
 
 from hypothesis import strategies as st
 
-from rfuncds.expr import Abs, Add, Const, Max, Min, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var
+from rfuncds.expr import Abs, Add, Const, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var
 
 X, Y = Var("x"), Var("y")
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
 
 values = st.one_of(st.floats(-5, 5), st.sampled_from(SPECIAL))
 _alphas = st.one_of(st.just(1.0), st.floats(-1.0, 1.0, exclude_min=True))
-_BINARY = (Add, Sub, Mul, Min, Max)
+_BINARY = (Add, Sub, Mul)
 _UNARY = (Neg, Abs, Sqrt)
 
 

@@ -1,8 +1,8 @@
 """Evaluate the infix text ``to_infix`` writes as Python arithmetic."""
 import math
 
-_SCOPE = {"sqrt": lambda v: math.sqrt(max(v, 0.0)), "abs": abs, "min": min, "max": max,
-          "inf": math.inf, "nan": math.nan}
+_SCOPE = {"sqrt": lambda v: math.sqrt(max(v, 0.0)), "abs": abs, "inf": math.inf,
+          "nan": math.nan}
 
 
 def infix_eval(text, env):

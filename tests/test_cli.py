@@ -362,6 +362,9 @@ def _edited_report(tmp_path, edit):
     pytest.param(_repeat_axis_name, "variable names repeat", id="repeated-axis-name"),
     pytest.param(lambda r: r["constraints"][0]["basis"].update(vars=["a", "b"]),
                  "basis variables ('a', 'b') != box axes ('T', 't')", id="basis-vars"),
+    pytest.param(lambda r: r["joint"].update(tree={"kind": "min", "args": [
+        {"kind": "var", "name": "T"}, {"kind": "var", "name": "t"}]}),
+                 "unknown node kind 'min'", id="kind-min"),
 ])
 def test_check_rejects_invalid_report_fields(edit, needle, tmp_path, capsys):
     path = _edited_report(tmp_path, edit)
@@ -475,6 +478,36 @@ def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert err == "error: design matrix is rank deficient\n"
 
 
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 TiB for an array")
+    monkeypatch.setattr(cli, "grid_eval", fail)
+    assert run(["demo", "circles-4.1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 74.5 TiB for an array\n"
+
+
+@pytest.mark.parametrize("config, needle", [
+    ("volume = 1e308\n", "model returned inf or nan at 7 of 64 points"),
+    ("T_hi = 1e308\n", "monomial (2, 0) in ('T', 't') is not finite"),
+], ids=["volume=1e308", "T_hi=1e308"])
+def test_identify_non_finite_values_exit_1(config, needle, tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert run(["identify", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+    assert not out.exists()
+
+
+def test_identify_unknown_config_key_is_one_plain_line(tmp_path, capsys, no_model_runs):
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text("rtol = 1e-6\n")
+    line = assert_usage_error(run(["identify", "--config", str(cfg),
+                                   "--out", str(tmp_path / "o")]), capsys)
+    assert line.startswith("error: unknown config keys: ['rtol']; known: ")
+
+
 def test_closed_refinement_failure_exits_1(tmp_path, capsys, failing_estimate):
     assert run(["identify", "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
@@ -555,8 +588,9 @@ def test_identify_skip_beyond_the_sequence_runs_no_model(tmp_path, capsys, no_mo
     ("290,280,", "malformed point"),
     (",290,280", "malformed point"),
     ("T=290,,t=280", "malformed point"),
+    ("290,280,1", "point has 3 coordinates, box has 2"),
 ], ids=["unknown", "repeated", "missing", "empty-middle", "empty-last", "empty-first",
-        "empty-named"])
+        "empty-named", "three-coordinates"])
 def test_check_rejects_bad_coordinate_names(point, needle, capsys):
     line = assert_usage_error(run(["check", str(REPORT_FIXTURE), point]), capsys)
     assert needle in line
@@ -658,10 +692,11 @@ def test_cold_check_imports_no_dataclasses_nor_drawing_modules():
 # every module, less the ODE oracle's, which moved to tests/ode_oracle.py,
 # with the shape functions in place of the geometry spec records and
 # ``primitive``, and without the r_and/r_or/r_not spellings of RAnd/ROr/Neg
+# or the Min/Max spellings of alpha = 1 RAnd/ROr
 EXPORTS = (
     "Abs", "Add", "And", "BasisSpec", "BoolTree", "BoxAxis", "CQA_BASIS", "Const",
     "ConstraintSpec", "ContourSet", "DEFAULT_PARAMS", "DSReport", "Expr",
-    "FitResult", "KineticParams", "Leaf", "Max", "Min", "Mul", "Neg", "Not", "Or",
+    "FitResult", "KineticParams", "Leaf", "Mul", "Neg", "Not", "Or",
     "PROFIT_MIN", "PURITY_MIN", "Polyline", "Pow", "RAnd", "ROr",
     "Region", "ScalarField", "Sqrt", "Sub", "TESTCASE_NAMES", "TestCase", "Var",
     "batch_cqa", "circle", "compose", "contour", "cqa_closed", "cylinder_z", "design_matrix",

@@ -11,6 +11,7 @@ from rfuncds.contour import grid_eval, marching_squares
 from rfuncds.ds import (
     BoxAxis,
     ConstraintSpec,
+    DSReport,
     identify,
     load_report,
     membership,
@@ -19,10 +20,10 @@ from rfuncds.ds import (
 )
 from rfuncds.emit import emit_contours_csv
 from rfuncds.errors import (
-    AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape, OutOfBox, ParseError,
-    RfuncdsError, SampleCountTooLarge,
+    AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape,
+    NonFiniteValue, OutOfBox, ParseError, RfuncdsError, SampleCountTooLarge,
 )
-from rfuncds.expr import depth, eval_arrays, eval_expr
+from rfuncds.expr import Neg, Region, Var, depth, eval_arrays, eval_expr
 from rfuncds.exprtext import MAX_DEPTH, parse_tree_text, to_infix, to_tree_text
 from rfuncds.polyfit import BasisSpec
 from rfuncds.qmc import scale, sobol
@@ -296,7 +297,8 @@ def test_identify_refuses_a_joint_expression_too_deep_for_a_report():
         calls.append(len(points))
         return exp_model(points)
     with pytest.raises(ValueError, match=f"basis of 165 monomials gives a joint expression "
-                                         f"167 levels deep; a report holds at most {MAX_DEPTH}"):
+                                         f"167 levels deep; the tree format holds at most "
+                                         f"{MAX_DEPTH}"):
         identify([ConstraintSpec("e", 2.0)], CUBE, 512, total_degree_basis(8), model=model)
     assert calls == [512]       # the training run only
 
@@ -307,6 +309,35 @@ def test_identify_report_below_the_depth_limit_saves_and_loads(tmp_path):
     assert (len(basis), depth(report.joint.expr)) == (120, 122)
     save_report(report, tmp_path / "deep.json")
     assert load_report(tmp_path / "deep.json").joint == report.joint
+
+
+def test_save_report_refuses_a_tree_deeper_than_the_limit(tmp_path):
+    report = load_report(REPORT_FIXTURES[1])
+    chain = Var("T")
+    for _ in range(20_000):
+        chain = Neg(chain)
+    deep = DSReport(report.box, report.alpha, report.constraints,
+                    Region(chain, report.joint.vars), report.sampling, report.validation)
+    with pytest.raises(ValueError, match=f"expression 20001 levels deep; "
+                                         f"the tree format holds at most {MAX_DEPTH}"):
+        save_report(deep, tmp_path / "deep.json")
+    assert not (tmp_path / "deep.json").exists()
+
+
+@pytest.mark.parametrize("bad_run", [1, 2], ids=["training", "validation"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_identify_refuses_non_finite_model_values(bad_run, bad):
+    runs = []
+
+    def model(points):
+        runs.append(len(points))
+        values = sum_prod_model(points)
+        if len(runs) == bad_run:
+            values[5, 1] = bad
+        return values
+    with pytest.raises(NonFiniteValue, match=r"model returned inf or nan at 1 of \d+ points"):
+        identify([SUM_SPEC, PROD_SPEC], BOX, 32, CQA_BASIS, model=model)
+    assert len(runs) == bad_run
 
 
 def test_contours_present_in_2d(tmp_path):

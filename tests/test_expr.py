@@ -11,8 +11,8 @@ from rfuncds.errors import (
     UnboundVariable,
 )
 from rfuncds.expr import (
-    NODES, Abs, Add, And, Const, Expr, Leaf, Max, Min, Mul, Neg, Not, Pow, RAnd, ROr, Region,
-    Sqrt, Sub, Var, children, classify, compose, depth, eval_arrays, eval_expr, sign_class, walk,
+    NODES, Abs, Add, And, Const, Expr, Leaf, Mul, Neg, Not, Pow, RAnd, ROr, Region, Sqrt,
+    Sub, Var, children, classify, compose, depth, eval_arrays, eval_expr, sign_class, walk,
 )
 from rfuncds.geometry import circle, testcase as load_case
 from rewrites import canonicalize_alpha1, desugar_r_nodes
@@ -67,7 +67,7 @@ def test_pow_exponent_validation():
 
 # one node of every class, each field holding a value of its kind
 SAMPLE_NODES = [Const(1.0), Var("a"), Neg(A), Add(A, B), Sub(A, B), Mul(A, B), Pow(A, 2),
-                Sqrt(A), Abs(A), Min(A, B), Max(A, B), RAnd(A, B, 0.5), ROr(A, B, 0.5)]
+                Sqrt(A), Abs(A), RAnd(A, B, 0.5), ROr(A, B, 0.5)]
 
 
 def test_nodes_are_immutable():
@@ -194,7 +194,7 @@ def test_canonicalize_value_preserving(rng):
 
 
 def test_canonicalize_fixpoint_without_r_nodes():
-    expr = Min(Var("x") ** 2 - 1.0, Abs(Var("y")))
+    expr = Mul(Var("x") ** 2 - 1.0, Abs(Var("y")))
     assert canonicalize_alpha1(expr) is expr
 
 
@@ -212,7 +212,7 @@ def _random_trees(alphas):
     def branches(inner):
         pairs = st.tuples(inner, inner)
         return st.one_of(
-            *(pairs.map(lambda ab, c=c: c(*ab)) for c in (Add, Sub, Mul, Min, Max)),
+            *(pairs.map(lambda ab, c=c: c(*ab)) for c in (Add, Sub, Mul)),
             inner.map(Neg), inner.map(Abs), inner.map(lambda e: Pow(e, 2)),
             *(st.tuples(inner, inner, alphas).map(lambda t, c=c: c(*t)) for c in (RAnd, ROr)),
         )
@@ -233,7 +233,7 @@ def _sum(e, a, b):
 # both its value and how much it scales rounding errors in its operands
 # (an R-node's partial derivatives are at most 2 / (1 + alpha))
 _MAGNITUDE = {
-    Add: _sum, Sub: _sum, Min: _sum, Max: _sum,
+    Add: _sum, Sub: _sum,
     Mul: lambda e, a, b: a * b,
     Neg: lambda e, a: a, Abs: lambda e, a: a,
     Pow: lambda e, a: a ** e.exponent,

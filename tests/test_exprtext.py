@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from rfuncds.errors import ParseError
 from rfuncds.expr import (
-    Abs, Add, Const, Max, Min, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var,
-    depth, eval_expr,
+    Abs, Add, Const, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var, depth, eval_expr,
 )
 from rfuncds.exprtext import MAX_DEPTH, parse_tree_text, to_infix, to_tree_obj, to_tree_text
 from rfuncds.geometry import testcase as load_case
@@ -29,8 +28,6 @@ ZOO = [
     Neg(X + 1.0),
     Pow(X + Y, 3),
     Sqrt(Abs(X)),
-    Min(X, Y),
-    Max(Min(X, Y), Const(0.25)),
     Abs(Sub(Mul(X, Y), Const(0.5))),
     RAnd(X, Y, 1.0),
     ROr(X - 1.0, Y + 2.0, 0.5),
@@ -111,6 +108,10 @@ def test_number_round_trip_full_precision(v):
 @pytest.mark.parametrize("bad", [
     "42",                                     # not an object
     '{"kind":"nope"}',
+    pytest.param('{"kind":"min","args":[{"kind":"var","name":"x"},{"kind":"var","name":"y"}]}',
+                 id="kind-min"),
+    pytest.param('{"kind":"max","args":[{"kind":"var","name":"x"},{"kind":"var","name":"y"}]}',
+                 id="kind-max"),
     '{"kind":"const","value":"x"}',
     '{"kind":"pow","exponent":-1,"args":[{"kind":"var","name":"x"}]}',
     '{"kind":"add","args":[{"kind":"var","name":"x"}]}',
@@ -158,9 +159,13 @@ def test_tree_text_deeper_than_the_limit_is_a_parse_error():
     assert parse_tree_text(json.dumps({"kind": "var", "name": name})) == Var(name)
 
 
-def test_deep_chain_prints_to_tree_text():
-    levels = 20_000
-    assert to_tree_text(_neg_chain(levels)) == _neg_tree_text(levels)
+def test_tree_writers_refuse_trees_deeper_than_the_limit():
+    # the reader refuses them, so no writer emits them
+    for levels in (MAX_DEPTH + 1, 20_000):
+        for write in (to_tree_obj, to_tree_text):
+            with pytest.raises(ValueError, match=f"expression {levels} levels deep; "
+                                                 f"the tree format holds at most {MAX_DEPTH}"):
+                write(_neg_chain(levels - 1))
 
 
 def _compact_json(expr):
@@ -191,8 +196,6 @@ _expr = st.recursive(
         st.tuples(inner, inner).map(lambda ab: Add(*ab)),
         st.tuples(inner, inner).map(lambda ab: Sub(*ab)),
         st.tuples(inner, inner).map(lambda ab: Mul(*ab)),
-        st.tuples(inner, inner).map(lambda ab: Min(*ab)),
-        st.tuples(inner, inner).map(lambda ab: Max(*ab)),
         inner.map(Neg),
         inner.map(Abs),
         inner.map(lambda e: Pow(e, 2)),
@@ -218,7 +221,7 @@ def test_random_expression_round_trip(expr, x, y):
     (Pow(Pow(X, 2), 3), "(x^2)^3", None),
     (Pow(Abs(X), 2), "(abs(x))^2", None),
     (Sub(X, Neg(Y)), "x-(-y)", None),
-    (Min(X + Y, X * Y), "min(x+y,x*y)", None),
+    (Sqrt(X + Y * Y), "sqrt(x+(y*y))", None),
     (RAnd(X, Y, 1.0), "0.5*((x+y)-abs(x-y))", "0.5*((x+y)-sqrt((x^2+y^2)-(2.0*(x*y))))"),
     (ROr(X + Y, Const(-3.0), 1.0), "0.5*(((x+y)+-3.0)+abs((x+y)--3.0))",
      "0.5*(((x+y)+-3.0)+sqrt(((x+y)^2+(-3.0)^2)-(2.0*((x+y)*-3.0))))"),

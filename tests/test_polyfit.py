@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rfuncds.errors import DimensionMismatch, InsufficientPoints, RankDeficient
+from rfuncds.errors import DimensionMismatch, InsufficientPoints, NonFiniteValue, RankDeficient
 from rfuncds.expr import Const, eval_arrays, eval_expr
 from rfuncds.polyfit import (
     BasisSpec, design_matrix, fit_least_squares, r_squared, to_expr,
@@ -35,6 +35,21 @@ def test_design_matrix_rows():
 def test_design_matrix_dimension_check():
     with pytest.raises(DimensionMismatch):
         design_matrix([[1.0, 2.0]], LINE)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_fit_refuses_non_finite_targets_and_points(bad):
+    with pytest.raises(NonFiniteValue, match="fit target holds inf or nan at 1 of 3 points"):
+        fit_least_squares([[1.0], [2.0], [3.0]], [1.0, bad, 3.0], LINE)
+    with pytest.raises(NonFiniteValue, match=r"monomial \(1,\) in \('x',\) is not finite"):
+        fit_least_squares([[1.0], [bad], [3.0]], [1.0, 2.0, 3.0], LINE)
+
+
+def test_design_matrix_refuses_an_entry_that_overflows():
+    quad = BasisSpec(vars=("T", "t"), monomials=((0, 0), (2, 0), (1, 1)))
+    with pytest.raises(NonFiniteValue, match=r"monomial \(2, 0\) in \('T', 't'\) is not "
+                                             r"finite at point \[1e\+200, 1\.0\]"):
+        design_matrix([[1.0, 2.0], [1e200, 1.0]], quad)
 
 
 def test_exact_line_fit():

@@ -188,7 +188,7 @@ def test_apply_config():
     assert params.e1 == DEFAULT_PARAMS.e1
     assert (box[0].lo, box[0].hi) == (240.0, 300.0)
     for key in ("gas_constant", "rtol", "atol"):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown config keys"):
             apply_config({key: 1.0})
 
 

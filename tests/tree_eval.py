@@ -10,7 +10,7 @@ import numpy as np
 
 from rfuncds.errors import NegativeSqrtArgument, UnboundVariable
 from rfuncds.expr import (
-    SQRT_CLAMP_TOL, Abs, Add, Const, Max, Min, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var,
+    SQRT_CLAMP_TOL, Abs, Add, Const, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var,
 )
 
 
@@ -71,8 +71,6 @@ _EVAL = {
     Pow: _eval_pow,
     Sqrt: _eval_sqrt,
     Abs: lambda e, env: np.abs(_eval(e.a, env)),
-    Min: lambda e, env: np.minimum(_eval(e.a, env), _eval(e.b, env)),
-    Max: lambda e, env: np.maximum(_eval(e.a, env), _eval(e.b, env)),
     RAnd: _eval_r_and,
     ROr: _eval_r_or,
 }
