@@ -279,7 +279,7 @@ def cmd_identify(args, provenance: str) -> int:
 def cmd_check(args, provenance: str) -> int:
     try:
         report = ds.load_report(args.report)
-    except (RfuncdsError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (RfuncdsError, OSError) as exc:
         print(f"error: cannot read report {args.report!r}: {exc}", file=sys.stderr)
         return 2
     tokens = [tok.strip() for tok in args.point.split(",")]

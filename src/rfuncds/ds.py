@@ -286,7 +286,8 @@ def load_report(path) -> DSReport:
     file is checked for that before it is decoded.  A file that is not
     UTF-8 text, a missing or wrong ``format`` key, a missing field, a value that does not convert (such as
     an integer beyond the float range), a coefficient list that does not
-    match its basis, basis variables other than the box axes, an alpha
+    match its basis, a basis exponent that is not a non-negative JSON
+    integer, basis variables other than the box axes, an alpha
     outside (-1, 1], a box axis without finite ``lo < hi`` and a too-deep
     tree raise ParseError.  Coefficients load as a tuple of floats; nothing
     here imports numpy.
@@ -315,8 +316,12 @@ def _report_from_obj(obj: dict) -> DSReport:
     names = tuple(a.name for a in box)
     constraints = []
     for c in obj["constraints"]:
-        basis = BasisSpec(vars=tuple(c["basis"]["vars"]),
-                          monomials=tuple(tuple(m) for m in c["basis"]["monomials"]))
+        monomials = tuple(tuple(m) for m in c["basis"]["monomials"])
+        bad = [e for m in monomials for e in m if not exprtext.is_exponent(e)]
+        if bad:
+            raise ParseError(None, f"basis exponent must be {exprtext.EXPONENT}, "
+                                   f"got {bad[0]!r}")
+        basis = BasisSpec(vars=tuple(c["basis"]["vars"]), monomials=monomials)
         if basis.vars != names:
             raise ParseError(None, f"basis variables {basis.vars} != box axes {names}")
         coefficients = tuple(float(v) for v in c["coefficients"])

@@ -33,8 +33,9 @@ from .record import Record
 if TYPE_CHECKING:
     import numpy as np
 
-# Sqrt arguments in [-SQRT_CLAMP_TOL, 0) clamp to 0; anything lower raises.
-# alpha=1 compositions produce sqrt((a-b)^2), which can go epsilon-negative.
+# Sqrt node arguments in [-SQRT_CLAMP_TOL, 0) clamp to 0; anything lower
+# raises.  R-nodes never reach it: they compile to minimum/maximum at
+# alpha = 1 and clamp their radicand with maximum(rad, 0.0) otherwise.
 SQRT_CLAMP_TOL = 1e-12
 
 # |f| <= BOUNDARY_TOL classifies a point as on the boundary of a region
@@ -356,15 +357,12 @@ class Program(Record):
     expression reads and ``source`` the generated text.
     """
 
-    __slots__ = ("names", "reads", "source", "scalars", "bind", "_arrays")
+    # the instance dict holds only the array function
+    __slots__ = ("names", "reads", "source", "scalars", "bind", "__dict__")
 
-    @property
+    @functools.cached_property
     def arrays(self) -> Callable:
-        try:
-            return self._arrays
-        except AttributeError:
-            object.__setattr__(self, "_arrays", self.bind(_array_functions()))
-            return self._arrays
+        return self.bind(_array_functions())
 
     def inputs(self, point):
         """The input sequence for a name -> value mapping; any other
@@ -614,8 +612,9 @@ def classify(value: float) -> str:
     return "outside"
 
 
-class BoolTree:
-    """Set-operation tree whose leaves are regions."""
+class BoolTree(Record):
+    """Set-operation tree whose leaves are regions; a record like the
+    expression nodes."""
 
     __slots__ = ()
 
@@ -623,45 +622,35 @@ class BoolTree:
 class Leaf(BoolTree):
     __slots__ = ("region",)
 
-    def __init__(self, region: Region):
-        self.region = region
 
-    def __repr__(self):
-        return f"Leaf({self.region.expr!r})"
+class _Join(BoolTree):
+    """And or Or of one or more trees, built as ``And(*children)``; it
+    composes to a left fold of ``r_node``."""
 
-
-class And(BoolTree):
     __slots__ = ("children",)
+    r_node: type
 
     def __init__(self, *children: BoolTree):
         if not children:
-            raise ValueError("And needs at least one child")
-        self.children = tuple(children)
+            raise ValueError(f"{type(self).__name__} needs at least one child")
+        super().__init__(children)
 
-    def __repr__(self):
-        return f"And{self.children}"
+    def __reduce__(self):
+        return type(self), self.children
 
 
-class Or(BoolTree):
-    __slots__ = ("children",)
+class And(_Join):
+    __slots__ = ()
+    r_node = RAnd
 
-    def __init__(self, *children: BoolTree):
-        if not children:
-            raise ValueError("Or needs at least one child")
-        self.children = tuple(children)
 
-    def __repr__(self):
-        return f"Or{self.children}"
+class Or(_Join):
+    __slots__ = ()
+    r_node = ROr
 
 
 class Not(BoolTree):
     __slots__ = ("child",)
-
-    def __init__(self, child: BoolTree):
-        self.child = child
-
-    def __repr__(self):
-        return f"Not({self.child!r})"
 
 
 def compose(tree: BoolTree, alpha: float = 1.0) -> Region:
@@ -680,13 +669,12 @@ def compose(tree: BoolTree, alpha: float = 1.0) -> Region:
             return node.region.expr
         if isinstance(node, Not):
             return Neg(rec(node.child))
-        if not isinstance(node, (And, Or)):
+        if not isinstance(node, _Join):
             raise TypeError(f"unknown BoolTree node {type(node).__name__}")
         exprs = [rec(child) for child in node.children]
         out = exprs[0]
-        ctor = RAnd if isinstance(node, And) else ROr
         for e in exprs[1:]:
-            out = ctor(out, e, alpha)
+            out = node.r_node(out, e, alpha)
         return out
 
     expr = rec(tree)

@@ -138,13 +138,21 @@ def _is_number(v) -> bool:
                                     and abs(v) <= sys.float_info.max)
 
 
+def is_exponent(v) -> bool:
+    """Whether ``v`` is an exponent as the tree format and a report's basis
+    write it: a non-negative JSON integer, not a bool, float or string."""
+    return _is_number(v) and isinstance(v, int) and v >= 0
+
+
+# what is_exponent accepts, as error messages name it
+EXPONENT = "a non-negative integer below 2^1024"
+
 # what the tree format accepts for each parameter field, and how to read it
 _PARAMS = {
     "value": (_is_number, float, "a number"),
     "alpha": (_is_number, float, "a number"),
     "name": (lambda v: isinstance(v, str) and v != "", str, "a non-empty string"),
-    "exponent": (lambda v: _is_number(v) and isinstance(v, int) and v >= 0, int,
-                 "a non-negative integer below 2^1024"),
+    "exponent": (is_exponent, int, EXPONENT),
 }
 _BY_TAG = {node.tag: cls for cls, node in NODES.items()}
 _CHILD_COUNTS = {1: "one child", 2: "two children"}

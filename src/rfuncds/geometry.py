@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidSpec, UnknownTestCase
-from .expr import And, BoolTree, Const, Leaf, Not, Or, Pow, Region, Sub, Var, compose
+from .expr import And, Const, Leaf, Not, Or, Pow, Region, Sub, Var, compose
 from .record import Record
 
 _XY = ("x", "y")

@@ -6,6 +6,7 @@ reloaded from a report (``ds.load_report``) needs none.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, InsufficientPoints, NonFiniteValue, RankDeficient
@@ -120,12 +121,19 @@ def r_squared(fit: FitResult, points, values) -> float:
 
 def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
     """1 - SS_res/SS_tot; when SS_tot is 0, 1 for residuals within
-    ``_EXACT_RESIDUAL`` of zero and 0 otherwise."""
+    ``_EXACT_RESIDUAL`` of zero and 0 otherwise.
+
+    Both sums are taken over values scaled by the power of two that brings
+    the largest |y| into [0.5, 1), so a finite target near the float limit
+    does not overflow them; the scaling is exact, so the ratio is the
+    unscaled one bit for bit."""
     import numpy as np
-    ss_tot = float(((y - y.mean()) ** 2).sum())
+    scale = math.ldexp(1.0, -math.frexp(float(np.abs(y).max(initial=0.0)))[1])
+    scaled, scaled_residuals = y * scale, residuals * scale
+    ss_tot = float(((scaled - scaled.mean()) ** 2).sum())
     if ss_tot == 0.0:
         return 1.0 if np.abs(residuals).max(initial=0.0) <= _EXACT_RESIDUAL else 0.0
-    return 1.0 - float(residuals @ residuals) / ss_tot
+    return 1.0 - float(scaled_residuals @ scaled_residuals) / ss_tot
 
 
 def to_expr(fit: FitResult) -> Expr:

@@ -1,9 +1,10 @@
 """One base class for the package's immutable records.
 
 Every record in the package is a :class:`Record`: expression nodes,
-regions and programs, report and fit records, geometry specs and demo
-cases, grid fields and contours, and the kinetic parameters.  A record that
-holds arrays (a grid field, a polyline) is not hashable.
+regions and programs, the Boolean composition trees (``Leaf``, ``And``,
+``Or``, ``Not``), report and fit records, demo cases, grid fields and
+contours, and the kinetic parameters.  A record that holds arrays (a grid
+field, a polyline) is not hashable.
 
 A subclass names its fields in ``__slots__``.  :class:`Record` gives it a
 constructor that takes the fields in order, positionally or by keyword,

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -347,7 +348,12 @@ def _edited_report(tmp_path, edit):
     pytest.param(lambda r: r["constraints"][1].update(residual_max_abs=-10**400),
                  "int too large to convert to float", id="residual=-10**400"),
     pytest.param(lambda r: r["constraints"][0]["basis"]["monomials"][1].__setitem__(0, math.inf),
-                 "cannot convert float infinity to integer", id="monomial-exponent=inf"),
+                 "basis exponent must be a non-negative integer below 2^1024, got inf",
+                 id="monomial-exponent=inf"),
+    *[pytest.param(lambda r, e=e: r["constraints"][0]["basis"]["monomials"][1].__setitem__(0, e),
+                   f"basis exponent must be a non-negative integer below 2^1024, got {e!r}",
+                   id=f"monomial-exponent={json.dumps(e)}")
+      for e in (1.5, 1.0, True, "1", "01")],
     pytest.param(lambda r: r["joint"].update(tree={
         "kind": "pow", "exponent": 10**400, "args": [{"kind": "var", "name": "T"}]}),
                  "integer below 2^1024", id="pow-exponent=10**400"),
@@ -498,6 +504,25 @@ def test_identify_non_finite_values_exit_1(config, needle, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
     assert not out.exists()
+
+
+def _refuse_constant(token):
+    raise ValueError(f"JSON constant {token}")
+
+
+def test_identify_keeps_r_squared_finite_near_the_float_limit(tmp_path, capsys):
+    # profit scales with the volume; squaring its deviations would overflow
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("volume = 1e300\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["identify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "ds_report.json").read_text(), parse_constant=_refuse_constant)
+    values = [c[key] for c in report["constraints"]
+              for key in ("r_squared", "validation_r_squared")]
+    assert len(values) == 4 and all(math.isfinite(v) for v in values)
 
 
 def test_identify_unknown_config_key_is_one_plain_line(tmp_path, capsys, no_model_runs):

@@ -112,3 +112,13 @@ def test_composition_sign_matches_boolean_oracle(name):
         values = eval_arrays(region.expr, env)
         keep = np.abs(values) > band
         assert np.array_equal((values >= 0)[keep], boolean_oracle(tree, env)[keep])
+
+
+def test_demo_cases_are_equal_by_value_and_immutable():
+    first, second = (load_case("paraboloid-cylinders-A2")[2] for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    cutout = first.trees[1][1]   # And(f1, f2, Or(Not(f3), f4))
+    with pytest.raises(AttributeError):
+        cutout.children = ()
+    with pytest.raises(AttributeError):
+        cutout.children[2].children[0].child = cutout

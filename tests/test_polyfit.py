@@ -4,7 +4,7 @@ import pytest
 from rfuncds.errors import DimensionMismatch, InsufficientPoints, NonFiniteValue, RankDeficient
 from rfuncds.expr import Const, eval_arrays, eval_expr
 from rfuncds.polyfit import (
-    BasisSpec, design_matrix, fit_least_squares, r_squared, to_expr,
+    BasisSpec, FitResult, design_matrix, fit_least_squares, r_squared, to_expr,
 )
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
@@ -118,6 +118,20 @@ def test_holdout_r_squared():
     pts = [[0.0], [1.0], [2.0]]
     fit = fit_least_squares(pts, [2.0, 5.0, 8.0], LINE)
     assert r_squared(fit, [[3.0], [4.0]], [11.0, 14.0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_r_squared_of_a_target_near_the_float_limit():
+    # the squared deviations of a target near 1e301 would overflow; R^2 is
+    # taken over values scaled by a power of two, which changes no bit of it
+    pts, y = [[0.0], [1.0], [2.0], [3.0]], np.array([1.0, 2.5, 2.0, 4.0])
+    fit = fit_least_squares(pts, y, LINE)
+    k = 2.0 ** 1000
+    big = FitResult(LINE, tuple(c * k for c in fit.coefficients), fit.r_squared,
+                    fit.n_points, fit.residual_max_abs * k)
+    with np.errstate(over="raise", invalid="raise"):
+        assert r_squared(big, pts, y * k) == r_squared(fit, pts, y)
+        assert fit_least_squares(pts, y * k, LINE).r_squared == pytest.approx(fit.r_squared)
+    assert 0.0 < fit.r_squared < 1.0
 
 
 def test_to_expr_values():

@@ -19,8 +19,8 @@ from rfuncds.ds import (
     BoxAxis, ConstraintReport, ConstraintSpec, DSReport, SamplingMeta, ValidationStats,
 )
 from rfuncds.expr import (
-    NODES, Abs, Add, Const, Mul, Neg, Pow, Program, RAnd, ROr, Region, Sqrt, Sub, Var,
-    children, eval_expr, fold,
+    NODES, Abs, Add, And, Const, Leaf, Mul, Neg, Not, Or, Pow, Program, RAnd, ROr, Region,
+    Sqrt, Sub, Var, children, eval_expr, fold,
 )
 from rfuncds.polyfit import BasisSpec, FitResult
 from rfuncds.reactor import KineticParams
@@ -35,6 +35,10 @@ NODE_SAMPLES = [Const(-0.0), Var("x"), Neg(X), Add(X, Y), Sub(X, Y), Mul(X, Y), 
 RECORD_FIELDS = {
     Region: ("expr", "vars"),
     Program: ("names", "reads", "source", "scalars", "bind"),
+    Leaf: ("region",),
+    And: ("children",),
+    Or: ("children",),
+    Not: ("child",),
     BoxAxis: ("name", "lo", "hi", "unit"),
     ConstraintSpec: ("name", "threshold"),
     ConstraintReport: ("name", "threshold", "fit", "phi", "validation_r_squared"),
@@ -67,9 +71,12 @@ def _rebuild(expr):
 def _records():
     report = ds.load_report(REPORT_FIXTURE)
     constraint = report.constraints[0]
-    return [report.joint, report.joint.program, report.box[0], ConstraintSpec("purity", 0.9),
-            constraint, report.sampling, report.validation, report, constraint.fit.basis,
-            constraint.fit, geometry.testcase("circles-4.1")[2], KineticParams(r_gas=1.0)]
+    leaf = Leaf(geometry.circle(0.0, 0.0, 1.0))
+    trees = [leaf, And(leaf, Not(leaf), Or(leaf, leaf)), Or(leaf), Not(leaf)]
+    return [report.joint, report.joint.program, *trees, report.box[0],
+            ConstraintSpec("purity", 0.9), constraint, report.sampling, report.validation,
+            report, constraint.fit.basis, constraint.fit, geometry.testcase("circles-4.1")[2],
+            KineticParams(r_gas=1.0)]
 
 
 def _array_records():
@@ -83,7 +90,10 @@ def _record_id(record):
 
 
 def _copy(record):
-    return type(record)(*[getattr(record, name) for name in RECORD_FIELDS[type(record)]])
+    values = [getattr(record, name) for name in RECORD_FIELDS[type(record)]]
+    if type(record) in (And, Or):   # they take their children as separate arguments
+        values = values[0]
+    return type(record)(*values)
 
 
 def test_samples_cover_every_class():
@@ -223,6 +233,12 @@ def test_records_pickle(record):
     # a Program holds generated functions and is rebuilt from its Region
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record) and repr(copy) == repr(record)
+
+
+def test_and_and_or_need_a_child():
+    for join in (And, Or):
+        with pytest.raises(ValueError, match=f"{join.__name__} needs at least one child"):
+            join()
 
 
 def test_records_check_their_arguments():
