@@ -284,13 +284,13 @@ def load_report(path) -> DSReport:
 
     Expression trees may nest at most ``exprtext.MAX_DEPTH`` levels; the
     file is checked for that before it is decoded.  A file that is not
-    UTF-8 text, a missing or wrong ``format`` key, a missing field, a value that does not convert (such as
-    an integer beyond the float range), a coefficient list that does not
-    match its basis, a basis exponent that is not a non-negative JSON
-    integer, basis variables other than the box axes, an alpha
-    outside (-1, 1], a box axis without finite ``lo < hi`` and a too-deep
-    tree raise ParseError.  Coefficients load as a tuple of floats; nothing
-    here imports numpy.
+    UTF-8 text, a missing or wrong ``format`` key, a missing field, a
+    number that is not a JSON number within the float range, a count or
+    basis exponent that is not a non-negative JSON integer, a coefficient
+    list that does not match its basis, basis variables other than the box
+    axes, an alpha outside (-1, 1], a box axis without finite ``lo < hi``
+    and a too-deep tree raise ParseError.  Coefficients load as a tuple of
+    floats; nothing here imports numpy.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -306,44 +306,54 @@ def load_report(path) -> DSReport:
         return _report_from_obj(obj)
     except KeyError as exc:
         raise ParseError(None, f"report has no field {exc.args[0]!r}") from None
-    except (AlphaOutOfRange, BoundsMismatch, OverflowError, TypeError, ValueError) as exc:
+    except (AlphaOutOfRange, BoundsMismatch, TypeError, ValueError) as exc:
         raise ParseError(None, str(exc)) from None
 
 
+def _number(value, what: str) -> float:
+    """A report's float field: a JSON number, as a tree's constants are."""
+    if not exprtext.is_number(value):
+        raise ParseError(None, f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(value, what: str) -> int:
+    """A report's count or basis exponent: a non-negative JSON integer."""
+    if not exprtext.is_exponent(value):
+        raise ParseError(None, f"{what} must be {exprtext.EXPONENT}, got {value!r}")
+    return value
+
+
 def _report_from_obj(obj: dict) -> DSReport:
-    alpha = check_alpha(obj["alpha"])
-    box = tuple(BoxAxis(a["name"], a["lo"], a["hi"], a.get("unit")) for a in obj["box"])
+    alpha = check_alpha(_number(obj["alpha"], "alpha"))
+    box = tuple(BoxAxis(a["name"], _number(a["lo"], "lo"), _number(a["hi"], "hi"), a.get("unit"))
+                for a in obj["box"])
     names = tuple(a.name for a in box)
     constraints = []
     for c in obj["constraints"]:
-        monomials = tuple(tuple(m) for m in c["basis"]["monomials"])
-        bad = [e for m in monomials for e in m if not exprtext.is_exponent(e)]
-        if bad:
-            raise ParseError(None, f"basis exponent must be {exprtext.EXPONENT}, "
-                                   f"got {bad[0]!r}")
+        monomials = tuple(tuple(_count(e, "basis exponent") for e in m)
+                          for m in c["basis"]["monomials"])
         basis = BasisSpec(vars=tuple(c["basis"]["vars"]), monomials=monomials)
         if basis.vars != names:
             raise ParseError(None, f"basis variables {basis.vars} != box axes {names}")
-        coefficients = tuple(float(v) for v in c["coefficients"])
+        coefficients = tuple(_number(v, "coefficient") for v in c["coefficients"])
         if len(coefficients) != len(basis):
             raise ValueError(f"{len(coefficients)} coefficients for "
                              f"{len(basis)} monomials")
         fit = FitResult(basis=basis, coefficients=coefficients,
-                        r_squared=float(c["r_squared"]),
-                        n_points=int(c["n_points"]),
-                        residual_max_abs=float(c["residual_max_abs"]))
+                        r_squared=_number(c["r_squared"], "r_squared"),
+                        n_points=_count(c["n_points"], "n_points"),
+                        residual_max_abs=_number(c["residual_max_abs"], "residual_max_abs"))
         phi = Region(exprtext.from_tree_obj(c["phi_tree"]), names)
         constraints.append(ConstraintReport(
-            name=c["name"], threshold=float(c["threshold"]), fit=fit, phi=phi,
-            validation_r_squared=float(c["validation_r_squared"])))
+            name=c["name"], threshold=_number(c["threshold"], "threshold"), fit=fit, phi=phi,
+            validation_r_squared=_number(c["validation_r_squared"], "validation_r_squared")))
     joint = Region(exprtext.from_tree_obj(obj["joint"]["tree"]), names)
     s = obj["sampling"]
-    sampling = SamplingMeta(n_train=int(s["n_train"]), skip=int(s["skip"]),
-                            n_validation=int(s["n_validation"]),
-                            validation_skip=int(s["validation_skip"]))
+    sampling = SamplingMeta(*[_count(s[key], key) for key in SamplingMeta._fields])
     v = obj["validation"]
-    validation = ValidationStats(agreement_rate=float(v["agreement_rate"]),
-                                 n_points=int(v["n_points"]),
-                                 n_disagreements=int(v["n_disagreements"]))
+    validation = ValidationStats(agreement_rate=_number(v["agreement_rate"], "agreement_rate"),
+                                 n_points=_count(v["n_points"], "n_points"),
+                                 n_disagreements=_count(v["n_disagreements"], "n_disagreements"))
     return DSReport(box=box, alpha=alpha, constraints=tuple(constraints), joint=joint,
                     sampling=sampling, validation=validation)

@@ -28,7 +28,7 @@ from .errors import (
     NegativeSqrtArgument,
     UnboundVariable,
 )
-from .record import Record
+from .record import Record, children, fold, postorder
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,82 +50,6 @@ class Expr(Record):
     """
 
     __slots__ = ()
-
-    def __repr__(self) -> str:
-        """The record ``repr`` of every node, in time and length linear in the
-        distinct nodes and without recursion: a node with operands that is
-        read more than once prints in full once, as ``#n=Add(...)``, and as
-        the back-reference ``#n#`` wherever it occurs again."""
-        readers: dict[int, int] = {}   # by id of a node's parts list
-
-        def visit(node, *operands):
-            for part in operands:
-                if type(part) is list:
-                    readers[id(part)] = readers.get(id(part), 0) + 1
-            params = [repr(getattr(node, name)) for name in NODES[type(node)].params]
-            parts = [f"{type(node).__qualname__}("]
-            for name, value in zip(node._fields, [*operands, *params]):
-                parts += (f"{name}=", value, ", ")
-            parts[-1] = ")"
-            return parts if operands else "".join(parts)
-
-        out: list[str] = []
-        labels: dict[int, int] = {}
-        stack = [fold(self, visit)]
-        while stack:
-            part = stack.pop()
-            if type(part) is str:
-                out.append(part)
-            elif id(part) in labels:
-                out.append(f"#{labels[id(part)]}#")
-            else:
-                if readers.get(id(part), 0) > 1:
-                    labels[id(part)] = len(labels) + 1
-                    out.append(f"#{len(labels)}=")
-                stack.extend(reversed(part))
-        return "".join(out)
-
-    def __eq__(self, other):
-        """Record equality, without recursion and in time near-linear in the
-        distinct nodes of both sides: a pair of nodes is compared once and
-        then joined into one class of equal nodes, so a pair that meets
-        the class again (through a shared node) is not compared twice."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        joined: dict[int, int] = {}   # id of a node -> id of one known equal to it
-
-        def find(i):
-            root = i
-            while root in joined:
-                root = joined[root]
-            while i != root:
-                joined[i], i = root, joined[i]
-            return root
-
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            ra, rb = find(id(a)), find(id(b))
-            if ra == rb:
-                continue
-            if type(a) is not type(b):
-                return False
-            spec = NODES[type(a)]
-            for name in spec.params:
-                x, y = getattr(a, name), getattr(b, name)
-                if not (x is y or x == y):   # as tuple comparison does
-                    return False
-            joined[ra] = rb
-            pairs.extend(zip(spec.children(a), spec.children(b)))
-        return True
-
-    def __hash__(self):
-        """Hash of the class, the operands' hashes and the parameters, one
-        fold over the distinct nodes."""
-        return fold(self, lambda node, *hashes: hash(
-            (type(node), *hashes, *[getattr(node, name) for name in NODES[type(node)].params])))
 
     def __add__(self, other) -> "Expr":
         return Add(self, as_expr(other))
@@ -241,7 +165,7 @@ def _children_getter(operands: tuple[str, ...]) -> Callable[[Expr], tuple[Expr, 
 class Node:
     """What the rest of the package needs to know about one node class."""
 
-    __slots__ = ("tag", "operands", "params", "emit", "children")
+    __slots__ = ("tag", "operands", "params", "emit")
 
     def __init__(self, tag: str, operands: tuple[str, ...], params: tuple[str, ...],
                  emit: Callable):
@@ -249,8 +173,6 @@ class Node:
         self.operands = operands    # child fields, left to right
         self.params = params        # other fields; constructors take operands first
         self.emit = emit            # (node, compiler, *operand texts) -> Python text
-        # a node's operands as a tuple; attrgetter is the fastest generic accessor
-        self.children = _children_getter(operands)
 
 
 def _emit_r_node(join: str, extreme: str):
@@ -286,6 +208,13 @@ NODES: dict[type, Node] = {
     RAnd: Node("rand", ("a", "b"), ("alpha",), _emit_r_node("-", "minimum")),
     ROr: Node("ror", ("a", "b"), ("alpha",), _emit_r_node("+", "maximum")),
 }
+
+
+# a node's record children are its operands; attrgetter reads them three to
+# four times faster than Record's filter over the fields
+for _cls, _node in NODES.items():
+    _cls._children = _children_getter(_node.operands)
+del _cls, _node
 
 
 # ----------------------------------------------------------------------
@@ -416,12 +345,12 @@ def compile_expr(expr: Expr, names: Sequence[str] | None = None) -> Program:
     the expression's variables, sorted), which must cover every variable."""
     names = tuple(sorted(variables(expr)) if names is None else names)
     k = _Compiler(names)
-    order, uses = _postorder(expr)
+    order, uses = postorder(expr)
     texts: dict[int, str] = {}    # by id(node)
     levels: dict[int, int] = {}   # nesting depth of each text; names are level 0
     for node in order:
         spec = NODES[type(node)]
-        operands = spec.children(node)
+        operands = type(node)._children(node)
         if not operands:
             texts[id(node)], levels[id(node)] = spec.emit(node, k), 0
             continue
@@ -493,11 +422,6 @@ def eval_arrays(expr: Expr | Region, env) -> np.ndarray:
     return np.asarray(program.arrays(program.inputs(env)), dtype=float)
 
 
-def children(node: Expr) -> tuple[Expr, ...]:
-    """The direct operands of a node, left to right."""
-    return NODES[type(node)].children(node)
-
-
 def walk(expr: Expr) -> Iterator[Expr]:
     """Yield every node of the tree, parents before children."""
     stack = [expr]
@@ -505,49 +429,6 @@ def walk(expr: Expr) -> Iterator[Expr]:
         node = stack.pop()
         yield node
         stack.extend(reversed(children(node)))
-
-
-def _postorder(expr: Expr) -> tuple[list[Expr], dict[int, int]]:
-    """Every distinct node once (by identity), operands before the nodes
-    that read them, and the number of operand slots reading each node (the
-    root counts one); without recursion."""
-    order: list[Expr] = []
-    uses = {id(expr): 1}
-    entered = set()
-    stack = [expr]
-    pop, push = stack.pop, stack.append
-    while stack:
-        node = pop()
-        if node is None:            # every operand of the node below is in order
-            order.append(pop())
-            continue
-        if id(node) in entered:
-            continue
-        entered.add(id(node))
-        push(node)
-        push(None)
-        for child in reversed(children(node)):
-            push(child)
-            uses[id(child)] = uses.get(id(child), 0) + 1
-    return order, uses
-
-
-def fold(expr: Expr, visit: Callable):
-    """``visit(node, *operand results)`` once per distinct node (by identity),
-    operands before the nodes that read them, without recursion; returns the
-    root's result.  A result is dropped once its last reader has used it, so
-    a deep chain holds only the results still waiting for a reader."""
-    order, waiting = _postorder(expr)
-    results: dict[int, object] = {}
-    for node in order:
-        operands = children(node)
-        args = [results[id(c)] for c in operands]
-        for c in operands:
-            waiting[id(c)] -= 1
-            if not waiting[id(c)]:
-                del results[id(c)]
-        results[id(node)] = visit(node, *args)
-    return results[id(expr)]
 
 
 def depth(expr: Expr) -> int:
@@ -559,7 +440,7 @@ def depth(expr: Expr) -> int:
 
 
 def variables(expr: Expr) -> set[str]:
-    return {node.name for node in _postorder(expr)[0] if type(node) is Var}
+    return {node.name for node in postorder(expr)[0] if type(node) is Var}
 
 
 # ----------------------------------------------------------------------

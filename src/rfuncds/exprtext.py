@@ -19,9 +19,8 @@ import re
 import sys
 
 from .errors import ParseError
-from .expr import (
-    NODES, Abs, Add, Const, Expr, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var, fold,
-)
+from .expr import NODES, Abs, Add, Const, Expr, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var
+from .record import fold
 
 # deepest expression the tree format holds; a leaf has depth 1
 MAX_DEPTH = 128
@@ -132,16 +131,17 @@ def to_tree_text(expr: Expr) -> str:
     return json.dumps(to_tree_obj(expr), separators=(",", ":"))
 
 
-def _is_number(v) -> bool:
-    # an integer beyond the float range would overflow in float()
+def is_number(v) -> bool:
+    """Whether ``v`` is a number as the tree format and a report write it: a
+    JSON number within the float range, not a bool or string."""
     return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
                                     and abs(v) <= sys.float_info.max)
 
 
 def is_exponent(v) -> bool:
-    """Whether ``v`` is an exponent as the tree format and a report's basis
-    write it: a non-negative JSON integer, not a bool, float or string."""
-    return _is_number(v) and isinstance(v, int) and v >= 0
+    """Whether ``v`` is an exponent or a count as the tree format and a
+    report write them: a non-negative JSON integer, not a bool or float."""
+    return is_number(v) and isinstance(v, int) and v >= 0
 
 
 # what is_exponent accepts, as error messages name it
@@ -149,8 +149,8 @@ EXPONENT = "a non-negative integer below 2^1024"
 
 # what the tree format accepts for each parameter field, and how to read it
 _PARAMS = {
-    "value": (_is_number, float, "a number"),
-    "alpha": (_is_number, float, "a number"),
+    "value": (is_number, float, "a number"),
+    "alpha": (is_number, float, "a number"),
     "name": (lambda v: isinstance(v, str) and v != "", str, "a non-empty string"),
     "exponent": (is_exponent, int, EXPONENT),
 }

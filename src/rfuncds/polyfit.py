@@ -126,10 +126,11 @@ def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
     Both sums are taken over values scaled by the power of two that brings
     the largest |y| into [0.5, 1), so a finite target near the float limit
     does not overflow them; the scaling is exact, so the ratio is the
-    unscaled one bit for bit."""
+    unscaled one bit for bit.  ``ldexp`` applies it, since for a subnormal
+    target the power itself is beyond the float range."""
     import numpy as np
-    scale = math.ldexp(1.0, -math.frexp(float(np.abs(y).max(initial=0.0)))[1])
-    scaled, scaled_residuals = y * scale, residuals * scale
+    shift = -math.frexp(float(np.abs(y).max(initial=0.0)))[1]
+    scaled, scaled_residuals = np.ldexp(y, shift), np.ldexp(residuals, shift)
     ss_tot = float(((scaled - scaled.mean()) ** 2).sum())
     if ss_tot == 0.0:
         return 1.0 if np.abs(residuals).max(initial=0.0) <= _EXACT_RESIDUAL else 0.0

@@ -1,4 +1,5 @@
-"""One base class for the package's immutable records.
+"""One base class for the package's immutable records, and the traversal
+that compares, hashes and prints them.
 
 Every record in the package is a :class:`Record`: expression nodes,
 regions and programs, the Boolean composition trees (``Leaf``, ``And``,
@@ -15,10 +16,18 @@ a cache) is not a field.  A class with defaults or checks writes its own
 ``__init__``, taking the fields in the same order, and passes the final
 values on to ``Record.__init__``.
 
+The fields that hold records are a record's :func:`children` (expression
+nodes read theirs through ``attrgetter``).  Equality, hashing and ``repr``
+visit each distinct record once, without recursion; ``repr`` prints a
+record with children that is read more than once as ``#n=...`` once and
+as ``#n#`` after that.  A record in a tuple field takes a nested call.
+
 Nothing here generates or compiles code, as ``dataclasses`` does for each
 class it decorates, so a record class costs no more to define than any
 other class.
 """
+
+from typing import Callable
 
 
 class Record:
@@ -50,17 +59,66 @@ class Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
+    def _children(self) -> tuple:
+        return tuple([value for value in self._values() if isinstance(value, Record)])
+
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        """Equal classes and fields; each pair of records is compared once."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared = set()   # (id, id) of the pairs taken off the stack
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in compared:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            compared.add((id(a), id(b)))
+            for x, y in zip(a._values(), b._values()):
+                if isinstance(x, Record):
+                    pairs.append((x, y))
+                elif not (x is y or x == y):   # as tuple comparison does
+                    return False
+        return True
 
     def __hash__(self):
-        return hash(self._values())
+        """Hash of the class, the children's hashes and the other fields."""
+        return fold(self, lambda rec, *hashes: hash(
+            (type(rec), *hashes, *[v for v in rec._values() if not isinstance(v, Record)])))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        readers: dict[int, int] = {}   # by id of a record's parts list
+
+        def visit(rec, *printed):   # a list of parts, or one string without children
+            for part in printed:
+                if type(part) is list:
+                    readers[id(part)] = readers.get(id(part), 0) + 1
+            operands = iter(printed)
+            parts = [f"{type(rec).__qualname__}("]
+            for name, value in zip(rec._fields, rec._values()):
+                parts += (f"{name}=", next(operands) if isinstance(value, Record)
+                          else repr(value), ", ")
+            if rec._fields:
+                parts.pop()   # the last ", "
+            parts.append(")")
+            return parts if printed else "".join(parts)
+
+        out: list[str] = []
+        labels: dict[int, int] = {}
+        stack = [fold(self, visit)]
+        while stack:
+            part = stack.pop()
+            if type(part) is str:
+                out.append(part)
+            elif id(part) in labels:
+                out.append(f"#{labels[id(part)]}#")
+            else:
+                if readers.get(id(part), 0) > 1:
+                    labels[id(part)] = len(labels) + 1
+                    out.append(f"#{len(labels)}=")
+                stack.extend(reversed(part))
+        return "".join(out)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
@@ -70,3 +128,51 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def children(rec: Record) -> tuple:
+    """The fields of ``rec`` that hold records, in field order."""
+    return type(rec)._children(rec)
+
+
+def postorder(rec: Record) -> tuple[list, dict[int, int]]:
+    """Every distinct record under ``rec`` once (by identity), children
+    before the records that hold them, and the number of fields holding
+    each record (the root counts one); without recursion."""
+    order: list = []
+    uses = {id(rec): 1}
+    entered = set()
+    stack = [rec]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if node is None:            # every child of the record below is in order
+            order.append(pop())
+            continue
+        if id(node) in entered:
+            continue
+        entered.add(id(node))
+        push(node)
+        push(None)
+        for child in reversed(type(node)._children(node)):
+            push(child)
+            uses[id(child)] = uses.get(id(child), 0) + 1
+    return order, uses
+
+
+def fold(rec: Record, visit: Callable):
+    """``visit(record, *children's results)`` once per distinct record (by
+    identity), children first, without recursion; returns the root's
+    result.  A result is dropped once its last reader has used it, so a
+    deep chain holds only the results still waiting for a reader."""
+    order, waiting = postorder(rec)
+    results: dict[int, object] = {}
+    for node in order:
+        operands = type(node)._children(node)
+        args = [results[id(c)] for c in operands]
+        for c in operands:
+            waiting[id(c)] -= 1
+            if not waiting[id(c)]:
+                del results[id(c)]
+        results[id(node)] = visit(node, *args)
+    return results[id(rec)]

@@ -7,7 +7,7 @@ Each rewrite memoizes by node identity, so a node shared by several
 parents is rewritten once and its result is shared too.
 """
 
-from rfuncds.expr import NODES, Abs, Add, Const, Mul, Pow, RAnd, ROr, Sqrt, Sub
+from rfuncds.expr import NODES, Abs, Add, Const, Mul, Pow, RAnd, ROr, Sqrt, Sub, children
 
 # how an R-node joins a+b with its radical term: AND subtracts, OR adds
 _R_JOIN = {RAnd: Sub, ROr: Add}
@@ -60,7 +60,7 @@ def _rebuild(e, rec):
     node = NODES[type(e)]
     if not node.operands:
         return e
-    old = node.children(e)
+    old = children(e)
     new = tuple(map(rec, old))
     if all(a is b for a, b in zip(new, old)):
         return e

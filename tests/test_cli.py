@@ -342,11 +342,26 @@ def _edited_report(tmp_path, edit):
     pytest.param(lambda r: r["box"][0].update(lo=float("nan")), "lo < hi, got [nan, 300.0]",
                  id="nan-lo"),
     pytest.param(lambda r: r["constraints"][0].update(threshold=10**400),
-                 "int too large to convert to float", id="threshold=10**400"),
+                 "threshold must be a number, got 1000", id="threshold=10**400"),
     pytest.param(lambda r: r["constraints"][0]["coefficients"].__setitem__(0, 10**400),
-                 "int too large to convert to float", id="coefficient=10**400"),
+                 "coefficient must be a number, got 1000", id="coefficient=10**400"),
     pytest.param(lambda r: r["constraints"][1].update(residual_max_abs=-10**400),
-                 "int too large to convert to float", id="residual=-10**400"),
+                 "residual_max_abs must be a number, got -1000", id="residual=-10**400"),
+    # numbers and counts are JSON numbers, as in the tree format, not bools or strings
+    pytest.param(lambda r: r["box"][0].update(lo=False), "lo must be a number, got False",
+                 id="lo=false"),
+    pytest.param(lambda r: r.update(alpha="1"), "alpha must be a number, got '1'",
+                 id='alpha="1"'),
+    pytest.param(lambda r: r["constraints"][0]["coefficients"].__setitem__(0, "0.5"),
+                 "coefficient must be a number, got '0.5'", id='coefficient="0.5"'),
+    pytest.param(lambda r: r["constraints"][0].update(threshold="0.8"),
+                 "threshold must be a number, got '0.8'", id='threshold="0.8"'),
+    pytest.param(lambda r: r["sampling"].update(n_train=64.9),
+                 "n_train must be a non-negative integer below 2^1024, got 64.9",
+                 id="n_train=64.9"),
+    pytest.param(lambda r: r["validation"].update(n_points=True),
+                 "n_points must be a non-negative integer below 2^1024, got True",
+                 id="n_points=true"),
     pytest.param(lambda r: r["constraints"][0]["basis"]["monomials"][1].__setitem__(0, math.inf),
                  "basis exponent must be a non-negative integer below 2^1024, got inf",
                  id="monomial-exponent=inf"),
@@ -523,6 +538,18 @@ def test_identify_keeps_r_squared_finite_near_the_float_limit(tmp_path, capsys):
     values = [c[key] for c in report["constraints"]
               for key in ("r_squared", "validation_r_squared")]
     assert len(values) == 4 and all(math.isfinite(v) for v in values)
+
+
+def test_identify_keeps_r_squared_finite_for_a_subnormal_target(tmp_path, capsys):
+    # purity falls to about 1e-311, below the normal floats
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("k1_0 = 1e300\n")
+    out = tmp_path / "o"
+    assert run(["identify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "ds_report.json").read_text(), parse_constant=_refuse_constant)
+    assert all(math.isfinite(c[key]) for c in report["constraints"]
+               for key in ("r_squared", "validation_r_squared"))
 
 
 def test_identify_unknown_config_key_is_one_plain_line(tmp_path, capsys, no_model_runs):

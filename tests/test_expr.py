@@ -15,6 +15,7 @@ from rfuncds.expr import (
     Sub, Var, children, classify, compose, depth, eval_arrays, eval_expr, sign_class, walk,
 )
 from rfuncds.geometry import circle, testcase as load_case
+from rfuncds.record import Record
 from rewrites import canonicalize_alpha1, desugar_r_nodes
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -334,9 +335,9 @@ def test_node_table_covers_every_expression_class():
 def _tree_repr(e) -> str:
     """The recursive repr of a dataclass with the same fields."""
     fields = ", ".join(
-        f"{name}={_tree_repr(v) if isinstance(v, Expr) else repr(v)}"
-        for name, v in ((name, getattr(e, name)) for name in e.__slots__))
-    return f"{type(e).__name__}({fields})"
+        f"{name}={_tree_repr(v) if isinstance(v, Record) else repr(v)}"
+        for name, v in ((name, getattr(e, name)) for name in e._fields))
+    return f"{type(e).__qualname__}({fields})"
 
 
 def test_repr_of_a_tree_names_every_field():

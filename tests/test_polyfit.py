@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from rfuncds.errors import DimensionMismatch, InsufficientPoints, NonFiniteValue, RankDeficient
 from rfuncds.expr import Const, eval_arrays, eval_expr
 from rfuncds.polyfit import (
-    BasisSpec, FitResult, design_matrix, fit_least_squares, r_squared, to_expr,
+    BasisSpec, FitResult, _r_squared, design_matrix, fit_least_squares, r_squared, to_expr,
 )
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
@@ -132,6 +134,14 @@ def test_r_squared_of_a_target_near_the_float_limit():
         assert r_squared(big, pts, y * k) == r_squared(fit, pts, y)
         assert fit_least_squares(pts, y * k, LINE).r_squared == pytest.approx(fit.r_squared)
     assert 0.0 < fit.r_squared < 1.0
+
+
+def test_r_squared_of_a_subnormal_target():
+    # the power of two that scales a target near 1e-310 up is beyond the float range
+    y = np.array([1e-310, 3e-310, 2e-310])
+    value = _r_squared(y, y - 2e-310)
+    k = 2.0 ** 1000
+    assert math.isfinite(value) and value == _r_squared(y * k, (y - 2e-310) * k)
 
 
 def test_to_expr_values():

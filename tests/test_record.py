@@ -24,6 +24,7 @@ from rfuncds.expr import (
 )
 from rfuncds.polyfit import BasisSpec, FitResult
 from rfuncds.reactor import KineticParams
+from test_expr import _tree_repr
 
 REPORT_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "kelvin-alpha1.json"
 
@@ -212,6 +213,23 @@ def test_a_rebuilt_record_is_equal(record):
     copy = _copy(record)
     assert copy is not record and copy == record and hash(copy) == hash(record)
     assert record != object()
+
+
+@pytest.mark.parametrize("record", _records(), ids=_record_id)
+def test_repr_of_a_record_is_the_recursive_repr(record):
+    assert repr(record) == _tree_repr(record)
+
+
+def test_a_deep_not_chain_compares_hashes_and_prints_without_recursion():
+    def chain(levels):
+        tree = Leaf(geometry.circle(0.0, 0.0, 1.0))
+        for _ in range(levels):
+            tree = Not(tree)
+        return tree
+    a, b = chain(3000), chain(3000)
+    assert a == b and hash(a) == hash(b)
+    assert a != chain(2999) and a != Not(Not(a.child))
+    assert repr(a) == "Not(child=" * 3000 + repr(chain(0)) + ")" * 3000
 
 
 @pytest.mark.parametrize("record", [*_records(), *_array_records()], ids=_record_id)
