@@ -10,6 +10,7 @@ touch the underlying model.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -20,7 +21,8 @@ from .errors import (
     NonFiniteValue, OutOfBox, ParseError,
 )
 from .expr import (
-    And, Const, Leaf, Region, Sub, check_alpha, compose, depth, eval_arrays, sign_class,
+    And, Const, Leaf, Region, Sub, check_alpha, compile_verdict, compose, depth, eval_arrays,
+    sign_class,
 )
 from .polyfit import BasisSpec, FitResult, fit_least_squares, r_squared, to_expr
 from .qmc import scale, sobol
@@ -78,7 +80,8 @@ class ValidationStats(Record):
 
 
 class DSReport(Record):
-    __slots__ = ("box", "alpha", "constraints", "joint", "sampling", "validation")
+    # the instance dict holds only the compiled verdict function
+    __slots__ = ("box", "alpha", "constraints", "joint", "sampling", "validation", "__dict__")
 
     def __init__(self, box: tuple[BoxAxis, ...], alpha: float,
                  constraints: tuple[ConstraintReport, ...], joint: Region,
@@ -88,6 +91,16 @@ class DSReport(Record):
             raise ValueError(f"joint region variables {joint.vars} "
                              f"differ from the box axes {names}")
         super().__init__(box, alpha, constraints, joint, sampling, validation)
+
+    @functools.cached_property
+    def verdict(self) -> Callable:
+        """The joint expression and the box test compiled into one function,
+        on first use (``expr.compile_verdict``): the ``membership`` of a list
+        or tuple point inside the box, and None for every other point.
+
+        A pickled report leaves it out and compiles it again on first use
+        after loading."""
+        return compile_verdict(self.joint.program, [(axis.lo, axis.hi) for axis in self.box])
 
 
 def plot_count(d: int) -> int:
@@ -189,9 +202,16 @@ def membership(report: DSReport, u) -> str:
     """Classify a point against the joint expression, as ``sign_class`` does.
 
     Never calls the underlying model.  Raises OutOfBox as ``box_point``.
+    A list or tuple point inside the box is answered by the report's
+    ``verdict`` function, compiled on the first query; every other point
+    (a mapping, another iterable, a wrong count, a value that is not a
+    number, nan or out of the box) and a float power that overflows take
+    the checked path, ``sign_class(report.joint, box_point(report, u))``,
+    which gives the same verdicts and raises the errors.
     """
-    # the joint region's inputs are the box axes in order (DSReport checks it)
-    return sign_class(report.joint, box_point(report, u))
+    # verdict gives None where it does not answer; the joint region's inputs
+    # are the box axes in order (DSReport checks it)
+    return report.verdict(u) or sign_class(report.joint, box_point(report, u))
 
 
 def box_point(report: DSReport, u) -> list[float]:
@@ -324,9 +344,24 @@ def _count(value, what: str) -> int:
     return value
 
 
+def _name(value, what: str) -> str:
+    """A report's name field: a non-empty string, as a tree's variable names are."""
+    if not exprtext.is_name(value):
+        raise ParseError(None, f"{what} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _unit(value) -> str | None:
+    """A box axis's unit: a string or null (or left out)."""
+    if value is not None and not isinstance(value, str):
+        raise ParseError(None, f"box axis unit must be a string or null, got {value!r}")
+    return value
+
+
 def _report_from_obj(obj: dict) -> DSReport:
     alpha = check_alpha(_number(obj["alpha"], "alpha"))
-    box = tuple(BoxAxis(a["name"], _number(a["lo"], "lo"), _number(a["hi"], "hi"), a.get("unit"))
+    box = tuple(BoxAxis(_name(a["name"], "box axis name"), _number(a["lo"], "lo"),
+                        _number(a["hi"], "hi"), _unit(a.get("unit")))
                 for a in obj["box"])
     names = tuple(a.name for a in box)
     constraints = []
@@ -346,7 +381,8 @@ def _report_from_obj(obj: dict) -> DSReport:
                         residual_max_abs=_number(c["residual_max_abs"], "residual_max_abs"))
         phi = Region(exprtext.from_tree_obj(c["phi_tree"]), names)
         constraints.append(ConstraintReport(
-            name=c["name"], threshold=_number(c["threshold"], "threshold"), fit=fit, phi=phi,
+            name=_name(c["name"], "constraint name"),
+            threshold=_number(c["threshold"], "threshold"), fit=fit, phi=phi,
             validation_r_squared=_number(c["validation_r_squared"], "validation_r_squared")))
     joint = Region(exprtext.from_tree_obj(obj["joint"]["tree"]), names)
     s = obj["sampling"]

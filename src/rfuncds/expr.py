@@ -227,9 +227,10 @@ del _cls, _node
 # shared by identity, an operand of an alpha != 1 R-node), or when its text
 # nests _SPILL_DEPTH levels deep, so that compile() never meets the parser's
 # nesting limit; each local is deleted after its last read.  Nothing taken
-# from the expression enters the source: inputs are read as x0, x1, ... and
-# constants as the globals c0, c1, ..., so names and values such as inf,
-# nan or -0.0 are never spelled in it.
+# from the expression enters the source: inputs are read as x0, x1, ...,
+# constants as the globals c0, c1, ... and a verdict function's box limits
+# as l0, h0, ..., so names and values such as inf, nan or -0.0 are never
+# spelled in it.
 
 _SPILL_DEPTH = 40
 
@@ -276,22 +277,37 @@ _LOCAL_RE = re.compile(r"\bv\d+\b")
 
 
 class Program(Record):
-    """An expression compiled into one generated Python function.
+    """An expression compiled into generated Python functions.
 
-    ``arrays`` evaluates it with numpy functions, ``scalars`` with float
-    functions; both take the input values as one sequence ordered like
-    ``names`` and share one code object.  ``bind`` makes the function from
-    a table of the functions it calls; ``arrays`` is bound on first use, so
-    scalar evaluation never imports numpy.  ``reads`` holds the names the
-    expression reads and ``source`` the generated text.
+    ``body`` holds the statements that compute the expression from the
+    inputs x0, x1, ... (one line each, unindented), ``result`` the text of
+    its value and ``consts`` the values of the globals c0, c1, ...;
+    ``reads`` holds the names the expression reads.  ``source`` wraps them
+    into one function of the input values, taken as one sequence ordered
+    like ``names``.  ``scalars`` is that function bound to float functions
+    and ``arrays`` bound to numpy functions, each on first use, so scalar
+    evaluation never imports numpy; both share one code object.
     """
 
-    # the instance dict holds only the array function
-    __slots__ = ("names", "reads", "source", "scalars", "bind", "__dict__")
+    # the instance dict holds only the bound functions
+    __slots__ = ("names", "reads", "body", "result", "consts", "__dict__")
+
+    @property
+    def source(self) -> str:
+        lines = ["def program(X):"]
+        if self.names:
+            lines.append(f"    {''.join(f'x{i}, ' for i in range(len(self.names)))}= X")
+        lines += [f"    {line}" for line in self.body]
+        lines.append(f"    return {self.result}")
+        return "\n".join(lines) + "\n"
+
+    @functools.cached_property
+    def scalars(self) -> Callable:
+        return _bind(self, self.source, "program", _SCALAR_FUNCTIONS)
 
     @functools.cached_property
     def arrays(self) -> Callable:
-        return self.bind(_array_functions())
+        return _bind(self, self.source, "program", _array_functions())
 
     def inputs(self, point):
         """The input sequence for a name -> value mapping; any other
@@ -340,6 +356,14 @@ def _code(source: str):
     return compile(source, "<rfuncds program>", "exec")
 
 
+def _bind(program: Program, source: str, name: str, values: dict) -> Callable:
+    """The function ``name`` that ``source``, written around ``program``'s
+    statements, defines; its globals are ``values`` and the constants."""
+    namespace = {**values, **{f"c{i}": value for i, value in enumerate(program.consts)}}
+    exec(_code(source), namespace)
+    return namespace[name]
+
+
 def compile_expr(expr: Expr, names: Sequence[str] | None = None) -> Program:
     """Compile ``expr`` into a Program whose inputs are ``names`` (default:
     the expression's variables, sorted), which must cover every variable."""
@@ -371,25 +395,55 @@ def compile_expr(expr: Expr, names: Sequence[str] | None = None) -> Program:
     for name, i in last_read.items():
         dead.setdefault(i, []).append(name)
 
-    lines = ["def program(X):"]
-    if names:
-        lines.append(f"    {''.join(f'x{i}, ' for i in range(len(names)))}= X")
+    body = []
     for i, (name, text) in enumerate(k.statements):
-        lines.append(f"    {name} = {text}")
+        body.append(f"{name} = {text}")
         if i in dead:
-            lines.append(f"    del {', '.join(dead[i])}")
-    lines.append(f"    return {result}")
-    source = "\n".join(lines) + "\n"
+            body.append(f"del {', '.join(dead[i])}")
+    return Program(names, frozenset(k.reads), tuple(body), result, tuple(k.consts))
 
-    # the constants and the functions called are the program's globals
-    code = _code(source)
-    consts = {f"c{i}": value for i, value in enumerate(k.consts)}
 
-    def bind(functions):
-        namespace = {**functions, **consts}
-        exec(code, namespace)
-        return namespace["program"]
-    return Program(names, frozenset(k.reads), source, bind(_SCALAR_FUNCTIONS), bind)
+def compile_verdict(program: Program, bounds: Sequence[tuple[float, float]]) -> Callable:
+    """``classify`` of ``program``'s value as one generated function of a
+    list or tuple ``point`` of one value per input, which must convert with
+    float and lie in its inclusive ``(lo, hi)`` pair of ``bounds``.
+
+    It returns None for every other point (any other type, a wrong count, a
+    value float refuses, nan or a value out of bounds) and where a float
+    power overflows, so that the caller can take the checked path.  The
+    bounds are globals like the constants, l0, h0, l1, ..., so programs of
+    one expression shape share one code object.
+    """
+    xs = [f"x{i}" for i in range(len(program.names))]
+    inside = " and ".join(f"l{i} <= x{i} <= h{i}" for i in range(len(xs))) or "True"
+    lines = [
+        "def verdict(u):",
+        "    if not isinstance(u, sequence):",
+        "        return None",
+        "    try:",
+        f"        [{', '.join(xs)}] = u",
+        *[f"        {x} = float({x})" for x in xs],
+        "    except (TypeError, ValueError, OverflowError):   # the checked path raises",
+        "        return None",
+        f"    if not ({inside}):",
+        "        return None",
+        "    try:",
+        *[f"        {line}" for line in program.body],
+        f"        value = {program.result}",
+        "    except OverflowError:   # the checked path gives inf, as numpy does",
+        "        return None",
+        "    # as classify",
+        "    if value > tol:",
+        "        return 'inside'",
+        "    if value >= -tol:",
+        "        return 'boundary'",
+        "    return 'outside'",
+    ]
+    limits = {}
+    for i, (lo, hi) in enumerate(bounds):
+        limits[f"l{i}"], limits[f"h{i}"] = lo, hi
+    return _bind(program, "\n".join(lines) + "\n", "verdict",
+                 {**_SCALAR_FUNCTIONS, **limits, "sequence": (list, tuple), "tol": BOUNDARY_TOL})
 
 
 # ----------------------------------------------------------------------
@@ -539,26 +593,38 @@ def compose(tree: BoolTree, alpha: float = 1.0) -> Region:
 
     And/Or fold left into binary R-nodes with the given alpha; Not becomes a
     sign flip.  The membership of the result equals the set-theoretic
-    combination of the leaf memberships.
+    combination of the leaf memberships.  The tree is walked without
+    recursion, so nesting depth has no limit.
     """
     check_alpha(alpha)
     regions = []
-
-    def rec(node: BoolTree) -> Expr:
+    exprs: list[Expr] = []   # the composed subtrees not yet read by their parent
+    stack: list[tuple[BoolTree, bool]] = [(tree, False)]   # (node, operands composed)
+    while stack:
+        node, composed = stack.pop()
         if isinstance(node, Leaf):
             regions.append(node.region)
-            return node.region.expr
-        if isinstance(node, Not):
-            return Neg(rec(node.child))
-        if not isinstance(node, _Join):
-            raise TypeError(f"unknown BoolTree node {type(node).__name__}")
-        exprs = [rec(child) for child in node.children]
-        out = exprs[0]
-        for e in exprs[1:]:
-            out = node.r_node(out, e, alpha)
-        return out
+            exprs.append(node.region.expr)
+        elif composed and isinstance(node, Not):
+            exprs.append(Neg(exprs.pop()))
+        elif composed:
+            count = len(node.children)
+            out, *rest = exprs[-count:]
+            del exprs[-count:]
+            for e in rest:
+                out = node.r_node(out, e, alpha)
+            exprs.append(out)
+        else:
+            if isinstance(node, Not):
+                operands = (node.child,)
+            elif isinstance(node, _Join):
+                operands = node.children
+            else:
+                raise TypeError(f"unknown BoolTree node {type(node).__name__}")
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(operands))
 
-    expr = rec(tree)
+    expr, = exprs
     var_lists = {r.vars for r in regions}
     if len(var_lists) != 1:
         raise MixedVariableLists(f"leaf regions use different variable lists: {sorted(var_lists)}")

@@ -144,6 +144,12 @@ def is_exponent(v) -> bool:
     return is_number(v) and isinstance(v, int) and v >= 0
 
 
+def is_name(v) -> bool:
+    """Whether ``v`` is a name as the tree format and a report write it: a
+    non-empty string."""
+    return isinstance(v, str) and v != ""
+
+
 # what is_exponent accepts, as error messages name it
 EXPONENT = "a non-negative integer below 2^1024"
 
@@ -151,7 +157,7 @@ EXPONENT = "a non-negative integer below 2^1024"
 _PARAMS = {
     "value": (is_number, float, "a number"),
     "alpha": (is_number, float, "a number"),
-    "name": (lambda v: isinstance(v, str) and v != "", str, "a non-empty string"),
+    "name": (is_name, str, "a non-empty string"),
     "exponent": (is_exponent, int, EXPONENT),
 }
 _BY_TAG = {node.tag: cls for cls, node in NODES.items()}

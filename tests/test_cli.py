@@ -19,7 +19,6 @@ import rfuncds
 from rfuncds import cli, ds, reactor
 from rfuncds.errors import RankDeficient
 from rfuncds.exprtext import MAX_DEPTH
-from rfuncds.expr import Program
 from rfuncds.reactor import CQA_BASIS
 from infix_eval import infix_eval
 
@@ -386,6 +385,19 @@ def _edited_report(tmp_path, edit):
     pytest.param(lambda r: r["joint"].update(tree={"kind": "min", "args": [
         {"kind": "var", "name": "T"}, {"kind": "var", "name": "t"}]}),
                  "unknown node kind 'min'", id="kind-min"),
+    # names are non-empty strings, as a var name of the tree format must be
+    *[pytest.param(lambda r, v=v: r["constraints"][1].update(name=v),
+                   f"constraint name must be a non-empty string, got {v!r}",
+                   id=f"constraint-name={json.dumps(v)}")
+      for v in (5, None, "", ["profit"])],
+    *[pytest.param(lambda r, v=v: r["box"][0].update(name=v),
+                   f"box axis name must be a non-empty string, got {v!r}",
+                   id=f"axis-name={json.dumps(v)}")
+      for v in (5, None, "")],
+    *[pytest.param(lambda r, v=v: r["box"][1].update(unit=v),
+                   f"box axis unit must be a string or null, got {v!r}",
+                   id=f"unit={json.dumps(v)}")
+      for v in (7, False, ["min"])],
 ])
 def test_check_rejects_invalid_report_fields(edit, needle, tmp_path, capsys):
     path = _edited_report(tmp_path, edit)
@@ -439,9 +451,7 @@ def test_check_evaluates_the_joint_expression_once(value, code, verdict, monkeyp
     def scalars(inputs):
         calls.append(list(inputs))
         return value
-    old = report.joint.program
-    program = Program(old.names, old.reads, old.source, scalars, old.bind)
-    report.joint.__dict__["program"] = program
+    report.joint.program.__dict__["scalars"] = scalars
     monkeypatch.setattr(ds, "load_report", lambda path: report)
     assert run(["check", str(REPORT_FIXTURE), "t=280,T=290"]) == code
     assert calls == [[290.0, 280.0]]
@@ -708,11 +718,14 @@ def test_import_load_and_check_never_import_numpy():
         "print(loaded())\n"
         "codes = [cli.main(['check', p, '290,280']) for p in sys.argv[1:]]\n"
         "print(codes, loaded())\n"
+        "points = [[290, 280], (290.0, 280.0), {'T': 290, 't': 280}]\n"
+        "print([ds.membership(r, u) for r in reports for u in points], loaded())\n"
         "print(rfuncds.__file__)\n"
     )
     fixtures = [str(REPORT_FIXTURE), str(REPORT_FIXTURE.with_name("kelvin-alpha0.json"))]
     out = _run_child("-c", code, *fixtures).stdout.splitlines()
-    assert out[:2] == ["[]", "[]"] and out[-2] == "[0, 0] []"
+    assert out[:2] == ["[]", "[]"] and out[-3] == "[0, 0] []"
+    assert out[-2] == f"{['inside'] * 6} []"
     assert Path(out[-1]).resolve() == Path(rfuncds.__file__).resolve()
 
 

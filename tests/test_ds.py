@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from rfuncds import cli, reactor
 from rfuncds.contour import grid_eval, marching_squares
@@ -12,6 +14,9 @@ from rfuncds.ds import (
     BoxAxis,
     ConstraintSpec,
     DSReport,
+    SamplingMeta,
+    ValidationStats,
+    box_point,
     identify,
     load_report,
     membership,
@@ -21,13 +26,16 @@ from rfuncds.ds import (
 from rfuncds.emit import emit_contours_csv
 from rfuncds.errors import (
     AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape,
-    NonFiniteValue, OutOfBox, ParseError, RfuncdsError, SampleCountTooLarge,
+    NegativeSqrtArgument, NonFiniteValue, OutOfBox, ParseError, RfuncdsError, SampleCountTooLarge,
 )
-from rfuncds.expr import Neg, Region, Var, depth, eval_arrays, eval_expr
+from rfuncds.expr import (
+    Const, Mul, Neg, Pow, Region, Sqrt, Sub, Var, classify, depth, eval_arrays, eval_expr,
+)
 from rfuncds.exprtext import MAX_DEPTH, parse_tree_text, to_infix, to_tree_text
 from rfuncds.polyfit import BasisSpec
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
+from dags import dags
 from infix_eval import infix_eval
 
 REPO = Path(__file__).resolve().parents[1]
@@ -137,6 +145,95 @@ def test_membership_never_calls_model():
     for u in [(260.0, 280.0), (290.0, 290.0), (275.0, 275.0)]:
         membership(report, u)
     assert calls == [(16, 2), (256, 2)]
+
+
+def _report_of(joint: Region, box) -> DSReport:
+    """A report that holds only a joint region and its box."""
+    return DSReport(box=tuple(box), alpha=1.0, constraints=(), joint=joint,
+                    sampling=SamplingMeta(0, 0, 0, 0), validation=ValidationStats(1.0, 0, 0))
+
+
+def _outcome(query, report, make_point):
+    """The verdict, or the type and message of the error raised."""
+    try:
+        return query(report, make_point())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _checked(report, u):
+    """membership's checked path: box_point, then the joint region's program."""
+    return classify(eval_expr(report.joint, box_point(report, u)))
+
+
+def _point_makers(report, seed):
+    """Functions that each make one query point (a generator is made anew
+    for each query), the seeded in-box lists first."""
+    box, names = report.box, [axis.name for axis in report.box]
+    rng = random.Random(seed)
+    seeded = [[rng.uniform(axis.lo, axis.hi) for axis in box] for _ in range(20)]
+    corners = [list(c) for c in itertools.product(*[(axis.lo, axis.hi) for axis in box])]
+    mid = [(axis.lo + axis.hi) / 2 for axis in box]
+    points = [
+        *seeded, *corners, [-0.0, *mid[1:]], [*mid[:-1], -0.0],
+        [np.float64(v) for v in mid], [repr(v) for v in mid], ["abc", *mid[1:]],
+        [None, *mid[1:]], [b"1", *mid[1:]], mid[:-1], [*mid, mid[0]], [],
+        *[[bad, *mid[1:]] for bad in (math.nan, math.inf, -math.inf, box[0].lo - 1e-9,
+                                      box[0].hi + 1e-9, 10 ** 400)],
+    ]
+    makers = [lambda p=p: list(p) for p in points]
+    makers += [lambda p=p: tuple(p) for p in points]
+    makers += [lambda p=p: dict(zip(names, p)) for p in points]
+    makers += [lambda p=p: (v for v in p) for p in points]
+    makers += [lambda: dict(zip(names[1:], mid)), lambda: {**dict(zip(names, mid)), "z": 1.0},
+               lambda: np.array(mid), lambda: "".join(map(str, range(len(mid)))), lambda: 5]
+    return makers, len(seeded)
+
+
+def _assert_membership_pinned_to_the_checked_path(report, seed=0):
+    makers, n_seeded = _point_makers(report, seed)
+    for make in makers:
+        assert _outcome(membership, report, make) == _outcome(_checked, report, make), make()
+    # the compiled verdict answers the seeded in-box lists itself, or raises
+    # as the checked path does, unless a float power overflows there
+    for make in makers[:n_seeded]:
+        if _outcome(lambda r, u: r.verdict(u), report, make) is None:
+            with pytest.raises(OverflowError):
+                report.joint.program.scalars(make())
+
+
+@pytest.mark.parametrize("path", REPORT_FIXTURES, ids=lambda p: p.stem)
+def test_membership_gives_the_checked_verdicts_and_errors_on_fixtures(path):
+    report = load_report(path)
+    _assert_membership_pinned_to_the_checked_path(report)
+    assert "verdict" in vars(report)
+    assert all(report.verdict(u) is not None
+               for u in ([290.0, 280.0], (250.0, 300.0), [np.float64(275.0), "280"]))
+
+
+@given(dags())
+def test_membership_gives_the_checked_verdicts_and_errors_on_shared_dags(expr):
+    box = (BoxAxis("x", -5.0, 5.0), BoxAxis("y", -2.0, 3.0))
+    _assert_membership_pinned_to_the_checked_path(_report_of(Region(expr, ("x", "y")), box))
+
+
+def test_membership_takes_the_numpy_route_where_a_float_power_overflows():
+    # (1e200*T)^2 - 1: float ** int raises OverflowError where numpy gives inf
+    box = load_report(REPORT_FIXTURES[1]).box
+    joint = Region(Sub(Pow(Mul(Const(1e200), Var("T")), 2), Const(1.0)), ("T", "t"))
+    report = _report_of(joint, box)
+    assert report.verdict([290.0, 280.0]) is None
+    assert membership(report, [290.0, 280.0]) == "inside"
+    _assert_membership_pinned_to_the_checked_path(report)
+
+
+def test_membership_raises_the_checked_negative_sqrt_error():
+    box = load_report(REPORT_FIXTURES[1]).box
+    report = _report_of(Region(Sqrt(Var("T") - 275.0), ("T", "t")), box)
+    with pytest.raises(NegativeSqrtArgument, match="-15.0"):
+        membership(report, [260.0, 280.0])
+    assert membership(report, (275.0, 280.0)) == "boundary"
+    _assert_membership_pinned_to_the_checked_path(report, seed=1)
 
 
 def test_skip_beyond_the_sequence_fails_before_any_model_run():
@@ -573,3 +670,15 @@ def test_load_rejects_invalid_alpha_box_and_nesting(old, new, tmp_path):
     path.write_text(text.replace(old, new, 1))
     with pytest.raises(ParseError):
         load_report(path)
+
+
+@pytest.mark.parametrize("unit", [None, "", "K", "absent"])
+def test_load_takes_a_string_null_or_absent_unit(unit, tmp_path):
+    report = json.loads(REPORT_FIXTURES[1].read_text())
+    if unit == "absent":
+        del report["box"][0]["unit"]
+    else:
+        report["box"][0]["unit"] = unit
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert load_report(path).box[0].unit == (None if unit == "absent" else unit)

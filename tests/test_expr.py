@@ -11,7 +11,7 @@ from rfuncds.errors import (
     UnboundVariable,
 )
 from rfuncds.expr import (
-    NODES, Abs, Add, And, Const, Expr, Leaf, Mul, Neg, Not, Pow, RAnd, ROr, Region, Sqrt,
+    NODES, Abs, Add, And, Const, Expr, Leaf, Mul, Neg, Not, Or, Pow, RAnd, ROr, Region, Sqrt,
     Sub, Var, children, classify, compose, depth, eval_arrays, eval_expr, sign_class, walk,
 )
 from rfuncds.geometry import circle, testcase as load_case
@@ -432,6 +432,51 @@ def test_compose_alpha_checked():
     c0, c1 = _two_circles()
     with pytest.raises(AlphaOutOfRange):
         compose(And(Leaf(c0), Leaf(c1)), -1.0)
+
+
+def _compose_recursive(tree, alpha):
+    """compose's rule read recursively, one call per level: for shallow trees."""
+    if isinstance(tree, Leaf):
+        return tree.region.expr
+    if isinstance(tree, Not):
+        return Neg(_compose_recursive(tree.child, alpha))
+    exprs = [_compose_recursive(child, alpha) for child in tree.children]
+    out = exprs[0]
+    for e in exprs[1:]:
+        out = tree.r_node(out, e, alpha)
+    return out
+
+
+def _nested_and(levels, leaves):
+    """And(And(...And(l0, l1)..., l2), l0): ``levels`` nested joins."""
+    tree = leaves[0]
+    for i in range(1, levels + 1):
+        tree = And(tree, leaves[i % len(leaves)])
+    return tree
+
+
+def test_compose_matches_the_recursive_rule_on_shallow_trees():
+    c0, c1 = _two_circles()
+    l0, l1 = Leaf(c0), Leaf(c1)
+    trees = [l0, Not(l0), And(l0), Or(l0, l1, Not(l0)), Not(And(Or(l0, Not(l1)), l1, Or(l1))),
+             And(Or(l0, And(l1, Not(Not(l0)))), Not(Or(l1, l0, l1))), _nested_and(5, [l0, l1])]
+    for tree in trees:
+        for alpha in (1.0, 0.25):
+            assert compose(tree, alpha).expr == _compose_recursive(tree, alpha)
+
+
+def test_compose_takes_3000_nested_joins():
+    c0, c1 = _two_circles()
+    leaves = [Leaf(c0), Leaf(c1), Leaf(c0)]
+    # the chain the recursive rule gives: one R-node per join, folded left
+    chain = c0.expr
+    for i in range(1, 3001):
+        chain = RAnd(chain, leaves[i % 3].region.expr, 0.5)
+    assert compose(_nested_and(5, leaves), 0.5).expr == \
+        _compose_recursive(_nested_and(5, leaves), 0.5)
+    region = compose(_nested_and(3000, leaves), 0.5)
+    assert region.expr == chain and depth(region.expr) == 3000 + depth(c0.expr)
+    assert region.vars == c0.vars
 
 
 def test_sign_class_circle():
