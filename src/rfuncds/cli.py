@@ -3,8 +3,11 @@
 Subcommands: ``demo`` (built-in geometry cases), ``identify`` (reactor
 design space), ``check`` (membership query against a saved report) and
 ``sobol`` (sample points to stdout).  Exit codes: 0 success / point inside,
-2 usage or malformed input, 3 point outside, 4 point on the boundary,
-1 runtime failure (closed-form error estimate, fitting, inf or nan values, memory, IO).
+2 usage or malformed input (every ``RfuncdsError`` but a ``RunFailure``),
+3 point outside, 4 point on the boundary, 1 runtime failure (a
+``RunFailure``: closed-form error estimate, fitting, inf or nan values;
+``MemoryError`` and ``OSError``).  Commands raise their errors, and ``main``
+prints each as one ``error:`` line.
 
 Outputs are byte-deterministic: headers carry the tool version and the
 invocation (for ``identify`` also the model that produced the numbers),
@@ -20,19 +23,8 @@ import sys
 from pathlib import Path
 
 from . import __version__, ds, exprtext
-from .errors import (
-    InsufficientPoints,
-    NonFiniteValue,
-    RankDeficient,
-    RfuncdsError,
-    ToleranceNotMet,
-)
+from .errors import RfuncdsError, RunFailure
 from .expr import classify, compose, eval_expr
-
-# failures of a run on valid input exit 1; every other package error is a
-# usage error or malformed input and exits 2
-_RUNTIME_ERRORS = (ToleranceNotMet, RankDeficient, InsufficientPoints, NonFiniteValue, OSError,
-                   MemoryError)
 
 # names imported when a command that draws runs, so that check loads
 # neither numpy nor the modules it does not use
@@ -147,7 +139,7 @@ def main(argv=None) -> int:
     provenance = _escaped(f"rfuncds {__version__} | rfuncds {' '.join(argv)}")
     try:
         return args.func(args, provenance)
-    except _RUNTIME_ERRORS as exc:
+    except (RunFailure, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RfuncdsError as exc:
@@ -219,15 +211,12 @@ def cmd_identify(args, provenance: str) -> int:
     from . import reactor
     _bind("grid_eval", "marching_squares", "DEFAULT_PALETTE", "emit_svg", "emit_contours_csv")
     if args.n < len(reactor.CQA_BASIS):
-        print(f"error: --n must be >= {len(reactor.CQA_BASIS)} (basis size), got {args.n}",
-              file=sys.stderr)
-        return 2
+        raise RfuncdsError(f"--n must be >= {len(reactor.CQA_BASIS)} (basis size), got {args.n}")
     try:
         params, box = reactor.apply_config(
             _load_config(args.config) if args.config is not None else {})
     except (ValueError, OSError) as exc:   # OSError: a config that cannot be read
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise RfuncdsError(str(exc)) from None
     provenance = f"{provenance} | model reactor.cqa_closed"
 
     def model(points):
@@ -280,8 +269,7 @@ def cmd_check(args, provenance: str) -> int:
     try:
         report = ds.load_report(args.report)
     except (RfuncdsError, OSError) as exc:
-        print(f"error: cannot read report {args.report!r}: {exc}", file=sys.stderr)
-        return 2
+        raise RfuncdsError(f"cannot read report {args.report!r}: {exc}") from None
     tokens = [tok.strip() for tok in args.point.split(",")]
     try:
         if any("=" in tok for tok in tokens):
@@ -290,15 +278,12 @@ def cmd_check(args, provenance: str) -> int:
                 key, _, value = tok.partition("=")
                 key = key.strip()
                 if key in point:
-                    print(f"error: coordinate {key!r} given twice in {args.point!r}",
-                          file=sys.stderr)
-                    return 2
+                    raise RfuncdsError(f"coordinate {key!r} given twice in {args.point!r}")
                 point[key] = float(value)
         else:
             point = [float(tok) for tok in tokens]
     except ValueError:
-        print(f"error: malformed point {args.point!r}", file=sys.stderr)
-        return 2
+        raise RfuncdsError(f"malformed point {args.point!r}") from None
     value = eval_expr(report.joint, ds.box_point(report, point))
     verdict = classify(value)
     print(f"{verdict} (joint expression = {value!r})")

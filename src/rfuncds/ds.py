@@ -201,8 +201,9 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
 def membership(report: DSReport, u) -> str:
     """Classify a point against the joint expression, as ``sign_class`` does.
 
-    Never calls the underlying model.  Raises OutOfBox as ``box_point``.
-    A list or tuple point inside the box is answered by the report's
+    Never calls the underlying model.  Raises OutOfBox as ``box_point``,
+    and TypeError for a ``str`` or ``bytes`` point, which is not read as
+    its characters.  A list or tuple point inside the box is answered by the report's
     ``verdict`` function, compiled on the first query; every other point
     (a mapping, another iterable, a wrong count, a value that is not a
     number, nan or out of the box) and a float power that overflows take
@@ -220,7 +221,8 @@ def box_point(report: DSReport, u) -> list[float]:
     ``u`` is a name -> value mapping or the values in box-axis order.
     Raises OutOfBox for points outside the report's parameter box, and for
     a mapping that misses a box coordinate or names one the box does not
-    have.
+    have; a ``str`` or ``bytes`` point raises TypeError rather than being
+    read as its characters.
     """
     box = report.box
     # lists and tuples skip the slower abstract-class check
@@ -234,6 +236,9 @@ def box_point(report: DSReport, u) -> list[float]:
             values = [float(u[n]) for n in names]
         except KeyError as exc:
             raise OutOfBox(f"point is missing coordinate {exc.args[0]!r}") from None
+    elif isinstance(u, (str, bytes)):
+        raise TypeError(f"point must be a sequence or mapping of numbers, "
+                        f"not {type(u).__name__}")
     else:
         values = list(map(float, u))
         if len(values) != len(box):
@@ -305,12 +310,12 @@ def load_report(path) -> DSReport:
     Expression trees may nest at most ``exprtext.MAX_DEPTH`` levels; the
     file is checked for that before it is decoded.  A file that is not
     UTF-8 text, a missing or wrong ``format`` key, a missing field, a
-    number that is not a JSON number within the float range, a count or
-    basis exponent that is not a non-negative JSON integer, a coefficient
-    list that does not match its basis, basis variables other than the box
-    axes, an alpha outside (-1, 1], a box axis without finite ``lo < hi``
-    and a too-deep tree raise ParseError.  Coefficients load as a tuple of
-    floats; nothing here imports numpy.
+    field not of its kind in ``exprtext.FIELD_KINDS`` (number, count,
+    name or unit), a coefficient list that does not match its basis,
+    basis variables other than the box axes, an alpha outside (-1, 1], a
+    box axis without finite ``lo < hi`` and a too-deep tree raise
+    ParseError.  Coefficients load as a tuple of floats; nothing here
+    imports numpy.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -330,66 +335,41 @@ def load_report(path) -> DSReport:
         raise ParseError(None, str(exc)) from None
 
 
-def _number(value, what: str) -> float:
-    """A report's float field: a JSON number, as a tree's constants are."""
-    if not exprtext.is_number(value):
-        raise ParseError(None, f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _count(value, what: str) -> int:
-    """A report's count or basis exponent: a non-negative JSON integer."""
-    if not exprtext.is_exponent(value):
-        raise ParseError(None, f"{what} must be {exprtext.EXPONENT}, got {value!r}")
-    return value
-
-
-def _name(value, what: str) -> str:
-    """A report's name field: a non-empty string, as a tree's variable names are."""
-    if not exprtext.is_name(value):
-        raise ParseError(None, f"{what} must be a non-empty string, got {value!r}")
-    return value
-
-
-def _unit(value) -> str | None:
-    """A box axis's unit: a string or null (or left out)."""
-    if value is not None and not isinstance(value, str):
-        raise ParseError(None, f"box axis unit must be a string or null, got {value!r}")
-    return value
-
-
 def _report_from_obj(obj: dict) -> DSReport:
-    alpha = check_alpha(_number(obj["alpha"], "alpha"))
-    box = tuple(BoxAxis(_name(a["name"], "box axis name"), _number(a["lo"], "lo"),
-                        _number(a["hi"], "hi"), _unit(a.get("unit")))
+    field = exprtext.read_field
+    alpha = check_alpha(field(obj["alpha"], "number", "alpha"))
+    box = tuple(BoxAxis(field(a["name"], "name", "box axis name"),
+                        field(a["lo"], "number", "lo"), field(a["hi"], "number", "hi"),
+                        field(a.get("unit"), "unit", "box axis unit"))
                 for a in obj["box"])
     names = tuple(a.name for a in box)
     constraints = []
     for c in obj["constraints"]:
-        monomials = tuple(tuple(_count(e, "basis exponent") for e in m)
+        monomials = tuple(tuple(field(e, "count", "basis exponent") for e in m)
                           for m in c["basis"]["monomials"])
         basis = BasisSpec(vars=tuple(c["basis"]["vars"]), monomials=monomials)
         if basis.vars != names:
             raise ParseError(None, f"basis variables {basis.vars} != box axes {names}")
-        coefficients = tuple(_number(v, "coefficient") for v in c["coefficients"])
+        coefficients = tuple(field(v, "number", "coefficient") for v in c["coefficients"])
         if len(coefficients) != len(basis):
             raise ValueError(f"{len(coefficients)} coefficients for "
                              f"{len(basis)} monomials")
         fit = FitResult(basis=basis, coefficients=coefficients,
-                        r_squared=_number(c["r_squared"], "r_squared"),
-                        n_points=_count(c["n_points"], "n_points"),
-                        residual_max_abs=_number(c["residual_max_abs"], "residual_max_abs"))
+                        r_squared=field(c["r_squared"], "number", "r_squared"),
+                        n_points=field(c["n_points"], "count", "n_points"),
+                        residual_max_abs=field(c["residual_max_abs"], "number",
+                                               "residual_max_abs"))
         phi = Region(exprtext.from_tree_obj(c["phi_tree"]), names)
         constraints.append(ConstraintReport(
-            name=_name(c["name"], "constraint name"),
-            threshold=_number(c["threshold"], "threshold"), fit=fit, phi=phi,
-            validation_r_squared=_number(c["validation_r_squared"], "validation_r_squared")))
+            name=field(c["name"], "name", "constraint name"),
+            threshold=field(c["threshold"], "number", "threshold"), fit=fit, phi=phi,
+            validation_r_squared=field(c["validation_r_squared"], "number",
+                                       "validation_r_squared")))
     joint = Region(exprtext.from_tree_obj(obj["joint"]["tree"]), names)
     s = obj["sampling"]
-    sampling = SamplingMeta(*[_count(s[key], key) for key in SamplingMeta._fields])
+    sampling = SamplingMeta(*[field(s[key], "count", key) for key in SamplingMeta._fields])
     v = obj["validation"]
-    validation = ValidationStats(agreement_rate=_number(v["agreement_rate"], "agreement_rate"),
-                                 n_points=_count(v["n_points"], "n_points"),
-                                 n_disagreements=_count(v["n_disagreements"], "n_disagreements"))
+    validation = ValidationStats(*[field(v[key], kind, key) for key, kind in zip(
+        ValidationStats._fields, ("number", "count", "count"))])
     return DSReport(box=box, alpha=alpha, constraints=tuple(constraints), joint=joint,
                     sampling=sampling, validation=validation)

@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A ``RunFailure`` is a run that failed on valid input; the command line
+exits 1 for it (as for ``OSError`` and ``MemoryError``) and 2 for every
+other ``RfuncdsError``, which is a usage error or malformed input.
+"""
 
 
 class RfuncdsError(Exception):
     """Base class for all package-specific errors."""
+
+
+class RunFailure(RfuncdsError):
+    """Base class for failures of a run on valid input."""
 
 
 # --- expression evaluation / construction ---
@@ -68,15 +77,15 @@ class BoundsMismatch(RfuncdsError):
     model's domain."""
 
 
-class NonFiniteValue(RfuncdsError):
+class NonFiniteValue(RunFailure):
     """A model output, design matrix or fit target holds inf or nan."""
 
 
-class RankDeficient(RfuncdsError):
+class RankDeficient(RunFailure):
     """Design matrix is rank deficient after column scaling."""
 
 
-class InsufficientPoints(RfuncdsError):
+class InsufficientPoints(RunFailure):
     """Fewer training points than basis monomials."""
 
 
@@ -87,7 +96,7 @@ class NonpositiveTemperature(RfuncdsError):
         super().__init__(f"temperature must be positive, got {value!r}")
 
 
-class ToleranceNotMet(RfuncdsError):
+class ToleranceNotMet(RunFailure):
     """An a-posteriori accuracy check failed, such as the closed form's C_B
     error estimate exceeding its tolerance."""
 

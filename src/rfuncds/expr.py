@@ -282,9 +282,9 @@ class Program(Record):
     ``body`` holds the statements that compute the expression from the
     inputs x0, x1, ... (one line each, unindented), ``result`` the text of
     its value and ``consts`` the values of the globals c0, c1, ...;
-    ``reads`` holds the names the expression reads.  ``source`` wraps them
-    into one function of the input values, taken as one sequence ordered
-    like ``names``.  ``scalars`` is that function bound to float functions
+    ``reads`` holds the names the expression reads, ordered like ``names``.
+    ``source`` wraps them into one function of the input values, taken as
+    one sequence ordered like ``names``.  ``scalars`` is that function bound to float functions
     and ``arrays`` bound to numpy functions, each on first use, so scalar
     evaluation never imports numpy; both share one code object.
     """
@@ -400,7 +400,8 @@ def compile_expr(expr: Expr, names: Sequence[str] | None = None) -> Program:
         body.append(f"{name} = {text}")
         if i in dead:
             body.append(f"del {', '.join(dead[i])}")
-    return Program(names, frozenset(k.reads), tuple(body), result, tuple(k.consts))
+    reads = tuple(name for name in names if name in k.reads)
+    return Program(names, reads, tuple(body), result, tuple(k.consts))
 
 
 def compile_verdict(program: Program, bounds: Sequence[tuple[float, float]]) -> Callable:

@@ -131,35 +131,37 @@ def to_tree_text(expr: Expr) -> str:
     return json.dumps(to_tree_obj(expr), separators=(",", ":"))
 
 
-def is_number(v) -> bool:
-    """Whether ``v`` is a number as the tree format and a report write it: a
-    JSON number within the float range, not a bool or string."""
+def _is_number(v) -> bool:
+    """A JSON number within the float range, not a bool or string."""
     return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
                                     and abs(v) <= sys.float_info.max)
 
 
-def is_exponent(v) -> bool:
-    """Whether ``v`` is an exponent or a count as the tree format and a
-    report write them: a non-negative JSON integer, not a bool or float."""
-    return is_number(v) and isinstance(v, int) and v >= 0
-
-
-def is_name(v) -> bool:
-    """Whether ``v`` is a name as the tree format and a report write it: a
-    non-empty string."""
-    return isinstance(v, str) and v != ""
-
-
-# what is_exponent accepts, as error messages name it
-EXPONENT = "a non-negative integer below 2^1024"
-
-# what the tree format accepts for each parameter field, and how to read it
-_PARAMS = {
-    "value": (is_number, float, "a number"),
-    "alpha": (is_number, float, "a number"),
-    "name": (is_name, str, "a non-empty string"),
-    "exponent": (is_exponent, int, EXPONENT),
+# the kinds of field that the tree format and a report hold: for each, the
+# test a decoded JSON value passes, its conversion, and what messages call it
+FIELD_KINDS = {
+    "number": (_is_number, float, "a number"),
+    "count": (lambda v: _is_number(v) and isinstance(v, int) and v >= 0, int,
+              "a non-negative integer below 2^1024"),
+    "name": (lambda v: isinstance(v, str) and v != "", str, "a non-empty string"),
+    "unit": (lambda v: v is None or isinstance(v, str), lambda v: v, "a string or null"),
 }
+
+
+def read_field(value, kind: str, subject: str):
+    """``value`` converted as a field of ``kind`` in ``FIELD_KINDS``; a value
+    of another kind raises ParseError naming ``subject``."""
+    accepts, convert, what = FIELD_KINDS[kind]
+    if not accepts(value):
+        raise ParseError(None, f"{subject} must be {what}, got {value!r}")
+    return convert(value)
+
+
+# the kind of each parameter field of the tree format, and each node
+# class's parameter fields as (field, kind, name in messages)
+_PARAM_KINDS = {"value": "number", "alpha": "number", "name": "name", "exponent": "count"}
+_PARAMS = {cls: [(field, _PARAM_KINDS[field], f"{node.tag} {field}") for field in node.params]
+           for cls, node in NODES.items()}
 _BY_TAG = {node.tag: cls for cls, node in NODES.items()}
 _CHILD_COUNTS = {1: "one child", 2: "two children"}
 
@@ -176,12 +178,8 @@ def from_tree_obj(obj) -> Expr:
         raise ParseError(None, f"unknown node kind {tag!r}") from None
     node = NODES[cls]
     params = []
-    for field in node.params:
-        accepts, convert, what = _PARAMS[field]
-        value = obj.get(field)
-        if not accepts(value):
-            raise ParseError(None, f"{tag} {field} must be {what}, got {value!r}")
-        params.append(convert(value))
+    for field, kind, subject in _PARAMS[cls]:
+        params.append(read_field(obj.get(field), kind, subject))
     if not node.operands:
         return cls(*params)
     args = obj.get("args")

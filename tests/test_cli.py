@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import rfuncds
-from rfuncds import cli, ds, reactor
+from rfuncds import cli, ds, errors, reactor
 from rfuncds.errors import RankDeficient
 from rfuncds.exprtext import MAX_DEPTH
 from rfuncds.reactor import CQA_BASIS
@@ -507,6 +507,30 @@ def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert run(["identify", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "error: design matrix is rank deficient\n"
+
+
+# every package error class, as main's exit-code table sees it
+PACKAGE_ERRORS = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.RfuncdsError)]
+
+
+def test_run_failures_are_the_four_runtime_error_classes():
+    run_failures = {cls for cls in PACKAGE_ERRORS if issubclass(cls, errors.RunFailure)}
+    assert run_failures == {errors.RunFailure, errors.ToleranceNotMet, errors.RankDeficient,
+                            errors.InsufficientPoints, errors.NonFiniteValue}
+
+
+@pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_main_exits_1_for_a_run_failure_and_2_for_every_other_package_error(cls, capsys,
+                                                                           monkeypatch):
+    exc = cls.__new__(cls)   # each class takes its own arguments; the message is set here
+    exc.args = ("the message",)
+
+    def fail(args, provenance):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_sobol", fail)
+    assert run(["sobol", "2", "1"]) == (1 if issubclass(cls, errors.RunFailure) else 2)
+    assert capsys.readouterr().err == "error: the message\n"
 
 
 def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):

@@ -31,7 +31,9 @@ from rfuncds.errors import (
 from rfuncds.expr import (
     Const, Mul, Neg, Pow, Region, Sqrt, Sub, Var, classify, depth, eval_arrays, eval_expr,
 )
-from rfuncds.exprtext import MAX_DEPTH, parse_tree_text, to_infix, to_tree_text
+from rfuncds.exprtext import (
+    FIELD_KINDS, MAX_DEPTH, from_tree_obj, parse_tree_text, read_field, to_infix, to_tree_text,
+)
 from rfuncds.polyfit import BasisSpec
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
@@ -131,6 +133,18 @@ def test_membership_out_of_box():
         membership(report, {"T": 275.0})
     with pytest.raises(OutOfBox, match="'z'"):
         membership(report, {"T": 275.0, "t": 275.0, "z": 1.0})
+
+
+def test_membership_refuses_a_str_or_bytes_point():
+    # read character by character, "29" was the point (2, 9) and "91" (9, 1)
+    kelvin = load_report(REPORT_FIXTURES[1])
+    square = _report_of(Region(Sub(Var("x"), Var("y")), ("x", "y")),
+                        [BoxAxis("x", 0.0, 10.0), BoxAxis("y", 0.0, 10.0)])
+    for report, point in [(kelvin, "29"), (kelvin, b"29"), (square, "91"), (square, b"91")]:
+        name = type(point).__name__
+        with pytest.raises(TypeError, match=f"^point must be a sequence or mapping "
+                                            f"of numbers, not {name}$"):
+            membership(report, point)
 
 
 def test_membership_never_calls_model():
@@ -538,6 +552,53 @@ def test_load_rejects_coefficients_that_do_not_match_the_basis(tmp_path):
     path.write_text(json.dumps(report))
     with pytest.raises(ParseError, match="4 coefficients for 5 monomials"):
         load_report(path)
+
+
+# each field kind: values it takes with what they convert to, values it
+# refuses, and what its messages say a field of the kind must be; then a
+# tree node and a report edit that put a value into a field of the kind,
+# with the field's name in messages (a unit is no field of the tree format)
+FIELD_CASES = {
+    "number": ([(1, 1.0), (2.5, 2.5), (2 ** 1023, 2.0 ** 1023)],
+               [True, "1", 10 ** 400, None], "a number",
+               (lambda v: {"kind": "const", "value": v}, "const value"),
+               (lambda r, v: r["constraints"][0].update(threshold=v), "threshold")),
+    "count": ([(0, 0), (64, 64), (2 ** 1023, 2 ** 1023)],
+              [64.9, 1.0, True, "1", -1, 10 ** 400], "a non-negative integer below 2^1024",
+              (lambda v: {"kind": "pow", "exponent": v, "args": [{"kind": "var", "name": "T"}]},
+               "pow exponent"),
+              (lambda r, v: r["sampling"].update(n_train=v), "n_train")),
+    "name": ([("T", "T"), (" ", " ")], ["", 5, None, ["T"]], "a non-empty string",
+             (lambda v: {"kind": "var", "name": v}, "var name"),
+             (lambda r, v: r["constraints"][1].update(name=v), "constraint name")),
+    "unit": ([("K", "K"), ("", ""), (None, None)], [7, False, ["min"]], "a string or null",
+             None, (lambda r, v: r["box"][1].update(unit=v), "box axis unit")),
+}
+
+
+@pytest.mark.parametrize("kind", FIELD_CASES)
+def test_field_kinds_convert_and_word_failures_alike_in_trees_and_reports(kind, tmp_path):
+    assert set(FIELD_CASES) == set(FIELD_KINDS)
+    accepted, refused, what, tree_field, report_field = FIELD_CASES[kind]
+    for value, expected in accepted:
+        got = read_field(value, kind, "field")
+        assert got == expected and type(got) is type(expected)
+    fixture = json.loads(REPORT_FIXTURES[1].read_text())
+    path = tmp_path / "edited.json"
+    for value in refused:
+        subjects = [("field", lambda: read_field(value, kind, "field"))]
+        if tree_field:
+            make_node, subject = tree_field
+            subjects.append((subject, lambda: from_tree_obj(make_node(value))))
+        edit, subject = report_field
+        report = json.loads(json.dumps(fixture))
+        edit(report, value)
+        path.write_text(json.dumps(report))
+        subjects.append((subject, lambda: load_report(path)))
+        for subject, read in subjects:
+            with pytest.raises(ParseError) as info:
+                read()
+            assert str(info.value) == f"parse error: {subject} must be {what}, got {value!r}"
 
 
 @pytest.mark.parametrize("fixture", REPORT_FIXTURES, ids=lambda p: p.stem)
