@@ -95,8 +95,9 @@ class DSReport(Record):
     @functools.cached_property
     def verdict(self) -> Callable:
         """The joint expression and the box test compiled into one function,
-        on first use (``expr.compile_verdict``): the ``membership`` of a list
-        or tuple point inside the box, and None for every other point.
+        on first use (``expr.compile_verdict`` with the box): the
+        ``membership`` of a list or tuple point, or a dict holding exactly
+        the box names, inside the box, and None for every other point.
 
         A pickled report leaves it out and compiles it again on first use
         after loading."""
@@ -202,13 +203,16 @@ def membership(report: DSReport, u) -> str:
     """Classify a point against the joint expression, as ``sign_class`` does.
 
     Never calls the underlying model.  Raises OutOfBox as ``box_point``,
-    and TypeError for a ``str`` or ``bytes`` point, which is not read as
-    its characters.  A list or tuple point inside the box is answered by the report's
-    ``verdict`` function, compiled on the first query; every other point
-    (a mapping, another iterable, a wrong count, a value that is not a
-    number, nan or out of the box) and a float power that overflows take
-    the checked path, ``sign_class(report.joint, box_point(report, u))``,
-    which gives the same verdicts and raises the errors.
+    and TypeError for a ``str``, ``bytes``, ``bytearray`` or ``memoryview``
+    point, which is not read as its characters or bytes.  A list or tuple
+    point, or a dict holding exactly the box names, inside the box is
+    answered by the report's ``verdict`` function, compiled on the first
+    query by the generator that also writes each region's frame; every
+    other point (another mapping or iterable, a wrong count or set of
+    names, a value that is not a number, nan or out of the box) and a float
+    power that overflows take the checked path,
+    ``sign_class(report.joint, box_point(report, u))``, which gives the same
+    verdicts and raises the errors.
     """
     # verdict gives None where it does not answer; the joint region's inputs
     # are the box axes in order (DSReport checks it)
@@ -221,8 +225,9 @@ def box_point(report: DSReport, u) -> list[float]:
     ``u`` is a name -> value mapping or the values in box-axis order.
     Raises OutOfBox for points outside the report's parameter box, and for
     a mapping that misses a box coordinate or names one the box does not
-    have; a ``str`` or ``bytes`` point raises TypeError rather than being
-    read as its characters.
+    have; a ``str``, ``bytes``, ``bytearray`` or ``memoryview`` point raises
+    TypeError rather than being read as its characters or bytes.  This is
+    the checked path of ``membership`` and of the ``check`` command.
     """
     box = report.box
     # lists and tuples skip the slower abstract-class check
@@ -236,7 +241,7 @@ def box_point(report: DSReport, u) -> list[float]:
             values = [float(u[n]) for n in names]
         except KeyError as exc:
             raise OutOfBox(f"point is missing coordinate {exc.args[0]!r}") from None
-    elif isinstance(u, (str, bytes)):
+    elif isinstance(u, (str, bytes, bytearray, memoryview)):
         raise TypeError(f"point must be a sequence or mapping of numbers, "
                         f"not {type(u).__name__}")
     else:

@@ -228,9 +228,9 @@ del _cls, _node
 # nests _SPILL_DEPTH levels deep, so that compile() never meets the parser's
 # nesting limit; each local is deleted after its last read.  Nothing taken
 # from the expression enters the source: inputs are read as x0, x1, ...,
-# constants as the globals c0, c1, ... and a verdict function's box limits
-# as l0, h0, ..., so names and values such as inf, nan or -0.0 are never
-# spelled in it.
+# constants as the globals c0, c1, ..., and a verdict function reads a dict
+# point at the globals n0, n1, ... and tests the box limits l0, h0, ..., so
+# names and values such as inf, nan or -0.0 are never spelled in it.
 
 _SPILL_DEPTH = 40
 
@@ -404,33 +404,62 @@ def compile_expr(expr: Expr, names: Sequence[str] | None = None) -> Program:
     return Program(names, reads, tuple(body), result, tuple(k.consts))
 
 
-def compile_verdict(program: Program, bounds: Sequence[tuple[float, float]]) -> Callable:
+def compile_verdict(program: Program,
+                    bounds: Sequence[tuple[float, float]] | None = None) -> Callable:
     """``classify`` of ``program``'s value as one generated function of a
-    list or tuple ``point`` of one value per input, which must convert with
-    float and lie in its inclusive ``(lo, hi)`` pair of ``bounds``.
+    point, which gives None where it does not answer, so that the caller
+    takes its checked path.
 
-    It returns None for every other point (any other type, a wrong count, a
-    value float refuses, nan or a value out of bounds) and where a float
-    power overflows, so that the caller can take the checked path.  The
-    bounds are globals like the constants, l0, h0, l1, ..., so programs of
-    one expression shape share one code object.
+    A point whose type is exactly list or tuple is read by unpacking it,
+    one value per input; one whose type is exactly dict is read at the
+    input names, bound as the globals n0, n1, ...  A wrong count, a missing
+    name and any other type give None.
+
+    Without ``bounds`` (a region's frame) the values are used as given and
+    the value is ``float`` of the program's result, as in
+    :func:`eval_expr`; a float power that overflows gives None, and every
+    other error is raised as there.  With ``bounds`` (a report's frame) a
+    dict must hold exactly the input names, each value must convert with
+    float and lie in its inclusive ``(lo, hi)`` pair, and every point that
+    does not gives None.  The bounds are globals like the constants, l0,
+    h0, l1, ..., so programs of one expression shape share one code object.
     """
-    xs = [f"x{i}" for i in range(len(program.names))]
-    inside = " and ".join(f"l{i} <= x{i} <= h{i}" for i in range(len(xs))) or "True"
+    n = len(program.names)
+    xs = ", ".join(f"x{i}" for i in range(n))
+    sequence = [f"[{xs}] = u"]
+    mapping = [f"x{i} = u[n{i}]" for i in range(n)]
+    if bounds is None:
+        is_mapping, value = "cls is dict", f"float({program.result})"
+        refused, missing = "ValueError", "KeyError"
+        box = []
+    else:
+        # the checked path raises where float refuses a value
+        is_mapping, value = f"cls is dict and len(u) == {n}", program.result
+        refused = "(TypeError, ValueError, OverflowError)"
+        missing = "(KeyError, TypeError, ValueError, OverflowError)"
+        sequence += [f"x{i} = float(x{i})" for i in range(n)]
+        mapping = [f"x{i} = float(u[n{i}])" for i in range(n)]
+        inside = " and ".join(f"l{i} <= x{i} <= h{i}" for i in range(n)) or "True"
+        box = [f"if not ({inside}):", "    return None"]
     lines = [
         "def verdict(u):",
-        "    if not isinstance(u, sequence):",
+        "    cls = type(u)",
+        "    if cls is list or cls is tuple:",
+        "        try:",
+        *[f"            {line}" for line in sequence],
+        f"        except {refused}:",
+        "            return None",
+        f"    elif {is_mapping}:",
+        "        try:",
+        *[f"            {line}" for line in mapping or ["pass"]],
+        f"        except {missing}:",
+        "            return None",
+        "    else:",
         "        return None",
-        "    try:",
-        f"        [{', '.join(xs)}] = u",
-        *[f"        {x} = float({x})" for x in xs],
-        "    except (TypeError, ValueError, OverflowError):   # the checked path raises",
-        "        return None",
-        f"    if not ({inside}):",
-        "        return None",
+        *[f"    {line}" for line in box],
         "    try:",
         *[f"        {line}" for line in program.body],
-        f"        value = {program.result}",
+        f"        value = {value}",
         "    except OverflowError:   # the checked path gives inf, as numpy does",
         "        return None",
         "    # as classify",
@@ -440,11 +469,11 @@ def compile_verdict(program: Program, bounds: Sequence[tuple[float, float]]) -> 
         "        return 'boundary'",
         "    return 'outside'",
     ]
-    limits = {}
-    for i, (lo, hi) in enumerate(bounds):
-        limits[f"l{i}"], limits[f"h{i}"] = lo, hi
+    values = {f"n{i}": name for i, name in enumerate(program.names)}
+    for i, (lo, hi) in enumerate(bounds or ()):
+        values[f"l{i}"], values[f"h{i}"] = lo, hi
     return _bind(program, "\n".join(lines) + "\n", "verdict",
-                 {**_SCALAR_FUNCTIONS, **limits, "sequence": (list, tuple), "tol": BOUNDARY_TOL})
+                 {**_SCALAR_FUNCTIONS, **values, "tol": BOUNDARY_TOL})
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +537,7 @@ class Region(Record):
     point arguments).
     """
 
-    # the instance dict holds only the compiled program
+    # the instance dict holds only the compiled program and verdict function
     __slots__ = ("expr", "vars", "__dict__")
 
     def __init__(self, expr: Expr, vars: Sequence[str]):
@@ -529,14 +558,28 @@ class Region(Record):
         compiles it again on first use after loading."""
         return compile_expr(self.expr, self.vars)
 
+    @functools.cached_property
+    def verdict(self) -> Callable:
+        """``sign_class`` of a dict, list or tuple point as one generated
+        function, on first use (:func:`compile_verdict` without a box), and
+        None for every point it does not answer.
+
+        A pickled region leaves it out, as it does ``program``."""
+        return compile_verdict(self.program)
+
 
 def sign_class(region: Region, point) -> str:
     """Classify a point as 'inside' (f > BOUNDARY_TOL), 'boundary'
     (|f| <= BOUNDARY_TOL) or 'outside' (anything else, nan included).
 
-    ``point`` is a name -> value mapping or the values in ``region.vars`` order.
+    ``point`` is a name -> value mapping or the values in ``region.vars``
+    order.  A dict, list or tuple point is answered by the region's
+    ``verdict`` function, which reports share through the same generator;
+    any other point, a missing name, a wrong count and a float power that
+    overflows take the checked path, ``classify(eval_expr(region, point))``,
+    which gives the same verdicts and raises the errors.
     """
-    return classify(eval_expr(region, point))
+    return region.verdict(point) or classify(eval_expr(region, point))
 
 
 def classify(value: float) -> str:

@@ -16,11 +16,12 @@ a cache) is not a field.  A class with defaults or checks writes its own
 ``__init__``, taking the fields in the same order, and passes the final
 values on to ``Record.__init__``.
 
-The fields that hold records are a record's :func:`children` (expression
-nodes read theirs through ``attrgetter``).  Equality, hashing and ``repr``
-visit each distinct record once, without recursion; ``repr`` prints a
-record with children that is read more than once as ``#n=...`` once and
-as ``#n#`` after that.  A record in a tuple field takes a nested call.
+The records a record holds, in a field or in a tuple field (the children
+of ``And`` and ``Or``, a report's box axes and constraints), are its
+:func:`children` (expression nodes read theirs through ``attrgetter``).
+Equality, hashing and ``repr`` visit each distinct record once, without
+recursion; ``repr`` prints a record with children that is read more than
+once as ``#n=...`` once and as ``#n#`` after that.
 
 Nothing here generates or compiles code, as ``dataclasses`` does for each
 class it decorates, so a record class costs no more to define than any
@@ -60,7 +61,13 @@ class Record:
         return tuple([getattr(self, name) for name in self._fields])
 
     def _children(self) -> tuple:
-        return tuple([value for value in self._values() if isinstance(value, Record)])
+        found = []
+        for value in self._values():
+            if isinstance(value, Record):
+                found.append(value)
+            elif type(value) is tuple:
+                found += [v for v in value if isinstance(v, Record)]
+        return tuple(found)
 
     def __eq__(self, other):
         """Equal classes and fields; each pair of records is compared once."""
@@ -78,14 +85,21 @@ class Record:
             for x, y in zip(a._values(), b._values()):
                 if isinstance(x, Record):
                     pairs.append((x, y))
-                elif not (x is y or x == y):   # as tuple comparison does
+                elif x is y:
+                    continue
+                elif type(x) is tuple and type(y) is tuple and len(x) == len(y):
+                    for xi, yi in zip(x, y):   # records in it are children too
+                        if isinstance(xi, Record):
+                            pairs.append((xi, yi))
+                        elif not (xi is yi or xi == yi):   # as tuple comparison does
+                            return False
+                elif not x == y:
                     return False
         return True
 
     def __hash__(self):
         """Hash of the class, the children's hashes and the other fields."""
-        return fold(self, lambda rec, *hashes: hash(
-            (type(rec), *hashes, *[v for v in rec._values() if not isinstance(v, Record)])))
+        return fold(self, lambda rec, *hashes: hash((type(rec), *hashes, *_plain(rec))))
 
     def __repr__(self):
         readers: dict[int, int] = {}   # by id of a record's parts list
@@ -97,8 +111,17 @@ class Record:
             operands = iter(printed)
             parts = [f"{type(rec).__qualname__}("]
             for name, value in zip(rec._fields, rec._values()):
-                parts += (f"{name}=", next(operands) if isinstance(value, Record)
-                          else repr(value), ", ")
+                parts.append(f"{name}=")
+                if isinstance(value, Record):
+                    parts.append(next(operands))
+                elif type(value) is tuple and any(isinstance(v, Record) for v in value):
+                    parts.append("(")
+                    for v in value:
+                        parts += (next(operands) if isinstance(v, Record) else repr(v), ", ")
+                    parts[-1] = ",)" if len(value) == 1 else ")"
+                else:
+                    parts.append(repr(value))
+                parts.append(", ")
             if rec._fields:
                 parts.pop()   # the last ", "
             parts.append(")")
@@ -131,8 +154,21 @@ class Record:
 
 
 def children(rec: Record) -> tuple:
-    """The fields of ``rec`` that hold records, in field order."""
+    """The records that ``rec`` holds in a field or a tuple field, in field
+    order."""
     return type(rec)._children(rec)
+
+
+def _plain(rec: Record) -> list:
+    """The fields of ``rec`` without its children: a field holding a record
+    is left out, and a tuple field keeps only its other values."""
+    plain = []
+    for value in rec._values():
+        if type(value) is tuple:
+            plain.append(tuple([v for v in value if not isinstance(v, Record)]))
+        elif not isinstance(value, Record):
+            plain.append(value)
+    return plain
 
 
 def postorder(rec: Record) -> tuple[list, dict[int, int]]:

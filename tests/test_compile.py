@@ -4,17 +4,19 @@ import json
 import math
 import pickle
 import time
+import types
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 
-from rfuncds import ds
-from rfuncds.errors import NegativeSqrtArgument, UnboundVariable
+from rfuncds import ds, expr as expr_mod
+from rfuncds.errors import NegativeSqrtArgument, OutOfBox, UnboundVariable
 from rfuncds.expr import (
-    Add, Const, Mul, Neg, Pow, RAnd, Region, Sub, Var, compose, depth, eval_arrays, eval_expr,
-    variables,
+    Add, Const, Mul, Neg, Pow, RAnd, Region, Sqrt, Sub, Var, classify, compose, depth,
+    eval_arrays, eval_expr, sign_class, variables,
 )
 from rfuncds.geometry import TESTCASE_NAMES, testcase as load_case
 from dags import dags, values
@@ -126,6 +128,8 @@ def test_variable_names_never_reach_the_generated_source(tmp_path, rng):
                 ds.membership(plain, {"T": T, "t": t})
         for name in names:
             assert name not in report.joint.program.source
+            for verdict in (report.verdict, report.joint.verdict):
+                assert name not in verdict.__code__.co_names + verdict.__code__.co_consts
 
 
 @pytest.mark.parametrize("exponent", [2, 3, 2**70, 10**30], ids=["2", "3", "2**70", "10**30"])
@@ -199,3 +203,143 @@ def test_region_compiles_lazily_and_pickles_after_queries():
     assert "program" not in vars(copy.joint)
     assert ds.membership(copy, [275.0, 280.0]) == before
     assert copy.joint == report.joint
+
+
+# ----------------------------------------------------------------------
+# a region's generated verdict frame against the checked path
+
+def _answer(query, region, point):
+    """The verdict, or the type and message of the error raised."""
+    try:
+        return query(region, point)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _checked(region, point):
+    return classify(eval_expr(region, point))
+
+
+def _assert_frame_pinned(region, point):
+    """The frame gives the checked verdict or error, or None; sign_class
+    gives the checked answer either way.  Returns the frame's answer."""
+    want = _answer(_checked, region, point)
+    got = _answer(lambda r, u: r.verdict(u), region, point)
+    assert got is None or got == want, (point, got, want)
+    assert _answer(sign_class, region, point) == want, point
+    return got
+
+
+def _frame_points(names, values):
+    """Points of every kind the frame reads or declines, for ``values``
+    ordered like ``names``."""
+    d = dict(zip(names, values))
+    return [
+        list(values), tuple(values), d, [int(v) if math.isfinite(v) else v for v in values],
+        {n: int(v) if math.isfinite(v) else v for n, v in d.items()}, {**d, "z": 1.0},
+        *[{n: v for n, v in d.items() if n != missing} for missing in names],
+        OrderedDict(d), types.MappingProxyType(d),
+        list(values)[:-1], [*values, 1.0], (), [math.nan, *values[1:]],
+        {**d, names[0]: math.nan}, [np.float64(v) for v in values], None,
+    ]
+
+
+@given(expr=dags(), x=values, y=values)
+def test_region_frame_matches_the_checked_path_on_shared_dags(expr, x, y):
+    region = Region(expr, ("x", "y"))
+    with np.errstate(all="ignore"):
+        for point in _frame_points(region.vars, [x, y]):
+            _assert_frame_pinned(region, point)
+
+
+def _demo_regions():
+    for case_name in TESTCASE_NAMES:
+        _, _, case = load_case(case_name)
+        for label, tree in case.trees:
+            for alpha in (1.0, 0.5):
+                yield pytest.param(compose(tree, alpha), case.bounds,
+                                   id=f"{case_name}-{label}-alpha{alpha}")
+
+
+@pytest.mark.parametrize("region, box", list(_demo_regions()))
+def test_region_frame_matches_the_checked_path_on_demo_regions(region, box, rng):
+    lo, hi = np.array(box).T
+    for row in rng.uniform(lo, hi, size=(200, len(box))).tolist():
+        for point in _frame_points(region.vars, row):
+            _assert_frame_pinned(region, point)
+        # a plain dict, list or tuple of floats is answered by the frame
+        for point in (row, tuple(row), dict(zip(region.vars, row))):
+            assert region.verdict(point) == _checked(region, point)
+
+
+def test_region_frame_reads_names_and_counts_as_the_checked_path_does():
+    region = Region(X + 1.0, ("x", "y"))   # y is not read
+    assert _assert_frame_pinned(region, {"x": 2}) is None   # a missing unread name
+    assert sign_class(region, {"x": 2}) == "inside"
+    assert _assert_frame_pinned(region, {"y": 2.0}) is None
+    with pytest.raises(UnboundVariable, match="'x'"):
+        sign_class(region, {"y": 2.0})
+    for point in ([2.0], [2.0, 1.0, 0.0], OrderedDict(x=2.0, y=1.0),
+                  types.MappingProxyType({"x": 2.0})):
+        assert _assert_frame_pinned(region, point) is None
+    with pytest.raises(ValueError):
+        sign_class(region, [2.0])
+    assert region.verdict({"x": -1, "y": "unread", "z": None}) == "boundary"
+    assert region.verdict((math.nan, 0.0)) == "outside"
+
+
+def test_region_frame_leaves_an_overflowing_power_to_the_numpy_route():
+    region = Region(Sub(Pow(Mul(Const(1e200), X), 2), Y), ("x", "y"))
+    for point in ([1.0, 1.0], {"x": 1.0, "y": 1.0}, (10 ** 400, 1.0)):
+        assert _assert_frame_pinned(region, point) is None
+    assert sign_class(region, {"x": 1.0, "y": 1.0}) == "inside"
+
+
+def test_region_frame_raises_the_checked_negative_sqrt_error():
+    region = Region(Sqrt(X - 1.0), ("x",))
+    for point in ([0.0], {"x": 0.0}):
+        with pytest.raises(NegativeSqrtArgument, match="-1.0"):
+            region.verdict(point)
+        assert _assert_frame_pinned(region, point) == (NegativeSqrtArgument,
+                                                       str(NegativeSqrtArgument(-1.0)))
+    assert region.verdict([1.0]) == "boundary"
+
+
+def test_sign_class_of_a_plain_dict_never_takes_the_checked_path(monkeypatch):
+    _, _, case = load_case("circles-4.1")
+    region = compose(case.trees[0][1])
+    want = [sign_class(region, {"x": x, "y": 0.25}) for x in (-1.0, 0.0, 0.5, 2.0)]
+
+    def checked(*args):
+        raise AssertionError("eval_expr called")
+    monkeypatch.setattr(expr_mod, "eval_expr", checked)
+    assert [sign_class(region, {"x": x, "y": 0.25}) for x in (-1.0, 0.0, 0.5, 2.0)] == want
+
+
+def test_report_frame_reads_a_dict_with_exactly_the_box_names():
+    report = ds.load_report(FIXTURES / "kelvin-alpha1.json")
+    assert report.verdict({"T": 290.0, "t": 280.0}) == "inside"
+    assert report.verdict({"t": 280, "T": 275}) == ds.membership(report, [275.0, 280.0])
+    for point, message in [({"T": 290.0}, "missing coordinate 't'"),
+                           ({"T": 290.0, "t": 280.0, "z": 1.0}, "coordinate 'z'"),
+                           ({"T": 290.0, "z": 1.0}, "coordinate 'z'"),
+                           ({"T": 200.0, "t": 280.0}, "T = 200.0 outside")]:
+        assert report.verdict(point) is None
+        with pytest.raises(OutOfBox, match=message):
+            ds.membership(report, point)
+    assert report.verdict(OrderedDict(T=290.0, t=280.0)) is None
+    assert ds.membership(report, OrderedDict(T=290.0, t=280.0)) == "inside"
+
+
+def test_pickled_region_and_report_build_their_frames_again():
+    report = ds.load_report(FIXTURES / "kelvin-alpha0.json")
+    point = {"T": 290.0, "t": 280.0}
+    region_verdict = sign_class(report.joint, point)
+    report_verdict = ds.membership(report, point)
+    assert "verdict" in vars(report.joint) and "verdict" in vars(report)
+    region = pickle.loads(pickle.dumps(report.joint))
+    copy = pickle.loads(pickle.dumps(report))
+    assert "verdict" not in vars(region) and "verdict" not in vars(copy)
+    assert region.verdict(point) == region_verdict
+    assert copy.verdict(point) == report_verdict
+    assert "verdict" in vars(region) and "verdict" in vars(copy)

@@ -147,6 +147,19 @@ def test_membership_refuses_a_str_or_bytes_point():
             membership(report, point)
 
 
+@pytest.mark.parametrize("kind", [bytearray, memoryview])
+def test_membership_and_box_point_refuse_bytes_like_points(kind):
+    # read as its byte values, bytearray(b"\x09\x01") was the point (9, 1)
+    kelvin = load_report(REPORT_FIXTURES[1])
+    square = _report_of(Region(Sub(Var("x"), Var("y")), ("x", "y")),
+                        [BoxAxis("x", 0.0, 10.0), BoxAxis("y", 0.0, 10.0)])
+    message = f"^point must be a sequence or mapping of numbers, not {kind.__name__}$"
+    for report, raw in [(kelvin, b"\xff\xff"), (square, b"\x09\x01"), (square, b"\x01\x09")]:
+        for query in (membership, box_point):
+            with pytest.raises(TypeError, match=message):
+                query(report, kind(raw))
+
+
 def test_membership_never_calls_model():
     calls = []
 

@@ -217,7 +217,12 @@ def test_a_rebuilt_record_is_equal(record):
 
 @pytest.mark.parametrize("record", _records(), ids=_record_id)
 def test_repr_of_a_record_is_the_recursive_repr(record):
-    assert repr(record) == _tree_repr(record)
+    want = _tree_repr(record)
+    if type(record) is And:
+        # its children read one leaf four times: printed once, then referred to
+        leaf = _tree_repr(record.children[0])
+        want = f"And(children=(#1={leaf}, Not(child=#1#), Or(children=(#1#, #1#))))"
+    assert repr(record) == want
 
 
 def test_a_deep_not_chain_compares_hashes_and_prints_without_recursion():
@@ -230,6 +235,22 @@ def test_a_deep_not_chain_compares_hashes_and_prints_without_recursion():
     assert a == b and hash(a) == hash(b)
     assert a != chain(2999) and a != Not(Not(a.child))
     assert repr(a) == "Not(child=" * 3000 + repr(chain(0)) + ")" * 3000
+
+
+@pytest.mark.parametrize("join", [And, Or], ids=lambda join: join.__name__)
+def test_a_deep_join_chain_compares_hashes_and_prints_without_recursion(join):
+    # a join holds its children in a tuple field, which the traversal enters too
+    def chain(levels, leaf=None):
+        tree = leaf or Leaf(geometry.circle(0.0, 0.0, 1.0))
+        for _ in range(levels):
+            tree = join(tree)
+        return tree
+    a, b = chain(3000), chain(3000)
+    assert a == b and hash(a) == hash(b)
+    assert a != chain(2999) and a != join(join(*a.children[0].children), Not(a))
+    assert a != chain(3000, Leaf(geometry.circle(0.0, 0.0, 2.0)))
+    name = join.__name__
+    assert repr(a) == f"{name}(children=(" * 3000 + repr(chain(0)) + ",))" * 3000
 
 
 @pytest.mark.parametrize("record", [*_records(), *_array_records()], ids=_record_id)
