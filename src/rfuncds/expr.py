@@ -603,8 +603,8 @@ class Leaf(BoolTree):
 
 
 class _Join(BoolTree):
-    """And or Or of one or more trees, built as ``And(*children)``; it
-    composes to a left fold of ``r_node``."""
+    """And or Or of one or more trees, built (and pickled) as
+    ``And(*children)``; it composes to a left fold of ``r_node``."""
 
     __slots__ = ("children",)
     r_node: type
@@ -614,8 +614,8 @@ class _Join(BoolTree):
             raise ValueError(f"{type(self).__name__} needs at least one child")
         super().__init__(children)
 
-    def __reduce__(self):
-        return type(self), self.children
+    def _args(self) -> tuple:
+        return self.children
 
 
 class And(_Join):

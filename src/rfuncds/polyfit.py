@@ -2,6 +2,10 @@
 
 numpy is imported by the functions that take or build arrays, so a fit
 reloaded from a report (``ds.load_report``) needs none.
+
+``FitResult.predict`` streams its points through the design matrix in
+blocks of ``BLOCK_ROWS`` rows, so predicting n points takes O(n) memory
+(the output) plus one block, whatever the size of the basis.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ if TYPE_CHECKING:
 # residuals below this count as an exact fit when SS_tot degenerates to 0
 _EXACT_RESIDUAL = 1e-12
 _RANK_RCOND = 1e-10
+# rows of the design matrix FitResult.predict builds at a time: 320 KB for
+# the 5-monomial reactor basis, 1.8 MB for the 28 monomials of degree 6
+BLOCK_ROWS = 8192
 
 
 class BasisSpec(Record):
@@ -52,21 +59,50 @@ class FitResult(Record):
     __slots__ = ("basis", "coefficients", "r_squared", "n_points", "residual_max_abs")
 
     def predict(self, points) -> np.ndarray:
+        """The polynomial's value at each point (one per row of ``points``).
+
+        The points stream through the design matrix in blocks of
+        ``BLOCK_ROWS`` rows, each block's product written into one
+        preallocated output, so memory is O(n) for n points: the output
+        and one block, never the whole n x m matrix.  Each value is the
+        one-shot ``design_matrix(points, basis) @ coefficients`` bit for
+        bit.  A wrong point width raises DimensionMismatch before any
+        block runs; NonFiniteValue names the first bad point in row
+        order, as the one-shot product would."""
         import numpy as np
-        return design_matrix(points, self.basis) @ np.array(self.coefficients)
+        pts = _point_rows(points, self.basis)
+        coeffs = np.array(self.coefficients)
+        n = len(pts)
+        out = np.empty(n)
+        # a last block of one row joins the block before it: numpy takes a
+        # one-row product as a dot product, which rounds differently
+        starts = range(0, max(n - 1, 1), BLOCK_ROWS)
+        for start, stop in zip(starts, [*starts[1:], n]):
+            out[start:stop] = design_matrix(pts[start:stop], self.basis) @ coeffs
+        return out
 
 
-def design_matrix(points, basis: BasisSpec) -> np.ndarray:
-    """Matrix with entry (i, j) = monomial_j evaluated at point_i; an entry
-    that is inf or nan raises NonFiniteValue."""
+def _point_rows(points, basis: BasisSpec) -> np.ndarray:
+    """``points`` as a float array of one row per point, refused with
+    DimensionMismatch unless each row has one value per basis variable."""
     import numpy as np
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != len(basis.vars):
         raise DimensionMismatch(
             f"points have {pts.shape[1]} coordinates, basis has {len(basis.vars)} variables")
+    return pts
+
+
+def design_matrix(points, basis: BasisSpec) -> np.ndarray:
+    """Matrix with entry (i, j) = monomial_j evaluated at point_i, each
+    column written into one preallocated array; an entry that is inf or
+    nan raises NonFiniteValue."""
+    import numpy as np
+    pts = _point_rows(points, basis)
+    matrix = np.empty((len(pts), len(basis.monomials)))
     with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
-        matrix = np.column_stack([np.prod(pts ** np.asarray(m, dtype=float), axis=1)
-                                  for m in basis.monomials])
+        for j, m in enumerate(basis.monomials):
+            np.prod(pts ** np.asarray(m, dtype=float), axis=1, out=matrix[:, j])
     if not np.isfinite(matrix).all():
         i, j = np.argwhere(~np.isfinite(matrix))[0]
         raise NonFiniteValue(f"monomial {basis.monomials[j]} in {basis.vars} is not finite "
@@ -113,10 +149,14 @@ def fit_least_squares(points, values, basis: BasisSpec) -> FitResult:
 
 
 def r_squared(fit: FitResult, points, values) -> float:
-    """R^2 of an existing fit on held-out data."""
+    """R^2 of an existing fit on held-out data; ``values`` holds one value
+    per point, or DimensionMismatch is raised."""
     import numpy as np
     y = np.asarray(values, dtype=float)
-    return _r_squared(y, y - fit.predict(points))
+    pts = _point_rows(points, fit.basis)
+    if y.shape != (len(pts),):
+        raise DimensionMismatch(f"{len(pts)} points but {y.shape} values")
+    return _r_squared(y, y - fit.predict(pts))
 
 
 def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:

@@ -1,5 +1,5 @@
 """One base class for the package's immutable records, and the traversal
-that compares, hashes and prints them.
+that compares, hashes, prints and pickles them.
 
 Every record in the package is a :class:`Record`: expression nodes,
 regions and programs, the Boolean composition trees (``Leaf``, ``And``,
@@ -10,7 +10,8 @@ field, a polyline) is not hashable.
 A subclass names its fields in ``__slots__``.  :class:`Record` gives it a
 constructor that takes the fields in order, positionally or by keyword,
 structural equality and hashing over them, a ``repr`` that names them, and
-pickling through the constructor; assigning or deleting an attribute raises
+pickling through the constructor (:meth:`Record._args` gives its
+arguments); assigning or deleting an attribute raises
 AttributeError.  A slot whose name starts with an underscore (``__dict__``,
 a cache) is not a field.  A class with defaults or checks writes its own
 ``__init__``, taking the fields in the same order, and passes the final
@@ -19,9 +20,10 @@ values on to ``Record.__init__``.
 The records a record holds, in a field or in a tuple field (the children
 of ``And`` and ``Or``, a report's box axes and constraints), are its
 :func:`children` (expression nodes read theirs through ``attrgetter``).
-Equality, hashing and ``repr`` visit each distinct record once, without
-recursion; ``repr`` prints a record with children that is read more than
-once as ``#n=...`` once and as ``#n#`` after that.
+Equality, hashing, ``repr`` and pickling visit each distinct record once,
+without recursion; ``repr`` prints a record with children that is read
+more than once as ``#n=...`` once and as ``#n#`` after that, and a pickle
+rebuilds it once and shares it again.
 
 Nothing here generates or compiles code, as ``dataclasses`` does for each
 class it decorates, so a record class costs no more to define than any
@@ -149,8 +151,64 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
+    def _args(self) -> tuple:
+        """The arguments the class's constructor rebuilds the record from."""
+        return self._values()
+
     def __reduce__(self):
-        return type(self), self._values()
+        """Pickled as one flat list of ``(class, arguments, read)``, one
+        entry per distinct record in :func:`postorder`: a record among the
+        arguments is stored as ``_HOLE``, and ``read`` holds the positions
+        of the entries that fill the holes, in order.  Pickle meets no
+        nesting however deep the record, and a record held twice is stored
+        and rebuilt once."""
+        order, _ = postorder(self)
+        index = {id(rec): i for i, rec in enumerate(order)}
+        steps = []
+        for rec in order:
+            read: list[int] = []
+
+            def hole(value):
+                if isinstance(value, Record):
+                    read.append(index[id(value)])
+                    return _HOLE
+                return value
+
+            steps.append((type(rec), _map_args(hole, rec._args()), tuple(read)))
+        return _rebuild, (steps,)
+
+
+class _Hole:
+    """Where a pickled record's arguments held a record."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return "_HOLE"   # pickled by name, so loading gives the one _HOLE back
+
+
+_HOLE = _Hole()
+
+
+def _rebuild(steps: list) -> Record:
+    """The record :meth:`Record.__reduce__` flattened into ``steps``, built
+    through each class's constructor, children first."""
+    built: list = []
+    for cls, args, read in steps:
+        records = iter([built[i] for i in read])
+
+        def fill(value):
+            return next(records) if value is _HOLE else value
+
+        built.append(cls(*_map_args(fill, args)))
+    return built[-1]
+
+
+def _map_args(f: Callable, args: tuple) -> tuple:
+    """``args`` with ``f`` applied to each value, and to each item of a
+    tuple value (where records are children too)."""
+    return tuple([tuple([f(v) for v in value]) if type(value) is tuple else f(value)
+                  for value in args])
 
 
 def children(rec: Record) -> tuple:

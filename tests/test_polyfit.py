@@ -1,17 +1,30 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rfuncds.ds import load_report
 from rfuncds.errors import DimensionMismatch, InsufficientPoints, NonFiniteValue, RankDeficient
 from rfuncds.expr import Const, eval_arrays, eval_expr
 from rfuncds.polyfit import (
-    BasisSpec, FitResult, _r_squared, design_matrix, fit_least_squares, r_squared, to_expr,
+    BLOCK_ROWS, BasisSpec, FitResult, _r_squared, design_matrix, fit_least_squares, r_squared,
+    to_expr,
 )
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
 
 LINE = BasisSpec(vars=("x",), monomials=((0,), (1,)))
+
+REPORT = load_report(Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+                     / "kelvin-alpha1.json")
+FITS = [c.fit for c in REPORT.constraints]
+
+
+def _box_points(n, seed=0):
+    lo, hi = zip(*[(axis.lo, axis.hi) for axis in REPORT.box])
+    return np.random.default_rng(seed).uniform(lo, hi, size=(n, len(lo)))
 
 
 def test_basis_validation():
@@ -97,6 +110,52 @@ def test_prediction_invariant_to_scaling(rng):
     assert np.abs(ours - theirs).max() <= 1e-9
 
 
+@pytest.mark.parametrize("fit", FITS, ids=[c.name for c in REPORT.constraints])
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               3 * BLOCK_ROWS + 7])
+def test_predict_in_blocks_is_the_one_shot_product_bit_for_bit(fit, n):
+    pts = _box_points(n)
+    got = fit.predict(pts)
+    want = design_matrix(pts, fit.basis) @ np.array(fit.coefficients)
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
+
+
+def test_predict_names_the_first_non_finite_point_of_a_later_block():
+    fit = FITS[0]
+    pts = _box_points(4 * BLOCK_ROWS)
+    first = 2 * BLOCK_ROWS + 5                     # inside block 3
+    pts[first, 1] = np.inf
+    pts[first + 1, 0] = np.nan                     # later in the same block
+    pts[3 * BLOCK_ROWS + 2, 0] = np.inf            # in block 4
+    with pytest.raises(NonFiniteValue) as one_shot:
+        design_matrix(pts, fit.basis)
+    assert f"at point {pts[first].tolist()}" in str(one_shot.value)
+    with pytest.raises(NonFiniteValue) as blocked:
+        fit.predict(pts)
+    assert str(blocked.value) == str(one_shot.value)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (5, 3), (BLOCK_ROWS + 1, 1)])
+def test_predict_refuses_a_wrong_point_width(shape):
+    with pytest.raises(DimensionMismatch, match=f"points have {shape[1]} coordinates"):
+        FITS[0].predict(np.zeros(shape))
+
+
+def test_predict_memory_is_the_output_and_one_block():
+    fit = FITS[0]
+    pts = _box_points(2 ** 18)
+    out_bytes = pts.shape[0] * 8
+    block_bytes = BLOCK_ROWS * len(fit.basis) * 8   # one block of the design matrix
+    tracemalloc.start()
+    try:
+        fit.predict(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole design matrix alone would be 5 x the output
+    assert peak < 2 * out_bytes + block_bytes
+
+
 def test_duplicate_point_keeps_exact_fit():
     pts = [[0.0], [1.0], [2.0]]
     values = [2.0, 5.0, 8.0]
@@ -120,6 +179,16 @@ def test_holdout_r_squared():
     pts = [[0.0], [1.0], [2.0]]
     fit = fit_least_squares(pts, [2.0, 5.0, 8.0], LINE)
     assert r_squared(fit, [[3.0], [4.0]], [11.0, 14.0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_r_squared_refuses_values_that_do_not_match_the_points():
+    fit = fit_least_squares([[0.0], [1.0], [2.0]], [2.0, 5.0, 8.0], LINE)
+    with pytest.raises(DimensionMismatch, match=r"1 points but \(3,\) values"):
+        r_squared(fit, [[3.0]], [11.0, 14.0, 17.0])
+    with pytest.raises(DimensionMismatch, match=r"2 points but \(2, 1\) values"):
+        r_squared(fit, [[3.0], [4.0]], [[11.0], [14.0]])
+    with pytest.raises(DimensionMismatch, match="points have 2 coordinates"):
+        r_squared(fit, [[3.0, 4.0]], [11.0])
 
 
 def test_r_squared_of_a_target_near_the_float_limit():

@@ -273,6 +273,35 @@ def test_records_pickle(record):
     assert type(copy) is type(record) and repr(copy) == repr(record)
 
 
+def _chain(make, levels, bottom):
+    for _ in range(levels):
+        bottom = make(bottom)
+    return bottom
+
+
+@pytest.mark.parametrize("make", [Not, And, Or, Neg], ids=lambda make: make.__name__)
+def test_a_deep_chain_pickles_without_recursion(make):
+    bottom = X if make is Neg else Leaf(geometry.circle(0.0, 0.0, 1.0))
+    chain = _chain(make, 3000, bottom)
+    copy = pickle.loads(pickle.dumps(chain))
+    assert copy == chain and copy is not chain
+    assert type(_chain(lambda c: children(c)[0], 3000, copy)) is type(bottom)
+
+
+def test_a_pickled_record_keeps_its_shared_records_shared():
+    leaf = Leaf(geometry.circle(0.0, 0.0, 1.0))
+    tree = And(leaf, Not(leaf), Or(leaf, _chain(Not, 3000, leaf)))
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy == tree
+    first, negated, joined = copy.children
+    assert first is not leaf and negated.child is first and joined.children[0] is first
+    assert _chain(lambda c: c.child, 3000, joined.children[1]) is first
+    # a shared expression node is rebuilt once too
+    shared = Add(X, Y)
+    copy = pickle.loads(pickle.dumps(Mul(shared, Neg(shared))))
+    assert copy.a is copy.b.a
+
+
 def test_and_and_or_need_a_child():
     for join in (And, Or):
         with pytest.raises(ValueError, match=f"{join.__name__} needs at least one child"):
