@@ -78,6 +78,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"error: {message}\n")
 
+    def _parse_optional(self, arg_string):
+        # argparse takes only "-5" and "-0.5" for values, not a point such
+        # as "-5,275" or a number such as "-1e-3" or "-inf"
+        first = arg_string.partition(",")[0]
+        if first.startswith("-"):
+            try:
+                float(first)
+                return None   # a value, as after "--"
+            except ValueError:
+                pass
+        return super()._parse_optional(arg_string)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

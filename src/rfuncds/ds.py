@@ -210,7 +210,7 @@ def membership(report: DSReport, u) -> str:
     query by the generator that also writes each region's frame; every
     other point (another mapping or iterable, a wrong count or set of
     names, a value that is not a number, nan or out of the box) and a float
-    power that overflows take the checked path,
+    power of exponent 3 or more that overflows take the checked path,
     ``sign_class(report.joint, box_point(report, u))``, which gives the same
     verdicts and raises the errors.
     """

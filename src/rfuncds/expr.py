@@ -194,6 +194,19 @@ def _emit_binary(op: str):
     return lambda e, k, a, b: f"({a} {op} {b})"
 
 
+def _emit_pow(e, k, a):
+    if e.exponent == 2:
+        # one correctly rounded multiply, as numpy squares arrays: floats
+        # skip libm pow, agree with the arrays bit for bit and give inf on
+        # overflow where float ** int raises.  A compound base is named
+        # where it is squared, and every square reuses the one name sq, so
+        # an array base lives until the next square, not to its statement
+        if a.isidentifier():
+            return f"({a} * {a})"
+        return f"((sq := {a}) * sq)"
+    return f"({a} ** {'%d' % e.exponent})"
+
+
 # every concrete Expr class, declared once; constructors are type(e)(*operands, *params)
 NODES: dict[type, Node] = {
     Const: Node("const", (), ("value",), lambda e, k: k.const(e.value)),
@@ -202,7 +215,7 @@ NODES: dict[type, Node] = {
     Add: Node("add", ("a", "b"), (), _emit_binary("+")),
     Sub: Node("sub", ("a", "b"), (), _emit_binary("-")),
     Mul: Node("mul", ("a", "b"), (), _emit_binary("*")),
-    Pow: Node("pow", ("base",), ("exponent",), lambda e, k, a: f"({a} ** {'%d' % e.exponent})"),
+    Pow: Node("pow", ("base",), ("exponent",), _emit_pow),
     Sqrt: Node("sqrt", ("a",), (), lambda e, k, a: f"root({a})"),
     Abs: Node("abs", ("a",), (), lambda e, k, a: f"absolute({a})"),
     RAnd: Node("rand", ("a", "b"), ("alpha",), _emit_r_node("-", "minimum")),
@@ -417,11 +430,11 @@ def compile_verdict(program: Program,
 
     Without ``bounds`` (a region's frame) the values are used as given and
     the value is ``float`` of the program's result, as in
-    :func:`eval_expr`; a float power that overflows gives None, and every
-    other error is raised as there.  With ``bounds`` (a report's frame) a
-    dict must hold exactly the input names, each value must convert with
-    float and lie in its inclusive ``(lo, hi)`` pair, and every point that
-    does not gives None.  The bounds are globals like the constants, l0,
+    :func:`eval_expr`; a float power of exponent 3 or more that overflows
+    gives None, and every other error is raised as there.  With ``bounds``
+    (a report's frame) a dict must hold exactly the input names, each value
+    must convert with float and lie in its inclusive ``(lo, hi)`` pair, and
+    every point that does not gives None.  The bounds are globals like the constants, l0,
     h0, l1, ..., so programs of one expression shape share one code object.
     """
     n = len(program.names)
@@ -460,7 +473,7 @@ def compile_verdict(program: Program,
         "    try:",
         *[f"        {line}" for line in program.body],
         f"        value = {value}",
-        "    except OverflowError:   # the checked path gives inf, as numpy does",
+        "    except OverflowError:   # x ** 3 and up; the checked path gives inf, as numpy does",
         "        return None",
         "    # as classify",
         "    if value > tol:",
@@ -484,15 +497,16 @@ def eval_expr(expr: Expr | Region, point) -> float:
 
     ``point`` is a name -> value mapping, or the values in the order of a
     Region's ``vars``.  A Region evaluates through the program it compiled
-    on first use; a bare expression is compiled for this call.  A float
-    power that overflows gives inf, as in :func:`eval_arrays`.
+    on first use; a bare expression is compiled for this call.  A power
+    that overflows gives inf, as in :func:`eval_arrays`.
     """
     program = expr.program if isinstance(expr, Region) else compile_expr(expr)
     inputs = program.inputs(point)
     try:
         return float(program.scalars(inputs))
     except OverflowError:
-        # float ** int raises where numpy gives inf; only such points pay for numpy
+        # float ** int raises where numpy gives inf (exponents 3 and up; a
+        # square is a product); only such points pay for numpy
         import numpy as np
         with np.errstate(over="ignore", invalid="ignore"):
             return float(program.arrays([np.float64(v) for v in inputs]))
@@ -575,9 +589,10 @@ def sign_class(region: Region, point) -> str:
     ``point`` is a name -> value mapping or the values in ``region.vars``
     order.  A dict, list or tuple point is answered by the region's
     ``verdict`` function, which reports share through the same generator;
-    any other point, a missing name, a wrong count and a float power that
-    overflows take the checked path, ``classify(eval_expr(region, point))``,
-    which gives the same verdicts and raises the errors.
+    any other point, a missing name, a wrong count and a float power of
+    exponent 3 or more that overflows take the checked path,
+    ``classify(eval_expr(region, point))``, which gives the same verdicts
+    and raises the errors.
     """
     return region.verdict(point) or classify(eval_expr(region, point))
 

@@ -429,7 +429,7 @@ def test_check_reads_trees_at_the_depth_limit(tmp_path, capsys):
 
 
 def test_check_reports_inf_when_a_float_power_overflows(tmp_path, capsys):
-    # (1e200*T)^2 - 1: float ** int raises OverflowError where numpy gives inf
+    # (1e200*T)^2 - 1: the square is a product, which gives inf as numpy does
     tree = {"kind": "sub", "args": [
         {"kind": "pow", "exponent": 2, "args": [{"kind": "mul", "args": [
             {"kind": "const", "value": 1e200}, {"kind": "var", "name": "T"}]}]},
@@ -437,6 +437,37 @@ def test_check_reports_inf_when_a_float_power_overflows(tmp_path, capsys):
     path = _edited_report(tmp_path, lambda r: r["joint"].update(tree=tree))
     assert run(["check", str(path), "290,275"]) == 0
     assert capsys.readouterr() == ("inside (joint expression = inf)\n", "")
+
+
+@pytest.mark.parametrize("point, code", [("-5,275", 3), ("-5e0,2.75e2", 3), ("-0.5,275", 3),
+                                         ("-inf,275", 2), ("-nan,275", 2), ("-5", 2)])
+def test_check_reads_a_negative_first_coordinate_as_a_value(point, code, tmp_path, capsys):
+    # "-5,275" starts like an option; it is read as "-- -5,275" is
+    path = _edited_report(tmp_path, lambda r: r["box"][0].update(lo=-10.0))
+    answers = [(run(argv), capsys.readouterr())
+               for argv in (["check", str(path), point], ["check", str(path), "--", point])]
+    assert answers[0] == answers[1]
+    assert answers[0][0] == code
+    out, err = answers[0][1]
+    if code == 3:
+        assert out.startswith("outside (joint expression = -")
+    else:
+        assert err.startswith("error: ") and "required" not in err
+
+
+def test_an_option_takes_a_negative_number_with_an_exponent(tmp_path):
+    assert run(["demo", "circles-4.1", "--alpha", "-1e-3", "--grid", "8",
+                "--out", str(tmp_path)]) == 0
+    assert "# case circles-4.1, alpha=-0.001" in (tmp_path / "expressions.txt").read_text()
+
+
+def test_check_still_reads_its_options(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(["check", str(REPORT_FIXTURE), "-h"])
+    assert exit_.value.code == 0 and capsys.readouterr().out.startswith("usage: rfuncds check")
+    with pytest.raises(SystemExit) as exit_:
+        run(["check", str(REPORT_FIXTURE), "--bogus"])
+    assert exit_.value.code == 2 and capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("value, code, verdict", [

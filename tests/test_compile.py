@@ -88,6 +88,21 @@ def test_compiled_matches_tree_walk_on_saved_and_demo_regions(region, box, rng):
             tree_eval(region.expr, dict(zip(region.vars, row))))
 
 
+@pytest.mark.parametrize("region, box", list(_regions()))
+def test_scalar_values_equal_the_array_values_bit_for_bit(region, box):
+    lo, hi = np.array(box).T
+    pts = np.random.default_rng(5).uniform(lo, hi, size=(10_000, len(box)))
+    want = eval_arrays(region, {n: pts[:, i] for i, n in enumerate(region.vars)})
+    assert _same_bits([eval_expr(region, row) for row in pts.tolist()], want)
+
+
+def test_a_scalar_square_is_the_array_square():
+    x = 4.02855845376335   # x ** 2 through libm pow is one unit in the last place higher
+    square = Pow(X, 2)
+    assert eval_expr(square, [x]) == x * x == 16.22928321538815
+    assert _same_bits(eval_arrays(square, {"x": np.array([x, -x])}), [x * x, x * x])
+
+
 def _renamed_report(tmp_path, names):
     """The kelvin fixture with its two axes renamed, saved and loaded again."""
     text = (FIXTURES / "kelvin-alpha1.json").read_text()
@@ -134,8 +149,9 @@ def test_variable_names_never_reach_the_generated_source(tmp_path, rng):
 
 @pytest.mark.parametrize("exponent", [2, 3, 2**70, 10**30], ids=["2", "3", "2**70", "10**30"])
 def test_scalar_power_overflow_gives_the_array_value(exponent):
-    # float ** int raises OverflowError where numpy gives inf; eval_expr
-    # redoes such a point with numpy
+    # a square is a product, which gives inf; from exponent 3 float ** int
+    # raises OverflowError where numpy gives inf, and eval_expr redoes such
+    # a point with numpy
     expr = Sub(Pow(Mul(Const(1e200), X), exponent), Y)
     bases = [1.0, -1.0, 1e-200, -1e-200, 1.5e-200, -1.5e-200, 0.5e-200, 0.0, -0.0,
              math.inf, -math.inf, math.nan]
@@ -289,9 +305,24 @@ def test_region_frame_reads_names_and_counts_as_the_checked_path_does():
 
 
 def test_region_frame_leaves_an_overflowing_power_to_the_numpy_route():
-    region = Region(Sub(Pow(Mul(Const(1e200), X), 2), Y), ("x", "y"))
+    region = Region(Sub(Pow(Mul(Const(1e200), X), 3), Y), ("x", "y"))
     for point in ([1.0, 1.0], {"x": 1.0, "y": 1.0}, (10 ** 400, 1.0)):
         assert _assert_frame_pinned(region, point) is None
+    assert sign_class(region, {"x": 1.0, "y": 1.0}) == "inside"
+
+
+def test_region_frame_answers_an_overflowing_square_itself(monkeypatch):
+    # a square is one multiply, which gives inf where float ** 2 raised
+    region = Region(Sub(Pow(Mul(Const(1e200), X), 2), Y), ("x", "y"))
+    assert "**" not in region.program.source
+    assert eval_expr(region, {"x": 1.0, "y": 1.0}) == math.inf
+    assert eval_expr(region, [-1.0, 1.0]) == math.inf
+    for point in ([1.0, 1.0], {"x": 1.0, "y": 1.0}, (-1.0, 1.0)):
+        assert _assert_frame_pinned(region, point) == "inside"
+
+    def checked(*args):
+        raise AssertionError("eval_expr called")
+    monkeypatch.setattr(expr_mod, "eval_expr", checked)
     assert sign_class(region, {"x": 1.0, "y": 1.0}) == "inside"
 
 

@@ -245,12 +245,22 @@ def test_membership_gives_the_checked_verdicts_and_errors_on_shared_dags(expr):
 
 
 def test_membership_takes_the_numpy_route_where_a_float_power_overflows():
-    # (1e200*T)^2 - 1: float ** int raises OverflowError where numpy gives inf
+    # (1e200*T)^3 - 1: float ** int raises OverflowError where numpy gives inf
     box = load_report(REPORT_FIXTURES[1]).box
-    joint = Region(Sub(Pow(Mul(Const(1e200), Var("T")), 2), Const(1.0)), ("T", "t"))
+    joint = Region(Sub(Pow(Mul(Const(1e200), Var("T")), 3), Const(1.0)), ("T", "t"))
     report = _report_of(joint, box)
     assert report.verdict([290.0, 280.0]) is None
     assert membership(report, [290.0, 280.0]) == "inside"
+    _assert_membership_pinned_to_the_checked_path(report)
+
+
+def test_membership_answers_an_overflowing_square_in_the_frame():
+    # (1e200*T)^2 - 1: the square is one multiply, which gives inf as numpy does
+    box = load_report(REPORT_FIXTURES[1]).box
+    joint = Region(Sub(Pow(Mul(Const(1e200), Var("T")), 2), Const(1.0)), ("T", "t"))
+    report = _report_of(joint, box)
+    assert report.verdict([290.0, 280.0]) == "inside"
+    assert report.verdict({"T": 250.0, "t": 300.0}) == "inside"
     _assert_membership_pinned_to_the_checked_path(report)
 
 

@@ -29,6 +29,8 @@ def _eval_pow(e, env):
     base = _eval(e.base, env)
     if e.exponent == 0:
         return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
+    if e.exponent == 2:   # the correctly rounded product, as numpy squares arrays
+        return base * base
     return base ** e.exponent
 
 
