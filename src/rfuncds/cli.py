@@ -31,8 +31,8 @@ from .expr import classify, compose, eval_expr
 _LAZY = {
     **dict.fromkeys(("TESTCASE_NAMES", "testcase"), "geometry"),
     **dict.fromkeys(("grid_eval", "marching_squares", "slice_contours_3d"), "contour"),
-    **dict.fromkeys(("DEFAULT_PALETTE", "emit_contours_csv", "emit_field_csv", "emit_svg"),
-                    "emit"),
+    **dict.fromkeys(("DEFAULT_PALETTE", "emit_contours_csv", "emit_field_csv", "emit_svg",
+                     "value_texts"), "emit"),
 }
 
 
@@ -169,16 +169,19 @@ def _outdir(args) -> Path:
 
 def cmd_demo(args, provenance: str) -> int:
     _bind("testcase", "grid_eval", "marching_squares", "slice_contours_3d", "DEFAULT_PALETTE",
-          "emit_svg", "emit_field_csv")
+          "emit_svg", "emit_field_csv", "value_texts")
     _, _, case = testcase(args.name)
     is3d = len(case.bounds) == 3
     grid = (64 if is3d else 256) if args.grid is None else args.grid
     regions = [(label, compose(tree, args.alpha)) for label, tree in case.trees]
     out = _outdir(args)
 
+    # every field first, so that the values they share are formatted once
+    fields = [grid_eval(region, case.bounds, (grid, grid, args.slices) if is3d else grid)
+              for _, region in regions]
     lines = [f"# {provenance}", f"# case {case.name}, alpha={args.alpha!r}", ""]
-    for (label, region), color in zip(regions, DEFAULT_PALETTE):
-        field = grid_eval(region, case.bounds, (grid, grid, args.slices) if is3d else grid)
+    for (label, region), field, texts, color in zip(regions, fields, value_texts(fields),
+                                                    DEFAULT_PALETTE):
         if is3d:
             for k, (z, contours) in enumerate(slice_contours_3d(field)):
                 emit_svg(out / f"{label}_slice{k:02d}.svg", [(contours, color)],
@@ -188,7 +191,7 @@ def cmd_demo(args, provenance: str) -> int:
             emit_svg(out / f"{label}.svg", [(marching_squares(field), color)], case.bounds,
                      field=field, provenance=provenance,
                      title=f"{case.name} [{label}]")
-        emit_field_csv(out / f"{label}_field.csv", field, provenance=provenance)
+        emit_field_csv(out / f"{label}_field.csv", field, provenance=provenance, texts=texts)
         lines.append(f"[{label}]")
         lines.append(f"infix_sqrt = {exprtext.to_infix(region.expr, alpha1_style='sqrt')}")
         lines.append(f"infix_abs = {exprtext.to_infix(region.expr)}")

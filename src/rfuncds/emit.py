@@ -8,10 +8,12 @@ precision).  Every file starts with the provenance supplied by the caller
 
 Each writer builds its file from arrays, not one node or point at a time:
 pixel coordinates are computed with numpy in the same operation order as
-the scalar mapping.  A field CSV formats each distinct value once (repr()
-depends only on a float's bits) and each coordinate once, and fills one
-prebuilt ``%s`` template per slab of the first axis, so no per-row Python
-code runs.  The format is unchanged; see docs/formats.md.
+the scalar mapping.  Field CSV values come from one value table per
+command (``value_texts``): repr() depends only on a float's bits, so each
+distinct bit pattern among all the fields a command writes is formatted
+once.  Each coordinate is formatted once too, and each slab of the first
+axis is put together by list slice assignment and one join, so no per-row
+Python code runs.  The format is unchanged; see docs/formats.md.
 """
 
 from __future__ import annotations
@@ -127,25 +129,48 @@ def _shading(field: ScalarField, to_px) -> str:
     return "\n".join([f'<g fill="{_SHADE_FILL}" stroke="none">', *rects, "</g>"])
 
 
-def emit_field_csv(path, field: ScalarField, provenance: str = "") -> None:
-    """One row per grid node, row-major over the axes, full float precision."""
-    first, *rest = [list(map(repr, field.axis(k).tolist())) for k in range(field.values.ndim)]
+def value_texts(fields) -> list[np.ndarray]:
+    """The value text ``repr(v) + "\n"`` of every node of each field, C order.
+
+    One table serves all ``fields``: each distinct bit pattern among their
+    nodes is formatted once, and every node holding it gets the same
+    string.  Keying on bits keeps 0.0 and -0.0 (and nan payloads) apart.
+    """
+    bits = [np.ascontiguousarray(f.values, dtype=np.float64).ravel().view(np.uint64)
+            for f in fields]
+    distinct, which = np.unique(np.concatenate(bits), return_inverse=True)
+    texts = np.array([r + "\n" for r in map(repr, distinct.view(np.float64).tolist())],
+                     dtype=object)
+    return np.split(texts[which], np.cumsum([b.size for b in bits[:-1]]))
+
+
+def emit_field_csv(path, field: ScalarField, provenance: str = "",
+                   texts: np.ndarray | None = None) -> None:
+    """One row per grid node, row-major over the axes, full float precision.
+
+    ``texts`` is this field's entry of ``value_texts`` over all the fields a
+    command writes, so a value they share is formatted once; without it the
+    field gets a table of its own.
+    """
+    if texts is None:
+        [texts] = value_texts([field])
+    first, *rest = [[c + "," for c in map(repr, field.axis(k).tolist())]
+                    for k in range(field.values.ndim)]
     # the rows of one slab of the first axis, each up to its value: "y,z," ...;
     # product() yields them in C order, matching ravel()
-    heads = ["".join(row) for row in itertools.product(*[[c + "," for c in ax] for ax in rest])]
-    # repr() depends only on a float's bits, so each distinct bit pattern is
-    # formatted once; keying on bits keeps 0.0 and -0.0 (and nan payloads) apart
-    bits = np.ascontiguousarray(field.values, dtype=np.float64).ravel().view(np.uint64)
-    distinct, which = np.unique(bits, return_inverse=True)
-    reprs = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    heads = ["".join(row) for row in itertools.product(*rest)]
+    # a slab is "x," head value-text, row after row: the heads stay in place
+    # and each slab sets its x and its values
+    rows = [""] * (3 * len(heads))
+    rows[1::3] = heads
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if provenance:
             fh.write(f"# {provenance}\n")
         fh.write(",".join(field.vars) + ",value\n")
-        for x, slab in zip(first, which.reshape(len(first), len(heads))):
-            # "x,head0%s\nx,head1%s\n..." filled with this slab's value texts
-            template = x + "," + ("%s\n" + x + ",").join(heads) + "%s\n"
-            fh.write(template % tuple(reprs[slab].tolist()))
+        for x, slab in zip(first, texts.reshape(len(first), len(heads))):
+            rows[0::3] = [x] * len(heads)
+            rows[2::3] = slab.tolist()
+            fh.write("".join(rows))
 
 
 def emit_contours_csv(path, contours: ContourSet, provenance: str = "") -> None:

@@ -23,13 +23,16 @@ from rfuncds.contour import (
     marching_squares,
     slice_contours_3d,
 )
+from rfuncds import __version__, cli
 from rfuncds.ds import load_report
 from rfuncds.emit import (
     DEFAULT_PALETTE,
     emit_contours_csv,
     emit_field_csv,
     emit_svg,
+    value_texts,
 )
+from rfuncds.expr import compose
 from rfuncds.geometry import TESTCASE_NAMES, circle, testcase as load_case
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -215,6 +218,27 @@ def test_demo_cases(name, tmp_path):
             assert_field_outputs_same(tmp_path, field, case.bounds)
 
 
+@pytest.mark.parametrize("argv", [[], ["--alpha", "0.5", "--grid", "32", "--slices", "3"]],
+                         ids=["defaults", "alpha-grid-slices"])
+@pytest.mark.parametrize("name", TESTCASE_NAMES)
+def test_demo_command_field_csvs(name, argv, tmp_path, capsys):
+    # the command writes its fields through one shared value table
+    out = tmp_path / "demo"
+    argv = ["demo", name, *argv, "--out", str(out)]
+    assert cli.main(argv) == 0
+    args = cli.build_parser().parse_args(argv)
+    case = load_case(name)[2]
+    is3d = len(case.bounds) == 3
+    grid = (64 if is3d else 256) if args.grid is None else args.grid
+    for label, tree in case.trees:
+        field = grid_eval(compose(tree, args.alpha), case.bounds,
+                          (grid, grid, args.slices) if is3d else grid)
+        want = tmp_path / f"{label}_want.csv"
+        reference_emit_field_csv(want, field, provenance=f"rfuncds {__version__} | rfuncds "
+                                                         + " ".join(argv))
+        assert filecmp.cmp(out / f"{label}_field.csv", want, shallow=False)
+
+
 @pytest.mark.parametrize("fixture", ["kelvin-alpha0.json", "kelvin-alpha1.json"])
 def test_report_fields(fixture, tmp_path):
     report = load_report(FIXTURES / fixture)
@@ -285,6 +309,48 @@ def test_repeated_values(shape, rng, tmp_path):
                   _field(np.where(np.indices(shape).sum(axis=0) % 2, 0.0, -0.0)),
                   _field(np.full(shape, -0.0))):
         assert_same_bytes(tmp_path, emit_field_csv, field, provenance=PROVENANCE)
+
+
+def assert_shared_table_same(tmp_path, fields):
+    """Write ``fields`` through one value table; each file must equal its reference."""
+    texts = value_texts(fields)
+    bits = np.concatenate([np.ascontiguousarray(f.values, dtype=np.float64).ravel()
+                           for f in fields]).view(np.uint64)
+    # one text per distinct bit pattern, shared by every node that holds it
+    assert len({id(t) for node_texts in texts for t in node_texts.tolist()}) \
+        == len(np.unique(bits))
+    for field, node_texts in zip(fields, texts):
+        n = next(_serial)
+        got, want = tmp_path / f"got{n}", tmp_path / f"want{n}"
+        emit_field_csv(got, field, provenance=PROVENANCE, texts=node_texts)
+        reference_emit_field_csv(want, field, provenance=PROVENANCE)
+        assert filecmp.cmp(got, want, shallow=False)
+
+
+def test_shared_table_float64_and_float32(rng, tmp_path):
+    single = rng.normal(size=(6, 8)).astype(np.float32)
+    double = rng.normal(size=(5, 3, 4))
+    double.ravel()[::3] = single.ravel()[:20]   # values the two fields share
+    assert_shared_table_same(tmp_path, [_field(double), _field(single)])
+
+
+def test_shared_table_special_values(rng, tmp_path):
+    nans = np.array(NAN_BITS, dtype=np.uint64).view(np.float64)
+    pool = np.concatenate([[0.0, -0.0, math.inf, -math.inf, 5e-324, -1.5e-310], nans])
+    fields = [_field(np.array(SPECIAL).reshape(4, 5)),
+              _field(pool[rng.integers(len(pool), size=(7, 9))]),
+              _field(np.concatenate([pool, SPECIAL]))]
+    assert_shared_table_same(tmp_path, fields)
+    assert_shared_table_same(tmp_path, fields[::-1])
+
+
+def test_one_field_table_is_the_default(rng, tmp_path):
+    field = _field(np.round(rng.normal(size=(9, 7)), 1))
+    assert_shared_table_same(tmp_path, [field])
+    emit_field_csv(tmp_path / "default.csv", field, provenance=PROVENANCE)
+    [texts] = value_texts([field])
+    emit_field_csv(tmp_path / "table.csv", field, provenance=PROVENANCE, texts=texts)
+    assert filecmp.cmp(tmp_path / "default.csv", tmp_path / "table.csv", shallow=False)
 
 
 def test_float32_and_noncontiguous_values(rng, tmp_path):
