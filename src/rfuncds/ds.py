@@ -21,9 +21,11 @@ from .errors import (
     NonFiniteValue, OutOfBox, ParseError,
 )
 from .expr import (
-    And, Const, Leaf, Region, Sub, check_alpha, compile_verdict, compose, depth, eval_arrays,
-    sign_class,
+    And, Const, Leaf, Region, Sub, check_alpha, classify, compile_verdict, compose, depth,
+    eval_arrays, eval_expr,
 )
+# perfbench's tracer wraps ds.sign_class by name (perfbench/spans.py WRAPS)
+from .expr import sign_class  # noqa: F401
 from .polyfit import BasisSpec, FitResult, fit_least_squares, r_squared, to_expr
 from .qmc import scale, sobol
 from .record import Record
@@ -125,15 +127,21 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     Sobol block of ``N_VALIDATION`` points disjoint from training (skip
     range starts right after the training points) and records
     per-constraint R^2 plus the rate at which the sign of the joint
-    expression agrees with direct thresholding of the model output.  A
-    joint expression deeper than the tree format holds
-    (``exprtext.check_depth``) raises ValueError before the validation run.
+    expression agrees with direct thresholding of the model output.  An
+    inf or nan threshold raises ValueError before the first model run, and
+    a joint expression deeper than the tree format holds
+    (``exprtext.check_depth``) before the validation run.
     """
     import numpy as np
     constraints = list(constraints)
     if not constraints:
         raise EmptyConstraintList("need at least one constraint")
     check_alpha(alpha)
+    thresholds = [float(spec.threshold) for spec in constraints]
+    for spec, threshold in zip(constraints, thresholds):
+        if not math.isfinite(threshold):
+            raise ValueError(f"constraint {spec.name!r} needs a finite threshold, "
+                             f"got {threshold!r}")
     box = tuple(box)
     names = tuple(axis.name for axis in box)
     if basis.vars != names:
@@ -160,22 +168,14 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     val = scale(sobol(len(box), N_VALIDATION, validation_skip), bounds)
     y_train = run_model(train)
 
-    reports = []
-    leaves = []
-    for k, spec in enumerate(constraints):
-        fit = fit_least_squares(train, y_train[:, k], basis)
-        phi = Region(Sub(to_expr(fit), Const(float(spec.threshold))), names)
-        reports.append((spec, fit, phi))
-        leaves.append(Leaf(phi))
-
-    joint = compose(And(*leaves), alpha)
+    fits = [fit_least_squares(train, y_train[:, k], basis) for k in range(len(constraints))]
+    phis, joint = _regions(fits, thresholds, names, alpha)
     exprtext.check_depth(depth(joint.expr),
                          f"a basis of {len(basis)} monomials gives a joint expression")
 
     y_val = run_model(val)
     predicted_in = eval_arrays(joint, val.T) >= 0.0
-    actual_in = np.all(
-        y_val >= np.array([spec.threshold for spec, _, _ in reports]), axis=1)
+    actual_in = np.all(y_val >= np.array(thresholds), axis=1)
     agree = predicted_in == actual_in
     stats = ValidationStats(
         agreement_rate=float(agree.mean()),
@@ -185,10 +185,10 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
 
     constraint_reports = tuple(
         ConstraintReport(
-            name=spec.name, threshold=float(spec.threshold), fit=fit, phi=phi,
+            name=spec.name, threshold=threshold, fit=fit, phi=phi,
             validation_r_squared=r_squared(fit, val, y_val[:, k]),
         )
-        for k, (spec, fit, phi) in enumerate(reports)
+        for k, (spec, threshold, fit, phi) in enumerate(zip(constraints, thresholds, fits, phis))
     )
 
     return DSReport(
@@ -197,6 +197,18 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
                               n_validation=N_VALIDATION, validation_skip=validation_skip),
         validation=stats,
     )
+
+
+def _regions(fits: Sequence[FitResult], thresholds: Sequence[float], names: tuple[str, ...],
+             alpha: float) -> tuple[list[Region], Region]:
+    """Each constraint's phi, its fitted polynomial minus its threshold, and
+    the joint region, the R-conjunction of the phis at ``alpha``.
+
+    The one rule for a report's expressions: ``identify`` builds them with
+    it, and ``load_report`` rebuilds them from the saved fits."""
+    phis = [Region(Sub(to_expr(fit), Const(threshold)), names)
+            for fit, threshold in zip(fits, thresholds)]
+    return phis, compose(And(*map(Leaf, phis)), alpha)
 
 
 def membership(report: DSReport, u) -> str:
@@ -211,12 +223,13 @@ def membership(report: DSReport, u) -> str:
     other point (another mapping or iterable, a wrong count or set of
     names, a value that is not a number, nan or out of the box) and a float
     power of exponent 3 or more that overflows take the checked path,
-    ``sign_class(report.joint, box_point(report, u))``, which gives the same
-    verdicts and raises the errors.
+    ``classify(eval_expr(report.joint, box_point(report, u)))``, which gives
+    the same verdicts and raises the errors, and compiles no verdict
+    function of the joint region's own.
     """
     # verdict gives None where it does not answer; the joint region's inputs
     # are the box axes in order (DSReport checks it)
-    return report.verdict(u) or sign_class(report.joint, box_point(report, u))
+    return report.verdict(u) or classify(eval_expr(report.joint, box_point(report, u)))
 
 
 def box_point(report: DSReport, u) -> list[float]:
@@ -312,15 +325,24 @@ def save_report(report: DSReport, path, artifacts: Mapping[str, str] | None = No
 def load_report(path) -> DSReport:
     """Reload a saved report (metamodels and expressions).
 
+    The expressions are rebuilt from the fields, as ``identify`` builds
+    them: each phi from its constraint's basis, coefficients and
+    threshold, and the joint from the phis and ``alpha``.  Each stored
+    ``phi_tree`` and the ``joint.tree`` must equal the tree of its rebuilt
+    expression (as decoded JSON values), so a report cannot answer from a
+    tree that its own coefficients contradict; the infix texts are for
+    reading and are not read.
+
     Expression trees may nest at most ``exprtext.MAX_DEPTH`` levels; the
     file is checked for that before it is decoded.  A file that is not
-    UTF-8 text, a missing or wrong ``format`` key, a missing field, a
-    field not of its kind in ``exprtext.FIELD_KINDS`` (number, count,
-    name or unit), a coefficient list that does not match its basis,
-    basis variables other than the box axes, an alpha outside (-1, 1], a
-    box axis without finite ``lo < hi`` and a too-deep tree raise
-    ParseError.  Coefficients load as a tuple of floats; nothing here
-    imports numpy.
+    UTF-8 text, a missing or wrong ``format`` key, a missing field, an
+    empty constraint list, a field not of its kind in
+    ``exprtext.FIELD_KINDS`` (number, count, name or unit), an inf or nan
+    threshold or coefficient, a coefficient list that does not match its
+    basis, basis variables other than the box axes, an alpha outside
+    (-1, 1], a box axis without finite ``lo < hi``, a too-deep tree and a
+    stored tree that differs from the rebuilt one raise ParseError.
+    Coefficients load as a tuple of floats; nothing here imports numpy.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -340,6 +362,15 @@ def load_report(path) -> DSReport:
         raise ParseError(None, str(exc)) from None
 
 
+def _finite(value, subject: str) -> float:
+    """A report number that must also be finite; JSON's NaN and Infinity
+    tokens raise ParseError naming ``subject``."""
+    number = exprtext.read_field(value, "number", subject)
+    if not math.isfinite(number):
+        raise ParseError(None, f"{subject} must be a finite number, got {number!r}")
+    return number
+
+
 def _report_from_obj(obj: dict) -> DSReport:
     field = exprtext.read_field
     alpha = check_alpha(field(obj["alpha"], "number", "alpha"))
@@ -348,14 +379,14 @@ def _report_from_obj(obj: dict) -> DSReport:
                         field(a.get("unit"), "unit", "box axis unit"))
                 for a in obj["box"])
     names = tuple(a.name for a in box)
-    constraints = []
+    rows = []   # (name, threshold, fit, validation R^2, stored phi_tree) per constraint
     for c in obj["constraints"]:
         monomials = tuple(tuple(field(e, "count", "basis exponent") for e in m)
                           for m in c["basis"]["monomials"])
         basis = BasisSpec(vars=tuple(c["basis"]["vars"]), monomials=monomials)
         if basis.vars != names:
             raise ParseError(None, f"basis variables {basis.vars} != box axes {names}")
-        coefficients = tuple(field(v, "number", "coefficient") for v in c["coefficients"])
+        coefficients = tuple(_finite(v, "coefficient") for v in c["coefficients"])
         if len(coefficients) != len(basis):
             raise ValueError(f"{len(coefficients)} coefficients for "
                              f"{len(basis)} monomials")
@@ -364,17 +395,27 @@ def _report_from_obj(obj: dict) -> DSReport:
                         n_points=field(c["n_points"], "count", "n_points"),
                         residual_max_abs=field(c["residual_max_abs"], "number",
                                                "residual_max_abs"))
-        phi = Region(exprtext.from_tree_obj(c["phi_tree"]), names)
-        constraints.append(ConstraintReport(
-            name=field(c["name"], "name", "constraint name"),
-            threshold=field(c["threshold"], "number", "threshold"), fit=fit, phi=phi,
-            validation_r_squared=field(c["validation_r_squared"], "number",
-                                       "validation_r_squared")))
-    joint = Region(exprtext.from_tree_obj(obj["joint"]["tree"]), names)
+        rows.append((field(c["name"], "name", "constraint name"),
+                     _finite(c["threshold"], "threshold"), fit,
+                     field(c["validation_r_squared"], "number", "validation_r_squared"),
+                     c["phi_tree"]))
+    if not rows:
+        raise ParseError(None, "report has no constraints")
     s = obj["sampling"]
     sampling = SamplingMeta(*[field(s[key], "count", key) for key in SamplingMeta._fields])
     v = obj["validation"]
     validation = ValidationStats(*[field(v[key], kind, key) for key, kind in zip(
         ValidationStats._fields, ("number", "count", "count"))])
-    return DSReport(box=box, alpha=alpha, constraints=tuple(constraints), joint=joint,
+
+    constraint_names, thresholds, fits, r2s, trees = zip(*rows)
+    phis, joint = _regions(fits, thresholds, names, alpha)
+    for name, tree, phi in zip(constraint_names, trees, phis):
+        if exprtext.to_tree_obj(phi.expr) != tree:
+            raise ParseError(None, f"phi_tree of constraint {name!r} differs from the "
+                                   f"tree of its coefficients minus its threshold")
+    if exprtext.to_tree_obj(joint.expr) != obj["joint"]["tree"]:
+        raise ParseError(None, "joint.tree differs from the tree of the constraints' "
+                               "phi joined at the report's alpha")
+    constraints = tuple(map(ConstraintReport, constraint_names, thresholds, fits, phis, r2s))
+    return DSReport(box=box, alpha=alpha, constraints=constraints, joint=joint,
                     sampling=sampling, validation=validation)

@@ -144,16 +144,12 @@ def value_texts(fields) -> list[np.ndarray]:
     return np.split(texts[which], np.cumsum([b.size for b in bits[:-1]]))
 
 
-def emit_field_csv(path, field: ScalarField, provenance: str = "",
-                   texts: np.ndarray | None = None) -> None:
+def emit_field_csv(path, field: ScalarField, texts: np.ndarray, provenance: str = "") -> None:
     """One row per grid node, row-major over the axes, full float precision.
 
     ``texts`` is this field's entry of ``value_texts`` over all the fields a
-    command writes, so a value they share is formatted once; without it the
-    field gets a table of its own.
+    command writes, so a value they share is formatted once.
     """
-    if texts is None:
-        [texts] = value_texts([field])
     first, *rest = [[c + "," for c in map(repr, field.axis(k).tolist())]
                     for k in range(field.values.ndim)]
     # the rows of one slab of the first axis, each up to its value: "y,z," ...;

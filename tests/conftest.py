@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from rfuncds import reactor
-from rfuncds.expr import And, Leaf, Not, Or, eval_arrays
+from rfuncds.ds import BoxAxis, ConstraintReport, DSReport, SamplingMeta, ValidationStats
+from rfuncds.expr import And, Const, Leaf, Not, Or, Region, Sub, compose, eval_arrays
+from rfuncds.polyfit import BasisSpec, FitResult, to_expr
 
 
 def boolean_oracle(tree, env):
@@ -22,6 +24,30 @@ def boolean_oracle(tree, env):
     if isinstance(tree, Not):
         return ~boolean_oracle(tree.child, env)
     raise TypeError(type(tree))
+
+
+def fitted_report(box, constraints, alpha=1.0):
+    """A report of ``constraints``, each a (name, threshold, {monomial:
+    coefficient}) triple over the box axes, whose phi and joint are built
+    from the fits as ``identify`` builds them, so it saves and loads back."""
+    names = tuple(axis.name for axis in box)
+    reports = []
+    for name, threshold, terms in constraints:
+        fit = FitResult(BasisSpec(names, tuple(terms)), tuple(terms.values()), 1.0,
+                        len(terms), 0.0)
+        phi = Region(Sub(to_expr(fit), Const(threshold)), names)
+        reports.append(ConstraintReport(name, threshold, fit, phi, 1.0))
+    joint = compose(And(*[Leaf(c.phi) for c in reports]), alpha)
+    return DSReport(tuple(box), alpha, tuple(reports), joint, SamplingMeta(0, 1, 0, 1),
+                    ValidationStats(1.0, 0, 0))
+
+
+def chain_report(levels):
+    """A report of one constraint, 1 + T + T^2 + ... - 0 over the unit box,
+    whose phi and joint are ``levels`` deep: a sum of k >= 2 terms is
+    k + 1 levels."""
+    box = (BoxAxis("T", 0.0, 1.0), BoxAxis("t", 0.0, 1.0))
+    return fitted_report(box, [("chain", 0.0, {(k, 0): 1.0 for k in range(levels - 2)})])
 
 
 def grid_env(bounds, resolution):

@@ -20,6 +20,7 @@ from rfuncds import cli, ds, errors, reactor
 from rfuncds.errors import RankDeficient
 from rfuncds.exprtext import MAX_DEPTH
 from rfuncds.reactor import CQA_BASIS
+from conftest import chain_report, fitted_report
 from infix_eval import infix_eval
 
 REPO = Path(__file__).resolve().parents[1]
@@ -344,6 +345,13 @@ def _edited_report(tmp_path, edit):
                  "threshold must be a number, got 1000", id="threshold=10**400"),
     pytest.param(lambda r: r["constraints"][0]["coefficients"].__setitem__(0, 10**400),
                  "coefficient must be a number, got 1000", id="coefficient=10**400"),
+    # JSON's NaN and Infinity tokens, which json.loads reads as floats
+    pytest.param(lambda r: r["constraints"][0]["coefficients"].__setitem__(2, math.nan),
+                 "coefficient must be a finite number, got nan", id="coefficient=NaN"),
+    pytest.param(lambda r: r["constraints"][1]["coefficients"].__setitem__(0, math.inf),
+                 "coefficient must be a finite number, got inf", id="coefficient=Infinity"),
+    pytest.param(lambda r: r["constraints"][0].update(threshold=-math.inf),
+                 "threshold must be a finite number, got -inf", id="threshold=-Infinity"),
     pytest.param(lambda r: r["constraints"][1].update(residual_max_abs=-10**400),
                  "residual_max_abs must be a number, got -1000", id="residual=-10**400"),
     # numbers and counts are JSON numbers, as in the tree format, not bools or strings
@@ -368,13 +376,12 @@ def _edited_report(tmp_path, edit):
                    f"basis exponent must be a non-negative integer below 2^1024, got {e!r}",
                    id=f"monomial-exponent={json.dumps(e)}")
       for e in (1.5, 1.0, True, "1", "01")],
-    pytest.param(lambda r: r["joint"].update(tree={
-        "kind": "pow", "exponent": 10**400, "args": [{"kind": "var", "name": "T"}]}),
-                 "integer below 2^1024", id="pow-exponent=10**400"),
     pytest.param(lambda r: r["sampling"].pop("skip"), "report has no field 'skip'",
                  id="no-skip"),
     pytest.param(lambda r: r.pop("sampling"), "report has no field 'sampling'",
                  id="no-sampling"),
+    pytest.param(lambda r: r.update(constraints=[]), "report has no constraints",
+                 id="no-constraints"),
     pytest.param(lambda r: r.pop("validation"), "report has no field 'validation'",
                  id="no-validation"),
     pytest.param(lambda r: r["constraints"][1].pop("validation_r_squared"),
@@ -382,9 +389,6 @@ def _edited_report(tmp_path, edit):
     pytest.param(_repeat_axis_name, "variable names repeat", id="repeated-axis-name"),
     pytest.param(lambda r: r["constraints"][0]["basis"].update(vars=["a", "b"]),
                  "basis variables ('a', 'b') != box axes ('T', 't')", id="basis-vars"),
-    pytest.param(lambda r: r["joint"].update(tree={"kind": "min", "args": [
-        {"kind": "var", "name": "T"}, {"kind": "var", "name": "t"}]}),
-                 "unknown node kind 'min'", id="kind-min"),
     # names are non-empty strings, as a var name of the tree format must be
     *[pytest.param(lambda r, v=v: r["constraints"][1].update(name=v),
                    f"constraint name must be a non-empty string, got {v!r}",
@@ -415,28 +419,54 @@ def test_check_rejects_too_deep_report(tmp_path, capsys):
 
 
 def test_check_reads_trees_at_the_depth_limit(tmp_path, capsys):
-    # -(-(...-T)): MAX_DEPTH levels in both the joint tree and a phi_tree
-    chain = ('{"kind":"neg","args":[' * (MAX_DEPTH - 1) + '{"kind":"var","name":"T"}'
-             + "]}" * (MAX_DEPTH - 1))
-
-    def edit(report):
-        report["joint"]["tree"] = "DEEP"
-        report["constraints"][0]["phi_tree"] = "DEEP"
-    path = _edited_report(tmp_path, edit)
-    path.write_text(path.read_text().replace('"DEEP"', chain))
-    assert run(["check", str(path), "290,275"]) == 3
-    assert capsys.readouterr().out.startswith("outside (joint expression = -290.0)")
+    # 1 + T + T^2 + ... + T^125: the phi and joint trees are MAX_DEPTH levels
+    # deep (the tree reader's own limit: test_exprtext.py, "depth limit")
+    path = tmp_path / "deep.json"
+    ds.save_report(chain_report(MAX_DEPTH), path)
+    assert run(["check", str(path), "0.5,0.5"]) == 0
+    assert capsys.readouterr() == ("inside (joint expression = 2.0)\n", "")
 
 
-def test_check_reports_inf_when_a_float_power_overflows(tmp_path, capsys):
-    # (1e200*T)^2 - 1: the square is a product, which gives inf as numpy does
-    tree = {"kind": "sub", "args": [
-        {"kind": "pow", "exponent": 2, "args": [{"kind": "mul", "args": [
-            {"kind": "const", "value": 1e200}, {"kind": "var", "name": "T"}]}]},
-        {"kind": "const", "value": 1.0}]}
-    path = _edited_report(tmp_path, lambda r: r["joint"].update(tree=tree))
+@pytest.mark.parametrize("terms", [
+    # a square is a product, which gives inf as numpy does
+    pytest.param({(2, 0): 1e305, (0, 0): -1.0}, id="huge-coefficient"),
+    # from exponent 3 float ** int raises OverflowError and check redoes the
+    # point with numpy (test_compile.py, test_scalar_power_overflow_gives_the_array_value)
+    pytest.param({(130, 0): 1.0, (0, 0): -1.0}, id="float-power"),
+])
+def test_check_reports_inf_when_a_float_power_overflows(terms, tmp_path, capsys):
+    report = ds.load_report(REPORT_FIXTURE)
+    path = tmp_path / "inf.json"
+    ds.save_report(fitted_report(report.box, [("big", 0.0, terms)]), path)
     assert run(["check", str(path), "290,275"]) == 0
     assert capsys.readouterr() == ("inside (joint expression = inf)\n", "")
+
+
+def _zero_purity(report):
+    # the purity fit set to 0 and its phi_tree to the constant -1, so purity
+    # fails everywhere; joint.tree still holds the fitted purity
+    purity = report["constraints"][0]
+    purity["coefficients"] = [0.0] * len(purity["coefficients"])
+    purity["phi_tree"] = {"kind": "const", "value": -1.0}
+
+
+def _edit_joint_tree(report):
+    # the joint of the fixture at alpha 1 is min(purity phi, profit phi); profit
+    # alone answers "inside" at points where purity is too low
+    report["joint"]["tree"] = report["constraints"][1]["phi_tree"]
+
+
+@pytest.mark.parametrize("edit, needle", [
+    pytest.param(_edit_joint_tree, "joint.tree differs", id="joint-tree"),
+    pytest.param(lambda r: r["constraints"][1]["coefficients"].__setitem__(0, 0.5),
+                 "phi_tree of constraint 'profit' differs", id="one-coefficient"),
+    pytest.param(_zero_purity, "phi_tree of constraint 'purity' differs", id="zero-purity"),
+])
+def test_check_refuses_a_report_whose_trees_differ_from_its_fits(edit, needle, tmp_path,
+                                                                   capsys):
+    path = _edited_report(tmp_path, edit)
+    line = assert_usage_error(run(["check", str(path), "290,275"]), capsys)
+    assert "cannot read report" in line and needle in line
 
 
 @pytest.mark.parametrize("point, code", [("-5,275", 3), ("-5e0,2.75e2", 3), ("-0.5,275", 3),

@@ -11,7 +11,7 @@ from rfuncds.contour import (
     slice_contours_3d,
 )
 from rfuncds.ds import load_report
-from rfuncds.emit import emit_contours_csv, emit_field_csv, emit_svg
+from rfuncds.emit import emit_contours_csv, emit_field_csv, emit_svg, value_texts
 from rfuncds.errors import DimensionMismatch
 from rfuncds.expr import Const, Region, Var, eval_expr
 from rfuncds.geometry import TESTCASE_NAMES, circle, testcase as load_case
@@ -387,7 +387,8 @@ def test_svg_shading_deterministic(tmp_path):
 def test_field_csv_round_trip(tmp_path):
     field = grid_eval(UNIT_CIRCLE, SQUARE_BOUNDS, 17)
     path = tmp_path / "field.csv"
-    emit_field_csv(path, field, provenance="prov")
+    [texts] = value_texts([field])
+    emit_field_csv(path, field, texts, provenance="prov")
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     reader = csv.DictReader(io.StringIO("\n".join(lines)))
     rows = list(reader)

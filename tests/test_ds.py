@@ -37,6 +37,7 @@ from rfuncds.exprtext import (
 from rfuncds.polyfit import BasisSpec
 from rfuncds.qmc import scale, sobol
 from rfuncds.reactor import CQA_BASIS
+from conftest import chain_report
 from dags import dags
 from infix_eval import infix_eval
 
@@ -244,6 +245,14 @@ def test_membership_gives_the_checked_verdicts_and_errors_on_shared_dags(expr):
     _assert_membership_pinned_to_the_checked_path(_report_of(Region(expr, ("x", "y")), box))
 
 
+def test_the_checked_path_compiles_no_verdict_of_the_joint_region():
+    report = load_report(REPORT_FIXTURES[1])
+    # a generator is no list, tuple or dict: the report's frame leaves it to the checked path
+    assert report.verdict(v for v in (290.0, 280.0)) is None
+    assert membership(report, (v for v in (290.0, 280.0))) == "inside"
+    assert "program" in vars(report.joint) and "verdict" not in vars(report.joint)
+
+
 def test_membership_takes_the_numpy_route_where_a_float_power_overflows():
     # (1e200*T)^3 - 1: float ** int raises OverflowError where numpy gives inf
     box = load_report(REPORT_FIXTURES[1]).box
@@ -271,6 +280,20 @@ def test_membership_raises_the_checked_negative_sqrt_error():
         membership(report, [260.0, 280.0])
     assert membership(report, (275.0, 280.0)) == "boundary"
     _assert_membership_pinned_to_the_checked_path(report, seed=1)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_threshold_fails_before_any_model_run(threshold):
+    calls = []
+
+    def counting_sum(points):
+        calls.append(points.shape)
+        return sum_model(points)
+
+    with pytest.raises(ValueError, match=f"constraint 'sum' needs a finite threshold, "
+                                         f"got {threshold!r}"):
+        identify([ConstraintSpec("sum", threshold)], BOX, 8, CQA_BASIS, model=counting_sum)
+    assert calls == []
 
 
 def test_skip_beyond_the_sequence_fails_before_any_model_run():
@@ -549,6 +572,11 @@ def test_report_save_load_round_trip(tmp_path):
     for c_new, c_old in zip(loaded.constraints, report.constraints):
         assert np.array_equal(c_new.fit.coefficients, c_old.fit.coefficients)
         assert c_new.threshold == c_old.threshold
+        assert c_new.phi == c_old.phi
+    # rebuilt from the fits as identify built it: each phi is read by the joint
+    assert loaded.joint == report.joint
+    assert loaded.joint.expr.a is loaded.constraints[0].phi.expr
+    assert loaded.joint.expr.b is loaded.constraints[1].phi.expr
     for u in [(300.0, 300.0), (250.0, 250.0), (275.0, 275.0), (265.0, 290.0)]:
         assert membership(loaded, u) == membership(report, u)
 
@@ -636,27 +664,25 @@ def test_saved_report_round_trips_byte_for_byte(fixture, tmp_path):
 
 @pytest.mark.parametrize("field", ["phi_tree", "joint"])
 def test_load_report_takes_trees_of_max_depth_levels(field, tmp_path):
-    # the report's one nesting check bounds a phi_tree (inside the report,
-    # constraints and constraint) and joint.tree (inside the report and
-    # joint) to exactly MAX_DEPTH levels
-    report = json.loads(REPORT_FIXTURES[1].read_text())
+    # a consistent report whose phi_tree and joint.tree are MAX_DEPTH levels
+    # deep loads; the report's one nesting check refuses a tree of one level
+    # more in either place (inside the report, constraints and constraint,
+    # or inside the report and joint) before the file is decoded
+    path = tmp_path / "deep.json"
+    save_report(chain_report(MAX_DEPTH), path)
+    loaded = load_report(path)
+    tree = loaded.joint if field == "joint" else loaded.constraints[0].phi
+    assert depth(tree.expr) == MAX_DEPTH
+    report = json.loads(path.read_text())
     if field == "joint":
         report["joint"]["tree"] = "DEEP"
     else:
         report["constraints"][0]["phi_tree"] = "DEEP"
-    text = json.dumps(report)
-    path = tmp_path / "deep.json"
-    for levels in (MAX_DEPTH, MAX_DEPTH + 1):
-        chain = ('{"kind":"neg","args":[' * (levels - 1) + '{"kind":"var","name":"T"}'
-                 + "]}" * (levels - 1))
-        path.write_text(text.replace('"DEEP"', chain))
-        if levels == MAX_DEPTH:
-            loaded = load_report(path)
-            tree = loaded.joint if field == "joint" else loaded.constraints[0].phi
-            assert depth(tree.expr) == MAX_DEPTH
-        else:
-            with pytest.raises(ParseError, match="deeper than"):
-                load_report(path)
+    chain = ('{"kind":"neg","args":[' * MAX_DEPTH + '{"kind":"var","name":"T"}'
+             + "]}" * MAX_DEPTH)
+    path.write_text(json.dumps(report).replace('"DEEP"', chain))
+    with pytest.raises(ParseError, match="deeper than"):
+        load_report(path)
 
 
 def test_load_rejects_other_files(tmp_path):

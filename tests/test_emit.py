@@ -162,9 +162,15 @@ def reference_emit_contours_csv(path, contours, provenance=""):
 # ----------------------------------------------------------------------
 # helpers
 
+def field_csv(path, field, provenance=""):
+    """``emit_field_csv`` with a value table of the one field."""
+    [texts] = value_texts([field])
+    emit_field_csv(path, field, texts, provenance=provenance)
+
+
 _ORACLES = {
     emit_svg: reference_emit_svg,
-    emit_field_csv: reference_emit_field_csv,
+    field_csv: reference_emit_field_csv,
     emit_contours_csv: reference_emit_contours_csv,
 }
 _serial = itertools.count()
@@ -189,7 +195,7 @@ def _field(values):
 
 
 def assert_field_outputs_same(tmp_path, field, bounds, provenance=PROVENANCE, title=""):
-    assert_same_bytes(tmp_path, emit_field_csv, field, provenance=provenance)
+    assert_same_bytes(tmp_path, field_csv, field, provenance=provenance)
     if len(field.values.shape) == 2:
         contours = marching_squares(field)
         assert_same_bytes(tmp_path, emit_svg, [(contours, DEFAULT_PALETTE[0])], bounds,
@@ -308,7 +314,7 @@ def test_repeated_values(shape, rng, tmp_path):
     for field in (_field(values), _field(single),
                   _field(np.where(np.indices(shape).sum(axis=0) % 2, 0.0, -0.0)),
                   _field(np.full(shape, -0.0))):
-        assert_same_bytes(tmp_path, emit_field_csv, field, provenance=PROVENANCE)
+        assert_same_bytes(tmp_path, field_csv, field, provenance=PROVENANCE)
 
 
 def assert_shared_table_same(tmp_path, fields):
@@ -344,21 +350,12 @@ def test_shared_table_special_values(rng, tmp_path):
     assert_shared_table_same(tmp_path, fields[::-1])
 
 
-def test_one_field_table_is_the_default(rng, tmp_path):
-    field = _field(np.round(rng.normal(size=(9, 7)), 1))
-    assert_shared_table_same(tmp_path, [field])
-    emit_field_csv(tmp_path / "default.csv", field, provenance=PROVENANCE)
-    [texts] = value_texts([field])
-    emit_field_csv(tmp_path / "table.csv", field, provenance=PROVENANCE, texts=texts)
-    assert filecmp.cmp(tmp_path / "default.csv", tmp_path / "table.csv", shallow=False)
-
-
 def test_float32_and_noncontiguous_values(rng, tmp_path):
     values = rng.normal(size=(6, 8))
-    assert_same_bytes(tmp_path, emit_field_csv, _field(values.astype(np.float32)))
-    assert_same_bytes(tmp_path, emit_field_csv, _field(np.asfortranarray(values)))
-    assert_same_bytes(tmp_path, emit_field_csv, _field(values[::2, ::-1]))
-    assert_same_bytes(tmp_path, emit_field_csv, _field(values.T))
+    assert_same_bytes(tmp_path, field_csv, _field(values.astype(np.float32)))
+    assert_same_bytes(tmp_path, field_csv, _field(np.asfortranarray(values)))
+    assert_same_bytes(tmp_path, field_csv, _field(values[::2, ::-1]))
+    assert_same_bytes(tmp_path, field_csv, _field(values.T))
 
 
 # ----------------------------------------------------------------------
