@@ -30,7 +30,8 @@ from .expr import classify, compose, eval_expr
 # neither numpy nor the modules it does not use
 _LAZY = {
     **dict.fromkeys(("TESTCASE_NAMES", "testcase"), "geometry"),
-    **dict.fromkeys(("grid_eval", "marching_squares", "slice_contours_3d"), "contour"),
+    **dict.fromkeys(("ScalarField", "grid_eval", "marching_squares", "slice_contours_3d"),
+                    "contour"),
     **dict.fromkeys(("DEFAULT_PALETTE", "emit_contours_csv", "emit_field_csv", "emit_svg",
                      "value_texts"), "emit"),
 }
@@ -224,7 +225,8 @@ def _load_config(path: str) -> dict:
 
 def cmd_identify(args, provenance: str) -> int:
     from . import reactor
-    _bind("grid_eval", "marching_squares", "DEFAULT_PALETTE", "emit_svg", "emit_contours_csv")
+    _bind("ScalarField", "grid_eval", "marching_squares", "DEFAULT_PALETTE", "emit_svg",
+          "emit_contours_csv")
     if args.n < len(reactor.CQA_BASIS):
         raise RfuncdsError(f"--n must be >= {len(reactor.CQA_BASIS)} (basis size), got {args.n}")
     try:
@@ -245,12 +247,16 @@ def cmd_identify(args, provenance: str) -> int:
                          alpha=args.alpha, model=model, skip=args.skip)
     out = _outdir(args)
 
-    # each field is evaluated once, for its contours and (joint) the shading
+    # each phi is evaluated once on the grid; the joint field is the joint
+    # rule applied to the phi fields, which equals grid_eval of report.joint
     bounds = [(a.lo, a.hi) for a in box]
-    joint_field = grid_eval(report.joint, bounds, args.grid)
+    phi_fields = [grid_eval(c.phi, bounds, args.grid) for c in report.constraints]
+    joint_field = ScalarField(
+        bounds=phi_fields[0].bounds, vars=report.joint.vars,
+        values=ds.joint_values([f.values for f in phi_fields], report.alpha))
     joint_contours = marching_squares(joint_field)
-    contours = {c.name: marching_squares(grid_eval(c.phi, bounds, args.grid))
-                for c in report.constraints}
+    contours = {c.name: marching_squares(field)
+                for c, field in zip(report.constraints, phi_fields)}
     artifacts = {}
     emit_svg(out / "joint_ds.svg", [(joint_contours, DEFAULT_PALETTE[0])],
              bounds, field=joint_field, provenance=provenance,

@@ -1,13 +1,19 @@
 """Grid evaluation and zero-level-set extraction.
 
-``grid_eval`` is the one place a region is evaluated on a grid; a 3D field
-is drawn as the contours of its z-slabs.  Marching squares works on 2D
-fields.  It is the 2D case of Lorensen & Cline's marching cubes
-(SIGGRAPH 1987) and runs table-driven in numpy: the inside mask gives every
-cell a 4-bit corner code, a 16-case table maps the code to the segments
-joining its crossed edges, saddle cells are resolved for all cells at once,
-and each crossed edge is interpolated once.  Only the chaining of segments
-into polylines runs in Python, over boundary segments alone.
+``grid_eval`` evaluates a region on a grid of open meshes: each axis is
+passed as a 1D array shaped to broadcast against the others, so no dense
+coordinate grid is built and a subexpression of one axis (``c*T``, ``T*T``)
+is computed on that axis's nodes alone.  Numpy's elementwise operations do
+not depend on broadcasting, so every node gets the value a dense evaluation
+gives it, bit for bit.  A 3D field is drawn as the contours of its z-slabs.
+
+Marching squares works on 2D fields.  It is the 2D case of Lorensen &
+Cline's marching cubes (SIGGRAPH 1987) and runs table-driven in numpy: the
+inside mask gives every cell a 4-bit corner code, a 16-case table maps the
+code to the segments joining its crossed edges, saddle cells are resolved
+for all cells at once, and each crossed edge is interpolated once.  Only
+the chaining of segments into polylines runs in Python, over boundary
+segments alone.
 
 Conventions: a node value of exactly 0 counts as inside when building cell
 codes; ambiguous saddle cells are resolved by the sign of the cell-center
@@ -79,8 +85,9 @@ def grid_eval(region: Region, bounds, resolution) -> ScalarField:
         if n < 1:
             raise ValueError("resolution must be >= 1 per axis")
     mesh = np.meshgrid(*[_axis(lo, hi, n) for (lo, hi), n in zip(bounds, resolution)],
-                       indexing="ij")
-    # constant subexpressions stay scalar, so broadcast to the grid shape
+                       indexing="ij", sparse=True)
+    # a constant or a subexpression of fewer axes keeps its own shape, so
+    # broadcast to the grid shape
     values = np.broadcast_to(eval_arrays(region, mesh), resolution).copy()
     return ScalarField(bounds=bounds, values=values, vars=region.vars)
 

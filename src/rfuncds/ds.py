@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteValue, OutOfBox, ParseError,
 )
 from .expr import (
-    And, Const, Leaf, Region, Sub, check_alpha, classify, compile_verdict, compose, depth,
+    And, Const, Leaf, Region, Sub, Var, check_alpha, classify, compile_verdict, compose, depth,
     eval_arrays, eval_expr,
 )
 # perfbench's tracer wraps ds.sign_class by name (perfbench/spans.py WRAPS)
@@ -208,7 +208,29 @@ def _regions(fits: Sequence[FitResult], thresholds: Sequence[float], names: tupl
     it, and ``load_report`` rebuilds them from the saved fits."""
     phis = [Region(Sub(to_expr(fit), Const(threshold)), names)
             for fit, threshold in zip(fits, thresholds)]
-    return phis, compose(And(*map(Leaf, phis)), alpha)
+    return phis, conjunction(phis, alpha)
+
+
+def conjunction(phis: Sequence[Region], alpha: float) -> Region:
+    """The joint region of ``phis``: their R-conjunction at ``alpha``, a left
+    fold of RAnd nodes.
+
+    The one joint rule: ``_regions`` applies it to the fitted phis, and
+    ``joint_values`` to variables that stand for the phis' values."""
+    return compose(And(*map(Leaf, phis)), alpha)
+
+
+def joint_values(phi_values: Sequence[np.ndarray], alpha: float) -> np.ndarray:
+    """The joint expression's values from its phis' values (broadcast-compatible
+    arrays, one per constraint in report order).
+
+    The joint's program computes each phi and then applies the RAnd nodes, so
+    this applies the same nodes to the same values: on a grid it equals
+    ``grid_eval`` of the report's joint region bit for bit, and each phi is
+    evaluated once."""
+    names = tuple(f"phi{k}" for k in range(len(phi_values)))
+    return eval_arrays(conjunction([Region(Var(name), names) for name in names], alpha),
+                       list(phi_values))
 
 
 def membership(report: DSReport, u) -> str:
@@ -316,10 +338,9 @@ def save_report(report: DSReport, path, artifacts: Mapping[str, str] | None = No
                 provenance: str = "") -> None:
     """Write the report as structured JSON (full float precision); a tree too
     deep to read back raises ValueError before the file is opened."""
-    obj = _report_obj(report, artifacts, provenance)
+    text = json.dumps(_report_obj(report, artifacts, provenance), indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_report(path) -> DSReport:
@@ -328,10 +349,10 @@ def load_report(path) -> DSReport:
     The expressions are rebuilt from the fields, as ``identify`` builds
     them: each phi from its constraint's basis, coefficients and
     threshold, and the joint from the phis and ``alpha``.  Each stored
-    ``phi_tree`` and the ``joint.tree`` must equal the tree of its rebuilt
-    expression (as decoded JSON values), so a report cannot answer from a
-    tree that its own coefficients contradict; the infix texts are for
-    reading and are not read.
+    ``phi_tree`` and ``phi_infix`` and the whole ``joint`` block must equal,
+    as JSON text, what ``save_report`` writes for the rebuilt expressions,
+    so a report cannot answer from a tree, or be read from a text, that its
+    own coefficients contradict.
 
     Expression trees may nest at most ``exprtext.MAX_DEPTH`` levels; the
     file is checked for that before it is decoded.  A file that is not
@@ -341,7 +362,8 @@ def load_report(path) -> DSReport:
     threshold or coefficient, a coefficient list that does not match its
     basis, basis variables other than the box axes, an alpha outside
     (-1, 1], a box axis without finite ``lo < hi``, a too-deep tree and a
-    stored tree that differs from the rebuilt one raise ParseError.
+    stored expression field that differs from the rebuilt one raise
+    ParseError.
     Coefficients load as a tuple of floats; nothing here imports numpy.
     """
     try:
@@ -379,7 +401,7 @@ def _report_from_obj(obj: dict) -> DSReport:
                         field(a.get("unit"), "unit", "box axis unit"))
                 for a in obj["box"])
     names = tuple(a.name for a in box)
-    rows = []   # (name, threshold, fit, validation R^2, stored phi_tree) per constraint
+    rows = []   # (name, threshold, fit, validation R^2) per constraint
     for c in obj["constraints"]:
         monomials = tuple(tuple(field(e, "count", "basis exponent") for e in m)
                           for m in c["basis"]["monomials"])
@@ -397,8 +419,7 @@ def _report_from_obj(obj: dict) -> DSReport:
                                                "residual_max_abs"))
         rows.append((field(c["name"], "name", "constraint name"),
                      _finite(c["threshold"], "threshold"), fit,
-                     field(c["validation_r_squared"], "number", "validation_r_squared"),
-                     c["phi_tree"]))
+                     field(c["validation_r_squared"], "number", "validation_r_squared")))
     if not rows:
         raise ParseError(None, "report has no constraints")
     s = obj["sampling"]
@@ -407,15 +428,32 @@ def _report_from_obj(obj: dict) -> DSReport:
     validation = ValidationStats(*[field(v[key], kind, key) for key, kind in zip(
         ValidationStats._fields, ("number", "count", "count"))])
 
-    constraint_names, thresholds, fits, r2s, trees = zip(*rows)
+    constraint_names, thresholds, fits, r2s = zip(*rows)
     phis, joint = _regions(fits, thresholds, names, alpha)
-    for name, tree, phi in zip(constraint_names, trees, phis):
-        if exprtext.to_tree_obj(phi.expr) != tree:
-            raise ParseError(None, f"phi_tree of constraint {name!r} differs from the "
-                                   f"tree of its coefficients minus its threshold")
-    if exprtext.to_tree_obj(joint.expr) != obj["joint"]["tree"]:
-        raise ParseError(None, "joint.tree differs from the tree of the constraints' "
-                               "phi joined at the report's alpha")
     constraints = tuple(map(ConstraintReport, constraint_names, thresholds, fits, phis, r2s))
-    return DSReport(box=box, alpha=alpha, constraints=constraints, joint=joint,
-                    sampling=sampling, validation=validation)
+    report = DSReport(box=box, alpha=alpha, constraints=constraints, joint=joint,
+                      sampling=sampling, validation=validation)
+    _check_derived(obj, _report_obj(report, None, ""))
+    return report
+
+
+def _check_derived(stored: dict, rebuilt: dict) -> None:
+    """Refuse a report whose expression fields differ from those its fits
+    give, compared as JSON text: ``2.0`` is not the exponent ``2``."""
+    def same(a, b) -> bool:
+        return json.dumps(a) == json.dumps(b)
+
+    for c, mine in zip(stored["constraints"], rebuilt["constraints"]):
+        for key in ("phi_tree", "phi_infix"):
+            if not same(c[key], mine[key]):
+                raise ParseError(None, f"{key} of constraint {mine['name']!r} differs from "
+                                       f"the one of its coefficients minus its threshold")
+    joint = stored["joint"]
+    for key in ("tree", "infix_sqrt", "infix_abs"):
+        if not same(joint[key], rebuilt["joint"][key]):
+            raise ParseError(None, f"joint.{key} differs from the one of the constraints' "
+                                   f"phi joined at the report's alpha")
+    if not same(joint, rebuilt["joint"]):
+        raise ParseError(None, f"joint holds {', '.join(map(repr, joint))}; a report's "
+                               f"joint holds 'infix_sqrt', 'infix_abs' and 'tree', "
+                               f"in that order")

@@ -121,11 +121,16 @@ def _shading(field: ScalarField, to_px) -> str:
     xs = field.axis(0)[ix]
     ys = field.axis(1)[iy]
     full = sub[:-1, :-1] & sub[1:, :-1] & sub[:-1, 1:] & sub[1:, 1:]
-    i, j = np.nonzero(full)
-    px0, py0 = to_px(xs[i], ys[j + 1])
-    px1, py1 = to_px(xs[i + 1], ys[j])
-    rects = map('<rect x="{:.2f}" y="{:.2f}" width="{:.2f}" height="{:.2f}"/>'.format,
-                px0.tolist(), py0.tolist(), (px1 - px0).tolist(), (py1 - py0).tolist())
+    # x and width depend only on the column, y and height only on the row:
+    # cell (i, j) spans px[i]..px[i+1] and py[j+1]..py[j], so each column's
+    # and row's texts are formatted once and each rect joins four of them
+    px, py = to_px(xs, ys)
+    x = list(map(_fmt, px[:-1].tolist()))
+    width = list(map(_fmt, (px[1:] - px[:-1]).tolist()))
+    y = list(map(_fmt, py[1:].tolist()))
+    height = list(map(_fmt, (py[:-1] - py[1:]).tolist()))
+    rects = [f'<rect x="{x[i]}" y="{y[j]}" width="{width[i]}" height="{height[j]}"/>'
+             for i, j in zip(*[k.tolist() for k in np.nonzero(full)])]
     return "\n".join([f'<g fill="{_SHADE_FILL}" stroke="none">', *rects, "</g>"])
 
 

@@ -456,11 +456,41 @@ def _edit_joint_tree(report):
     report["joint"]["tree"] = report["constraints"][1]["phi_tree"]
 
 
+def _float_exponents(tree):
+    # "exponent": 2.0 for 2 in every power node: equal as decoded JSON values,
+    # not as JSON text
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node["kind"] == "pow":
+            node["exponent"] = float(node["exponent"])
+        stack.extend(node.get("args", ()))
+
+
+def _lower_text(holder, key):
+    # an infix text whose value is one lower than its fit's
+    holder[key] += "-1.0"
+
+
 @pytest.mark.parametrize("edit, needle", [
     pytest.param(_edit_joint_tree, "joint.tree differs", id="joint-tree"),
     pytest.param(lambda r: r["constraints"][1]["coefficients"].__setitem__(0, 0.5),
                  "phi_tree of constraint 'profit' differs", id="one-coefficient"),
     pytest.param(_zero_purity, "phi_tree of constraint 'purity' differs", id="zero-purity"),
+    pytest.param(lambda r: _float_exponents(r["constraints"][0]["phi_tree"]),
+                 "phi_tree of constraint 'purity' differs", id="float-exponent-phi"),
+    pytest.param(lambda r: _float_exponents(r["joint"]["tree"]),
+                 "joint.tree differs", id="float-exponent-joint"),
+    pytest.param(lambda r: _lower_text(r["constraints"][0], "phi_infix"),
+                 "phi_infix of constraint 'purity' differs", id="phi-infix"),
+    pytest.param(lambda r: _lower_text(r["constraints"][1], "phi_infix"),
+                 "phi_infix of constraint 'profit' differs", id="phi-infix-profit"),
+    pytest.param(lambda r: _lower_text(r["joint"], "infix_abs"),
+                 "joint.infix_abs differs", id="infix-abs"),
+    pytest.param(lambda r: _lower_text(r["joint"], "infix_sqrt"),
+                 "joint.infix_sqrt differs", id="infix-sqrt"),
+    pytest.param(lambda r: r["joint"].update(note="hand-edited"),
+                 "joint holds 'infix_sqrt', 'infix_abs', 'tree', 'note'", id="joint-extra-field"),
 ])
 def test_check_refuses_a_report_whose_trees_differ_from_its_fits(edit, needle, tmp_path,
                                                                    capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import re
 import time
 import types
 from collections import OrderedDict
@@ -119,9 +120,15 @@ def _renamed_report(tmp_path, names):
             for v in node:
                 visit(v)
 
+    def rename_text(text):   # the infix texts print each name as it is
+        return re.sub(r"\b[Tt]\b", lambda m: rename[m.group()], text)
+
     visit(obj["joint"]["tree"])
+    for key in ("infix_sqrt", "infix_abs"):
+        obj["joint"][key] = rename_text(obj["joint"][key])
     for c in obj["constraints"]:
         visit(c["phi_tree"])
+        c["phi_infix"] = rename_text(c["phi_infix"])
         c["basis"]["vars"] = [rename[v] for v in c["basis"]["vars"]]
     for axis in obj["box"]:
         axis["name"] = rename[axis["name"]]

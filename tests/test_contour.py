@@ -13,7 +13,7 @@ from rfuncds.contour import (
 from rfuncds.ds import load_report
 from rfuncds.emit import emit_contours_csv, emit_field_csv, emit_svg, value_texts
 from rfuncds.errors import DimensionMismatch
-from rfuncds.expr import Const, Region, Var, eval_expr
+from rfuncds.expr import Const, Pow, Region, Var, compose, eval_arrays, eval_expr
 from rfuncds.geometry import TESTCASE_NAMES, circle, testcase as load_case
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -52,6 +52,58 @@ def test_grid_eval_one_node_axis_sits_at_the_middle():
     assert np.all(field.values == 1.0)
     with pytest.raises(ValueError, match="resolution must be >= 1"):
         grid_eval(UNIT_CIRCLE, SQUARE_BOUNDS, (4, 0))
+
+
+# ----------------------------------------------------------------------
+# open meshes: grid_eval against a dense evaluation
+
+X, Y, Z = Var("x"), Var("y"), Var("z")
+
+
+def _dense_values(region, field):
+    """``region`` evaluated on the dense coordinate grids of ``field``'s nodes."""
+    mesh = np.meshgrid(*[field.axis(k) for k in range(field.values.ndim)], indexing="ij")
+    return np.broadcast_to(eval_arrays(region, mesh), field.values.shape)
+
+
+def _power_sum(e):
+    # each axis raised on its own and the product of two raised together
+    return Pow(X, e) - Pow(Y, e) * 0.3 + Pow(X * Y - 0.7, e) * 1.9
+
+
+CASES = {
+    "constant": (Region(Const(2.5), ("x", "y")), (7, 5)),
+    "one-variable": (Region(Y * 3.7 - Pow(Y, 2) * 0.45, ("x", "y")), (9, 13)),
+    "circle": (circle(0.1, -0.2, 1.3), (17, 9)),
+    "one-node-x": (circle(0.1, -0.2, 1.3), (1, 11)),
+    "one-node-y": (circle(0.1, -0.2, 1.3), (11, 1)),
+    **{f"pow-{e}": (Region(_power_sum(e), ("x", "y")), (15, 21)) for e in range(3, 8)},
+    "3d": (Region(Pow(X, 3) * 0.5 + Y * Z - Pow(Z, 5), ("x", "y", "z")), (9, 7, 5)),
+    "3d-one-node-z": (Region(X * X + Y * Z - Pow(Z, 3), ("x", "y", "z")), (9, 7, 1)),
+    "3d-pow": (Region(Pow(X * Y * Z - 0.2, 7) - Pow(Y, 4), ("x", "y", "z")), (5, 11, 3)),
+    "3d-z-only": (Region(Pow(Z, 6) - Z, ("x", "y", "z")), (3, 5, 7)),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_grid_eval_equals_a_dense_evaluation_bit_for_bit(name):
+    region, resolution = CASES[name]
+    bounds = ((-1.7, 2.3), (-2.1, 1.9), (-0.9, 1.3))[: len(resolution)]
+    field = grid_eval(region, bounds, resolution)
+    assert field.values.shape == resolution and field.values.flags.writeable
+    assert np.array_equal(field.values.view(np.uint64),
+                          _dense_values(region, field).view(np.uint64))
+
+
+def test_grid_eval_equals_a_dense_evaluation_on_the_demo_cases():
+    for name in TESTCASE_NAMES:
+        first, second, case = load_case(name)
+        resolution = (19, 17, 3) if len(case.bounds) == 3 else (19, 17)
+        for region in (first, second, *[compose(tree, alpha) for _, tree in case.trees
+                                        for alpha in (1.0, 0.5, -0.5)]):
+            field = grid_eval(region, case.bounds, resolution)
+            assert np.array_equal(field.values.view(np.uint64),
+                                  _dense_values(region, field).view(np.uint64)), name
 
 
 def test_marching_squares_empty():

@@ -18,6 +18,7 @@ from rfuncds.ds import (
     ValidationStats,
     box_point,
     identify,
+    joint_values,
     load_report,
     membership,
     plot_count,
@@ -497,12 +498,15 @@ def test_identify_refuses_non_finite_model_values(bad_run, bad):
     assert len(runs) == bad_run
 
 
-def test_contours_present_in_2d(tmp_path):
+@pytest.mark.parametrize("alpha", ["1", "0.5", "0", "-0.5"])
+def test_contours_present_in_2d(alpha, tmp_path):
     # identify leaves the contours to the CLI: one CSV per constraint plus
-    # the joint, each the marching-squares boundary of the saved expression
+    # the joint, each the marching-squares boundary of the saved expression;
+    # the CLI composes the joint field from the phi fields, and its contours
+    # equal those of the joint expression evaluated on the grid
     out = tmp_path / "ds"
     assert cli.main(["identify", "--n", "32", "--grid", "64", "--out", str(out),
-                     "--config", str(KELVIN_CFG)]) == 0
+                     "--config", str(KELVIN_CFG), "--alpha", alpha]) == 0
     report = load_report(out / "ds_report.json")
     bounds = [(a.lo, a.hi) for a in report.box]
     regions = {c.name: c.phi for c in report.constraints} | {"joint": report.joint}
@@ -514,6 +518,39 @@ def test_contours_present_in_2d(tmp_path):
         # the purity boundary, and with it the joint one, crosses the kelvin box
         if name != "profit":
             assert len(rows.splitlines()) > 2
+
+
+SKEW_SPEC = ConstraintSpec("skew", 210.0)
+
+
+def sum_prod_skew_model(points):
+    T, t = points.T
+    return np.column_stack((T + t, T * t, T - 0.5 * t + 1e-3 * T * T))
+
+
+def _assert_joint_values_equal_the_joint_field(report):
+    bounds = [(a.lo, a.hi) for a in report.box]
+    for resolution in (33, (17, 40)):
+        phis = [grid_eval(c.phi, bounds, resolution).values for c in report.constraints]
+        want = grid_eval(report.joint, bounds, resolution).values
+        got = joint_values(phis, report.alpha)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0, -0.5])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_joint_values_of_the_phi_fields_equal_the_joint_field(count, alpha):
+    # the identify command's joint field: the joint rule over the phi fields
+    report = identify([SUM_SPEC, PROD_SPEC, SKEW_SPEC][:count], BOX, 32, CQA_BASIS,
+                      alpha=alpha, model=lambda p: sum_prod_skew_model(p)[:, :count])
+    assert len(report.constraints) == count
+    _assert_joint_values_equal_the_joint_field(report)
+
+
+@pytest.mark.parametrize("path", REPORT_FIXTURES, ids=lambda p: p.stem)
+def test_joint_values_equal_the_joint_field_on_fixtures(path):
+    _assert_joint_values_equal_the_joint_field(load_report(path))
 
 
 def test_joint_expression_single_constraint():

@@ -375,8 +375,17 @@ def test_svg_shading_strides(shape, tmp_path):
     assert_same_bytes(tmp_path, emit_svg, [], bounds, field=field)
 
 
-def test_svg_shading_nothing_inside(tmp_path):
-    field = _field(-np.ones((5, 5)))
+@pytest.mark.parametrize("shape", [(5, 5), (200, 130)], ids=["unstrided", "strided"])
+def test_svg_shading_nothing_inside(shape, tmp_path):
+    field = _field(-np.ones(shape))
+    assert_same_bytes(tmp_path, emit_svg, [], field.bounds, field=field)
+
+
+@pytest.mark.parametrize("shape", [(97, 60), (2, 2), (1, 9), (193, 250)],
+                         ids=["unstrided", "one-cell", "one-column", "strided"])
+def test_svg_shading_of_scattered_cells(shape, tmp_path, rng):
+    # rects in no row or column order, a share of them isolated cells
+    field = _field(rng.uniform(-0.2, 1.0, shape))
     assert_same_bytes(tmp_path, emit_svg, [], field.bounds, field=field)
 
 
