@@ -99,10 +99,7 @@ class DSReport(Record):
         """The joint expression and the box test compiled into one function,
         on first use (``expr.compile_verdict`` with the box): the
         ``membership`` of a list or tuple point, or a dict holding exactly
-        the box names, inside the box, and None for every other point.
-
-        A pickled report leaves it out and compiles it again on first use
-        after loading."""
+        the box names, inside the box, and None for every other point."""
         return compile_verdict(self.joint.program, [(axis.lo, axis.hi) for axis in self.box])
 
 
@@ -293,8 +290,22 @@ def box_point(report: DSReport, u) -> list[float]:
 # ----------------------------------------------------------------------
 # persistence
 
+def _expression_fields(report: DSReport) -> tuple[list[dict], dict]:
+    """The fields a saved report holds for its expressions: each
+    constraint's ``phi_infix`` and ``phi_tree``, and the ``joint`` block."""
+    phis = [{"phi_infix": exprtext.to_infix(c.phi.expr),
+             "phi_tree": exprtext.to_tree_obj(c.phi.expr)} for c in report.constraints]
+    joint = {
+        "infix_sqrt": exprtext.to_infix(report.joint.expr, alpha1_style="sqrt"),
+        "infix_abs": exprtext.to_infix(report.joint.expr, alpha1_style="abs"),
+        "tree": exprtext.to_tree_obj(report.joint.expr),
+    }
+    return phis, joint
+
+
 def _report_obj(report: DSReport, artifacts: Mapping[str, str] | None,
                 provenance: str) -> dict:
+    phis, joint = _expression_fields(report)
     obj: dict = {"format": REPORT_FORMAT}
     if provenance:
         obj["provenance"] = provenance
@@ -316,16 +327,11 @@ def _report_obj(report: DSReport, artifacts: Mapping[str, str] | None,
             "residual_max_abs": c.fit.residual_max_abs,
             "n_points": c.fit.n_points,
             "validation_r_squared": c.validation_r_squared,
-            "phi_infix": exprtext.to_infix(c.phi.expr),
-            "phi_tree": exprtext.to_tree_obj(c.phi.expr),
+            **phi,
         }
-        for c in report.constraints
+        for c, phi in zip(report.constraints, phis)
     ]
-    obj["joint"] = {
-        "infix_sqrt": exprtext.to_infix(report.joint.expr, alpha1_style="sqrt"),
-        "infix_abs": exprtext.to_infix(report.joint.expr, alpha1_style="abs"),
-        "tree": exprtext.to_tree_obj(report.joint.expr),
-    }
+    obj["joint"] = joint
     v = report.validation
     obj["validation"] = {"agreement_rate": v.agreement_rate, "n_points": v.n_points,
                          "n_disagreements": v.n_disagreements}
@@ -360,10 +366,10 @@ def load_report(path) -> DSReport:
     empty constraint list, a field not of its kind in
     ``exprtext.FIELD_KINDS`` (number, count, name or unit), an inf or nan
     threshold or coefficient, a coefficient list that does not match its
-    basis, basis variables other than the box axes, an alpha outside
-    (-1, 1], a box axis without finite ``lo < hi``, a too-deep tree and a
-    stored expression field that differs from the rebuilt one raise
-    ParseError.
+    basis, basis variables that are not a JSON list of names or not the
+    box axes, an alpha outside (-1, 1], a box axis without finite
+    ``lo < hi``, a too-deep tree and a stored expression field that
+    differs from the rebuilt one raise ParseError.
     Coefficients load as a tuple of floats; nothing here imports numpy.
     """
     try:
@@ -405,7 +411,11 @@ def _report_from_obj(obj: dict) -> DSReport:
     for c in obj["constraints"]:
         monomials = tuple(tuple(field(e, "count", "basis exponent") for e in m)
                           for m in c["basis"]["monomials"])
-        basis = BasisSpec(vars=tuple(c["basis"]["vars"]), monomials=monomials)
+        basis_vars = c["basis"]["vars"]
+        if not isinstance(basis_vars, list):
+            raise ParseError(None, f"basis variables must be a list, got {basis_vars!r}")
+        basis = BasisSpec(vars=tuple(field(v, "name", "basis variable") for v in basis_vars),
+                          monomials=monomials)
         if basis.vars != names:
             raise ParseError(None, f"basis variables {basis.vars} != box axes {names}")
         coefficients = tuple(_finite(v, "coefficient") for v in c["coefficients"])
@@ -433,27 +443,31 @@ def _report_from_obj(obj: dict) -> DSReport:
     constraints = tuple(map(ConstraintReport, constraint_names, thresholds, fits, phis, r2s))
     report = DSReport(box=box, alpha=alpha, constraints=constraints, joint=joint,
                       sampling=sampling, validation=validation)
-    _check_derived(obj, _report_obj(report, None, ""))
+    _check_derived(obj, report)
     return report
 
 
-def _check_derived(stored: dict, rebuilt: dict) -> None:
+def _check_derived(stored: dict, report: DSReport) -> None:
     """Refuse a report whose expression fields differ from those its fits
-    give, compared as JSON text: ``2.0`` is not the exponent ``2``."""
-    def same(a, b) -> bool:
-        return json.dumps(a) == json.dumps(b)
+    give: an infix text as a string, a tree as JSON text, in which ``2.0``
+    is not the exponent ``2``."""
+    def differs(field, mine) -> bool:
+        if isinstance(mine, str):
+            return field != mine
+        return json.dumps(field) != json.dumps(mine)
 
-    for c, mine in zip(stored["constraints"], rebuilt["constraints"]):
+    phis, joint = _expression_fields(report)
+    for c, spec, mine in zip(stored["constraints"], report.constraints, phis):
         for key in ("phi_tree", "phi_infix"):
-            if not same(c[key], mine[key]):
-                raise ParseError(None, f"{key} of constraint {mine['name']!r} differs from "
+            if differs(c[key], mine[key]):
+                raise ParseError(None, f"{key} of constraint {spec.name!r} differs from "
                                        f"the one of its coefficients minus its threshold")
-    joint = stored["joint"]
+    saved = stored["joint"]
     for key in ("tree", "infix_sqrt", "infix_abs"):
-        if not same(joint[key], rebuilt["joint"][key]):
+        if differs(saved[key], joint[key]):
             raise ParseError(None, f"joint.{key} differs from the one of the constraints' "
                                    f"phi joined at the report's alpha")
-    if not same(joint, rebuilt["joint"]):
-        raise ParseError(None, f"joint holds {', '.join(map(repr, joint))}; a report's "
+    if list(saved) != list(joint):
+        raise ParseError(None, f"joint holds {', '.join(map(repr, saved))}; a report's "
                                f"joint holds 'infix_sqrt', 'infix_abs' and 'tree', "
                                f"in that order")

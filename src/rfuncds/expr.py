@@ -28,7 +28,7 @@ from .errors import (
     NegativeSqrtArgument,
     UnboundVariable,
 )
-from .record import Record, children, fold, postorder
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,8 +45,8 @@ BOUNDARY_TOL = 1e-9
 class Expr(Record):
     """Immutable expression node; operators build new nodes.
 
-    Nodes are records (see :mod:`rfuncds.record`): equal when their classes
-    and fields are equal, and unchangeable once built.
+    Nodes are records (see :mod:`rfuncds.record`): unchangeable once
+    built, and compared by identity.
     """
 
     __slots__ = ()
@@ -223,11 +223,53 @@ NODES: dict[type, Node] = {
 }
 
 
-# a node's record children are its operands; attrgetter reads them three to
-# four times faster than Record's filter over the fields
+# a node's children are its operands, read through attrgetter
 for _cls, _node in NODES.items():
     _cls._children = _children_getter(_node.operands)
 del _cls, _node
+
+
+def postorder(expr: Expr) -> tuple[list, dict[int, int]]:
+    """Every distinct node under ``expr`` once (by identity), operands
+    before the nodes that read them, and the number of operand fields
+    holding each node (the root counts one); without recursion."""
+    order: list = []
+    uses = {id(expr): 1}
+    entered = set()
+    stack = [expr]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if node is None:            # every operand of the node below is in order
+            order.append(pop())
+            continue
+        if id(node) in entered:
+            continue
+        entered.add(id(node))
+        push(node)
+        push(None)
+        for child in reversed(type(node)._children(node)):
+            push(child)
+            uses[id(child)] = uses.get(id(child), 0) + 1
+    return order, uses
+
+
+def fold(expr: Expr, visit: Callable):
+    """``visit(node, *operands' results)`` once per distinct node (by
+    identity), operands first, without recursion; returns the root's
+    result.  A result is dropped once its last reader has used it, so a
+    deep chain holds only the results still waiting for a reader."""
+    order, waiting = postorder(expr)
+    results: dict[int, object] = {}
+    for node in order:
+        operands = type(node)._children(node)
+        args = [results[id(c)] for c in operands]
+        for c in operands:
+            waiting[id(c)] -= 1
+            if not waiting[id(c)]:
+                del results[id(c)]
+        results[id(node)] = visit(node, *args)
+    return results[id(expr)]
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +568,7 @@ def walk(expr: Expr) -> Iterator[Expr]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(children(node)))
+        stack.extend(reversed(type(node)._children(node)))
 
 
 def depth(expr: Expr) -> int:
@@ -566,19 +608,14 @@ class Region(Record):
 
     @functools.cached_property
     def program(self) -> Program:
-        """The expression compiled with ``vars`` as inputs, on first use.
-
-        A pickled region leaves it out (its functions do not pickle) and
-        compiles it again on first use after loading."""
+        """The expression compiled with ``vars`` as inputs, on first use."""
         return compile_expr(self.expr, self.vars)
 
     @functools.cached_property
     def verdict(self) -> Callable:
         """``sign_class`` of a dict, list or tuple point as one generated
         function, on first use (:func:`compile_verdict` without a box), and
-        None for every point it does not answer.
-
-        A pickled region leaves it out, as it does ``program``."""
+        None for every point it does not answer."""
         return compile_verdict(self.program)
 
 
@@ -618,8 +655,8 @@ class Leaf(BoolTree):
 
 
 class _Join(BoolTree):
-    """And or Or of one or more trees, built (and pickled) as
-    ``And(*children)``; it composes to a left fold of ``r_node``."""
+    """And or Or of one or more trees, built as ``And(*children)``; it
+    composes to a left fold of ``r_node``."""
 
     __slots__ = ("children",)
     r_node: type
@@ -628,9 +665,6 @@ class _Join(BoolTree):
         if not children:
             raise ValueError(f"{type(self).__name__} needs at least one child")
         super().__init__(children)
-
-    def _args(self) -> tuple:
-        return self.children
 
 
 class And(_Join):

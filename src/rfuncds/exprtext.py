@@ -19,8 +19,7 @@ import re
 import sys
 
 from .errors import ParseError
-from .expr import NODES, Abs, Add, Const, Expr, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var
-from .record import fold
+from .expr import NODES, Abs, Add, Const, Expr, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var, fold
 
 # deepest expression the tree format holds; a leaf has depth 1
 MAX_DEPTH = 128

@@ -7,7 +7,7 @@ Each rewrite memoizes by node identity, so a node shared by several
 parents is rewritten once and its result is shared too.
 """
 
-from rfuncds.expr import NODES, Abs, Add, Const, Mul, Pow, RAnd, ROr, Sqrt, Sub, children
+from rfuncds.expr import NODES, Abs, Add, Const, Mul, Pow, RAnd, ROr, Sqrt, Sub
 
 # how an R-node joins a+b with its radical term: AND subtracts, OR adds
 _R_JOIN = {RAnd: Sub, ROr: Add}
@@ -39,6 +39,11 @@ def desugar_r_nodes(expr):
             return Mul(Const(1.0 / (1.0 + e.alpha)), join(Add(a, b), Sqrt(rad)))
         return _rebuild(e, rec)
     return _rewrite(expr, step)
+
+
+def children(e) -> tuple:
+    """The operands of node ``e``, left to right, as its NODES entry names them."""
+    return tuple(getattr(e, name) for name in NODES[type(e)].operands)
 
 
 def _rewrite(expr, step):

@@ -238,8 +238,8 @@ def test_closed_model_matches_ode_pipeline(preset, default_pipeline, kelvin_pipe
         np.testing.assert_allclose(c_closed.fit.coefficients, c_ode.fit.coefficients,
                                    rtol=rtol, atol=0.0)
         assert c_closed.fit.r_squared >= 0.99 and c_closed.validation_r_squared >= 0.99
-    assert closed.validation == ode.validation
-    assert closed.sampling == ode.sampling
+    assert closed.validation._values() == ode.validation._values()
+    assert closed.sampling._values() == ode.sampling._values()
 
 
 def test_criterion_09_plot_count():

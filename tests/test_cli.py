@@ -389,6 +389,11 @@ def _edited_report(tmp_path, edit):
     pytest.param(_repeat_axis_name, "variable names repeat", id="repeated-axis-name"),
     pytest.param(lambda r: r["constraints"][0]["basis"].update(vars=["a", "b"]),
                  "basis variables ('a', 'b') != box axes ('T', 't')", id="basis-vars"),
+    # a string is not read as its characters, though tuple("Tt") is ("T", "t")
+    pytest.param(lambda r: r["constraints"][0]["basis"].update(vars="Tt"),
+                 "basis variables must be a list, got 'Tt'", id='basis-vars="Tt"'),
+    pytest.param(lambda r: r["constraints"][0]["basis"].update(vars=["T", 5]),
+                 "basis variable must be a non-empty string, got 5", id="basis-var=5"),
     # names are non-empty strings, as a var name of the tree format must be
     *[pytest.param(lambda r, v=v: r["constraints"][1].update(name=v),
                    f"constraint name must be a non-empty string, got {v!r}",

@@ -12,11 +12,11 @@ from rfuncds.errors import (
 )
 from rfuncds.expr import (
     NODES, Abs, Add, And, Const, Expr, Leaf, Mul, Neg, Not, Or, Pow, RAnd, ROr, Region, Sqrt,
-    Sub, Var, children, classify, compose, depth, eval_arrays, eval_expr, sign_class, walk,
+    Sub, Var, classify, compose, depth, eval_arrays, eval_expr, sign_class, walk,
 )
+from rfuncds.exprtext import to_tree_text
 from rfuncds.geometry import circle, testcase as load_case
-from rfuncds.record import Record
-from rewrites import canonicalize_alpha1, desugar_r_nodes
+from rewrites import canonicalize_alpha1, children, desugar_r_nodes
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 alphas = st.sampled_from([-0.9, -0.5, 0.0, 0.5, 1.0])
@@ -183,7 +183,7 @@ def test_eval_takes_one_frame_per_level():
 def test_canonicalize_structure():
     out = canonicalize_alpha1(RAnd(Var("x"), Var("y"), 1.0))
     x, y = Var("x"), Var("y")
-    assert out == Mul(Const(0.5), Sub(x + y, Abs(Sub(x, y))))
+    assert to_tree_text(out) == to_tree_text(Mul(Const(0.5), Sub(x + y, Abs(Sub(x, y)))))
 
 
 def test_canonicalize_value_preserving(rng):
@@ -332,49 +332,6 @@ def test_node_table_covers_every_expression_class():
     assert len({node.tag for node in NODES.values()}) == len(NODES)
 
 
-def _tree_repr(e) -> str:
-    """The recursive repr of a dataclass with the same fields."""
-    fields = ", ".join(
-        f"{name}={_tree_repr(v) if isinstance(v, Record) else repr(v)}"
-        for name, v in ((name, getattr(e, name)) for name in e._fields))
-    return f"{type(e).__qualname__}({fields})"
-
-
-def test_repr_of_a_tree_names_every_field():
-    e = RAnd(Pow(Sub(A, Const(-0.0)), 2), Neg(Var("b")), 0.5)
-    assert repr(e) == ("RAnd(a=Pow(base=Sub(a=Var(name='a'), b=Const(value=-0.0)), "
-                       "exponent=2), b=Neg(a=Var(name='b')), alpha=0.5)")
-
-
-@given(expr=_random_trees(_any_alpha))
-def test_repr_of_trees_without_shared_nodes_is_the_recursive_repr(expr):
-    assert repr(expr) == _tree_repr(expr)
-
-
-def test_repr_prints_a_shared_node_once():
-    shared = Add(A, Const(1.0))
-    e = Mul(Neg(shared), Sub(shared, shared))
-    assert repr(e) == ("Mul(a=Neg(a=#1=Add(a=Var(name='a'), b=Const(value=1.0))), "
-                       "b=Sub(a=#1#, b=#1#))")
-
-
-def test_repr_of_a_shared_dag_is_linear():
-    expr = Var("x0")
-    for i in range(1, 15):
-        expr = RAnd(expr, Var(f"x{i}"), 1.0)
-    canon = canonicalize_alpha1(expr)
-    assert _distinct_nodes(canon) == 99
-    assert len(repr(canon)) < 10_000
-
-
-def test_repr_needs_no_recursion():
-    e = A
-    for _ in range(20_000):
-        e = Neg(e)
-    text = repr(e)
-    assert text == "Neg(a=" * 20_000 + "Var(name='a')" + ")" * 20_000
-
-
 # ----------------------------------------------------------------------
 # regions and composition
 
@@ -462,7 +419,8 @@ def test_compose_matches_the_recursive_rule_on_shallow_trees():
              And(Or(l0, And(l1, Not(Not(l0)))), Not(Or(l1, l0, l1))), _nested_and(5, [l0, l1])]
     for tree in trees:
         for alpha in (1.0, 0.25):
-            assert compose(tree, alpha).expr == _compose_recursive(tree, alpha)
+            assert to_tree_text(compose(tree, alpha).expr) == \
+                to_tree_text(_compose_recursive(tree, alpha))
 
 
 def test_compose_takes_3000_nested_joins():
@@ -472,10 +430,15 @@ def test_compose_takes_3000_nested_joins():
     chain = c0.expr
     for i in range(1, 3001):
         chain = RAnd(chain, leaves[i % 3].region.expr, 0.5)
-    assert compose(_nested_and(5, leaves), 0.5).expr == \
-        _compose_recursive(_nested_and(5, leaves), 0.5)
+    assert to_tree_text(compose(_nested_and(5, leaves), 0.5).expr) == \
+        to_tree_text(_compose_recursive(_nested_and(5, leaves), 0.5))
     region = compose(_nested_and(3000, leaves), 0.5)
-    assert region.expr == chain and depth(region.expr) == 3000 + depth(c0.expr)
+    # too deep for the tree format: compared by depth and by value, at points
+    # inside both circles, where the chain stays finite
+    assert depth(region.expr) == depth(chain) == 3000 + depth(c0.expr)
+    env = {"x": np.linspace(0.6, 1.4, 5), "y": np.linspace(1.2, 1.8, 5)}
+    values = eval_arrays(region, env)
+    assert (values > 0.0).all() and values.tolist() == eval_arrays(chain, env).tolist()
     assert region.vars == c0.vars
 
 

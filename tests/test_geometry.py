@@ -4,9 +4,10 @@ import pytest
 from conftest import boolean_oracle, grid_env
 
 from rfuncds.errors import InvalidSpec, UnknownTestCase
-from rfuncds.expr import eval_arrays, eval_expr
+from rfuncds.expr import compose, eval_arrays, eval_expr
+from rfuncds.exprtext import to_tree_text
 from rfuncds.geometry import (
-    circle, cylinder_z, parabola, paraboloid, slab, testcase as load_case,
+    TESTCASE_NAMES, circle, cylinder_z, parabola, paraboloid, slab, testcase as load_case,
 )
 
 
@@ -114,10 +115,17 @@ def test_composition_sign_matches_boolean_oracle(name):
         assert np.array_equal((values >= 0)[keep], boolean_oracle(tree, env)[keep])
 
 
-def test_demo_cases_are_equal_by_value_and_immutable():
-    first, second = (load_case("paraboloid-cylinders-A2")[2] for _ in range(2))
-    assert first is not second and first == second and hash(first) == hash(second)
-    cutout = first.trees[1][1]   # And(f1, f2, Or(Not(f3), f4))
+def _written(case):
+    """A demo case as its name, bounds and each tree's composed tree text."""
+    return (case.name, case.bounds,
+            [(label, to_tree_text(compose(tree).expr)) for label, tree in case.trees])
+
+
+def test_demo_cases_build_the_same_expressions_and_are_immutable():
+    for name in TESTCASE_NAMES:
+        first, second = (load_case(name)[2] for _ in range(2))
+        assert first is not second and _written(first) == _written(second)
+    cutout = load_case("paraboloid-cylinders-A2")[2].trees[1][1]   # And(f1, f2, Or(Not(f3), f4))
     with pytest.raises(AttributeError):
         cutout.children = ()
     with pytest.raises(AttributeError):

@@ -8,6 +8,7 @@ import pytest
 from rfuncds.ds import load_report
 from rfuncds.errors import DimensionMismatch, InsufficientPoints, NonFiniteValue, RankDeficient
 from rfuncds.expr import Const, eval_arrays, eval_expr
+from rfuncds.exprtext import to_tree_text
 from rfuncds.polyfit import (
     BLOCK_ROWS, BasisSpec, FitResult, _r_squared, design_matrix, fit_least_squares, r_squared,
     to_expr,
@@ -221,7 +222,7 @@ def test_to_expr_values():
 
 def test_to_expr_zero():
     fit = fit_least_squares([[0.0], [1.0]], [0.0, 0.0], LINE)
-    assert to_expr(fit) == Const(0.0)
+    assert to_tree_text(to_expr(fit)) == to_tree_text(Const(0.0))
 
 
 def test_to_expr_matches_design_matrix(rng):
