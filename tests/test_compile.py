@@ -216,6 +216,17 @@ def test_unbound_variable_only_when_read():
     assert eval_expr(region, [2.0, math.nan]) == 3.0
 
 
+def test_region_compiles_lazily_and_a_reloaded_one_compiles_again():
+    report = ds.load_report(FIXTURES / "kelvin-alpha0.json")
+    assert "program" not in vars(report.joint)
+    before = ds.membership(report, [275.0, 280.0])
+    assert "program" in vars(report.joint)
+    copy = ds.load_report(FIXTURES / "kelvin-alpha0.json")
+    assert "program" not in vars(copy.joint)
+    assert ds.membership(copy, [275.0, 280.0]) == before
+    assert copy.joint.program.source == report.joint.program.source
+
+
 # ----------------------------------------------------------------------
 # a region's generated verdict frame against the checked path
 
@@ -355,3 +366,17 @@ def test_report_frame_reads_a_dict_with_exactly_the_box_names():
             ds.membership(report, point)
     assert report.verdict(OrderedDict(T=290.0, t=280.0)) is None
     assert ds.membership(report, OrderedDict(T=290.0, t=280.0)) == "inside"
+
+
+def test_reloaded_region_and_report_build_their_frames_again():
+    report = ds.load_report(FIXTURES / "kelvin-alpha0.json")
+    point = {"T": 290.0, "t": 280.0}
+    region_verdict = sign_class(report.joint, point)
+    report_verdict = ds.membership(report, point)
+    assert "verdict" in vars(report.joint) and "verdict" in vars(report)
+    copy = ds.load_report(FIXTURES / "kelvin-alpha0.json")
+    assert "verdict" not in vars(copy.joint) and "verdict" not in vars(copy)
+    assert copy.joint.verdict(point) == region_verdict
+    assert copy.verdict(point) == report_verdict
+    assert "verdict" in vars(copy.joint) and "verdict" in vars(copy)
+    assert copy.verdict is not report.verdict

@@ -12,7 +12,8 @@ from rfuncds.errors import (
 )
 from rfuncds.expr import (
     NODES, Abs, Add, And, Const, Expr, Leaf, Mul, Neg, Not, Or, Pow, RAnd, ROr, Region, Sqrt,
-    Sub, Var, classify, compose, depth, eval_arrays, eval_expr, sign_class, walk,
+    Sub, Var, classify, compose, depth, eval_arrays, eval_expr, fold, sign_class, variables,
+    walk,
 )
 from rfuncds.exprtext import to_tree_text
 from rfuncds.geometry import circle, testcase as load_case
@@ -330,6 +331,60 @@ def test_node_table_covers_every_expression_class():
         # constructors take the operands first, then the parameters
         assert list(cls.__slots__) == [*node.operands, *node.params]
     assert len({node.tag for node in NODES.values()}) == len(NODES)
+
+
+def _label(node, *operands) -> str:
+    """A node's class, parameters and operands' labels, as one string."""
+    params = [repr(getattr(node, name)) for name in NODES[type(node)].params]
+    return f"{type(node).__name__}({', '.join([*operands, *params])})"
+
+
+def _label_recursive(node) -> str:
+    return _label(node, *map(_label_recursive, children(node)))
+
+
+def test_fold_hands_each_node_its_operands_results_then_reads_its_fields():
+    e = RAnd(Pow(Sub(A, Const(-0.0)), 2), Neg(Var("b")), 0.5)
+    assert fold(e, _label) == "RAnd(Pow(Sub(Var('a'), Const(-0.0)), 2), Neg(Var('b')), 0.5)"
+
+
+@given(expr=_random_trees(_any_alpha))
+def test_fold_of_trees_without_shared_nodes_is_the_recursive_fold(expr):
+    assert fold(expr, _label) == _label_recursive(expr)
+
+
+def test_fold_visits_a_shared_node_once_and_hands_its_result_to_each_reader():
+    shared = Add(A, Const(1.0))
+    e = Mul(Neg(shared), Sub(shared, shared))
+    visited, operands_of = [], {}
+
+    def visit(node, *operands):
+        visited.append(node)
+        operands_of[id(node)] = operands
+        return object()   # a result distinct from every other
+    fold(e, visit)
+    assert len(visited) == len({id(node) for node in visited}) == 6 and visited[-1] is e
+    (from_neg,), (left, right) = operands_of[id(e.a)], operands_of[id(e.b)]
+    assert from_neg is left is right
+
+
+def test_fold_of_a_shared_dag_is_linear():
+    expr = Var("x0")
+    for i in range(1, 15):
+        expr = RAnd(expr, Var(f"x{i}"), 1.0)
+    canon = canonicalize_alpha1(expr)
+    visits = []
+    assert fold(canon, lambda node, *levels: visits.append(node) or 1 + max(levels, default=0)) \
+        == depth(canon) == 1 + 4 * 14
+    assert len(visits) == _distinct_nodes(canon) == 99
+
+
+def test_fold_depth_and_variables_need_no_recursion():
+    e = A
+    for _ in range(20_000):
+        e = Neg(e)
+    assert fold(e, lambda node, *counts: 1 + sum(counts)) == 20_001
+    assert depth(e) == 20_001 and variables(e) == {"a"}
 
 
 # ----------------------------------------------------------------------

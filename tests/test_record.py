@@ -1,23 +1,30 @@
 """Record semantics of the expression nodes and every other record of the
-package: construction from the fields in order, and immutability."""
+package: construction from the fields in order, immutability, comparison
+by identity, and copies and compositions that keep shared nodes shared and
+deep chains free of recursion."""
 
 import dataclasses
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
 
-from dags import X, Y
+from dags import X, Y, dags
+from rewrites import canonicalize_alpha1
 import rfuncds
 from rfuncds import ds, geometry
 from rfuncds.contour import ContourSet, Polyline, ScalarField, grid_eval, marching_squares
 from rfuncds.ds import (
     BoxAxis, ConstraintReport, ConstraintSpec, DSReport, SamplingMeta, ValidationStats,
 )
+from rfuncds.errors import NegativeSqrtArgument
 from rfuncds.expr import (
     NODES, Abs, Add, And, Const, Leaf, Mul, Neg, Not, Or, Pow, Program, RAnd, ROr, Region,
-    Sqrt, Sub, Var,
+    Sqrt, Sub, Var, compose, depth, eval_arrays, eval_expr, fold, postorder, sign_class,
 )
+from rfuncds.exprtext import to_tree_text
 from rfuncds.polyfit import BasisSpec, FitResult
 from rfuncds.reactor import KineticParams
 
@@ -55,6 +62,25 @@ ARRAY_RECORD_FIELDS = {
 }
 
 
+def _node_operands(node):
+    return [getattr(node, name) for name in NODES[type(node)].operands]
+
+
+def _node_params(node):
+    return [getattr(node, name) for name in NODES[type(node)].params]
+
+
+def _rebuild(expr):
+    """A copy of ``expr`` that shares no node with it but keeps its sharing."""
+    return fold(expr, lambda node, *operands: type(node)(*operands, *_node_params(node)))
+
+
+def _chain(make, levels, bottom):
+    for _ in range(levels):
+        bottom = make(bottom)
+    return bottom
+
+
 def _records():
     report = ds.load_report(REPORT_FIXTURE)
     constraint = report.constraints[0]
@@ -76,8 +102,12 @@ def _record_id(record):
     return type(record).__name__
 
 
+def _fields(record):
+    return {**RECORD_FIELDS, **ARRAY_RECORD_FIELDS}[type(record)]
+
+
 def _copy(record):
-    values = [getattr(record, name) for name in RECORD_FIELDS[type(record)]]
+    values = [getattr(record, name) for name in _fields(record)]
     if type(record) in (And, Or):   # they take their children as separate arguments
         values = values[0]
     return type(record)(*values)
@@ -99,6 +129,90 @@ def test_no_class_of_the_package_is_a_dataclass():
     assert [cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)] == []
 
 
+def _outcome(expr, env):
+    """The bytes of the values of ``expr`` on ``env``, or the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return eval_arrays(expr, env).tobytes()
+    except NegativeSqrtArgument as error:
+        return str(error)
+
+
+@given(expr=dags())
+def test_a_rebuilt_dag_prints_the_same_tree_and_evaluates_the_same(expr):
+    copy = _rebuild(expr)
+    assert copy is not expr and copy != expr
+    assert to_tree_text(copy) == to_tree_text(expr)
+    env = {"x": np.array([-1.5, 0.0, 2.0]), "y": np.array([0.5, -0.0, 3.0])}
+    assert _outcome(copy, env) == _outcome(expr, env)
+
+
+@pytest.mark.parametrize("node", NODE_SAMPLES, ids=_record_id)
+def test_a_rebuilt_node_prints_the_same_tree_and_a_changed_one_does_not(node):
+    operands, params = _node_operands(node), _node_params(node)
+    copy = type(node)(*operands, *params)
+    assert copy is not node and to_tree_text(copy) == to_tree_text(node)
+    for i in range(len(operands)):
+        changed = type(node)(*operands[:i], Const(7.0), *operands[i + 1:], *params)
+        assert to_tree_text(changed) != to_tree_text(node)
+    for i, value in enumerate(params):
+        other = {float: 0.75, int: 2, str: "z"}[type(value)]
+        changed = type(node)(*operands, *params[:i], other, *params[i + 1:])
+        assert to_tree_text(changed) != to_tree_text(node)
+
+
+@pytest.mark.parametrize("first, second", [
+    (Add(X, Y), Sub(X, Y)), (Add(X, Y), Mul(X, Y)), (Sqrt(X), Abs(X)),
+    (RAnd(X, Y, 1.0), ROr(X, Y, 1.0)),
+], ids=lambda node: type(node).__name__)
+def test_nodes_of_different_classes_with_equal_fields_print_different_trees(first, second):
+    assert to_tree_text(first) != to_tree_text(second)
+    assert eval_expr(first, {"x": 2.0, "y": 3.0}) != eval_expr(second, {"x": 2.0, "y": 3.0})
+
+
+def _doubling_chain(levels, name):
+    """``Add(e, e)`` nested ``levels`` deep: 2**levels paths reach the leaf."""
+    expr = Var(name)
+    for _ in range(levels):
+        expr = Add(expr, expr)
+    return expr
+
+
+def test_postorder_counts_the_readers_of_each_node():
+    chain = _doubling_chain(16, "x")
+    order, uses = postorder(chain)
+    assert len(order) == 17 and order[0] is _chain(lambda e: e.a, 16, chain)
+    assert order[-1] is chain and uses[id(chain)] == 1
+    assert [uses[id(node)] for node in order[:-1]] == [2] * 16
+    shared = Add(X, Y)
+    order, uses = postorder(Mul(shared, Neg(shared)))
+    assert len(order) == 5 and uses[id(shared)] == 2 and uses[id(X)] == 1
+
+
+def test_a_rebuilt_canonicalized_chain_keeps_its_sharing():
+    # each alpha-1 level shares its operands between a+b and |a-b|, so the
+    # innermost variable is reached 2**14 ways
+    expr = Var("x0")
+    for i in range(1, 15):
+        expr = RAnd(expr, Var(f"x{i}"), 1.0)
+    canon = canonicalize_alpha1(expr)
+    copy = _rebuild(canon)
+    assert len(postorder(copy)[0]) == len(postorder(canon)[0]) == 99
+    ids = [{id(node) for node in postorder(e)[0]} for e in (copy, canon)]
+    assert not ids[0] & ids[1]
+    point = {f"x{i}": float(i % 5) - 2.0 for i in range(15)}
+    assert eval_expr(copy, point) == eval_expr(canon, point)
+
+
+def test_a_deep_rebuilt_chain_needs_no_recursion():
+    expr = Var("a")
+    for _ in range(20_000):
+        expr = Neg(expr)
+    copy = _rebuild(expr)
+    assert copy is not expr and depth(copy) == depth(expr) == 20_001
+    assert eval_expr(copy, {"a": 1.5}) == eval_expr(expr, {"a": 1.5}) == 1.5
+
+
 @pytest.mark.parametrize("node", NODE_SAMPLES, ids=_record_id)
 def test_nodes_refuse_assignment_and_deletion(node):
     for name in [*NODES[type(node)].operands, *NODES[type(node)].params]:
@@ -117,8 +231,30 @@ def test_a_rebuilt_record_holds_the_same_fields(record):
 
 
 @pytest.mark.parametrize("record", [*_records(), *_array_records()], ids=_record_id)
+def test_records_compare_and_hash_by_identity(record):
+    copy = _copy(record)
+    assert record == record and not record != record
+    assert copy != record and not copy == record
+    assert hash(record) == object.__hash__(record)
+    assert len({record, copy}) == 2 and {record: 1, copy: 2}[record] == 1
+
+
+@pytest.mark.parametrize("record", [*_records(), *_array_records()], ids=_record_id)
+def test_a_record_built_by_keyword_holds_the_same_fields(record):
+    fields = _fields(record)
+    if type(record) in (And, Or):   # they take their children only positionally
+        with pytest.raises(TypeError):
+            type(record)(children=record.children)
+        copy = type(record)(*record.children)
+    else:
+        copy = type(record)(**dict(zip(fields, record._values())))
+    assert type(copy) is type(record)
+    assert copy._values() == record._values()
+
+
+@pytest.mark.parametrize("record", [*_records(), *_array_records()], ids=_record_id)
 def test_records_refuse_assignment_and_deletion(record):
-    fields = {**RECORD_FIELDS, **ARRAY_RECORD_FIELDS}[type(record)]
+    fields = _fields(record)
     assert type(record)._fields == fields
     for name in fields:
         before = getattr(record, name)
@@ -150,3 +286,70 @@ def test_region_program_is_an_instance_dict_entry_after_first_use():
     assert "program" not in vars(region)
     program = region.program
     assert vars(region)["program"] is program and region.program is program
+
+
+@pytest.mark.parametrize("make", [Not, And, Or, Neg], ids=lambda make: make.__name__)
+def test_a_deep_chain_composes_and_evaluates_without_recursion(make):
+    leaf = Leaf(geometry.circle(0.0, 0.0, 1.0))
+    chain = _chain(make, 3000, X if make is Neg else leaf)
+    expr = chain if make is Neg else compose(chain).expr
+    bottom = X if make is Neg else leaf.region.expr
+    # Not and Neg flip the sign per level, an even number of times; a
+    # one-child join composes to its child
+    levels = 0 if make in (And, Or) else 3000
+    assert depth(expr) == levels + depth(bottom)
+    assert _chain(lambda e: e.a, levels, expr) is bottom
+    point = {"x": 0.25, "y": 0.5}
+    assert eval_expr(expr, point) == eval_expr(bottom, point)
+
+
+@pytest.mark.parametrize("join", [And, Or], ids=lambda join: join.__name__)
+def test_a_deep_two_child_join_chain_composes_without_recursion(join):
+    inner = Leaf(geometry.circle(0.0, 0.0, 1.0))
+    outer = Leaf(geometry.circle(0.0, 0.0, 2.0))
+    chain = _chain(lambda tree: join(tree, outer), 3000, inner)
+    region = compose(chain)   # alpha 1: each level is the min or max, exactly
+    assert depth(region.expr) == 3000 + depth(inner.region.expr)
+    assert _chain(lambda e: e.a, 3000, region.expr) is inner.region.expr
+    assert all(type(e) is join.r_node and e.b is outer.region.expr
+               for e in _chain(lambda es: [*es, es[-1].a], 2999, [region.expr]))
+    # between the circles: outside the inner one, inside the outer one
+    between = {"x": 1.5, "y": 0.0}
+    assert sign_class(region, between) == ("outside" if join is And else "inside")
+    assert eval_expr(region, between) == eval_expr(join.r_node(
+        inner.region.expr, outer.region.expr, 1.0), between)
+
+
+def test_a_deep_not_chain_composes_to_a_neg_chain():
+    leaf = Leaf(geometry.circle(0.0, 0.0, 1.0))
+    region = compose(_chain(Not, 2999, leaf))
+    assert all(type(e) is Neg for e in _chain(lambda es: [*es, es[-1].a], 2998, [region.expr]))
+    assert _chain(lambda e: e.a, 2999, region.expr) is leaf.region.expr
+    assert sign_class(region, {"x": 0.0, "y": 0.0}) == "outside"
+    assert sign_class(region, {"x": 1.5, "y": 0.0}) == "inside"
+
+
+def test_a_composed_tree_keeps_its_shared_records_shared():
+    leaf = Leaf(geometry.circle(0.0, 0.0, 1.0))
+    tree = And(leaf, Not(leaf), Or(leaf, _chain(Not, 3000, leaf)))
+    expr = compose(tree).expr
+    first, negated = expr.a.a, expr.a.b
+    assert first is leaf.region.expr and negated.a is first
+    assert expr.b.a is first and _chain(lambda e: e.a, 3000, expr.b.b) is first
+    assert len(postorder(expr)[0]) == len(postorder(first)[0]) + 3000 + 4
+
+
+def test_region_and_report_answer_the_same_after_save_and_load(tmp_path):
+    report = ds.load_report(REPORT_FIXTURE)
+    point = [290.0, 280.0]
+    verdict = ds.membership(report, point)
+    value = eval_expr(report.joint, point)
+    assert "program" in vars(report.joint) and "verdict" in vars(report)
+
+    ds.save_report(report, tmp_path / "report.json")
+    loaded = ds.load_report(tmp_path / "report.json")
+    assert loaded is not report and loaded != report
+    assert "verdict" not in vars(loaded) and "program" not in vars(loaded.joint)
+    assert eval_expr(loaded.joint, point) == value
+    assert ds.membership(loaded, point) == verdict
+    assert "verdict" in vars(loaded) and "program" in vars(loaded.joint)
