@@ -32,8 +32,8 @@ _LAZY = {
     **dict.fromkeys(("TESTCASE_NAMES", "testcase"), "geometry"),
     **dict.fromkeys(("ScalarField", "grid_eval", "marching_squares", "slice_contours_3d"),
                     "contour"),
-    **dict.fromkeys(("DEFAULT_PALETTE", "emit_contours_csv", "emit_field_csv", "emit_svg",
-                     "value_texts"), "emit"),
+    **dict.fromkeys(("DEFAULT_PALETTE", "contour_texts", "emit_contours_csv", "emit_field_csv",
+                     "emit_svg", "value_texts"), "emit"),
 }
 
 
@@ -226,7 +226,7 @@ def _load_config(path: str) -> dict:
 def cmd_identify(args, provenance: str) -> int:
     from . import reactor
     _bind("ScalarField", "grid_eval", "marching_squares", "DEFAULT_PALETTE", "emit_svg",
-          "emit_contours_csv")
+          "emit_contours_csv", "contour_texts")
     if args.n < len(reactor.CQA_BASIS):
         raise RfuncdsError(f"--n must be >= {len(reactor.CQA_BASIS)} (basis size), got {args.n}")
     try:
@@ -267,12 +267,13 @@ def cmd_identify(args, provenance: str) -> int:
     emit_svg(out / "constraint_boundaries.svg", layers, bounds,
              provenance=provenance, title="per-constraint boundaries")
     artifacts["constraints_svg"] = "constraint_boundaries.svg"
-    for c in report.constraints:
-        name = f"phi_{c.name}.csv"
-        emit_contours_csv(out / name, contours[c.name], provenance=provenance)
-        artifacts[f"contour_{c.name}"] = name
-    emit_contours_csv(out / "joint.csv", joint_contours, provenance=provenance)
-    artifacts["contour_joint"] = "joint.csv"
+    # (artifact key, file name, contours); the coordinates they share are formatted once
+    csvs = [(f"contour_{c.name}", f"phi_{c.name}.csv", contours[c.name])
+            for c in report.constraints]
+    csvs.append(("contour_joint", "joint.csv", joint_contours))
+    for (key, name, contour_set), texts in zip(csvs, contour_texts([c for *_, c in csvs])):
+        emit_contours_csv(out / name, contour_set, texts, provenance=provenance)
+        artifacts[key] = name
     ds.save_report(report, out / "ds_report.json", artifacts=artifacts,
                    provenance=provenance)
 

@@ -11,9 +11,10 @@ Marching squares works on 2D fields.  It is the 2D case of Lorensen &
 Cline's marching cubes (SIGGRAPH 1987) and runs table-driven in numpy: the
 inside mask gives every cell a 4-bit corner code, a 16-case table maps the
 code to the segments joining its crossed edges, saddle cells are resolved
-for all cells at once, and each crossed edge is interpolated once.  Only
-the chaining of segments into polylines runs in Python, over boundary
-segments alone.
+for all cells at once, and each crossed edge is interpolated once.  The
+two ends of every segment are paired with the other segment end at the
+same crossing by one sort, so chaining segments into polylines is a walk
+over plain int lists, one step per boundary segment.
 
 Conventions: a node value of exactly 0 counts as inside when building cell
 codes; ambiguous saddle cells are resolved by the sign of the cell-center
@@ -151,7 +152,7 @@ def marching_squares(field: ScalarField) -> ContourSet:
     edge_ids = np.repeat(2 * (i * ny + j), n_segments)[:, None] + edge_offsets[local]
     ids, ends = np.unique(edge_ids, return_inverse=True)
     points = _crossings(vals, ids, field.axis(0), field.axis(1))
-    return ContourSet(polylines=tuple(_chain(ends.reshape(-1, 2).tolist(), points)))
+    return ContourSet(polylines=tuple(_chain(ends.reshape(-1, 2), points)))
 
 
 def _crossings(vals, edge_ids, xs, ys) -> np.ndarray:
@@ -169,43 +170,42 @@ def _crossings(vals, edge_ids, xs, ys) -> np.ndarray:
                             ys[j0] + t * (ys[j1] - ys[j0])))
 
 
-def _chain(segments, points) -> list[Polyline]:
-    """Join segments, given as pairs of rows of ``points``, into open chains
-    and closed loops."""
-    incident: dict[int, list[int]] = {}
-    for idx, (e0, e1) in enumerate(segments):
-        incident.setdefault(e0, []).append(idx)
-        incident.setdefault(e1, []).append(idx)
+def _chain(ends: np.ndarray, points) -> list[Polyline]:
+    """Join segments into open chains and closed loops.
 
-    used = [False] * len(segments)
-    polylines: list[Polyline] = []
+    Segment s joins the crossings ``ends[s]`` (rows of ``points``, numbered
+    in edge-id order); its ends sit in slots 2s and 2s+1 of ``ends.ravel()``.
+    A crossed edge belongs to at most two cells, so at most two slots share
+    a crossing: ``partner`` pairs each slot with the other one there, or
+    holds -1 for a lone end on the box edge.  A walk leaves each segment by
+    its other slot (``slot ^ 1``) and enters the next at that slot's partner.
+    """
+    flat = ends.ravel()
+    order = np.argsort(flat, kind="stable")
+    shared = flat[order[1:]] == flat[order[:-1]]
+    partner = np.full(flat.size, -1, dtype=np.intp)
+    partner[order[1:][shared]] = order[:-1][shared]
+    partner[order[:-1][shared]] = order[1:][shared]
+    lone = order[partner[order] < 0].tolist()   # in ascending crossing order
+    flat, partner = flat.tolist(), partner.tolist()
+    used = bytearray(len(flat) // 2)
 
-    def walk(start_edge, first_idx):
-        used[first_idx] = True
-        e0, e1 = segments[first_idx]
-        keys = [start_edge, e1 if e0 == start_edge else e0]
-        while True:
-            tail = keys[-1]
-            nxt = next((s for s in incident[tail] if not used[s]), None)
-            if nxt is None:
-                break
-            used[nxt] = True
-            a, b = segments[nxt]
-            keys.append(b if a == tail else a)
-        closed = len(keys) > 2 and keys[0] == keys[-1]
-        if closed:
-            keys = keys[:-1]
-        return Polyline(points=points[keys], closed=closed)
+    def walk(slot):
+        keys = [flat[slot]]
+        while slot >= 0 and not used[slot >> 1]:
+            used[slot >> 1] = 1
+            slot ^= 1
+            keys.append(flat[slot])
+            slot = partner[slot]
+        return keys
 
-    # open chains first, starting from degree-1 endpoints, then loops;
-    # iteration over the sorted keys keeps the output deterministic
-    for endpoint in sorted(k for k, ids in incident.items() if len(ids) == 1):
-        idx = next((s for s in incident[endpoint] if not used[s]), None)
-        if idx is not None:
-            polylines.append(walk(endpoint, idx))
-    for idx, seg in enumerate(segments):
-        if not used[idx]:
-            polylines.append(walk(seg[0], idx))
+    # open chains first, each from its lower lone end; then loops, each from
+    # the first end of its lowest segment, back to where it started
+    polylines = [Polyline(points=points[walk(slot)], closed=False)
+                 for slot in lone if not used[slot >> 1]]
+    for s in range(len(used)):
+        if not used[s]:
+            polylines.append(Polyline(points=points[walk(2 * s)[:-1]], closed=True))
     return polylines
 
 

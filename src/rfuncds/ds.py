@@ -292,15 +292,12 @@ def box_point(report: DSReport, u) -> list[float]:
 
 def _expression_fields(report: DSReport) -> tuple[list[dict], dict]:
     """The fields a saved report holds for its expressions: each
-    constraint's ``phi_infix`` and ``phi_tree``, and the ``joint`` block."""
-    phis = [{"phi_infix": exprtext.to_infix(c.phi.expr),
-             "phi_tree": exprtext.to_tree_obj(c.phi.expr)} for c in report.constraints]
-    joint = {
-        "infix_sqrt": exprtext.to_infix(report.joint.expr, alpha1_style="sqrt"),
-        "infix_abs": exprtext.to_infix(report.joint.expr, alpha1_style="abs"),
-        "tree": exprtext.to_tree_obj(report.joint.expr),
-    }
-    return phis, joint
+    constraint's ``phi_infix`` and ``phi_tree``, and the ``joint`` block,
+    from one fold over the joint, which holds each phi by identity."""
+    (infix_abs, infix_sqrt, tree), *phis = exprtext.expression_fields(
+        report.joint.expr, *(c.phi.expr for c in report.constraints))
+    return ([{"phi_infix": infix, "phi_tree": phi_tree} for infix, _, phi_tree in phis],
+            {"infix_sqrt": infix_sqrt, "infix_abs": infix_abs, "tree": tree})
 
 
 def _report_obj(report: DSReport, artifacts: Mapping[str, str] | None,
@@ -342,9 +339,11 @@ def _report_obj(report: DSReport, artifacts: Mapping[str, str] | None,
 
 def save_report(report: DSReport, path, artifacts: Mapping[str, str] | None = None,
                 provenance: str = "") -> None:
-    """Write the report as structured JSON (full float precision); a tree too
-    deep to read back raises ValueError before the file is opened."""
-    text = json.dumps(_report_obj(report, artifacts, provenance), indent=2) + "\n"
+    """Write the report as structured JSON (full float precision) in the
+    layout of ``json.dumps(indent=2)``, each leaf encoded by json's C
+    encoders (``exprtext.dump_json``); a tree too deep to read back raises
+    ValueError before the file is opened."""
+    text = exprtext.dump_json(_report_obj(report, artifacts, provenance)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

@@ -8,12 +8,14 @@ precision).  Every file starts with the provenance supplied by the caller
 
 Each writer builds its file from arrays, not one node or point at a time:
 pixel coordinates are computed with numpy in the same operation order as
-the scalar mapping.  Field CSV values come from one value table per
-command (``value_texts``): repr() depends only on a float's bits, so each
-distinct bit pattern among all the fields a command writes is formatted
-once.  Each coordinate is formatted once too, and each slab of the first
-axis is put together by list slice assignment and one join, so no per-row
-Python code runs.  The format is unchanged; see docs/formats.md.
+the scalar mapping.  CSV numbers come from one value table per command:
+repr() depends only on a float's bits, so each distinct bit pattern is
+formatted once, among all the fields a command writes (``value_texts``)
+or among all its contour sets (``contour_texts``).  A field CSV formats
+each grid coordinate once too.  Rows are put together by list slice
+assignment and one join (per slab of a field's first axis, per contour
+file), so no per-row Python code runs.  The format is unchanged; see
+docs/formats.md.
 """
 
 from __future__ import annotations
@@ -134,19 +136,34 @@ def _shading(field: ScalarField, to_px) -> str:
     return "\n".join([f'<g fill="{_SHADE_FILL}" stroke="none">', *rects, "</g>"])
 
 
-def value_texts(fields) -> list[np.ndarray]:
-    """The value text ``repr(v) + "\n"`` of every node of each field, C order.
-
-    One table serves all ``fields``: each distinct bit pattern among their
-    nodes is formatted once, and every node holding it gets the same
-    string.  Keying on bits keeps 0.0 and -0.0 (and nan payloads) apart.
-    """
-    bits = [np.ascontiguousarray(f.values, dtype=np.float64).ravel().view(np.uint64)
-            for f in fields]
+def _repr_texts(arrays, suffix: str) -> list[np.ndarray]:
+    """``repr(v) + suffix`` for every element of each array, C order, from one
+    table: each distinct bit pattern among all of them is formatted once, and
+    every element holding it gets the same string.  Keying on bits keeps 0.0
+    and -0.0 (and nan payloads) apart."""
+    bits = [np.ascontiguousarray(a, dtype=np.float64).ravel().view(np.uint64) for a in arrays]
     distinct, which = np.unique(np.concatenate(bits), return_inverse=True)
-    texts = np.array([r + "\n" for r in map(repr, distinct.view(np.float64).tolist())],
+    texts = np.array([r + suffix for r in map(repr, distinct.view(np.float64).tolist())],
                      dtype=object)
     return np.split(texts[which], np.cumsum([b.size for b in bits[:-1]]))
+
+
+def value_texts(fields) -> list[np.ndarray]:
+    """The value text ``repr(v) + "\n"`` of every node of each field, C order,
+    one table for all ``fields``."""
+    return _repr_texts([f.values for f in fields], "\n")
+
+
+def contour_texts(contour_sets) -> list[np.ndarray]:
+    """The coordinate texts ``repr(x) + ","`` and ``repr(y) + ","`` of every
+    point of each contour set, an ``(n, 2)`` array over its polylines in
+    order, one table for all ``contour_sets``.  A crossing on an edge keeps
+    that edge's grid-axis value, and the joint's contours share points with
+    the phis', so most coordinates repeat."""
+    points = [np.concatenate([np.asarray(line.points, dtype=float).reshape(-1, 2)
+                              for line in cs.polylines] or [np.empty((0, 2))])
+              for cs in contour_sets]
+    return [t.reshape(-1, 2) for t in _repr_texts(points, ",")]
 
 
 def emit_field_csv(path, field: ScalarField, texts: np.ndarray, provenance: str = "") -> None:
@@ -174,13 +191,23 @@ def emit_field_csv(path, field: ScalarField, texts: np.ndarray, provenance: str 
             fh.write("".join(rows))
 
 
-def emit_contours_csv(path, contours: ContourSet, provenance: str = "") -> None:
-    """Polyline points keyed by polyline id, with a closed flag per row."""
-    rows = []
-    for pid, line in enumerate(contours.polylines):
-        xs, ys = np.asarray(line.points, dtype=float).reshape(-1, 2).T.tolist()
-        flag = "1" if line.closed else "0"
-        rows.extend(map(f"{pid},{{}},{{!r}},{{!r}},{flag}\n".format, itertools.count(), xs, ys))
+def emit_contours_csv(path, contours: ContourSet, texts: np.ndarray, provenance: str = "") -> None:
+    """Polyline points keyed by polyline id, with a closed flag per row.
+
+    ``texts`` is this set's entry of ``contour_texts`` over all the contour
+    sets a command writes, so a coordinate they share is formatted once.
+    """
+    sizes = [len(line.points) for line in contours.polylines]
+    index = list(map("{},".format, range(max(sizes, default=0))))
+    ids, points, flags = [], [], []
+    for pid, (line, m) in enumerate(zip(contours.polylines, sizes)):
+        ids += [f"{pid},"] * m
+        points += index[:m]
+        flags += ["1\n" if line.closed else "0\n"] * m
+    # a row is "polyline," "point," x-text y-text flag: one column per slot
+    rows = [""] * (5 * len(ids))
+    rows[0::5], rows[1::5], rows[4::5] = ids, points, flags
+    rows[2::5], rows[3::5] = texts.T.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if provenance:
             fh.write(f"# {provenance}\n")

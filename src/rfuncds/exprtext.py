@@ -7,16 +7,23 @@ sqrt form is asked for).  The tree format keeps R-nodes intact and is the
 one text format read back.
 
 Both formats are built by one fold over the distinct nodes, without
-recursion.  The tree format holds at most ``MAX_DEPTH`` levels, as ``json``
-recurses once per level: writers refuse deeper trees (ValueError) and the
-reader checks before it recurses (ParseError), never a RecursionError.
+recursion, and ``expression_fields`` builds both infix styles and the tree
+of an expression and of its parts in one such fold, with the same printers.
+The tree format holds at most ``MAX_DEPTH`` levels, as ``json`` recurses
+once per level: writers refuse deeper trees (ValueError) and the reader
+checks before it recurses (ParseError), never a RecursionError.
+
+``load_json`` reads JSON and ``dump_json`` writes it in the layout of
+``json.dumps(indent=2)``, each leaf encoded by json's C encoders.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError
 from .expr import NODES, Abs, Add, Const, Expr, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var, fold
@@ -43,8 +50,7 @@ def to_infix(expr: Expr, alpha1_style: str = "abs") -> str:
     near a = b (see docs/expressions.md)."""
     if alpha1_style not in ("sqrt", "abs"):
         raise ValueError("alpha1_style must be 'sqrt' or 'abs'")
-    abs_alpha1 = alpha1_style == "abs"
-    printers = {**_PRINTERS, RAnd: _r_printer("-", abs_alpha1), ROr: _r_printer("+", abs_alpha1)}
+    printers = _INFIX[alpha1_style]
     return fold(expr, lambda e, *operands: printers[type(e)](e, *operands))[0]
 
 
@@ -91,6 +97,10 @@ _PRINTERS = {
     Sqrt: _call_printer("sqrt"),
     Abs: _call_printer("abs"),
 }
+# the printers of each alpha1_style
+_INFIX = {style: {**_PRINTERS, RAnd: _r_printer("-", style == "abs"),
+                  ROr: _r_printer("+", style == "abs")}
+          for style in ("abs", "sqrt")}
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +133,41 @@ def _tree_node(e: Expr, *args):
     objs, levels = zip(*args)
     obj["args"] = list(objs)
     return obj, 1 + max(levels)
+
+
+def expression_fields(expr: Expr, *parts: Expr) -> list[tuple[str, str, object]]:
+    """``(to_infix(e), to_infix(e, alpha1_style="sqrt"), to_tree_obj(e))`` for
+    ``expr`` and then each of ``parts``, from one fold over the distinct nodes
+    of ``expr``: a part that is a node of ``expr`` (by identity) is read
+    from that fold, any other part gets a fold of its own.
+
+    A node with no R-node under it prints the same in both styles, so its
+    sqrt-style text is its abs-style text, printed once.  A tree deeper than
+    ``MAX_DEPTH`` raises ValueError as ``check_depth``, the parts' first.
+    """
+    abs_printers, sqrt_printers = _INFIX["abs"], _INFIX["sqrt"]
+    wanted = set(map(id, parts))
+    kept = {}
+
+    def visit(e, *args):
+        cls = type(e)
+        abs_printed = abs_printers[cls](e, *[a for a, _, _ in args])
+        if cls is RAnd or cls is ROr or any(s is not a for a, s, _ in args):
+            sqrt_printed = sqrt_printers[cls](e, *[s for _, s, _ in args])
+        else:
+            sqrt_printed = abs_printed
+        result = abs_printed, sqrt_printed, _tree_node(e, *[t for _, _, t in args])
+        if id(e) in wanted:
+            kept[id(e)] = result
+        return result
+
+    for e in (expr, *parts):   # a part that is not a node of expr gets a fold of its own
+        if id(e) not in kept:
+            kept[id(e)] = fold(e, visit)
+    results = [kept[id(e)] for e in (expr, *parts)]
+    for _, _, (_, levels) in results[1:] + results[:1]:
+        check_depth(levels)
+    return [(a[0], s[0], obj) for a, s, (obj, _) in results]
 
 
 def to_tree_text(expr: Expr) -> str:
@@ -214,6 +259,65 @@ def load_json(text: str, max_nesting: int):
         raise ParseError(exc.pos, f"invalid JSON: {exc.msg}") from None
     except ValueError as exc:   # an integer with more digits than int() converts
         raise ParseError(None, f"invalid JSON: {exc}") from None
+
+
+def _float_text(v: float) -> str:
+    """A float as json spells it: NaN and the infinities as its tokens."""
+    if v != v:
+        return "NaN"
+    if v in (math.inf, -math.inf):
+        return "Infinity" if v > 0 else "-Infinity"
+    return float.__repr__(v)
+
+
+_LEAVES = {str: encode_basestring_ascii, float: _float_text, int: int.__repr__,
+           bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def dump_json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, written without leaving json's C leaf
+    encoders: one walk lays out the objects and arrays, and every string,
+    number and constant is encoded as json encodes it.  Keys must be
+    strings; a value json cannot encode raises TypeError.  Like json, it
+    recurses once per level of nesting."""
+    parts: list[str] = []
+    _dump(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _dump(obj, newline: str, parts: list[str]) -> None:
+    """Append the text of ``obj``, whose lines start with ``newline``, to ``parts``."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        parts.append(leaf(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner, opening = newline + "  ", "{"
+        for key, value in obj.items():   # a key that is not a str raises TypeError
+            parts.append(f"{opening}{inner}{encode_basestring_ascii(key)}: ")
+            _dump(value, inner, parts)
+            opening = ","
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner, opening = newline + "  ", "["
+        for value in obj:
+            parts.append(opening + inner)
+            _dump(value, inner, parts)
+            opening = ","
+        parts.append(newline + "]")
+    elif isinstance(obj, str):   # subclasses encode as their base type
+        parts.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(_float_text(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def parse_tree_text(text: str) -> Expr:

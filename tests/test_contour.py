@@ -11,9 +11,11 @@ from rfuncds.contour import (
     slice_contours_3d,
 )
 from rfuncds.ds import load_report
-from rfuncds.emit import emit_contours_csv, emit_field_csv, emit_svg, value_texts
+from rfuncds.emit import (
+    contour_texts, emit_contours_csv, emit_field_csv, emit_svg, value_texts,
+)
 from rfuncds.errors import DimensionMismatch
-from rfuncds.expr import Const, Pow, Region, Var, compose, eval_arrays, eval_expr
+from rfuncds.expr import Const, Leaf, Or, Pow, Region, Var, compose, eval_arrays, eval_expr
 from rfuncds.geometry import TESTCASE_NAMES, circle, testcase as load_case
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -365,6 +367,117 @@ def test_matches_reference_report_fields(fixture):
 
 
 # ----------------------------------------------------------------------
+# chaining: contour._chain against the dict-based walk it replaced
+
+def reference_chain(segments, points):
+    """Segments, pairs of rows of ``points``, joined by a dict of incident
+    segments per crossing, one segment a step."""
+    incident = {}
+    for idx, (e0, e1) in enumerate(segments):
+        incident.setdefault(e0, []).append(idx)
+        incident.setdefault(e1, []).append(idx)
+    used = [False] * len(segments)
+    polylines = []
+
+    def walk(start_edge, first_idx):
+        used[first_idx] = True
+        e0, e1 = segments[first_idx]
+        keys = [start_edge, e1 if e0 == start_edge else e0]
+        while True:
+            tail = keys[-1]
+            nxt = next((s for s in incident[tail] if not used[s]), None)
+            if nxt is None:
+                break
+            used[nxt] = True
+            a, b = segments[nxt]
+            keys.append(b if a == tail else a)
+        closed = len(keys) > 2 and keys[0] == keys[-1]
+        if closed:
+            keys = keys[:-1]
+        return Polyline(points=points[keys], closed=closed)
+
+    for endpoint in sorted(k for k, ids in incident.items() if len(ids) == 1):
+        idx = next((s for s in incident[endpoint] if not used[s]), None)
+        if idx is not None:
+            polylines.append(walk(endpoint, idx))
+    for idx, seg in enumerate(segments):
+        if not used[idx]:
+            polylines.append(walk(seg[0], idx))
+    return polylines
+
+
+def assert_chain_matches_reference(ends, points):
+    assert_same_contours(ContourSet(tuple(contour._chain(ends, points))),
+                         ContourSet(tuple(reference_chain(ends.tolist(), points))))
+
+
+def chain_inputs(fields, monkeypatch):
+    """The (ends, points) of every _chain call that contouring ``fields`` makes."""
+    calls, chain = [], contour._chain
+    monkeypatch.setattr(contour, "_chain", lambda ends, points: calls.append((ends, points))
+                        or chain(ends, points))
+    with np.errstate(invalid="ignore"):   # saddle centers of inf and -inf corners
+        for field in fields:
+            if field.values.ndim == 2:
+                marching_squares(field)
+            else:
+                slice_contours_3d(field)
+    monkeypatch.undo()
+    return calls
+
+
+def _chain_fields():
+    rng = np.random.default_rng(34)
+    special = np.array([0.0, -0.0, 1.0, -1.0, INF, -INF, NAN, 2.5, -0.5])
+    yield _field([[1.0, -1.0], [-1.0, 1.0]])                     # one saddle cell
+    yield _field(np.indices((7, 12)).sum(axis=0) % 2 * 2.0 - 1.0)   # saddles only
+    yield _field(rng.integers(-1, 2, size=(2, 40)))              # one cell wide
+    yield _field(rng.integers(-1, 2, size=(40, 2)))
+    for shape in [(24, 24), (9, 31), (31, 9)]:
+        yield _field(rng.integers(-2, 3, size=shape))             # exact zeros
+        yield _field(special[rng.integers(len(special), size=shape)])   # nan and inf
+    # open chains at the box edge together with closed loops
+    yield grid_eval(compose(Or(Leaf(UNIT_CIRCLE), Leaf(circle(2.5, 2.5, 0.8)))), SQUARE_BOUNDS, 48)
+
+
+def test_chain_matches_reference(monkeypatch):
+    calls = chain_inputs(_chain_fields(), monkeypatch)
+    kinds = set()
+    for ends, points in calls:
+        assert_chain_matches_reference(ends, points)
+        kinds.update(line.closed for line in contour._chain(ends, points))
+    assert kinds == {False, True}
+
+
+@pytest.mark.parametrize("name", TESTCASE_NAMES)
+def test_chain_matches_reference_on_demo_fields(name, monkeypatch):
+    _, _, case = load_case(name)
+    shape = (64, 64, 9) if len(case.bounds) == 3 else 256
+    fields = [grid_eval(compose(tree), case.bounds, shape) for _, tree in case.trees]
+    calls = chain_inputs(fields, monkeypatch)
+    assert len(calls) == len(fields) * (9 if len(case.bounds) == 3 else 1)
+    for ends, points in calls:
+        assert_chain_matches_reference(ends, points)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chain_matches_reference_on_shuffled_paths_and_cycles(seed):
+    # random paths and cycles over crossing ids, segments and their two ends
+    # in random order: every crossing ends one or two segments
+    rng = np.random.default_rng(seed)
+    crossings = rng.permutation(300).tolist()
+    segments = []
+    while len(crossings) > 3:
+        n = int(rng.integers(2, 20))
+        run, crossings = crossings[:n], crossings[n:]
+        if rng.random() < 0.5 and n > 2:
+            run = run + run[:1]          # a cycle
+        segments += [[a, b] if rng.random() < 0.5 else [b, a] for a, b in zip(run, run[1:])]
+    ends = np.array([segments[k] for k in rng.permutation(len(segments))], dtype=np.intp)
+    assert_chain_matches_reference(ends, rng.normal(size=(300, 2)))
+
+
+# ----------------------------------------------------------------------
 # 3D slices
 
 def test_slabs_slice_rectangle():
@@ -453,7 +566,7 @@ def test_field_csv_round_trip(tmp_path):
 def test_contours_csv_lists_polylines(tmp_path):
     contours = marching_squares(grid_eval(UNIT_CIRCLE, SQUARE_BOUNDS, 64))
     path = tmp_path / "c.csv"
-    emit_contours_csv(path, contours, provenance="prov")
+    emit_contours_csv(path, contours, *contour_texts([contours]), provenance="prov")
     body = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     assert body[0] == "polyline,point,x,y,closed"
     assert len(body) == 1 + sum(len(l.points) for l in contours.polylines)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from rfuncds.ds import (
     plot_count,
     save_report,
 )
-from rfuncds.emit import emit_contours_csv
+from rfuncds.emit import contour_texts, emit_contours_csv
 from rfuncds.errors import (
     AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape,
     NegativeSqrtArgument, NonFiniteValue, OutOfBox, ParseError, RfuncdsError, SampleCountTooLarge,
@@ -512,8 +513,8 @@ def test_contours_present_in_2d(alpha, tmp_path):
     bounds = [(a.lo, a.hi) for a in report.box]
     regions = {c.name: c.phi for c in report.constraints} | {"joint": report.joint}
     for name, region in regions.items():
-        emit_contours_csv(tmp_path / "expected.csv",
-                          marching_squares(grid_eval(region, bounds, 64)))
+        contours = marching_squares(grid_eval(region, bounds, 64))
+        emit_contours_csv(tmp_path / "expected.csv", contours, *contour_texts([contours]))
         rows = (out / ("joint.csv" if name == "joint" else f"phi_{name}.csv")).read_text()
         assert rows.splitlines()[1:] == (tmp_path / "expected.csv").read_text().splitlines()
         # the purity boundary, and with it the joint one, crosses the kelvin box
@@ -701,6 +702,52 @@ def test_saved_report_round_trips_byte_for_byte(fixture, tmp_path):
     save_report(load_report(fixture), path, artifacts=saved["files"],
                 provenance=saved["provenance"])
     assert path.read_bytes() == fixture.read_bytes()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0, -0.5])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_saved_expression_fields_equal_separate_calls(count, alpha, tmp_path):
+    # save_report prints every expression field from one fold over the joint
+    report = identify([SUM_SPEC, PROD_SPEC, SKEW_SPEC][:count], BOX, 32, CQA_BASIS,
+                      alpha=alpha, model=lambda p: sum_prod_skew_model(p)[:, :count])
+    path = tmp_path / "r.json"
+    save_report(report, path)
+    saved = json.loads(path.read_text())
+    compact = functools.partial(json.dumps, separators=(",", ":"))
+    for c, stored in zip(report.constraints, saved["constraints"]):
+        assert stored["phi_infix"] == to_infix(c.phi.expr)
+        assert compact(stored["phi_tree"]) == to_tree_text(c.phi.expr)
+    joint = saved["joint"]
+    assert list(joint) == ["infix_sqrt", "infix_abs", "tree"]
+    assert joint["infix_sqrt"] == to_infix(report.joint.expr, alpha1_style="sqrt")
+    assert joint["infix_abs"] == to_infix(report.joint.expr)
+    assert compact(joint["tree"]) == to_tree_text(report.joint.expr)
+    assert load_report(path).alpha == alpha
+
+
+def _json_layout_reports():
+    for fixture in REPORT_FIXTURES:
+        saved = json.loads(fixture.read_text())
+        yield load_report(fixture), {"artifacts": saved["files"],
+                                     "provenance": saved["provenance"]}
+    # non-ASCII text, control characters and line separators in the provenance
+    yield load_report(REPORT_FIXTURES[1]), {
+        "provenance": "rfuncds | caf\u00e9 \u2603 \U0001f600 nul\x00 esc\x1b "
+                      "ls\u2028 ps\u2029 quote\" back\\ lone\udcff"}
+    # null units, and trees at the depth limit
+    yield identify([SUM_SPEC], (BoxAxis("T", 250.0, 300.0), BoxAxis("t", 250.0, 300.0)),
+                   16, CQA_BASIS, model=sum_model), {}
+    yield chain_report(MAX_DEPTH), {"artifacts": {}, "provenance": ""}
+
+
+def test_save_report_writes_the_layout_of_json_dumps_indent_2(tmp_path):
+    for k, (report, kwargs) in enumerate(_json_layout_reports()):
+        path = tmp_path / f"r{k}.json"
+        save_report(report, path, **kwargs)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert text.isascii()
+    assert k == 4
 
 
 @pytest.mark.parametrize("field", ["phi_tree", "joint"])

@@ -27,6 +27,7 @@ from rfuncds import __version__, cli
 from rfuncds.ds import load_report
 from rfuncds.emit import (
     DEFAULT_PALETTE,
+    contour_texts,
     emit_contours_csv,
     emit_field_csv,
     emit_svg,
@@ -168,10 +169,16 @@ def field_csv(path, field, provenance=""):
     emit_field_csv(path, field, texts, provenance=provenance)
 
 
+def contours_csv(path, contours, provenance=""):
+    """``emit_contours_csv`` with a coordinate table of the one contour set."""
+    [texts] = contour_texts([contours])
+    emit_contours_csv(path, contours, texts, provenance=provenance)
+
+
 _ORACLES = {
     emit_svg: reference_emit_svg,
     field_csv: reference_emit_field_csv,
-    emit_contours_csv: reference_emit_contours_csv,
+    contours_csv: reference_emit_contours_csv,
 }
 _serial = itertools.count()
 
@@ -200,7 +207,7 @@ def assert_field_outputs_same(tmp_path, field, bounds, provenance=PROVENANCE, ti
         contours = marching_squares(field)
         assert_same_bytes(tmp_path, emit_svg, [(contours, DEFAULT_PALETTE[0])], bounds,
                           field=field, provenance=provenance, title=title)
-        assert_same_bytes(tmp_path, emit_contours_csv, contours, provenance=provenance)
+        assert_same_bytes(tmp_path, contours_csv, contours, provenance=provenance)
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +299,7 @@ def test_special_values_give_no_nan_coordinates(tmp_path):
         contours = marching_squares(field)
         points = np.concatenate([p.points for p in contours.polylines])
         assert len(points) > 0 and np.isfinite(points).all()
-        emit_contours_csv(tmp_path / "c.csv", contours)
+        contours_csv(tmp_path / "c.csv", contours)
         assert "nan" not in (tmp_path / "c.csv").read_text()
 
 
@@ -440,9 +447,53 @@ def test_svg_title_is_well_formed_and_reads_back(title, tmp_path):
 
 @pytest.mark.parametrize("provenance", ["", PROVENANCE])
 def test_contours_csv(provenance, tmp_path):
-    assert_same_bytes(tmp_path, emit_contours_csv, ContourSet(()), provenance=provenance)
-    assert_same_bytes(tmp_path, emit_contours_csv, OPEN_AND_CLOSED, provenance=provenance)
+    assert_same_bytes(tmp_path, contours_csv, ContourSet(()), provenance=provenance)
+    assert_same_bytes(tmp_path, contours_csv, OPEN_AND_CLOSED, provenance=provenance)
     special = np.array(SPECIAL).reshape(-1, 2)
-    assert_same_bytes(tmp_path, emit_contours_csv,
+    assert_same_bytes(tmp_path, contours_csv,
                       ContourSet((Polyline(special, False), Polyline(special[::-1], True))),
                       provenance=provenance)
+
+
+def assert_contour_table_same(tmp_path, contour_sets):
+    """Write ``contour_sets`` through one coordinate table; each file must
+    equal its reference, and each text the repr of its coordinate."""
+    texts = contour_texts(contour_sets)
+    points = [np.array([p for line in cs.polylines for p in np.asarray(line.points).tolist()],
+                       dtype=float).reshape(-1, 2) for cs in contour_sets]
+    for coords, point_texts in zip(points, texts):
+        assert point_texts.shape == coords.shape
+        assert point_texts.ravel().tolist() == [repr(v) + "," for v in coords.ravel().tolist()]
+    # one text per distinct bit pattern, shared by every coordinate that holds it
+    bits = np.concatenate(points).view(np.uint64)
+    assert len({id(t) for point_texts in texts for t in point_texts.ravel().tolist()}) \
+        == len(np.unique(bits))
+    for contours, point_texts in zip(contour_sets, texts):
+        n = next(_serial)
+        got, want = tmp_path / f"got{n}", tmp_path / f"want{n}"
+        emit_contours_csv(got, contours, point_texts, provenance=PROVENANCE)
+        reference_emit_contours_csv(want, contours, provenance=PROVENANCE)
+        assert filecmp.cmp(got, want, shallow=False)
+
+
+def test_contour_table_keeps_signed_zeros_and_empty_sets_apart(tmp_path):
+    zeros = ContourSet((Polyline(np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]), False),
+                        Polyline(np.array([[-0.0, -0.0], [1.0, -0.0]]), True)))
+    special = np.array(SPECIAL).reshape(-1, 2)
+    assert_contour_table_same(tmp_path, [ContourSet(()), zeros, OPEN_AND_CLOSED,
+                                         ContourSet((Polyline(special, True),)), ContourSet(())])
+    assert [t.shape for t in contour_texts([ContourSet(())])] == [(0, 2)]
+    [texts] = contour_texts([zeros])
+    assert texts[:2].tolist() == [["0.0,", "-0.0,"], ["-0.0,", "0.0,"]]
+
+
+def test_contour_table_of_the_identify_contours(tmp_path):
+    # the joint contours share points with the phi contours (at alpha 1 the
+    # joint boundary is the purity one), so the table is smaller than the points
+    report = load_report(FIXTURES / "kelvin-alpha1.json")
+    bounds = [(a.lo, a.hi) for a in report.box]
+    sets = [marching_squares(grid_eval(r, bounds, 64))
+            for r in [c.phi for c in report.constraints] + [report.joint]]
+    assert_contour_table_same(tmp_path, sets)
+    texts = [t for point_texts in contour_texts(sets) for t in point_texts.ravel().tolist()]
+    assert len({id(t) for t in texts}) < len(texts) / 2

@@ -8,9 +8,11 @@ from hypothesis import given, strategies as st
 
 from rfuncds.errors import ParseError
 from rfuncds.expr import (
-    Abs, Add, Const, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var, depth, eval_expr,
+    Abs, Add, Const, Expr, Mul, Neg, Pow, RAnd, ROr, Sqrt, Sub, Var, depth, eval_expr,
 )
-from rfuncds.exprtext import MAX_DEPTH, parse_tree_text, to_infix, to_tree_obj, to_tree_text
+from rfuncds.exprtext import (
+    MAX_DEPTH, dump_json, expression_fields, parse_tree_text, to_infix, to_tree_obj, to_tree_text,
+)
 from rfuncds.geometry import testcase as load_case
 from dags import dags
 from infix_eval import infix_eval
@@ -279,3 +281,100 @@ def test_shared_alpha1_chain_prints_in_time_linear_in_its_text():
     assert time.perf_counter() - start < 0.5
     assert text == to_infix(desugar_r_nodes(canonicalize_alpha1(expr)))
     assert len(text) > 2 ** 16
+
+
+# ----------------------------------------------------------------------
+# expression_fields: one fold against separate to_infix and to_tree_obj calls
+
+def _separate_fields(expr):
+    return (to_infix(expr), to_infix(expr, alpha1_style="sqrt"), to_tree_obj(expr))
+
+
+def assert_fields_match_separate_calls(expr, *parts):
+    got = expression_fields(expr, *parts)
+    assert len(got) == 1 + len(parts)
+    for e, fields in zip((expr, *parts), got):
+        want = _separate_fields(e)
+        assert fields[:2] == want[:2]
+        assert _compact_json_obj(fields[2]) == _compact_json_obj(want[2])
+
+
+def _compact_json_obj(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("expr", ZOO, ids=lambda e: type(e).__name__)
+def test_expression_fields_equal_separate_calls(expr):
+    operands = [getattr(expr, name) for name in ("a", "b") if hasattr(expr, name)]
+    assert_fields_match_separate_calls(expr, *operands)
+    # parts that are not nodes of expr get folds of their own
+    assert_fields_match_separate_calls(expr, X + Y, expr, Const(2.0))
+
+
+@given(expr=dags())
+def test_expression_fields_of_shared_nodes_equal_separate_calls(expr):
+    assert_fields_match_separate_calls(expr, *[getattr(expr, n) for n in ("a", "b")
+                                               if isinstance(getattr(expr, n, None), Expr)])
+
+
+def test_expression_fields_share_the_sqrt_text_below_the_r_nodes():
+    phi = Sub(Mul(X, Y), Const(0.5))
+    joint = RAnd(ROr(phi, X, 1.0), Y, 1.0)
+    [(j_abs, j_sqrt, _), (p_abs, p_sqrt, _)] = expression_fields(joint, phi)
+    assert p_abs is p_sqrt and j_abs != j_sqrt
+
+
+def test_expression_fields_refuse_trees_deeper_than_the_limit():
+    limit = _neg_chain(MAX_DEPTH - 1)
+    assert depth(limit) == MAX_DEPTH
+    assert_fields_match_separate_calls(Neg(X), limit)
+    deep = Neg(limit)
+    for expr, parts, levels in [(deep, (), MAX_DEPTH + 1), (Neg(deep), (deep,), MAX_DEPTH + 1),
+                                (X, (Neg(deep),), MAX_DEPTH + 2)]:
+        # the parts are checked first, each with its own depth
+        with pytest.raises(ValueError, match=f"expression {levels} levels deep"):
+            expression_fields(expr, *parts)
+
+
+# ----------------------------------------------------------------------
+# dump_json against json.dumps(indent=2)
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    {"values": [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e300, 0.1, 2 ** 70, -3]},
+    {"provenance": "rfuncds 0.1 | caf\u00e9 \u2603 \U0001f600 tab\t nul\x00 us\x1f "
+                   "ls\u2028 ps\u2029 lone\udcff quote\" back\\"},
+    {}, [], {"a": {}, "b": [], "c": [{}], "d": [[]], "e": [{"f": []}]},
+    {"name": "T", "lo": 250.0, "hi": 300.0, "unit": None}, [True, False, None],
+    1.5, -7, "text", None, True, math.nan,
+    ((1, 2.5), ("x",)), {"f": _Float(0.1), "i": _Int(3), "s": _Str("s\n"), "nan": _Float("nan")},
+], ids=repr)
+def test_dump_json_is_json_dumps_indent_2(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2)
+
+
+def test_dump_json_of_a_tree_at_the_depth_limit():
+    obj = to_tree_obj(_neg_chain(MAX_DEPTH - 1))
+    assert dump_json(obj) == json.dumps(obj, indent=2)
+    assert dump_json({"tree": obj, "trees": [obj, obj]}) == json.dumps(
+        {"tree": obj, "trees": [obj, obj]}, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, object(), b"bytes", 1j, {"a": [object()]},
+                                 {(1, 2): "key"}])
+def test_dump_json_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        dump_json(obj)
