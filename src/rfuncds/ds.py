@@ -240,8 +240,8 @@ def membership(report: DSReport, u) -> str:
     answered by the report's ``verdict`` function, compiled on the first
     query by the generator that also writes each region's frame; every
     other point (another mapping or iterable, a wrong count or set of
-    names, a value that is not a number, nan or out of the box) and a float
-    power of exponent 3 or more that overflows take the checked path,
+    names, a value that is not a number, nan or out of the box) takes the
+    checked path,
     ``classify(eval_expr(report.joint, box_point(report, u)))``, which gives
     the same verdicts and raises the errors, and compiles no verdict
     function of the joint region's own.

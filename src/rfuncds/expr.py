@@ -114,9 +114,9 @@ class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError(f"Pow exponent must be a non-negative integer, got {exponent!r}")
-        if exponent > sys.float_info.max:   # float ** int and numpy convert it to float
+        if exponent > sys.float_info.max:   # as the tree format's counts; a square per bit
             raise ValueError("Pow exponent is too large to convert to float")
         super().__init__(base, exponent)
 
@@ -195,16 +195,28 @@ def _emit_binary(op: str):
 
 
 def _emit_pow(e, k, a):
-    if e.exponent == 2:
-        # one correctly rounded multiply, as numpy squares arrays: floats
-        # skip libm pow, agree with the arrays bit for bit and give inf on
-        # overflow where float ** int raises.  A compound base is named
-        # where it is squared, and every square reuses the one name sq, so
-        # an array base lives until the next square, not to its statement
+    # every power from 2 on is multiplies, each correctly rounded, which
+    # floats and arrays run alike, bit for bit, and which give inf on overflow
+    n = e.exponent
+    if n < 2:
+        return f"({a} ** {'%d' % n})"
+    if n == 2:
+        # a compound base is named where it is squared, and every square
+        # reuses the one name sq, so an array base lives until the next
+        # square, not to its statement
         if a.isidentifier():
             return f"({a} * {a})"
         return f"((sq := {a}) * sq)"
-    return f"({a} ** {'%d' % e.exponent})"
+    # square and multiply, lowest bit first; each step is one statement, so
+    # nesting stays bounded for any exponent
+    square, product = k.local(a), None
+    while True:
+        if n & 1:
+            product = square if product is None else k.local(f"({product} * {square})")
+        n >>= 1
+        if not n:
+            return product
+        square = k.local(f"({square} * {square})")
 
 
 # every concrete Expr class, declared once; constructors are type(e)(*operands, *params)
@@ -472,8 +484,7 @@ def compile_verdict(program: Program,
 
     Without ``bounds`` (a region's frame) the values are used as given and
     the value is ``float`` of the program's result, as in
-    :func:`eval_expr`; a float power of exponent 3 or more that overflows
-    gives None, and every other error is raised as there.  With ``bounds``
+    :func:`eval_expr`, and every error is raised as there.  With ``bounds``
     (a report's frame) a dict must hold exactly the input names, each value
     must convert with float and lie in its inclusive ``(lo, hi)`` pair, and
     every point that does not gives None.  The bounds are globals like the constants, l0,
@@ -512,11 +523,8 @@ def compile_verdict(program: Program,
         "    else:",
         "        return None",
         *[f"    {line}" for line in box],
-        "    try:",
-        *[f"        {line}" for line in program.body],
-        f"        value = {value}",
-        "    except OverflowError:   # x ** 3 and up; the checked path gives inf, as numpy does",
-        "        return None",
+        *[f"    {line}" for line in program.body],
+        f"    value = {value}",
         "    # as classify",
         "    if value > tol:",
         "        return 'inside'",
@@ -539,19 +547,11 @@ def eval_expr(expr: Expr | Region, point) -> float:
 
     ``point`` is a name -> value mapping, or the values in the order of a
     Region's ``vars``.  A Region evaluates through the program it compiled
-    on first use; a bare expression is compiled for this call.  A power
-    that overflows gives inf, as in :func:`eval_arrays`.
+    on first use; a bare expression is compiled for this call.  It gives
+    the value :func:`eval_arrays` gives, bit for bit, inf included.
     """
     program = expr.program if isinstance(expr, Region) else compile_expr(expr)
-    inputs = program.inputs(point)
-    try:
-        return float(program.scalars(inputs))
-    except OverflowError:
-        # float ** int raises where numpy gives inf (exponents 3 and up; a
-        # square is a product); only such points pay for numpy
-        import numpy as np
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(program.arrays([np.float64(v) for v in inputs]))
+    return float(program.scalars(program.inputs(point)))
 
 
 def eval_arrays(expr: Expr | Region, env) -> np.ndarray:
@@ -626,8 +626,7 @@ def sign_class(region: Region, point) -> str:
     ``point`` is a name -> value mapping or the values in ``region.vars``
     order.  A dict, list or tuple point is answered by the region's
     ``verdict`` function, which reports share through the same generator;
-    any other point, a missing name, a wrong count and a float power of
-    exponent 3 or more that overflows take the checked path,
+    any other point, a missing name and a wrong count take the checked path,
     ``classify(eval_expr(region, point))``, which gives the same verdicts
     and raises the errors.
     """

@@ -30,7 +30,7 @@ def dags(draw):
         elif kind == "unary":
             node = draw(st.sampled_from(_UNARY))(draw(pick))
         elif kind == "pow":
-            node = Pow(draw(pick), draw(st.integers(0, 3)))
+            node = Pow(draw(pick), draw(st.integers(0, 7)))
         else:
             node = draw(st.sampled_from((RAnd, ROr)))(draw(pick), draw(pick), draw(_alphas))
         pool.append(node)

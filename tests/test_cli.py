@@ -435,8 +435,9 @@ def test_check_reads_trees_at_the_depth_limit(tmp_path, capsys):
 @pytest.mark.parametrize("terms", [
     # a square is a product, which gives inf as numpy does
     pytest.param({(2, 0): 1e305, (0, 0): -1.0}, id="huge-coefficient"),
-    # from exponent 3 float ** int raises OverflowError and check redoes the
-    # point with numpy (test_compile.py, test_scalar_power_overflow_gives_the_array_value)
+    # every power from exponent 3 on is products too, which give inf where
+    # float ** int raises OverflowError
+    # (test_compile.py, test_scalar_power_overflow_gives_the_array_value)
     pytest.param({(130, 0): 1.0, (0, 0): -1.0}, id="float-power"),
 ])
 def test_check_reports_inf_when_a_float_power_overflows(terms, tmp_path, capsys):
@@ -847,6 +848,20 @@ def test_import_load_and_check_never_import_numpy():
     assert out[:2] == ["[]", "[]"] and out[-3] == "[0, 0] []"
     assert out[-2] == f"{['inside'] * 6} []"
     assert Path(out[-1]).resolve() == Path(rfuncds.__file__).resolve()
+
+
+def test_an_overflowing_power_at_one_point_never_imports_numpy():
+    # a child interpreter, so no other test's imports count; a cube is
+    # products, inf on overflow, in eval_expr and in both verdict frames
+    code = (
+        "import sys\n"
+        "from rfuncds.expr import Const, Mul, Pow, Region, Var, compile_verdict, eval_expr\n"
+        "region = Region(Pow(Mul(Const(1e200), Var('x')), 3), ('x',))\n"
+        "framed = compile_verdict(region.program, [(0.0, 2.0)])\n"
+        "print(eval_expr(region, [1.0]), region.verdict([1.0]), framed([1.0]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    assert _run_child("-c", code).stdout == "inf inside inside\n[]\n"
 
 
 def _cold_check_imports():

@@ -225,11 +225,9 @@ def _assert_membership_pinned_to_the_checked_path(report, seed=0):
     for make in makers:
         assert _outcome(membership, report, make) == _outcome(_checked, report, make), make()
     # the compiled verdict answers the seeded in-box lists itself, or raises
-    # as the checked path does, unless a float power overflows there
+    # as the checked path does
     for make in makers[:n_seeded]:
-        if _outcome(lambda r, u: r.verdict(u), report, make) is None:
-            with pytest.raises(OverflowError):
-                report.joint.program.scalars(make())
+        assert _outcome(lambda r, u: r.verdict(u), report, make) is not None, make()
 
 
 @pytest.mark.parametrize("path", REPORT_FIXTURES, ids=lambda p: p.stem)
@@ -255,20 +253,11 @@ def test_the_checked_path_compiles_no_verdict_of_the_joint_region():
     assert "program" in vars(report.joint) and "verdict" not in vars(report.joint)
 
 
-def test_membership_takes_the_numpy_route_where_a_float_power_overflows():
-    # (1e200*T)^3 - 1: float ** int raises OverflowError where numpy gives inf
+@pytest.mark.parametrize("exponent", [2, 3])
+def test_membership_answers_an_overflowing_power_in_the_frame(exponent):
+    # (1e200*T)^n - 1: the power is multiplies, which give inf as numpy does
     box = load_report(REPORT_FIXTURES[1]).box
-    joint = Region(Sub(Pow(Mul(Const(1e200), Var("T")), 3), Const(1.0)), ("T", "t"))
-    report = _report_of(joint, box)
-    assert report.verdict([290.0, 280.0]) is None
-    assert membership(report, [290.0, 280.0]) == "inside"
-    _assert_membership_pinned_to_the_checked_path(report)
-
-
-def test_membership_answers_an_overflowing_square_in_the_frame():
-    # (1e200*T)^2 - 1: the square is one multiply, which gives inf as numpy does
-    box = load_report(REPORT_FIXTURES[1]).box
-    joint = Region(Sub(Pow(Mul(Const(1e200), Var("T")), 2), Const(1.0)), ("T", "t"))
+    joint = Region(Sub(Pow(Mul(Const(1e200), Var("T")), exponent), Const(1.0)), ("T", "t"))
     report = _report_of(joint, box)
     assert report.verdict([290.0, 280.0]) == "inside"
     assert report.verdict({"T": 250.0, "t": 300.0}) == "inside"

@@ -64,6 +64,9 @@ def test_eval_arrays_matches_scalar(rng):
 def test_pow_exponent_validation():
     with pytest.raises(ValueError):
         Pow(A, -1)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"got {flag}"):
+            Pow(A, flag)
     assert eval_expr(Pow(A, 0), {"a": 7.0}) == 1.0
 
 

@@ -26,12 +26,18 @@ def _eval_var(e, env):
 
 
 def _eval_pow(e, env):
-    base = _eval(e.base, env)
-    if e.exponent == 0:
+    # square and multiply, lowest bit first: correctly rounded products
+    base, n = _eval(e.base, env), e.exponent
+    if n == 0:
         return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
-    if e.exponent == 2:   # the correctly rounded product, as numpy squares arrays
-        return base * base
-    return base ** e.exponent
+    product = None
+    while n:
+        if n & 1:
+            product = base if product is None else product * base
+        n >>= 1
+        if n:
+            base = base * base
+    return product
 
 
 def _eval_sqrt(e, env):
