@@ -100,7 +100,7 @@ class DSReport(Record):
         on first use (``expr.compile_verdict`` with the box): the
         ``membership`` of a list or tuple point, or a dict holding exactly
         the box names, inside the box, and None for every other point."""
-        return compile_verdict(self.joint.program, [(axis.lo, axis.hi) for axis in self.box])
+        return compile_verdict(self.joint, [(axis.lo, axis.hi) for axis in self.box])
 
 
 def plot_count(d: int) -> int:
@@ -255,11 +255,13 @@ def box_point(report: DSReport, u) -> list[float]:
     """The coordinates of ``u`` as floats in box-axis order.
 
     ``u`` is a name -> value mapping or the values in box-axis order.
-    Raises OutOfBox for points outside the report's parameter box, and for
-    a mapping that misses a box coordinate or names one the box does not
-    have; a ``str``, ``bytes``, ``bytearray`` or ``memoryview`` point raises
-    TypeError rather than being read as its characters or bytes.  This is
-    the checked path of ``membership`` and of the ``check`` command.
+    Raises OutOfBox for points outside the report's parameter box (a value
+    beyond the float range, such as the int 10**400, included), and
+    for a mapping that misses a box coordinate or names one the box does
+    not have, or a sequence of another length; a ``str``, ``bytes``,
+    ``bytearray`` or ``memoryview`` point raises TypeError rather than
+    being read as its characters or bytes.  This is the checked path of
+    ``membership`` and of the ``check`` command.
     """
     box = report.box
     # lists and tuples skip the slower abstract-class check
@@ -270,21 +272,30 @@ def box_point(report: DSReport, u) -> list[float]:
             raise OutOfBox(f"point has coordinate {unknown[0]!r}, which the box "
                            f"({', '.join(names)}) does not have")
         try:
-            values = [float(u[n]) for n in names]
+            values = [u[n] for n in names]
         except KeyError as exc:
             raise OutOfBox(f"point is missing coordinate {exc.args[0]!r}") from None
     elif isinstance(u, (str, bytes, bytearray, memoryview)):
         raise TypeError(f"point must be a sequence or mapping of numbers, "
                         f"not {type(u).__name__}")
     else:
-        values = list(map(float, u))
+        values = list(u)
         if len(values) != len(box):
             raise OutOfBox(f"point has {len(values)} coordinates, box has {len(box)}")
+    values = [_coordinate(axis, v) for axis, v in zip(box, values)]
     for axis, v in zip(box, values):
         if not axis.lo <= v <= axis.hi:
             raise OutOfBox(
                 f"{axis.name} = {v!r} outside [{axis.lo}, {axis.hi}]")
     return values
+
+
+def _coordinate(axis: BoxAxis, value) -> float:
+    try:
+        return float(value)
+    except OverflowError:   # an int beyond the floats, whose repr may be too long to print
+        raise OutOfBox(f"{axis.name} is beyond the float range, outside "
+                       f"[{axis.lo}, {axis.hi}]") from None
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ import functools
 import math
 import operator
 import re
+import struct
 import sys
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
@@ -175,12 +176,21 @@ class Node:
         self.emit = emit            # (node, compiler, *operand texts) -> Python text
 
 
-def _emit_r_node(join: str, extreme: str):
+def _emit_r_node(join: str, extreme: str, wins: str):
     """Text of an R-node: AND joins a+b and the radical with "-" and is
-    "minimum" at alpha = 1, OR uses "+" and "maximum"."""
+    "minimum" at alpha = 1, OR uses "+" and "maximum"; a frame spells
+    the extreme inline, where operand a ``wins`` over b."""
     def emit(e, k, a, b):
-        if e.alpha == 1.0:
+        if e.alpha == 1.0 and not k.frame:
             return f"{extreme}({a}, {b})"  # exact value of (a+b -/+ |a-b|)/2
+        if e.alpha == 1.0:
+            # _scalar_min / _scalar_max without the call: each operand is
+            # bound where the call would evaluate it.  Over two names this
+            # opens one parenthesis, as the call does, so the frame names
+            # the same nodes as the program (see _compile)
+            va, a = k.binding(a)
+            vb, b = k.binding(b)
+            return f"({va} if {a} {wins} {b} or {va} != {va} else {vb})"
         # the formula reads each operand four times, so both become locals
         a, b = k.local(a), k.local(b)
         # the radicand is mathematically >= (1-|alpha|)(a^2+b^2); maximum
@@ -230,8 +240,8 @@ NODES: dict[type, Node] = {
     Pow: Node("pow", ("base",), ("exponent",), _emit_pow),
     Sqrt: Node("sqrt", ("a",), (), lambda e, k, a: f"root({a})"),
     Abs: Node("abs", ("a",), (), lambda e, k, a: f"absolute({a})"),
-    RAnd: Node("rand", ("a", "b"), ("alpha",), _emit_r_node("-", "minimum")),
-    ROr: Node("ror", ("a", "b"), ("alpha",), _emit_r_node("+", "maximum")),
+    RAnd: Node("rand", ("a", "b"), ("alpha",), _emit_r_node("-", "minimum", "<")),
+    ROr: Node("ror", ("a", "b"), ("alpha",), _emit_r_node("+", "maximum", ">")),
 }
 
 
@@ -287,17 +297,23 @@ def fold(expr: Expr, visit: Callable):
 # ----------------------------------------------------------------------
 # compiled evaluation
 #
-# An expression is evaluated by one generated Python function.  Each node's
-# text comes from its NODES entry and goes inline into its parent's text, so
-# numpy reuses temporaries as it would for hand-written arithmetic.  A node
-# is bound to a local only when its value is read more than once (a node
-# shared by identity, an operand of an alpha != 1 R-node), or when its text
-# nests _SPILL_DEPTH levels deep, so that compile() never meets the parser's
-# nesting limit; each local is deleted after its last read.  Nothing taken
-# from the expression enters the source: inputs are read as x0, x1, ...,
-# constants as the globals c0, c1, ..., and a verdict function reads a dict
-# point at the globals n0, n1, ... and tests the box limits l0, h0, ..., so
-# names and values such as inf, nan or -0.0 are never spelled in it.
+# An expression is evaluated by one generated Python function.  Nodes equal
+# by value are compiled once: the same class, operands already merged, and
+# parameters equal bit for bit (a float by its IEEE bits, so 0.0 and -0.0,
+# or nans of two payloads, stay apart).  Each node's text comes from its
+# NODES entry and goes inline into its parent's text, so numpy reuses
+# temporaries as it would for hand-written arithmetic.  A node read by
+# several parents is bound to a local when its text takes two or more
+# operations to recompute; one operation over names is cheaper to write
+# again, since numpy cannot reuse a named array in place.  (An alpha != 1
+# R-node binds its operands itself: its formula reads each four times.)  A
+# node is also bound when its text nests _SPILL_DEPTH levels deep, so that
+# compile() never meets the parser's nesting limit; each local is deleted
+# after its last read.  Nothing taken from the expression enters the
+# source: inputs are read as x0, x1, ..., constants as the globals c0, c1,
+# ..., and a verdict function reads a dict point at the globals n0, n1, ...
+# and tests the box limits l0, h0, ..., so names and values such as inf,
+# nan or -0.0 are never spelled in it.
 
 _SPILL_DEPTH = 40
 
@@ -392,13 +408,17 @@ class Program(Record):
 
 
 class _Compiler:
-    """The state of one compilation: inputs read, constants and statements."""
+    """The state of one compilation: inputs read, constants and statements.
+    ``frame`` selects the spelling of a verdict frame, whose alpha = 1
+    R-nodes are written inline rather than as minimum/maximum calls."""
 
-    def __init__(self, names: tuple[str, ...]):
+    def __init__(self, names: tuple[str, ...], frame: bool = False):
         self.inputs = {name: f"x{i}" for i, name in enumerate(names)}
+        self.frame = frame
         self.reads: set[str] = set()
         self.consts: list = []
         self.statements: list[tuple[str, str]] = []   # (local, text)
+        self.bound = 0   # names bound inside a text, w0, w1, ...
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -415,6 +435,28 @@ class _Compiler:
         name = f"v{len(self.statements)}"
         self.statements.append((name, text))
         return name
+
+    def binding(self, text: str) -> tuple[str, str]:
+        """A name for ``text`` and the text that binds it where it is read;
+        a name stays as it is."""
+        if text.isidentifier():
+            return text, text
+        name = f"w{self.bound}"
+        self.bound += 1
+        return name, f"({name} := {text})"
+
+
+_DOUBLE = struct.Struct("<d")
+
+
+def _param_key(value):
+    """What a parameter is compared by when nodes are merged by value."""
+    kind = type(value)
+    if kind is float:
+        return kind, _DOUBLE.pack(value)
+    if kind is int or kind is str:
+        return kind, value
+    return kind, id(value)   # any other value is equal only to itself
 
 
 @functools.lru_cache(maxsize=64)
@@ -435,23 +477,48 @@ def compile_expr(expr: Expr, names: Sequence[str] | None = None) -> Program:
     """Compile ``expr`` into a Program whose inputs are ``names`` (default:
     the expression's variables, sorted), which must cover every variable."""
     names = tuple(sorted(variables(expr)) if names is None else names)
-    k = _Compiler(names)
-    order, uses = postorder(expr)
-    texts: dict[int, str] = {}    # by id(node)
-    levels: dict[int, int] = {}   # nesting depth of each text; names are level 0
-    for node in order:
-        spec = NODES[type(node)]
-        operands = type(node)._children(node)
-        if not operands:
-            texts[id(node)], levels[id(node)] = spec.emit(node, k), 0
-            continue
-        text = spec.emit(node, k, *[texts[id(c)] for c in operands])
-        level = 1 + max([levels[id(c)] for c in operands])
-        if uses[id(node)] > 1 or level >= _SPILL_DEPTH:
-            text, level = k.local(text), 0
-        texts[id(node)], levels[id(node)] = text, level
+    return _compile(expr, names)
 
-    result = texts[id(expr)]
+
+def _compile(expr: Expr, names: tuple[str, ...], frame: bool = False) -> Program:
+    k = _Compiler(names, frame)
+    # merge nodes equal by value; each distinct value is a class, numbered
+    # in postorder, and the operand fields that read it count its uses
+    classes: dict[tuple, int] = {}
+    of: dict[int, int] = {}    # id(node) -> its class
+    nodes, operands, uses = [], [], []   # by class: the first node, its operands' classes
+    for node in postorder(expr)[0]:
+        spec = NODES[type(node)]
+        reads = tuple(of[id(c)] for c in type(node)._children(node))
+        key = (type(node), reads, *[_param_key(getattr(node, p)) for p in spec.params])
+        if key not in classes:
+            classes[key] = len(nodes)
+            nodes.append(node)
+            operands.append(reads)
+            uses.append(0)
+            for c in reads:
+                uses[c] += 1
+        of[id(node)] = classes[key]
+    uses[of[id(expr)]] += 1
+
+    texts: list[str] = []
+    levels: list[int] = []   # nesting depth of each text; names are level 0
+    for i, (node, reads) in enumerate(zip(nodes, operands)):
+        spec = NODES[type(node)]
+        if not reads:
+            texts.append(spec.emit(node, k))
+            levels.append(0)
+            continue
+        text = spec.emit(node, k, *[texts[c] for c in reads])
+        level = 1 + max([levels[c] for c in reads])
+        # every operation opens a parenthesis, so a text with one is a
+        # single operation over names
+        if (uses[i] > 1 and text.count("(") > 1) or level >= _SPILL_DEPTH:
+            text, level = k.local(text), 0
+        texts.append(text)
+        levels.append(level)
+
+    result = texts[of[id(expr)]]
     last_read = {}
     for i, (_, text) in enumerate(k.statements):
         for name in _LOCAL_RE.findall(text):
@@ -471,11 +538,16 @@ def compile_expr(expr: Expr, names: Sequence[str] | None = None) -> Program:
     return Program(names, reads, tuple(body), result, tuple(k.consts))
 
 
-def compile_verdict(program: Program,
+def compile_verdict(region: Region,
                     bounds: Sequence[tuple[float, float]] | None = None) -> Callable:
-    """``classify`` of ``program``'s value as one generated function of a
+    """``classify`` of ``region``'s value as one generated function of a
     point, which gives None where it does not answer, so that the caller
     takes its checked path.
+
+    The function runs the region's program in the frame spelling: each
+    alpha = 1 R-node is written inline as ``_scalar_min``/``_scalar_max``
+    computes it, and everything else as in ``region.program``, in the same
+    order, so it gives the values and raises the errors that program does.
 
     A point whose type is exactly list or tuple is read by unpacking it,
     one value per input; one whose type is exactly dict is read at the
@@ -490,6 +562,7 @@ def compile_verdict(program: Program,
     every point that does not gives None.  The bounds are globals like the constants, l0,
     h0, l1, ..., so programs of one expression shape share one code object.
     """
+    program = _compile(region.expr, region.vars, frame=True)
     n = len(program.names)
     xs = ", ".join(f"x{i}" for i in range(n))
     sequence = [f"[{xs}] = u"]
@@ -616,7 +689,7 @@ class Region(Record):
         """``sign_class`` of a dict, list or tuple point as one generated
         function, on first use (:func:`compile_verdict` without a box), and
         None for every point it does not answer."""
-        return compile_verdict(self.program)
+        return compile_verdict(self)
 
 
 def sign_class(region: Region, point) -> str:

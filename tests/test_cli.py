@@ -857,7 +857,7 @@ def test_an_overflowing_power_at_one_point_never_imports_numpy():
         "import sys\n"
         "from rfuncds.expr import Const, Mul, Pow, Region, Var, compile_verdict, eval_expr\n"
         "region = Region(Pow(Mul(Const(1e200), Var('x')), 3), ('x',))\n"
-        "framed = compile_verdict(region.program, [(0.0, 2.0)])\n"
+        "framed = compile_verdict(region, [(0.0, 2.0)])\n"
         "print(eval_expr(region, [1.0]), region.verdict([1.0]), framed([1.0]))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import struct
 import time
 import types
 from collections import OrderedDict
@@ -10,13 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from rfuncds import ds, expr as expr_mod
 from rfuncds.errors import NegativeSqrtArgument, OutOfBox, UnboundVariable
 from rfuncds.expr import (
-    Add, Const, Mul, Neg, Pow, RAnd, Region, Sqrt, Sub, Var, classify, compose, depth,
-    eval_arrays, eval_expr, sign_class, variables,
+    NODES, Add, Const, Mul, Neg, Pow, RAnd, ROr, Region, Sqrt, Sub, Var, classify, compile_expr,
+    compile_verdict, compose, depth, eval_arrays, eval_expr, sign_class, variables,
 )
 from rfuncds.geometry import TESTCASE_NAMES, testcase as load_case
 from dags import dags, values
@@ -219,10 +220,14 @@ def test_region_compiles_lazily_and_a_reloaded_one_compiles_again():
     report = ds.load_report(FIXTURES / "kelvin-alpha0.json")
     assert "program" not in vars(report.joint)
     before = ds.membership(report, [275.0, 280.0])
+    # the report's frame compiles its own spelling of the joint expression
+    assert "verdict" in vars(report) and "program" not in vars(report.joint)
+    value = eval_expr(report.joint, [275.0, 280.0])
     assert "program" in vars(report.joint)
     copy = ds.load_report(FIXTURES / "kelvin-alpha0.json")
     assert "program" not in vars(copy.joint)
     assert ds.membership(copy, [275.0, 280.0]) == before
+    assert eval_expr(copy.joint, [275.0, 280.0]) == value
     assert copy.joint.program.source == report.joint.program.source
 
 
@@ -377,3 +382,127 @@ def test_reloaded_region_and_report_build_their_frames_again():
     assert copy.verdict(point) == report_verdict
     assert "verdict" in vars(copy.joint) and "verdict" in vars(copy)
     assert copy.verdict is not report.verdict
+
+
+# ----------------------------------------------------------------------
+# nodes equal by value compile once
+
+def _value_copy(expr, fresh, memo=None):
+    """A copy of ``expr`` from new objects, equal to it by value.  An operand
+    field for which ``fresh()`` is true gets a subtree of its own, so a node
+    that several parents shared becomes several value-equal nodes."""
+    memo = {} if memo is None else memo
+    if id(expr) not in memo:
+        operands = [_value_copy(c, fresh, {} if fresh() else memo)
+                    for c in type(expr)._children(expr)]
+        params = [getattr(expr, p) for p in NODES[type(expr)].params]
+        memo[id(expr)] = type(expr)(*operands, *params)
+    return memo[id(expr)]
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+@given(expr=dags(), x=values, y=values, rnd=st.randoms(use_true_random=False))
+def test_value_equal_copies_compile_to_the_same_program_and_values(expr, x, y, rnd):
+    copy = _value_copy(expr, lambda: rnd.random() < 0.5)
+    names = ("x", "y")
+    original, program = compile_expr(expr, names), compile_expr(copy, names)
+    assert program.source == original.source
+    assert [_bits(c) for c in program.consts] == [_bits(c) for c in original.consts]
+    region, shared = Region(copy, names), Region(expr, names)
+    point, env = [x, y], {"x": np.array([x, -x, 0.5]), "y": np.array([y, 2.0, y])}
+    with np.errstate(all="ignore"):
+        got = _outcome(eval_expr, region, point)
+        want = _outcome(tree_eval, copy, dict(zip(names, point)))
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+        else:
+            assert repr(got) == repr(want)
+            assert _bits(got) == _bits(eval_expr(shared, point))
+        got = _outcome(eval_arrays, region, env)
+        want = _outcome(tree_eval_arrays, copy, env)
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+        else:
+            assert _same_bits(got, want) and _same_bits(got, eval_arrays(shared, env))
+        # both frame kinds answer as the checked path does
+        for u in _frame_points(names, point):
+            _assert_frame_pinned(region, u)
+        framed = compile_verdict(region, [(-5.0, 5.0), (-5.0, 5.0)])
+        for u in (point, tuple(point), dict(zip(names, point))):
+            answer = _answer(lambda r, v: framed(v), region, u)
+            if math.isfinite(x) and math.isfinite(y):
+                assert answer == _answer(_checked, region, u), u
+            else:
+                assert answer is None
+
+
+def test_zero_signs_and_nan_payloads_are_never_merged():
+    # np.minimum gives its second operand on a tie, so merging 0.0 and
+    # -0.0 would give 0.0
+    tie = RAnd(Const(0.0), Const(-0.0), 1.0)
+    assert [_bits(c) for c in compile_expr(tie).consts] == [_bits(0.0), _bits(-0.0)]
+    assert _bits(eval_expr(tie, {})) == _bits(-0.0)
+    assert _same_bits(eval_arrays(tie, {}), -0.0)
+    nans = [struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | k))[0] for k in (1, 2)]
+    program = compile_expr(Add(Mul(Const(nans[0]), X), Mul(Const(nans[1]), X)))
+    assert [_bits(c) for c in program.consts] == [_bits(v) for v in nans]
+    assert program.result == "((c0 * x0) + (c1 * x0))"
+    # the same bits are one constant
+    same = compile_expr(Add(Mul(Const(nans[0]), X), Mul(Const(nans[0]), X)))
+    assert [_bits(c) for c in same.consts] == [_bits(nans[0])]
+    assert same.result == "((c0 * x0) + (c0 * x0))"
+
+
+def test_a_shared_single_operation_stays_inline():
+    square = lambda: Mul(Var("x"), Var("x"))
+    program = compile_expr(Add(Sub(square(), Y), Mul(square(), Y)))
+    assert program.body == ()
+    assert program.result == "(((x0 * x0) - x1) + ((x0 * x0) * x1))"
+
+
+def test_a_shared_node_of_two_operations_is_one_local():
+    scaled = lambda: Mul(Add(Var("x"), Var("y")), Const(2.0))
+    expr = Sub(Mul(scaled(), X), Mul(Y, scaled()))
+    program = compile_expr(expr)
+    assert program.body == ("v0 = ((x0 + x1) * c0)",)
+    assert program.result == "((v0 * x0) - (x1 * v0))"
+    assert program.consts == (2.0,)
+    assert eval_expr(expr, [1.5, 0.25]) == 3.5 * 1.5 - 0.25 * 3.5
+
+
+# ----------------------------------------------------------------------
+# the frames' inline spelling of alpha = 1 R-nodes
+
+_TIES = [(0.0, -0.0), (-0.0, 0.0), (math.nan, 1.0), (1.0, math.nan)]
+
+
+@pytest.mark.parametrize("node", [RAnd, ROr])
+@pytest.mark.parametrize("a, b", _TIES, ids=["0,-0", "-0,0", "nan,1", "1,nan"])
+def test_inline_extremes_give_the_array_bits_at_ties_and_nan(node, a, b):
+    expr = node(X, Y, 1.0)
+    framed = expr_mod._compile(expr, ("x", "y"), frame=True)
+    assert "minimum" not in framed.source and "maximum" not in framed.source
+    want = eval_arrays(expr, {"x": np.array([a]), "y": np.array([b])})
+    assert _same_bits([framed.scalars([a, b])], want)
+    region = Region(expr, ("x", "y"))
+    assert region.verdict([a, b]) == classify(eval_expr(region, [a, b]))
+    # the report frame refuses a nan coordinate, so its operands are constants here
+    constant = Region(node(Const(a), Const(b), 1.0), ("x",))
+    report_frame = compile_verdict(constant, [(0.0, 1.0)])
+    assert report_frame([0.5]) == constant.verdict([0.5]) == classify(eval_expr(constant, [0.5]))
+
+
+def test_frames_answer_deep_alpha1_chains():
+    # each inline extreme nests its operand two parentheses deeper; the
+    # program spills before the parser's nesting limit
+    expr = X
+    for i in range(2_000):
+        expr = (RAnd if i % 2 else ROr)(expr, Sub(Y, Const(float(i % 7))), 1.0)
+    region = Region(expr, ("x", "y"))
+    framed = compile_verdict(region, [(-10.0, 10.0), (-10.0, 10.0)])
+    for point in ([0.5, 3.0], [-2.0, 9.0], [4.0, 0.0]):
+        want = classify(eval_expr(region, point))
+        assert region.verdict(point) == framed(point) == want

@@ -138,6 +138,19 @@ def test_membership_out_of_box():
         membership(report, {"T": 275.0, "t": 275.0, "z": 1.0})
 
 
+@pytest.mark.parametrize("huge", [10**400, -10**400, 10**5000], ids=["1e400", "-1e400", "1e5000"])
+def test_a_coordinate_beyond_the_floats_is_out_of_box(huge):
+    # float() raises OverflowError for these ints, and repr of 10**5000 raises ValueError
+    report = load_report(REPORT_FIXTURES[1])
+    for name, make in [("T", lambda: [huge, 280.0]), ("t", lambda: (290.0, huge)),
+                       ("T", lambda: {"T": huge, "t": 280}), ("t", lambda: {"t": huge, "T": 290}),
+                       ("t", lambda: (v for v in (290, huge)))]:
+        for query in (membership, box_point):
+            with pytest.raises(OutOfBox, match=rf"^{name} is beyond the float range, "
+                                               rf"outside \[250.0, 300.0\]$"):
+                query(report, make())
+
+
 def test_membership_refuses_a_str_or_bytes_point():
     # read character by character, "29" was the point (2, 9) and "91" (9, 1)
     kelvin = load_report(REPORT_FIXTURES[1])
