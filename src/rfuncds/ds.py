@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import exprtext
 from .errors import (
-    AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape,
-    NonFiniteValue, OutOfBox, ParseError,
+    AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, InsufficientPoints,
+    ModelOutputShape, NonFiniteValue, OutOfBox, ParseError,
 )
 from .expr import (
     And, Const, Leaf, Region, Sub, Var, check_alpha, classify, compile_verdict, compose, depth,
@@ -96,8 +96,8 @@ class DSReport(Record):
 
     @functools.cached_property
     def verdict(self) -> Callable:
-        """The joint expression and the box test compiled into one function,
-        on first use (``expr.compile_verdict`` with the box): the
+        """The box test around the body of the joint's ``scalar_program``,
+        compiled on first use (``expr.compile_verdict`` with the box): the
         ``membership`` of a list or tuple point, or a dict holding exactly
         the box names, inside the box, and None for every other point."""
         return compile_verdict(self.joint, [(axis.lo, axis.hi) for axis in self.box])
@@ -125,9 +125,10 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     range starts right after the training points) and records
     per-constraint R^2 plus the rate at which the sign of the joint
     expression agrees with direct thresholding of the model output.  An
-    inf or nan threshold raises ValueError before the first model run, and
-    a joint expression deeper than the tree format holds
-    (``exprtext.check_depth``) before the validation run.
+    inf or nan threshold raises ValueError, and ``n_samples`` below the
+    number of basis monomials InsufficientPoints, before the first Sobol
+    draw; a joint expression deeper than the tree format holds
+    (``exprtext.check_depth``) raises before the validation run.
     """
     import numpy as np
     constraints = list(constraints)
@@ -143,6 +144,8 @@ def identify(constraints: Sequence[ConstraintSpec], box: Sequence[BoxAxis],
     names = tuple(axis.name for axis in box)
     if basis.vars != names:
         raise ValueError(f"basis variables {basis.vars} != box axes {names}")
+    if n_samples < len(basis):   # as fit_least_squares would, after the model runs
+        raise InsufficientPoints(f"{n_samples} points for {len(basis)} monomials")
 
     def run_model(points):
         with np.errstate(all="ignore"):   # a non-finite value is refused below instead
@@ -237,14 +240,12 @@ def membership(report: DSReport, u) -> str:
     and TypeError for a ``str``, ``bytes``, ``bytearray`` or ``memoryview``
     point, which is not read as its characters or bytes.  A list or tuple
     point, or a dict holding exactly the box names, inside the box is
-    answered by the report's ``verdict`` function, compiled on the first
-    query by the generator that also writes each region's frame; every
-    other point (another mapping or iterable, a wrong count or set of
-    names, a value that is not a number, nan or out of the box) takes the
-    checked path,
-    ``classify(eval_expr(report.joint, box_point(report, u)))``, which gives
-    the same verdicts and raises the errors, and compiles no verdict
-    function of the joint region's own.
+    answered by the report's ``verdict`` function; every other point
+    (another mapping or iterable, a wrong count or set of names, a value
+    that is not a number, nan or out of the box) takes the checked path,
+    ``classify(eval_expr(report.joint, box_point(report, u)))``.  Both run
+    the joint's ``scalar_program``, so they give the same verdicts and
+    raise the same errors.
     """
     # verdict gives None where it does not answer; the joint region's inputs
     # are the box axes in order (DSReport checks it)

@@ -35,8 +35,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Sqrt node arguments in [-SQRT_CLAMP_TOL, 0) clamp to 0; anything lower
-# raises.  R-nodes never reach it: they compile to minimum/maximum at
-# alpha = 1 and clamp their radicand with maximum(rad, 0.0) otherwise.
+# raises.  R-nodes never reach it: they are exact extremes at alpha = 1 and
+# clamp their own radicand at 0 otherwise.
 SQRT_CLAMP_TOL = 1e-12
 
 # |f| <= BOUNDARY_TOL classifies a point as on the boundary of a region
@@ -178,25 +178,25 @@ class Node:
 
 def _emit_r_node(join: str, extreme: str, wins: str):
     """Text of an R-node: AND joins a+b and the radical with "-" and is
-    "minimum" at alpha = 1, OR uses "+" and "maximum"; a frame spells
-    the extreme inline, where operand a ``wins`` over b."""
+    "minimum" at alpha = 1, OR uses "+" and "maximum".  The scalar spelling
+    writes each extreme inline on locals, as numpy computes it on floats:
+    operand a if it ``wins`` over b or is nan, else b (b on a tie)."""
     def emit(e, k, a, b):
-        if e.alpha == 1.0 and not k.frame:
+        if e.alpha == 1.0 and not k.scalar:
             return f"{extreme}({a}, {b})"  # exact value of (a+b -/+ |a-b|)/2
-        if e.alpha == 1.0:
-            # _scalar_min / _scalar_max without the call: each operand is
-            # bound where the call would evaluate it.  Over two names this
-            # opens one parenthesis, as the call does, so the frame names
-            # the same nodes as the program (see _compile)
-            va, a = k.binding(a)
-            vb, b = k.binding(b)
-            return f"({va} if {a} {wins} {b} or {va} != {va} else {vb})"
-        # the formula reads each operand four times, so both become locals
+        # the inline extreme and the formula read each operand more than once
         a, b = k.local(a), k.local(b)
-        # the radicand is mathematically >= (1-|alpha|)(a^2+b^2); maximum
-        # clamps its float-error negatives
+        if e.alpha == 1.0:
+            return f"({a} if {a} {wins} {b} or {a} != {a} else {b})"
+        # the radicand is mathematically >= (1-|alpha|)(a^2+b^2); its
+        # float-error negatives clamp to 0
         rad = f"(({a} * {a}) + ({b} * {b})) - ({k.const(2.0 * e.alpha)} * ({a} * {b}))"
-        return f"((({a} + {b}) {join} sqrt(maximum({rad}, 0.0))) / {k.const(1.0 + e.alpha)})"
+        if k.scalar:
+            r = k.local(rad)
+            rad = f"({r} if {r} > 0.0 or {r} != {r} else 0.0)"
+        else:
+            rad = f"maximum({rad}, 0.0)"
+        return f"((({a} + {b}) {join} sqrt({rad})) / {k.const(1.0 + e.alpha)})"
     return emit
 
 
@@ -297,34 +297,28 @@ def fold(expr: Expr, visit: Callable):
 # ----------------------------------------------------------------------
 # compiled evaluation
 #
-# An expression is evaluated by one generated Python function.  Nodes equal
-# by value are compiled once: the same class, operands already merged, and
+# An expression is evaluated by one generated Python function, in one of
+# two spellings: the array spelling calls numpy's minimum and maximum, and
+# the scalar spelling writes them inline on floats.  Nodes equal by value
+# are compiled once: the same class, operands already merged, and
 # parameters equal bit for bit (a float by its IEEE bits, so 0.0 and -0.0,
 # or nans of two payloads, stay apart).  Each node's text comes from its
 # NODES entry and goes inline into its parent's text, so numpy reuses
 # temporaries as it would for hand-written arithmetic.  A node read by
 # several parents is bound to a local when its text takes two or more
 # operations to recompute; one operation over names is cheaper to write
-# again, since numpy cannot reuse a named array in place.  (An alpha != 1
-# R-node binds its operands itself: its formula reads each four times.)  A
-# node is also bound when its text nests _SPILL_DEPTH levels deep, so that
-# compile() never meets the parser's nesting limit; each local is deleted
-# after its last read.  Nothing taken from the expression enters the
-# source: inputs are read as x0, x1, ..., constants as the globals c0, c1,
-# ..., and a verdict function reads a dict point at the globals n0, n1, ...
-# and tests the box limits l0, h0, ..., so names and values such as inf,
-# nan or -0.0 are never spelled in it.
+# again, since numpy cannot reuse a named array in place.  (An R-node may
+# bind its operands itself: the alpha != 1 formula reads each four times.)
+# A node is also bound when its text nests _SPILL_DEPTH levels deep, so
+# that compile() never meets the parser's nesting limit.  The array
+# spelling deletes each local after its last read, which frees its array.
+# Nothing taken from the expression enters the source: inputs are read as
+# x0, x1, ..., constants as the globals c0, c1, ..., and a verdict function
+# reads a dict point at the globals n0, n1, ... and tests the box limits
+# l0, h0, ..., so names and values such as inf, nan or -0.0 are never
+# spelled in it.
 
 _SPILL_DEPTH = 40
-
-
-def _scalar_min(a, b):
-    # np.minimum bit for bit: b on ties (min(0.0, -0.0) is -0.0), nan if either is nan
-    return a if (a < b or a != a) else b
-
-
-def _scalar_max(a, b):
-    return a if (a > b or a != a) else b
 
 
 def _root_arrays(arg):
@@ -354,25 +348,24 @@ def _array_functions() -> dict:
             "minimum": np.minimum, "maximum": np.maximum}
 
 
-_SCALAR_FUNCTIONS = {"sqrt": math.sqrt, "root": _root_scalar, "absolute": abs,
-                     "minimum": _scalar_min, "maximum": _scalar_max}
+_SCALAR_FUNCTIONS = {"sqrt": math.sqrt, "root": _root_scalar, "absolute": abs}
 _LOCAL_RE = re.compile(r"\bv\d+\b")
 
 
 class Program(Record):
-    """An expression compiled into generated Python functions.
+    """An expression compiled into a generated Python function, in the
+    array spelling (a :class:`ScalarProgram` is in the scalar spelling).
 
     ``body`` holds the statements that compute the expression from the
     inputs x0, x1, ... (one line each, unindented), ``result`` the text of
     its value and ``consts`` the values of the globals c0, c1, ...;
     ``reads`` holds the names the expression reads, ordered like ``names``.
     ``source`` wraps them into one function of the input values, taken as
-    one sequence ordered like ``names``.  ``scalars`` is that function bound to float functions
-    and ``arrays`` bound to numpy functions, each on first use, so scalar
-    evaluation never imports numpy; both share one code object.
+    one sequence ordered like ``names``, and ``function`` is that function
+    bound to the functions of the spelling, on first use.
     """
 
-    # the instance dict holds only the bound functions
+    # the instance dict holds only the bound function
     __slots__ = ("names", "reads", "body", "result", "consts", "__dict__")
 
     @property
@@ -384,13 +377,11 @@ class Program(Record):
         lines.append(f"    return {self.result}")
         return "\n".join(lines) + "\n"
 
-    @functools.cached_property
-    def scalars(self) -> Callable:
-        return _bind(self, self.source, "program", _SCALAR_FUNCTIONS)
+    functions = staticmethod(_array_functions)   # those the source calls, by name
 
     @functools.cached_property
-    def arrays(self) -> Callable:
-        return _bind(self, self.source, "program", _array_functions())
+    def function(self) -> Callable:
+        return _bind(self, self.source, "program", self.functions())
 
     def inputs(self, point):
         """The input sequence for a name -> value mapping; any other
@@ -407,18 +398,25 @@ class Program(Record):
         return [point.get(name) for name in self.names]   # unread names may be absent
 
 
-class _Compiler:
-    """The state of one compilation: inputs read, constants and statements.
-    ``frame`` selects the spelling of a verdict frame, whose alpha = 1
-    R-nodes are written inline rather than as minimum/maximum calls."""
+class ScalarProgram(Program):
+    """A Program in the scalar spelling, for floats: alpha = 1 R-nodes and
+    the radicand clamp are written inline, and no local is deleted.  It
+    never imports numpy.  ``eval_expr`` and both verdict frames run it."""
 
-    def __init__(self, names: tuple[str, ...], frame: bool = False):
+    __slots__ = ()
+    functions = staticmethod(lambda: _SCALAR_FUNCTIONS)
+
+
+class _Compiler:
+    """The state of one compilation: inputs read, constants and statements,
+    and the spelling (``scalar``)."""
+
+    def __init__(self, names: tuple[str, ...], scalar: bool):
         self.inputs = {name: f"x{i}" for i, name in enumerate(names)}
-        self.frame = frame
+        self.scalar = scalar
         self.reads: set[str] = set()
         self.consts: list = []
         self.statements: list[tuple[str, str]] = []   # (local, text)
-        self.bound = 0   # names bound inside a text, w0, w1, ...
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -435,15 +433,6 @@ class _Compiler:
         name = f"v{len(self.statements)}"
         self.statements.append((name, text))
         return name
-
-    def binding(self, text: str) -> tuple[str, str]:
-        """A name for ``text`` and the text that binds it where it is read;
-        a name stays as it is."""
-        if text.isidentifier():
-            return text, text
-        name = f"w{self.bound}"
-        self.bound += 1
-        return name, f"({name} := {text})"
 
 
 _DOUBLE = struct.Struct("<d")
@@ -474,14 +463,14 @@ def _bind(program: Program, source: str, name: str, values: dict) -> Callable:
 
 
 def compile_expr(expr: Expr, names: Sequence[str] | None = None) -> Program:
-    """Compile ``expr`` into a Program whose inputs are ``names`` (default:
-    the expression's variables, sorted), which must cover every variable."""
+    """Compile ``expr`` into an array-spelling Program whose inputs are
+    ``names`` (default: the variables, sorted), covering every variable."""
+    return _compile(expr, names, scalar=False)
+
+
+def _compile(expr: Expr, names: Sequence[str] | None, scalar: bool) -> Program:
     names = tuple(sorted(variables(expr)) if names is None else names)
-    return _compile(expr, names)
-
-
-def _compile(expr: Expr, names: tuple[str, ...], frame: bool = False) -> Program:
-    k = _Compiler(names, frame)
+    k = _Compiler(names, scalar)
     # merge nodes equal by value; each distinct value is a class, numbered
     # in postorder, and the operand fields that read it count its uses
     classes: dict[tuple, int] = {}
@@ -520,11 +509,9 @@ def _compile(expr: Expr, names: tuple[str, ...], frame: bool = False) -> Program
 
     result = texts[of[id(expr)]]
     last_read = {}
-    for i, (_, text) in enumerate(k.statements):
+    for i, (_, text) in enumerate([*k.statements, (None, result)]):
         for name in _LOCAL_RE.findall(text):
             last_read[name] = i
-    for name in _LOCAL_RE.findall(result):
-        last_read[name] = len(k.statements)
     dead: dict[int, list[str]] = {}
     for name, i in last_read.items():
         dead.setdefault(i, []).append(name)
@@ -532,22 +519,19 @@ def _compile(expr: Expr, names: tuple[str, ...], frame: bool = False) -> Program
     body = []
     for i, (name, text) in enumerate(k.statements):
         body.append(f"{name} = {text}")
-        if i in dead:
+        if i in dead and not scalar:   # a del frees an array; floats need none
             body.append(f"del {', '.join(dead[i])}")
     reads = tuple(name for name in names if name in k.reads)
-    return Program(names, reads, tuple(body), result, tuple(k.consts))
+    cls = ScalarProgram if scalar else Program
+    return cls(names, reads, tuple(body), result, tuple(k.consts))
 
 
 def compile_verdict(region: Region,
                     bounds: Sequence[tuple[float, float]] | None = None) -> Callable:
     """``classify`` of ``region``'s value as one generated function of a
-    point, which gives None where it does not answer, so that the caller
-    takes its checked path.
-
-    The function runs the region's program in the frame spelling: each
-    alpha = 1 R-node is written inline as ``_scalar_min``/``_scalar_max``
-    computes it, and everything else as in ``region.program``, in the same
-    order, so it gives the values and raises the errors that program does.
+    point: it reads the point into the inputs and runs the ``body`` of
+    ``region.scalar_program``, as :func:`eval_expr` does.  It gives None
+    where it does not answer, so that the caller takes its checked path.
 
     A point whose type is exactly list or tuple is read by unpacking it,
     one value per input; one whose type is exactly dict is read at the
@@ -559,10 +543,11 @@ def compile_verdict(region: Region,
     :func:`eval_expr`, and every error is raised as there.  With ``bounds``
     (a report's frame) a dict must hold exactly the input names, each value
     must convert with float and lie in its inclusive ``(lo, hi)`` pair, and
-    every point that does not gives None.  The bounds are globals like the constants, l0,
-    h0, l1, ..., so programs of one expression shape share one code object.
+    every point that does not gives None.  The bounds are globals like the
+    constants, l0, h0, l1, ..., so programs of one expression shape share
+    one code object.
     """
-    program = _compile(region.expr, region.vars, frame=True)
+    program = region.scalar_program
     n = len(program.names)
     xs = ", ".join(f"x{i}" for i in range(n))
     sequence = [f"[{xs}] = u"]
@@ -609,7 +594,7 @@ def compile_verdict(region: Region,
     for i, (lo, hi) in enumerate(bounds or ()):
         values[f"l{i}"], values[f"h{i}"] = lo, hi
     return _bind(program, "\n".join(lines) + "\n", "verdict",
-                 {**_SCALAR_FUNCTIONS, **values, "tol": BOUNDARY_TOL})
+                 {**program.functions(), **values, "tol": BOUNDARY_TOL})
 
 
 # ----------------------------------------------------------------------
@@ -619,12 +604,14 @@ def eval_expr(expr: Expr | Region, point) -> float:
     """Evaluate at a single point.
 
     ``point`` is a name -> value mapping, or the values in the order of a
-    Region's ``vars``.  A Region evaluates through the program it compiled
-    on first use; a bare expression is compiled for this call.  It gives
-    the value :func:`eval_arrays` gives, bit for bit, inf included.
+    Region's ``vars``.  A Region evaluates through its ``scalar_program``,
+    compiled on first use; a bare expression is compiled for this call.  It
+    gives the value :func:`eval_arrays` gives, bit for bit, inf included,
+    except the sign and payload of a nan value, which IEEE 754 leaves open
+    (Python's float ``+`` and numpy's keep the sign of different operands).
     """
-    program = expr.program if isinstance(expr, Region) else compile_expr(expr)
-    return float(program.scalars(program.inputs(point)))
+    program = expr.scalar_program if isinstance(expr, Region) else _compile(expr, None, True)
+    return float(program.function(program.inputs(point)))
 
 
 def eval_arrays(expr: Expr | Region, env) -> np.ndarray:
@@ -632,7 +619,7 @@ def eval_arrays(expr: Expr | Region, env) -> np.ndarray:
     given like ``point`` of :func:`eval_expr`."""
     import numpy as np
     program = expr.program if isinstance(expr, Region) else compile_expr(expr)
-    return np.asarray(program.arrays(program.inputs(env)), dtype=float)
+    return np.asarray(program.function(program.inputs(env)), dtype=float)
 
 
 def walk(expr: Expr) -> Iterator[Expr]:
@@ -666,7 +653,7 @@ class Region(Record):
     point arguments).
     """
 
-    # the instance dict holds only the compiled program and verdict function
+    # the instance dict holds only the compiled programs and verdict function
     __slots__ = ("expr", "vars", "__dict__")
 
     def __init__(self, expr: Expr, vars: Sequence[str]):
@@ -685,6 +672,12 @@ class Region(Record):
         return compile_expr(self.expr, self.vars)
 
     @functools.cached_property
+    def scalar_program(self) -> ScalarProgram:
+        """:attr:`program` in the scalar spelling, on first use, which
+        :func:`eval_expr` and both verdict frames run."""
+        return _compile(self.expr, self.vars, scalar=True)
+
+    @functools.cached_property
     def verdict(self) -> Callable:
         """``sign_class`` of a dict, list or tuple point as one generated
         function, on first use (:func:`compile_verdict` without a box), and
@@ -698,10 +691,10 @@ def sign_class(region: Region, point) -> str:
 
     ``point`` is a name -> value mapping or the values in ``region.vars``
     order.  A dict, list or tuple point is answered by the region's
-    ``verdict`` function, which reports share through the same generator;
-    any other point, a missing name and a wrong count take the checked path,
-    ``classify(eval_expr(region, point))``, which gives the same verdicts
-    and raises the errors.
+    ``verdict`` function; any other point, a missing name and a wrong count
+    take the checked path, ``classify(eval_expr(region, point))``.  Both run
+    the statements of ``region.scalar_program``, so they give the same
+    verdicts and raise the same errors.
     """
     return region.verdict(point) or classify(eval_expr(region, point))
 
@@ -759,26 +752,28 @@ def compose(tree: BoolTree, alpha: float = 1.0) -> Region:
     And/Or fold left into binary R-nodes with the given alpha; Not becomes a
     sign flip.  The membership of the result equals the set-theoretic
     combination of the leaf memberships.  The tree is walked without
-    recursion, so nesting depth has no limit.
+    recursion, so nesting depth has no limit, and a subtree shared by
+    several parents is composed once, into one shared expression.
     """
     check_alpha(alpha)
     regions = []
+    composed: dict[int, Expr] = {}   # id(node) -> its expression
     exprs: list[Expr] = []   # the composed subtrees not yet read by their parent
     stack: list[tuple[BoolTree, bool]] = [(tree, False)]   # (node, operands composed)
     while stack:
-        node, composed = stack.pop()
-        if isinstance(node, Leaf):
+        node, ready = stack.pop()
+        if id(node) in composed:
+            out = composed[id(node)]
+        elif isinstance(node, Leaf):
             regions.append(node.region)
-            exprs.append(node.region.expr)
-        elif composed and isinstance(node, Not):
-            exprs.append(Neg(exprs.pop()))
-        elif composed:
-            count = len(node.children)
-            out, *rest = exprs[-count:]
-            del exprs[-count:]
+            out = node.region.expr
+        elif ready and isinstance(node, Not):
+            out = Neg(exprs.pop())
+        elif ready:
+            out, *rest = exprs[-len(node.children):]
+            del exprs[-len(node.children):]
             for e in rest:
                 out = node.r_node(out, e, alpha)
-            exprs.append(out)
         else:
             if isinstance(node, Not):
                 operands = (node.child,)
@@ -788,6 +783,9 @@ def compose(tree: BoolTree, alpha: float = 1.0) -> Region:
                 raise TypeError(f"unknown BoolTree node {type(node).__name__}")
             stack.append((node, True))
             stack.extend((child, False) for child in reversed(operands))
+            continue
+        composed[id(node)] = out
+        exprs.append(out)
 
     expr, = exprs
     var_lists = {r.vars for r in regions}

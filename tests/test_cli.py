@@ -548,7 +548,7 @@ def test_check_evaluates_the_joint_expression_once(value, code, verdict, monkeyp
     def scalars(inputs):
         calls.append(list(inputs))
         return value
-    report.joint.program.__dict__["scalars"] = scalars
+    report.joint.scalar_program.__dict__["function"] = scalars
     monkeypatch.setattr(ds, "load_report", lambda path: report)
     assert run(["check", str(REPORT_FIXTURE), "t=280,T=290"]) == code
     assert calls == [[290.0, 280.0]]

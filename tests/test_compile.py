@@ -41,6 +41,16 @@ def _same_bits(a, b) -> bool:
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
+def _same_bits_but_nan_sign(a, b) -> bool:
+    """``_same_bits``, except that a nan matches a nan of any sign: where
+    two nans of opposite sign meet in ``+``, Python floats keep the first
+    operand's sign and numpy the other's, and IEEE 754 leaves it open."""
+    a, b = np.asarray(a), np.asarray(b)
+    number = ~np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[number]), np.signbit(b[number])))
+
+
 @given(expr=dags(), x=values, y=values)
 def test_compiled_matches_tree_walk(expr, x, y):
     with np.errstate(all="ignore"):
@@ -50,9 +60,10 @@ def test_compiled_matches_tree_walk(expr, x, y):
             assert type(got) is type(want)
         else:
             assert repr(got) == repr(want)
-            # the point as one-element arrays gives the same bits (a constant gives one value)
+            # the point as one-element arrays gives the same bits (a constant
+            # gives one value), but for the sign of a nan
             one = eval_arrays(expr, {"x": np.array([x]), "y": np.array([y])})
-            assert _same_bits(np.broadcast_to(one, (1,)), [got])
+            assert _same_bits_but_nan_sign(np.broadcast_to(one, (1,)), [got])
 
         env = {"x": np.array([x, -x, 0.5]), "y": np.array([y, 2.0, y])}
         got = _outcome(eval_arrays, expr, env)
@@ -218,17 +229,62 @@ def test_unbound_variable_only_when_read():
 
 def test_region_compiles_lazily_and_a_reloaded_one_compiles_again():
     report = ds.load_report(FIXTURES / "kelvin-alpha0.json")
-    assert "program" not in vars(report.joint)
+    assert "scalar_program" not in vars(report.joint)
     before = ds.membership(report, [275.0, 280.0])
-    # the report's frame compiles its own spelling of the joint expression
-    assert "verdict" in vars(report) and "program" not in vars(report.joint)
+    # the report's frame runs the joint's scalar program, and eval_expr reuses it
+    assert "verdict" in vars(report) and "scalar_program" in vars(report.joint)
+    program = report.joint.scalar_program
     value = eval_expr(report.joint, [275.0, 280.0])
-    assert "program" in vars(report.joint)
+    assert report.joint.scalar_program is program and "program" not in vars(report.joint)
     copy = ds.load_report(FIXTURES / "kelvin-alpha0.json")
-    assert "program" not in vars(copy.joint)
+    assert "scalar_program" not in vars(copy.joint)
     assert ds.membership(copy, [275.0, 280.0]) == before
     assert eval_expr(copy.joint, [275.0, 280.0]) == value
-    assert copy.joint.program.source == report.joint.program.source
+    assert copy.joint.scalar_program.source == program.source
+
+
+def test_a_report_compiles_one_scalar_program_for_its_frame_and_checked_path(monkeypatch):
+    report = ds.load_report(FIXTURES / "kelvin-alpha0.json")
+    compiled, sources = [], []
+    compile_, code = expr_mod._compile, expr_mod._code
+
+    def counting(expr, names, scalar):
+        compiled.append(scalar)
+        return compile_(expr, names, scalar)
+
+    def recording(source):
+        sources.append(source)
+        return code(source)
+    monkeypatch.setattr(expr_mod, "_compile", counting)
+    monkeypatch.setattr(expr_mod, "_code", recording)
+    point = OrderedDict(T=290.0, t=280.0)
+    assert ds.membership(report, [290.0, 280.0]) == "inside"   # the frame answers
+    assert report.verdict(point) is None
+    assert ds.membership(report, point) == "inside"            # the checked path answers
+    assert eval_expr(report.joint, [290.0, 280.0]) == 0.0013891291596621613
+    assert compiled == [True] and "program" not in vars(report.joint)
+    program = report.joint.scalar_program
+    frame, function = sources
+    assert frame.startswith("def verdict(u):\n") and function == program.source
+    assert "".join(f"    {line}\n" for line in program.body) in frame
+    assert f"    value = {program.result}\n" in frame
+
+
+def test_each_program_is_bound_to_the_functions_of_its_spelling():
+    assert not hasattr(expr_mod, "_scalar_min") and not hasattr(expr_mod, "_scalar_max")
+    assert not hasattr(expr_mod._Compiler, "binding")
+    regions = [param.values[0] for param in _regions()]
+    # the array spelling frees its arrays
+    assert any("del " in region.program.source for region in regions)
+    for region in regions:
+        scalar = region.scalar_program
+        assert type(scalar) is expr_mod.ScalarProgram and type(region.program) is expr_mod.Program
+        for text in ("del ", "minimum", "maximum"):
+            assert text not in scalar.source
+        assert scalar.function.__globals__["sqrt"] is math.sqrt
+        assert region.program.function.__globals__["maximum"] is np.maximum
+        assert "maximum" not in scalar.function.__globals__
+        assert not hasattr(region.program, "scalars")
 
 
 # ----------------------------------------------------------------------
@@ -483,11 +539,11 @@ _TIES = [(0.0, -0.0), (-0.0, 0.0), (math.nan, 1.0), (1.0, math.nan)]
 @pytest.mark.parametrize("a, b", _TIES, ids=["0,-0", "-0,0", "nan,1", "1,nan"])
 def test_inline_extremes_give_the_array_bits_at_ties_and_nan(node, a, b):
     expr = node(X, Y, 1.0)
-    framed = expr_mod._compile(expr, ("x", "y"), frame=True)
-    assert "minimum" not in framed.source and "maximum" not in framed.source
-    want = eval_arrays(expr, {"x": np.array([a]), "y": np.array([b])})
-    assert _same_bits([framed.scalars([a, b])], want)
     region = Region(expr, ("x", "y"))
+    scalar = region.scalar_program
+    assert "minimum" not in scalar.source and "maximum" not in scalar.source
+    want = eval_arrays(expr, {"x": np.array([a]), "y": np.array([b])})
+    assert _same_bits([scalar.function([a, b])], want)
     assert region.verdict([a, b]) == classify(eval_expr(region, [a, b]))
     # the report frame refuses a nan coordinate, so its operands are constants here
     constant = Region(node(Const(a), Const(b), 1.0), ("x",))

@@ -27,8 +27,9 @@ from rfuncds.ds import (
 )
 from rfuncds.emit import contour_texts, emit_contours_csv
 from rfuncds.errors import (
-    AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, ModelOutputShape,
-    NegativeSqrtArgument, NonFiniteValue, OutOfBox, ParseError, RfuncdsError, SampleCountTooLarge,
+    AlphaOutOfRange, BoundsMismatch, DTooSmall, EmptyConstraintList, InsufficientPoints,
+    ModelOutputShape, NegativeSqrtArgument, NonFiniteValue, OutOfBox, ParseError, RfuncdsError,
+    SampleCountTooLarge,
 )
 from rfuncds.expr import (
     Const, Mul, Neg, Pow, Region, Sqrt, Sub, Var, classify, depth, eval_arrays, eval_expr,
@@ -263,7 +264,7 @@ def test_the_checked_path_compiles_no_verdict_of_the_joint_region():
     # a generator is no list, tuple or dict: the report's frame leaves it to the checked path
     assert report.verdict(v for v in (290.0, 280.0)) is None
     assert membership(report, (v for v in (290.0, 280.0))) == "inside"
-    assert "program" in vars(report.joint) and "verdict" not in vars(report.joint)
+    assert "scalar_program" in vars(report.joint) and "verdict" not in vars(report.joint)
 
 
 @pytest.mark.parametrize("exponent", [2, 3])
@@ -297,6 +298,22 @@ def test_a_non_finite_threshold_fails_before_any_model_run(threshold):
     with pytest.raises(ValueError, match=f"constraint 'sum' needs a finite threshold, "
                                          f"got {threshold!r}"):
         identify([ConstraintSpec("sum", threshold)], BOX, 8, CQA_BASIS, model=counting_sum)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_samples", [3, 4])
+def test_too_few_training_points_fail_before_any_draw_or_model_run(n_samples, monkeypatch):
+    calls = []
+
+    def counting_sum(points):
+        calls.append(points.shape)
+        return sum_model(points)
+
+    def sobol(*args):
+        raise AssertionError("sobol called")
+    monkeypatch.setattr("rfuncds.ds.sobol", sobol)
+    with pytest.raises(InsufficientPoints, match=f"^{n_samples} points for 5 monomials$"):
+        identify([SUM_SPEC], BOX, n_samples, CQA_BASIS, model=counting_sum)
     assert calls == []
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from rfuncds.errors import (
 )
 from rfuncds.expr import (
     NODES, Abs, Add, And, Const, Expr, Leaf, Mul, Neg, Not, Or, Pow, RAnd, ROr, Region, Sqrt,
-    Sub, Var, classify, compose, depth, eval_arrays, eval_expr, fold, sign_class, variables,
-    walk,
+    Sub, Var, classify, compose, depth, eval_arrays, eval_expr, fold, postorder, sign_class,
+    variables, walk,
 )
 from rfuncds.exprtext import to_tree_text
 from rfuncds.geometry import circle, testcase as load_case
@@ -479,6 +480,33 @@ def test_compose_matches_the_recursive_rule_on_shallow_trees():
         for alpha in (1.0, 0.25):
             assert to_tree_text(compose(tree, alpha).expr) == \
                 to_tree_text(_compose_recursive(tree, alpha))
+
+
+def _reused(levels, leaf):
+    """``t = And(t, Not(t))``, ``levels`` times: each level reads the one
+    below twice, so the tree has 2^levels paths to its leaf."""
+    tree = leaf
+    for _ in range(levels):
+        tree = And(tree, Not(tree))
+    return tree
+
+
+def test_compose_composes_a_shared_subtree_once():
+    leaf = Leaf(Region(Var("x") - 1.0, ("x",)))   # three expression nodes
+    # 16 levels first: composed once per path they give 131,073 nodes, not 2^40
+    for levels in (16, 40):
+        start = time.perf_counter()
+        expr = compose(_reused(levels, leaf), 0.5).expr
+        assert time.perf_counter() - start < 0.5
+        assert len(postorder(expr)[0]) == 2 * levels + 3
+    for levels in (1, 2, 5):
+        for alpha in (1.0, 0.5):
+            tree = _reused(levels, leaf)
+            assert to_tree_text(compose(tree, alpha).expr) == \
+                to_tree_text(_compose_recursive(tree, alpha))
+            for x in (-2.0, 0.5, 1.0, 3.0):
+                assert eval_expr(compose(tree, alpha), [x]) == \
+                    eval_expr(_compose_recursive(tree, alpha), {"x": x})
 
 
 def test_compose_takes_3000_nested_joins():

@@ -22,7 +22,8 @@ from rfuncds.ds import (
 from rfuncds.errors import NegativeSqrtArgument
 from rfuncds.expr import (
     NODES, Abs, Add, And, Const, Leaf, Mul, Neg, Not, Or, Pow, Program, RAnd, ROr, Region,
-    Sqrt, Sub, Var, compose, depth, eval_arrays, eval_expr, fold, postorder, sign_class,
+    ScalarProgram, Sqrt, Sub, Var, compose, depth, eval_arrays, eval_expr, fold, postorder,
+    sign_class,
 )
 from rfuncds.exprtext import to_tree_text
 from rfuncds.polyfit import BasisSpec, FitResult
@@ -38,6 +39,7 @@ NODE_SAMPLES = [Const(-0.0), Var("x"), Neg(X), Add(X, Y), Sub(X, Y), Mul(X, Y), 
 RECORD_FIELDS = {
     Region: ("expr", "vars"),
     Program: ("names", "reads", "body", "result", "consts"),
+    ScalarProgram: ("names", "reads", "body", "result", "consts"),
     Leaf: ("region",),
     And: ("children",),
     Or: ("children",),
@@ -86,7 +88,7 @@ def _records():
     constraint = report.constraints[0]
     leaf = Leaf(geometry.circle(0.0, 0.0, 1.0))
     trees = [leaf, And(leaf, Not(leaf), Or(leaf, leaf)), Or(leaf), Not(leaf)]
-    return [report.joint, report.joint.program, *trees, report.box[0],
+    return [report.joint, report.joint.program, report.joint.scalar_program, *trees, report.box[0],
             ConstraintSpec("purity", 0.9), constraint, report.sampling, report.validation,
             report, constraint.fit.basis, constraint.fit, geometry.testcase("circles-4.1")[2],
             KineticParams(r_gas=1.0)]
@@ -344,12 +346,12 @@ def test_region_and_report_answer_the_same_after_save_and_load(tmp_path):
     point = [290.0, 280.0]
     verdict = ds.membership(report, point)
     value = eval_expr(report.joint, point)
-    assert "program" in vars(report.joint) and "verdict" in vars(report)
+    assert "scalar_program" in vars(report.joint) and "verdict" in vars(report)
 
     ds.save_report(report, tmp_path / "report.json")
     loaded = ds.load_report(tmp_path / "report.json")
     assert loaded is not report and loaded != report
-    assert "verdict" not in vars(loaded) and "program" not in vars(loaded.joint)
+    assert "verdict" not in vars(loaded) and "scalar_program" not in vars(loaded.joint)
     assert eval_expr(loaded.joint, point) == value
     assert ds.membership(loaded, point) == verdict
-    assert "verdict" in vars(loaded) and "program" in vars(loaded.joint)
+    assert "verdict" in vars(loaded) and "scalar_program" in vars(loaded.joint)
